@@ -4,7 +4,7 @@
 //! `src/bin/fig*.rs` experiment binaries). Sizes are chosen so the whole
 //! suite completes in a few minutes on one core.
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use np_meridian::{BuildMode, MeridianConfig, Overlay};
 use np_metric::graph::{Graph, NodeId};
 use np_metric::{PeerId, Target};
@@ -164,34 +164,6 @@ fn bench_vivaldi(c: &mut Criterion) {
             );
             criterion::black_box(sys.mean_error_estimate())
         })
-    });
-}
-
-fn bench_event_kernel(c: &mut Criterion) {
-    use np_netsim::kernel::{Ctx, Node, NodeAddr, Sim};
-    use np_netsim::link::ConstLink;
-    struct Bouncer {
-        left: u32,
-    }
-    impl Node<u32> for Bouncer {
-        fn on_message(&mut self, ctx: &mut Ctx<'_, u32>, from: NodeAddr, msg: u32) {
-            if self.left > 0 {
-                self.left -= 1;
-                ctx.send(from, msg + 1);
-            }
-        }
-    }
-    c.bench_function("event_kernel_10k_messages", |b| {
-        b.iter_batched(
-            || {
-                let nodes = vec![Bouncer { left: 5_000 }, Bouncer { left: 5_000 }];
-                let mut sim = Sim::new(nodes, ConstLink(Micros::from_ms_u64(1)), 1);
-                sim.inject(NodeAddr(0), NodeAddr(1), 0);
-                sim
-            },
-            |mut sim| criterion::black_box(sim.run_to_completion()),
-            BatchSize::SmallInput,
-        )
     });
 }
 
@@ -613,8 +585,7 @@ criterion_group! {
     config = config();
     targets = bench_matrix_build, bench_meridian_build, bench_meridian_query,
               bench_chord_lookup, bench_kademlia_lookup, bench_nsw_build,
-              bench_dijkstra_local, bench_vivaldi,
-              bench_event_kernel, bench_hypervolume,
+              bench_dijkstra_local, bench_vivaldi, bench_hypervolume,
               bench_matrix_build_2500_serial, bench_matrix_build_2500_par,
               bench_run_queries_1000_serial, bench_run_queries_1000_par,
               bench_nearest_scan_kernel, bench_nearest_scan_naive,

@@ -1,5 +1,6 @@
 //! Run every figure binary in sequence (quick or paper scale) — the
-//! one-command regeneration entry point quoted by EXPERIMENTS.md.
+//! one-command regeneration entry point quoted in README's `EXPERIMENTS`
+//! section.
 //!
 //! Usage: `cargo run --release -p np-bench --bin all_figures [-- --quick] [-- --threads N]`.
 //!

@@ -11,7 +11,6 @@
 
 use crate::hash::Key;
 use np_util::rng::rng_for;
-use rand::seq::SliceRandom;
 use rand::Rng;
 
 /// Successor-list length.
@@ -84,11 +83,6 @@ impl ChordRing {
         self.nodes.is_empty()
     }
 
-    /// A node by handle.
-    pub fn node(&self, idx: usize) -> &ChordNode {
-        &self.nodes[idx]
-    }
-
     /// Join a new node with the given id; returns its handle. The ring
     /// re-stabilises (idealised maintenance).
     pub fn join(&mut self, id: Key) -> usize {
@@ -157,19 +151,6 @@ impl ChordRing {
         node.successors.first().copied().unwrap_or(from)
     }
 
-    /// One routing step: the node `from` would refer a lookup for `key`
-    /// to (its closest preceding finger), or `None` when `from` cannot
-    /// make progress. Used by the event-driven protocol, whose servers
-    /// answer referrals from exactly this local state.
-    pub fn lookup_step(&self, from: usize, key: Key) -> Option<usize> {
-        let next = self.closest_preceding(from, key);
-        if next == from {
-            None
-        } else {
-            Some(next)
-        }
-    }
-
     /// Iterative lookup from `start`.
     pub fn lookup_from(&self, start: usize, key: Key) -> Lookup {
         let mut cur = start;
@@ -199,8 +180,7 @@ impl ChordRing {
 
     /// Lookup from a random start node.
     pub fn lookup<R: Rng + ?Sized>(&self, key: Key, rng: &mut R) -> Lookup {
-        let handles: Vec<usize> = (0..self.nodes.len()).collect();
-        let &start = handles.choose(rng).expect("non-empty");
+        let start = rng.gen_range(0..self.nodes.len());
         self.lookup_from(start, key)
     }
 }

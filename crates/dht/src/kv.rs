@@ -81,7 +81,8 @@ pub struct ChordMap {
     ring: ChordRing,
     stores: Vec<HashMap<u64, Vec<u64>>>,
     rng: StdRng,
-    /// Total lookup hops spent (cost telemetry for EXPERIMENTS.md).
+    /// Total lookup hops spent (cost telemetry; README's `EXPERIMENTS`
+    /// section lists `ucl_discovery`, whose `--chord` run uses this map).
     pub lookup_hops: u64,
     /// Total operations issued.
     pub operations: u64,
@@ -183,6 +184,25 @@ mod tests {
         assert_eq!(m.name(), "chord");
         assert!(m.operations > 0);
         assert!(m.mean_hops() >= 1.0, "lookups cost hops: {}", m.mean_hops());
+    }
+
+    #[test]
+    fn chord_map_hop_count_is_pinned() {
+        // Each operation draws its lookup's start node from the map's
+        // seeded stream, so a fixed seed and operation sequence spend an
+        // exact number of hops. Any change to that draw shows up here.
+        let mut m = ChordMap::new(64, 9);
+        for key in 0..300u64 {
+            m.insert(key, key * 2);
+        }
+        for key in 0..300u64 {
+            assert_eq!(m.get(key), vec![key * 2]);
+        }
+        for key in (0..300u64).step_by(3) {
+            m.remove_if(key, &mut |v| v % 4 == 0);
+        }
+        assert_eq!(m.operations, 700);
+        assert_eq!(m.lookup_hops, 2614);
     }
 
     #[test]

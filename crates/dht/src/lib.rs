@@ -20,12 +20,8 @@
 //! * [`kv`] — the [`kv::KeyValueMap`] facade: [`kv::PerfectMap`] (the
 //!   paper's "we assume a perfect key-value map here") and
 //!   [`kv::ChordMap`] (the same interface over the real ring, with
-//!   lookup-hop telemetry),
-//! * [`wire`] — byte-level codecs for the Chord RPC messages, built on
-//!   `np-netsim`'s length-prefixed framing,
-//! * [`proto`] — the iterative lookup protocol run message-by-message on
-//!   the event kernel, every frame passing through the wire codecs.
-
+//!   lookup-hop telemetry).
+//!
 //! Two structured-overlay *searchers* also live here (the ROADMAP's
 //! "DHT and graph-walk" family), registered as first-class
 //! `AlgoFactory` entries so every figure and world backend applies:
@@ -40,8 +36,6 @@ pub mod hash;
 pub mod kademlia;
 pub mod kv;
 pub mod nsw;
-pub mod proto;
-pub mod wire;
 
 pub use chord::ChordRing;
 pub use hash::Key;

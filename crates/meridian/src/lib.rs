@@ -18,15 +18,11 @@
 //!   type implementing [`np_metric::NearestPeerAlgo`] via β-routing:
 //!   probe ring members within `[(1-β)d, (1+β)d]`, forward when the best
 //!   reply improves on `β·d`, stop otherwise (β = 0.5, 16 per ring — the
-//!   paper's §4 settings),
-//! * [`proto`] — the same query as a message-level protocol on the
-//!   `np-netsim` kernel (probe RPCs, timeouts), used to check that the
-//!   query logic survives real message interleavings.
+//!   paper's §4 settings).
 
 pub mod factory;
 pub mod hypervolume;
 pub mod overlay;
-pub mod proto;
 pub mod rings;
 
 pub use factory::MeridianFactory;

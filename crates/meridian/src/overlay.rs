@@ -492,7 +492,7 @@ impl<'m, W: WorldStore + ?Sized> Overlay<'m, W> {
         &self.cfg
     }
 
-    /// The ring set of a member (inspection / event-driven driver).
+    /// The ring set of a member (inspection).
     pub fn rings_of(&self, p: PeerId) -> &RingSet {
         &self.rings[&p]
     }

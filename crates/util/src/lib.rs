@@ -32,7 +32,8 @@
 //!   used by Figures 4 and 10 of the paper,
 //! * [`ascii`] — terminal rendering of CDFs/series so the experiment
 //!   binaries can show the figure shape without a plotting stack,
-//! * [`table`] — aligned text tables and CSV emission for EXPERIMENTS.md.
+//! * [`table`] — aligned text tables and CSV emission for the figure
+//!   binaries listed in README's `EXPERIMENTS` section.
 
 pub mod ascii;
 pub mod backoff;

@@ -2,7 +2,7 @@
 //!
 //! The experiment binaries print, for every paper figure, the series the
 //! paper reports — as an aligned table for eyes and optionally as CSV for
-//! further processing. EXPERIMENTS.md quotes these tables.
+//! further processing. README's `EXPERIMENTS` section lists the binaries.
 
 use std::fmt::Write as _;
 

@@ -14,15 +14,14 @@
 //! | Crate | Contents |
 //! |---|---|
 //! | [`util`] | latency units, deterministic RNG, statistics, CDFs, plots |
-//! | [`netsim`] | discrete-event kernel, link models, wire framing |
 //! | [`topology`] | the Internet model and the paper's §4 cluster worlds |
-//! | [`metric`] | latency backends (dense + sharded), Dijkstra, metric diagnostics, the search API |
+//! | [`metric`] | latency backends (dense, sharded, hierarchical), Dijkstra, metric diagnostics, the search API |
 //! | [`probe`] | ping / traceroute / King / TCP-ping simulators |
 //! | [`cluster`] | the §3 measurement pipelines (Figures 3–7) |
 //! | [`meridian`] | the Meridian overlay and β-routing queries |
 //! | [`coords`] | Vivaldi / PIC coordinates and the greedy walk |
 //! | [`baselines`] | Karger–Ruhl, Tapestry, Tiers, Beaconing |
-//! | [`dht`] | Chord and the key-value map facade |
+//! | [`dht`] | Chord and the key-value map facade, plus the Kademlia and NSW searchers |
 //! | [`remedies`] | §5: UCL, IP-prefix, multicast, central registries |
 //! | [`core`] | scenarios, the experiment runner, the hybrid algorithm, and the declarative `ExperimentSpec` → `AlgoFactory` registry → `Experiment` pipeline behind every figure binary |
 //!
@@ -58,8 +57,8 @@
 //! ```
 //!
 //! The experiment binaries regenerating every paper figure live in
-//! `np-bench` (`cargo run --release -p np-bench --bin fig8`, etc.); see
-//! EXPERIMENTS.md for the paper-vs-measured record.
+//! `np-bench` (`cargo run --release -p np-bench --bin fig8`, etc.); the
+//! `EXPERIMENTS` section of README.md lists them with their flags.
 
 pub use np_baselines as baselines;
 pub use np_cluster as cluster;
@@ -68,7 +67,6 @@ pub use np_core as core;
 pub use np_dht as dht;
 pub use np_meridian as meridian;
 pub use np_metric as metric;
-pub use np_netsim as netsim;
 pub use np_probe as probe;
 pub use np_remedies as remedies;
 pub use np_topology as topology;

@@ -103,30 +103,6 @@ fn hybrid_restores_exactness() {
     );
 }
 
-/// The event-driven Meridian protocol agrees with the direct-call query
-/// on a cluster world (not just on the line world of the unit tests).
-#[test]
-fn event_driven_meridian_agrees_on_cluster_world() {
-    let s = scenario(40, 7);
-    let overlay = Overlay::build(
-        &s.matrix,
-        s.overlay.clone(),
-        MeridianConfig::default(),
-        BuildMode::Omniscient,
-        7,
-    );
-    let target = s.targets[0];
-    let start_idx = 3;
-    let t = Target::new(target, &s.matrix);
-    let direct = overlay.query_from(s.overlay[start_idx], &t);
-    let link = nearest_peer::meridian::proto::matrix_link(&s.matrix, &s.overlay, target);
-    let (proto, _) =
-        nearest_peer::meridian::proto::run_query(&overlay, target, start_idx, link, 11);
-    let proto = proto.expect("query completes");
-    assert_eq!(proto.found, direct.found);
-    assert_eq!(proto.hops, direct.hops);
-}
-
 /// Three-run sweeps are deterministic end to end.
 #[test]
 fn sweeps_are_reproducible() {
