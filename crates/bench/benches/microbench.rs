@@ -381,7 +381,11 @@ fn bench_meridian_omniscient_fill_10k(c: &mut Criterion) {
 // intra-shard RTT when the shard's block is resident
 // (`hierarchical_block_cache_hit`) versus when a 1-byte budget forces
 // an evict-and-rematerialise round trip on every alternation
-// (`hierarchical_block_cache_miss`).
+// (`hierarchical_block_cache_miss`). `brute_force_hier_200k` records
+// 1,000 brute-force queries through `run_queries` on the same 200k
+// world: each is charged 199,900 probes but answered by the
+// shard-grouped `NearestIndex` (the truth cache is built once, during
+// warm-up).
 
 fn hierarchical_world_10k() -> ClusterWorld {
     ClusterWorld::generate(
@@ -398,23 +402,39 @@ fn hierarchical_world_10k() -> ClusterWorld {
     )
 }
 
+/// 2,000 clusters × 50 ENs × 2 peers = 200k peers.
+fn spec_200k() -> ClusterWorldSpec {
+    ClusterWorldSpec {
+        clusters: 2_000,
+        en_per_cluster: 50,
+        peers_per_en: 2,
+        delta: 0.2,
+        mean_hub_ms: (4.0, 6.0),
+        intra_en: Micros::from_us(100),
+        hub_pool: 2_000,
+    }
+}
+
 fn bench_hierarchical_build_200k(c: &mut Criterion) {
-    let w = ClusterWorld::generate(
-        ClusterWorldSpec {
-            clusters: 2_000,
-            en_per_cluster: 50,
-            peers_per_en: 2,
-            delta: 0.2,
-            mean_hub_ms: (4.0, 6.0),
-            intra_en: Micros::from_us(100),
-            hub_pool: 2_000,
-        },
-        7,
-    );
+    let w = ClusterWorld::generate(spec_200k(), 7);
     c.bench_function("hierarchical_build_200k", |b| {
         b.iter(|| {
             use np_metric::WorldStore;
             criterion::black_box(w.to_hierarchical(45, 256 << 20).len())
+        })
+    });
+}
+
+fn bench_brute_force_hier_200k(c: &mut Criterion) {
+    let threads = np_util::parallel::available_threads();
+    c.bench_function("brute_force_hier_200k", |b| {
+        // Built inside the closure, so a filtered-out run skips it.
+        let s = np_core::ClusterScenario::build_hierarchical(spec_200k(), 100, 7, 45, 256 << 20);
+        let algo = np_metric::nearest::BruteForce::new(&s.matrix, s.overlay.clone());
+        b.iter(|| {
+            criterion::black_box(
+                np_core::run_queries_threads(&algo, &s, 1_000, 7, threads).mean_probes,
+            )
         })
     });
 }
@@ -592,7 +612,7 @@ criterion_group! {
               bench_sharded_build_10k, bench_experiment_pipeline,
               bench_serve_pipeline_10k,
               bench_hierarchical_block_cache_hit, bench_hierarchical_block_cache_miss,
-              bench_np_lint_workspace
+              bench_brute_force_hier_200k, bench_np_lint_workspace
 }
 criterion_group! {
     name = heavy_benches;

@@ -380,6 +380,80 @@ mod tests {
         assert_eq!(m.mean_hops, 0.0);
     }
 
+    /// Brute force as a per-member probe loop: one `try_probe_from`
+    /// per member, keeping the smallest `(rtt, id)`. The reference
+    /// `BruteForce`'s index-backed answer is held to.
+    struct ProbeEachMember(Vec<PeerId>);
+
+    impl NearestPeerAlgo for ProbeEachMember {
+        fn name(&self) -> &str {
+            "probe-each-member"
+        }
+        fn members(&self) -> &[PeerId] {
+            &self.0
+        }
+        fn find_nearest(
+            &self,
+            target: &Target<'_>,
+            _rng: &mut rand::rngs::StdRng,
+        ) -> np_metric::QueryOutcome {
+            let mut best: Option<(Micros, PeerId)> = None;
+            for &m in &self.0 {
+                if m == target.id() {
+                    continue;
+                }
+                let Some(d) = target.try_probe_from(m) else {
+                    continue;
+                };
+                if best.is_none_or(|b| (d, m) < b) {
+                    best = Some((d, m));
+                }
+            }
+            let (rtt_to_target, found) = best.expect("a member answered");
+            np_metric::QueryOutcome {
+                found,
+                rtt_to_target,
+                probes: target.probes(),
+                hops: 0,
+            }
+        }
+    }
+
+    #[test]
+    fn brute_force_equals_the_per_member_probe_loop() {
+        let spec = ClusterWorldSpec {
+            clusters: 9,
+            en_per_cluster: 6,
+            peers_per_en: 2,
+            delta: 0.2,
+            mean_hub_ms: (4.0, 6.0),
+            intra_en: Micros::from_us(100),
+            hub_pool: 9,
+        };
+        let hier = ClusterScenario::build_hierarchical(spec.clone(), 12, 4, 3, 0);
+        let dense = ClusterScenario::build(spec, 12, 4);
+        assert_eq!(hier.overlay, dense.overlay, "one split, two backends");
+        let hier_store: &dyn WorldStore = &hier.matrix;
+        let hier_bf = BruteForce::new(hier_store, hier.overlay.clone());
+        let dense_bf = BruteForce::new(&dense.matrix, dense.overlay.clone());
+        let runs = [
+            (
+                run_queries_threads(&hier_bf, &hier, 400, 8, 2),
+                run_queries_threads(&ProbeEachMember(hier.overlay.clone()), &hier, 400, 8, 2),
+            ),
+            (
+                run_queries_threads(&dense_bf, &dense, 400, 8, 2),
+                run_queries_threads(&ProbeEachMember(dense.overlay.clone()), &dense, 400, 8, 2),
+            ),
+        ];
+        for (indexed, looped) in runs {
+            assert_eq!(indexed, looped);
+            assert_eq!(indexed.mean_probes.to_bits(), looped.mean_probes.to_bits());
+            assert_eq!(indexed.mean_probes, hier.overlay.len() as f64);
+            assert_eq!(indexed.p_correct_closest, 1.0);
+        }
+    }
+
     #[test]
     fn random_choice_is_poor_but_counted() {
         let s = small_scenario(3);

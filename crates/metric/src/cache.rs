@@ -6,7 +6,11 @@
 //! ~100 distinct reused targets, it dominated the runner's profile.
 //! [`NearestCache`] hoists the scan out of the query loop: one parallel
 //! pass over the distinct targets up front, O(1) lookups afterwards.
+//! Each target's answer comes from one shared [`NearestIndex`], so on
+//! the hub-model backends the pass costs O(shards) per target, not
+//! O(overlay).
 
+use crate::index::NearestIndex;
 use crate::matrix::PeerId;
 use crate::world::WorldStore;
 use np_util::parallel::par_map;
@@ -20,12 +24,14 @@ pub struct NearestCache {
 
 impl NearestCache {
     /// Precompute the true nearest member (ties by lowest id, matching
-    /// [`WorldStore::nearest_within`]) for every target, scanning
-    /// targets in parallel on `threads` workers. Works over any
-    /// latency backend — dense matrix or sharded world.
+    /// [`WorldStore::nearest_within`]) for every target, querying one
+    /// [`NearestIndex`] over `members` for the targets in parallel on
+    /// `threads` workers. Works over any latency backend — dense
+    /// matrix or sharded world.
     ///
-    /// Each target's scan is independent and reads only the shared
-    /// world, so the result is identical at any thread count.
+    /// Each target's query is independent and reads only the shared
+    /// index and world, so the result is identical at any thread
+    /// count.
     ///
     /// # Panics
     /// Panics if `members` contains no peer other than some target
@@ -36,9 +42,10 @@ impl NearestCache {
         targets: &[PeerId],
         threads: usize,
     ) -> NearestCache {
+        let index = NearestIndex::build(world, members.to_vec());
         let pairs = par_map(threads, targets, |_, &t| {
-            let n = world
-                .nearest_within(t, members)
+            let n = index
+                .nearest(t)
                 .expect("overlay has at least one non-target member");
             (t, n)
         });

@@ -186,6 +186,8 @@ pub struct HierarchicalWorld {
     local_shard: Vec<u32>,
     /// Group → dense `gᵢ×gᵢ` intra-group hub matrix, µs-as-f32.
     intra_hub: Vec<Vec<f32>>,
+    /// Group → `gᵢ`, the side of its hub matrix (its shard count).
+    group_side: Vec<usize>,
     /// Shard → hub distance to its group's super-hub shard, µs-as-f32
     /// (zero for the super-hub itself).
     super_offset: Vec<f32>,
@@ -272,6 +274,7 @@ impl HierarchicalWorld {
         // Per-group dense hub matrices and super-hub election (the
         // hub-level medoid, ties by lowest shard id).
         let mut intra_hub: Vec<Vec<f32>> = Vec::with_capacity(g);
+        let group_side: Vec<usize> = group_shards.iter().map(Vec::len).collect();
         let mut super_hub_shard = vec![0u32; g];
         let mut super_offset = vec![0.0f32; n_shards];
         for (group, run) in group_shards.iter().enumerate() {
@@ -318,6 +321,7 @@ impl HierarchicalWorld {
             super_of,
             local_shard,
             intra_hub,
+            group_side,
             super_offset,
             super_hub_shard,
             super_rtt,
@@ -459,7 +463,7 @@ impl HierarchicalWorld {
     /// blocks.
     pub fn validate(&self) -> Result<(), String> {
         for (g, hub) in self.intra_hub.iter().enumerate() {
-            let gs = (hub.len() as f64).sqrt() as usize;
+            let gs = self.group_side[g];
             if gs * gs != hub.len() {
                 return Err(format!("group {g}: non-square hub matrix"));
             }
@@ -533,8 +537,7 @@ impl ShardView for HierarchicalWorld {
     fn hub_rtt_us(&self, a: usize, b: usize) -> u64 {
         let (ga, gb) = (self.super_of[a] as usize, self.super_of[b] as usize);
         if ga == gb {
-            let hub = &self.intra_hub[ga];
-            let gs = (hub.len() as f64).sqrt() as usize;
+            let (hub, gs) = (&self.intra_hub[ga], self.group_side[ga]);
             hub[self.local_shard[a] as usize * gs + self.local_shard[b] as usize] as u64
         } else {
             self.super_offset[a] as u64

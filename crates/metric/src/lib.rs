@@ -24,6 +24,9 @@
 //! * [`cache`] — precomputed ground-truth nearest-member answers
 //!   ([`cache::NearestCache`]), built in parallel once per scenario so
 //!   the batch query runner checks outcomes in O(1),
+//! * [`index`] — [`index::NearestIndex`], one member set's nearest
+//!   member for any target in O(shards) on the hub-model backends;
+//!   the truth cache and brute force both answer through it,
 //! * [`drift`] — [`drift::DriftedWorld`], additive per-peer RTT drift
 //!   over any backend (the churn scenarios' time-varying latencies),
 //! * [`world`] — the [`world::WorldStore`] backend trait every consumer
@@ -35,14 +38,15 @@
 //!   two-level backend (shards of shards, super-hub summary, lazily
 //!   materialised blocks under a byte budget) that takes worlds to
 //!   10⁶ peers with bounded RSS,
-//! * [`scan`] — the shared SIMD-friendly nearest-scan kernel both
-//!   backends' ground-truth queries run on.
+//! * [`scan`] — the shared SIMD-friendly nearest-scan kernel the dense
+//!   matrix and the default `nearest_within` run on.
 
 pub mod cache;
 pub mod diagnostics;
 pub mod drift;
 pub mod graph;
 pub mod hierarchical;
+pub mod index;
 pub mod matrix;
 pub mod nearest;
 pub mod scan;
@@ -52,6 +56,7 @@ pub mod world;
 pub use cache::NearestCache;
 pub use drift::DriftedWorld;
 pub use hierarchical::{CacheStats, HierarchicalWorld};
+pub use index::NearestIndex;
 pub use matrix::{LatencyMatrix, PeerId};
 pub use nearest::{FaultPlan, NearestPeerAlgo, ProbeCounter, QueryOutcome, Target};
 pub use sharded::ShardedWorld;

@@ -144,14 +144,6 @@ impl LatencyMatrix {
         v
     }
 
-    /// Number of peers in `members` strictly closer to `target` than `d`.
-    pub fn count_within(&self, target: PeerId, members: &[PeerId], d: Micros) -> usize {
-        members
-            .iter()
-            .filter(|&&m| m != target && self.rtt(target, m) < d)
-            .count()
-    }
-
     /// Median RTT over all unordered pairs (reservoir-free exact
     /// computation; O(n²) values). Used to calibrate the synthetic hub
     /// matrix against the Meridian dataset's ≈65 ms median.
@@ -230,10 +222,6 @@ impl WorldStore for LatencyMatrix {
     fn knn_within(&self, target: PeerId, members: &[PeerId], k: usize) -> Vec<PeerId> {
         LatencyMatrix::knn_within(self, target, members, k)
     }
-
-    fn count_within(&self, target: PeerId, members: &[PeerId], d: Micros) -> usize {
-        LatencyMatrix::count_within(self, target, members, d)
-    }
 }
 
 impl std::fmt::Debug for LatencyMatrix {
@@ -281,16 +269,6 @@ mod tests {
         let members: Vec<PeerId> = (0..10).map(PeerId).collect();
         let knn = m.knn_within(PeerId(0), &members, 3);
         assert_eq!(knn, vec![PeerId(1), PeerId(2), PeerId(3)]);
-    }
-
-    #[test]
-    fn count_within_is_strict() {
-        let m = line_matrix(10);
-        let members: Vec<PeerId> = (0..10).map(PeerId).collect();
-        assert_eq!(
-            m.count_within(PeerId(0), &members, Micros::from_ms_u64(3)),
-            2 // peers 1 and 2; peer 3 at exactly 3 ms is excluded
-        );
     }
 
     #[test]

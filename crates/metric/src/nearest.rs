@@ -13,6 +13,7 @@
 //! Inter-*member* latencies are treated as known (learned during overlay
 //! maintenance) and are read directly from the matrix by the algorithms.
 
+use crate::index::NearestIndex;
 use crate::matrix::{LatencyMatrix, PeerId};
 use crate::world::WorldStore;
 use np_util::rng::splitmix64;
@@ -73,7 +74,13 @@ impl ProbeCounter {
     /// Record one probe.
     #[inline]
     pub fn bump(&self) {
-        self.count.fetch_add(1, Ordering::Relaxed);
+        self.add(1);
+    }
+
+    /// Record `n` probes at once.
+    #[inline]
+    pub fn add(&self, n: u64) {
+        self.count.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Probes recorded so far.
@@ -149,6 +156,45 @@ impl<'a> Target<'a> {
                 None
             }
         }
+    }
+
+    /// Probe the target from every member of `index` (all but the
+    /// target itself) and return the closest responder as `(rtt, id)`,
+    /// ties to the lowest id; `None` when no member other than the
+    /// target answered.
+    ///
+    /// Counts exactly what probing member by member through
+    /// [`Target::try_probe_from`] counts. Without a fault plan, and
+    /// when the target lives in the store the index was built over,
+    /// the answer comes from the index: one counter update and
+    /// O(shards) work instead of one `rtt` read per member. Otherwise
+    /// (lossy probes, or another store such as a drifted wrapper) it
+    /// is that member-by-member loop.
+    pub fn probe_all<W: WorldStore + ?Sized>(
+        &self,
+        index: &NearestIndex<'_, W>,
+    ) -> Option<(Micros, PeerId)> {
+        if self.faults.is_none() && index.is_over(self.world) {
+            self.counter.add(index.others(self.id));
+            return index
+                .nearest(self.id)
+                .map(|m| (self.world.rtt(m, self.id), m));
+        }
+        let mut best: Option<(Micros, PeerId)> = None;
+        for &m in index.members() {
+            if m == self.id {
+                continue;
+            }
+            // Dead peers (all probe attempts lost) are skipped, not
+            // fatal: the sweep degrades to "best among responders".
+            let Some(d) = self.try_probe_from(m) else {
+                continue;
+            };
+            if best.is_none_or(|b| (d, m) < b) {
+                best = Some((d, m));
+            }
+        }
+        best
     }
 
     /// Probes spent on this target so far.
@@ -230,21 +276,25 @@ impl<A: NearestPeerAlgo + ?Sized> NearestPeerAlgo for Box<A> {
 ///
 /// Generic over the latency backend (defaulting to the dense matrix),
 /// so it is also the reference algorithm for sharded worlds too large
-/// to materialise densely.
+/// to materialise densely. Every query is charged one probe per member
+/// other than the target; the answer itself comes from a
+/// [`NearestIndex`] built once in [`BruteForce::new`] (see
+/// [`Target::probe_all`]).
 pub struct BruteForce<'m, W: WorldStore + ?Sized = LatencyMatrix> {
-    world: &'m W,
-    members: Vec<PeerId>,
+    index: NearestIndex<'m, W>,
 }
 
 impl<'m, W: WorldStore + ?Sized> BruteForce<'m, W> {
     pub fn new(world: &'m W, members: Vec<PeerId>) -> Self {
         assert!(!members.is_empty(), "empty overlay");
-        BruteForce { world, members }
+        BruteForce {
+            index: NearestIndex::build(world, members),
+        }
     }
 
     /// The backing world (exposed for the runner's ground-truth checks).
     pub fn world(&self) -> &W {
-        self.world
+        self.index.store()
     }
 }
 
@@ -254,33 +304,18 @@ impl<W: WorldStore + ?Sized> NearestPeerAlgo for BruteForce<'_, W> {
     }
 
     fn members(&self) -> &[PeerId] {
-        &self.members
+        self.index.members()
     }
 
     fn find_nearest(&self, target: &Target<'_>, _rng: &mut StdRng) -> QueryOutcome {
-        let mut best: Option<(Micros, PeerId)> = None;
-        let mut fallback: Option<PeerId> = None;
-        for &m in &self.members {
-            if m == target.id() {
-                continue;
-            }
-            fallback.get_or_insert(m);
-            // Dead peers (all probe attempts lost) are skipped, not
-            // fatal: brute force degrades to "best among responders".
-            let Some(d) = target.try_probe_from(m) else {
-                continue;
-            };
-            if best.map(|(bd, bp)| (d, m) < (bd, bp)).unwrap_or(true) {
-                best = Some((d, m));
-            }
-        }
-        let (rtt, found) = best.unwrap_or_else(|| {
+        let (rtt, found) = target.probe_all(&self.index).unwrap_or_else(|| {
             // Every member unreachable: answer *something* (the first
             // candidate) with an infinite measured RTT rather than
             // panicking mid-batch.
+            let first = self.members().iter().copied().find(|&m| m != target.id());
             (
                 Micros::INFINITY,
-                fallback.expect("overlay has at least one other member"),
+                first.expect("overlay has at least one other member"),
             )
         });
         QueryOutcome {
@@ -379,6 +414,25 @@ mod tests {
         let out = algo.find_nearest(&t, &mut rng_from(1));
         assert_ne!(out.found, PeerId(2), "never returns the target itself");
         assert_eq!(out.probes, 3);
+    }
+
+    #[test]
+    fn brute_force_answers_for_the_store_the_target_probes() {
+        use crate::DriftedWorld;
+        let m = line_matrix(6);
+        let members: Vec<PeerId> = (0..6).map(PeerId).collect();
+        let algo = BruteForce::new(&m, members.clone());
+        // Peer 1 is target 0's nearest on the matrix; a 1.5 ms offset
+        // on peer 1 makes peer 2 the nearest of the drifted store.
+        let off = vec![0u64, 1_500, 0, 0, 0, 0];
+        let drifted = DriftedWorld::new(&m, &off);
+        let on_matrix = algo.find_nearest(&Target::new(PeerId(0), &m), &mut rng_from(1));
+        assert_eq!(on_matrix.found, PeerId(1));
+        let out = algo.find_nearest(&Target::new(PeerId(0), &drifted), &mut rng_from(1));
+        assert_eq!(out.found, PeerId(2));
+        assert_eq!(out.rtt_to_target, drifted.rtt(PeerId(2), PeerId(0)));
+        assert_eq!(out.probes, members.len() as u64 - 1);
+        assert_eq!(on_matrix.probes, out.probes);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! probe-counted [`crate::Target`], the ground-truth
 //! [`crate::NearestCache`], the Meridian overlay fill, the batch query
 //! runner) actually needs — peer count, pairwise RTT, and the derived
-//! nearest/k-NN/count queries — so dense and block-compressed backends
+//! nearest/k-NN queries — so dense and block-compressed backends
 //! ([`crate::ShardedWorld`]) interchange freely.
 //!
 //! The trait is object-safe on purpose: [`crate::Target`] holds a
@@ -23,9 +23,12 @@
 //! * peer ids are dense: `0..len()`;
 //! * `nearest_within` and friends must agree exactly with a scalar scan
 //!   over `rtt` with ties broken by lowest [`PeerId`] — the provided
-//!   defaults guarantee this by construction, and backends that
-//!   override for speed (the dense row gather) are property-tested
-//!   against the defaults.
+//!   defaults guarantee this by construction, and the fast paths are
+//!   property-tested against the defaults: the dense row gather
+//!   (an override) and [`crate::NearestIndex`], the shard-grouped
+//!   index the truth cache and brute force answer through
+//!   (`tests/world_equivalence.rs`, via a wrapper store that keeps
+//!   the default).
 
 use crate::matrix::PeerId;
 use crate::scan;
@@ -95,21 +98,13 @@ pub trait WorldStore: Sync {
         max
     }
 
-    /// Number of peers in `members` strictly closer to `target` than `d`.
-    fn count_within(&self, target: PeerId, members: &[PeerId], d: Micros) -> usize {
-        members
-            .iter()
-            .filter(|&&m| m != target && self.rtt(target, m) < d)
-            .count()
-    }
-
     /// The backend's shard structure, when it has one. The dense matrix
     /// (and any other flat backend) returns `None`; the block-compressed
     /// [`crate::ShardedWorld`] returns itself. This is the object-safe
     /// bridge that lets consumers holding a `&dyn WorldStore` (the
     /// experiment factories) discover shard locality — e.g. the Meridian
-    /// shard-local overlay fill — without the algorithm stack going
-    /// generic over the backend.
+    /// shard-local overlay fill and [`crate::NearestIndex`] — without
+    /// the algorithm stack going generic over the backend.
     fn shard_view(&self) -> Option<&dyn ShardView> {
         None
     }
@@ -163,9 +158,11 @@ pub trait ShardView: WorldStore {
     // **exactly**, as a `u64` microsecond sum. Because the composition
     // happens *inside* `hub_rtt_us`, level-1 consumers (the shard-local
     // Meridian fill, the spill-detour analysis) keep working verbatim —
-    // they never need to know a second level exists. One-level backends
-    // are, by these defaults, a single super-shard containing every
-    // shard, with all level-2 components zero.
+    // they never need to know a second level exists; `NearestIndex`
+    // reads the components below to keep one candidate per
+    // super-shard. One-level backends are, by these defaults, a single
+    // super-shard containing every shard, with all level-2 components
+    // zero.
 
     /// Number of super-shards. One-level backends are one big group.
     fn n_super_shards(&self) -> usize {
@@ -223,16 +220,12 @@ mod tests {
     }
 
     #[test]
-    fn default_knn_and_count() {
+    fn default_knn_sorts_by_rtt_then_id() {
         let w = RingWorld(8);
         let members: Vec<PeerId> = (0..8).map(PeerId).collect();
         assert_eq!(
             w.knn_within(PeerId(0), &members, 3),
             vec![PeerId(1), PeerId(7), PeerId(2)]
-        );
-        assert_eq!(
-            w.count_within(PeerId(0), &members, Micros::from_ms_u64(2)),
-            2
         );
     }
 

@@ -28,12 +28,25 @@
 //!    fill over the same hierarchical store, even under a starved
 //!    block cache.
 //!
+//! The shard-grouped [`NearestIndex`] the truth cache and brute force
+//! answer through earns its place the same way:
+//!
+//! 7. On every backend — dense, sharded, and multi-group hierarchical
+//!    under a 0-MiB block budget — and for member sets that cover
+//!    everyone, a stride, all but some whole shards, all but some
+//!    whole super-shards, repeat members, one peer or no one,
+//!    `NearestIndex::nearest`
+//!    equals the trait's default scan for every target, members
+//!    included. The tie-heavy star world (hub offsets of 1–4 ms)
+//!    pins the lowest-id tie break.
+//!
 //! Worlds are random ≤512-peer cluster worlds from the vendored
 //! proptest harness; assertions are exact equality, never tolerances.
 
 use nearest_peer::prelude::{BuildMode, MeridianConfig, Overlay};
 use np_metric::{
-    HierarchicalWorld, NearestCache, NearestPeerAlgo, PeerId, ShardedWorld, WorldStore,
+    HierarchicalWorld, LatencyMatrix, NearestCache, NearestIndex, NearestPeerAlgo, PeerId,
+    ShardView, ShardedWorld, WorldStore,
 };
 use np_topology::{ClusterWorld, ClusterWorldSpec};
 use np_util::Micros;
@@ -319,4 +332,148 @@ fn shard_local_fill_matches_omniscient_at_two_levels() {
     let local =
         Overlay::build_shard_local_threads(&hier, members, MeridianConfig::default(), 13, 2);
     assert_identical_rings(&omniscient, &local);
+}
+
+/// Forwards `len`, `rtt` and `approx_bytes` only, so its
+/// `nearest_within` is the trait's untouched default scan: the
+/// reference every `NearestIndex` answer is held to.
+struct DefaultScan<'a>(&'a dyn WorldStore);
+
+impl WorldStore for DefaultScan<'_> {
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+    fn rtt(&self, a: PeerId, b: PeerId) -> Micros {
+        self.0.rtt(a, b)
+    }
+    fn approx_bytes(&self) -> usize {
+        self.0.approx_bytes()
+    }
+}
+
+/// Member sets of every shape the index groups by, drawn through a
+/// two-level `view` over the same peer ids: everyone, a stride, all
+/// but every third shard, all but super-shard 1 (and all but every
+/// other super-shard), the stride listed twice, one peer, and no one.
+fn member_sets(view: &dyn ShardView) -> Vec<Vec<PeerId>> {
+    let all: Vec<PeerId> = (0..view.len() as u32).map(PeerId).collect();
+    let keep = |f: &dyn Fn(usize, usize) -> bool| -> Vec<PeerId> {
+        all.iter()
+            .copied()
+            .filter(|&p| {
+                let s = view.shard_of(p);
+                f(s, view.super_of(s))
+            })
+            .collect()
+    };
+    let strided: Vec<PeerId> = all.iter().copied().step_by(3).collect();
+    let repeated: Vec<PeerId> = strided.iter().chain(&strided).copied().collect();
+    vec![
+        keep(&|s, _| s % 3 != 1),
+        keep(&|_, g| g != 1),
+        keep(&|_, g| g % 2 == 0),
+        strided,
+        repeated,
+        all,
+        vec![PeerId(0)],
+        Vec::new(),
+    ]
+}
+
+/// `NearestIndex::nearest` against the default scan, for every peer of
+/// `store` as the target (so every set that holds a target is tried
+/// with it), over each member set.
+fn assert_index_is_the_default_scan(
+    label: &str,
+    store: &dyn WorldStore,
+    sets: &[Vec<PeerId>],
+) -> Result<(), proptest::TestCaseError> {
+    let reference = DefaultScan(store);
+    for members in sets {
+        let index = NearestIndex::build(store, members.clone());
+        for t in (0..store.len() as u32).map(PeerId) {
+            proptest::prop_assert_eq!(
+                index.nearest(t),
+                reference.nearest_within(t, members),
+                "{}: nearest({}) diverged on {} members",
+                label,
+                t,
+                members.len()
+            );
+        }
+    }
+    Ok(())
+}
+
+proptest::proptest! {
+    /// Property 7: the index equals the default scan on all three
+    /// backends of one random world.
+    #[test]
+    fn nearest_index_is_the_default_scan_on_every_backend(
+        seed in 0u64..1_000,
+        clusters in 2usize..=8,
+        en in 1usize..=6,
+        delta_pct in 0u64..=100,
+    ) {
+        let w = world(clusters, en, delta_pct, seed);
+        let super_shards = 2 + (seed % 3) as usize;
+        let dense = w.to_matrix_threads(1);
+        let sharded = w.to_sharded_threads(2);
+        let hier = w.to_hierarchical(super_shards, 0);
+        proptest::prop_assert!(hier.n_super_shards() >= 2);
+        let sets = member_sets(&hier);
+        assert_index_is_the_default_scan("dense", &dense, &sets)?;
+        assert_index_is_the_default_scan("sharded", &sharded, &sets)?;
+        assert_index_is_the_default_scan("hierarchical", &hier, &sets)?;
+    }
+}
+
+/// The hierarchical unit tests' star world: shard = id / 4, hub offset
+/// `1 + id % 4` ms, hub-to-hub `10·|sa − sb|` ms, and intra-shard
+/// paths `off(a) + intra_ms + off(b)`. Equal offsets in every shard and
+/// evenly spaced hubs make distance ties the rule; `intra_ms = 10`
+/// also ties a target's own shard-mates with the lower ids of the
+/// shard before it, so the lowest-id rule, not scan order, decides.
+fn star_rtt(intra_ms: u64) -> impl Fn(PeerId, PeerId) -> Micros + Copy + Send + Sync + 'static {
+    move |a: PeerId, b: PeerId| {
+        if a == b {
+            return Micros::ZERO;
+        }
+        let off = |p: PeerId| 1_000 * (1 + u64::from(p.0 % 4));
+        let hub_ms = match (a.0 / 4).abs_diff(b.0 / 4) {
+            0 => intra_ms,
+            d => 10 * u64::from(d),
+        };
+        Micros(off(a) + 1_000 * hub_ms + off(b))
+    }
+}
+
+#[test]
+fn nearest_index_breaks_star_world_ties_like_the_default_scan() {
+    let n_shards = 7usize;
+    let n = n_shards * 4;
+    let shard_of: Vec<u32> = (0..n as u32).map(|i| i / 4).collect();
+    let offset: Vec<f32> = (0..n as u32)
+        .map(|i| (1_000 * (1 + i % 4)) as f32)
+        .collect();
+    let hub_us = |a: usize, b: usize| 10_000 * a.abs_diff(b) as u64;
+    let hub: Vec<f32> = (0..n_shards * n_shards)
+        .map(|i| hub_us(i / n_shards, i % n_shards) as f32)
+        .collect();
+    for intra_ms in [0, 10] {
+        let rtt = star_rtt(intra_ms);
+        let dense = LatencyMatrix::build(n, rtt);
+        let sharded = ShardedWorld::build_par(&shard_of, hub.clone(), offset.clone(), 2, rtt);
+        for groups in [1, 2, 3, n_shards] {
+            let hier =
+                HierarchicalWorld::build_lazy(&shard_of, groups, offset.clone(), hub_us, 0, rtt);
+            let sets = member_sets(&hier);
+            let label = format!("star +{intra_ms} ms, {groups} super-shards");
+            assert_index_is_the_default_scan(&label, &hier, &sets).expect(&label);
+            if groups == 2 {
+                assert_index_is_the_default_scan(&label, &dense, &sets).expect("dense");
+                assert_index_is_the_default_scan(&label, &sharded, &sets).expect("sharded");
+            }
+        }
+    }
 }
