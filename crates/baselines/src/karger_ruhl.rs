@@ -47,7 +47,7 @@ impl Default for KrConfig {
 ///
 /// Generic over the latency backend (defaulting to the dense matrix),
 /// like every algorithm in the workspace — the same build runs over a
-/// [`np_metric::ShardedWorld`] or any other [`WorldStore`].
+/// [`np_metric::HierarchicalWorld`] or any other [`WorldStore`].
 pub struct KargerRuhl<'m, W: WorldStore + ?Sized = LatencyMatrix> {
     /// Kept for API symmetry with overlays that re-measure; the direct
     /// query path only reads it at build time.

@@ -247,12 +247,11 @@ fn bench_run_queries_1000_par(c: &mut Criterion) {
     });
 }
 
-// --- nearest-scan kernel + sharded backend benches --------------------
+// --- nearest-scan kernel benches ----------------------------------------
 //
 // `nearest_scan_2500_kernel` vs `_naive` records the SIMD-friendly
 // chunks_exact kernel against the scalar lexicographic min it replaced,
-// on a paper-scale 2,500-member row. `sharded_build_10k` records the
-// block-compressed world build at 4x the dense wall.
+// on a paper-scale 2,500-member row.
 
 fn scan_fixture() -> (Vec<f32>, Vec<PeerId>) {
     let mut rng = rng_from(8);
@@ -288,37 +287,23 @@ fn bench_nearest_scan_naive(c: &mut Criterion) {
     });
 }
 
-fn bench_sharded_build_10k(c: &mut Criterion) {
-    let w = ClusterWorld::generate(
-        ClusterWorldSpec {
-            clusters: 200,
-            en_per_cluster: 25,
-            peers_per_en: 2,
-            delta: 0.2,
-            mean_hub_ms: (4.0, 6.0),
-            intra_en: Micros::from_us(100),
-            hub_pool: 200,
-        },
-        7,
-    );
-    let threads = np_util::parallel::available_threads();
-    c.bench_function("sharded_build_10k", |b| {
-        b.iter(|| {
-            use np_metric::WorldStore;
-            criterion::black_box(w.to_sharded_threads(threads).len())
-        })
-    });
-}
-
 // The shard-local Meridian ring fill at 10k peers (200 shards) — the
 // build that makes fig8-style curves affordable past the dense wall —
 // against its omniscient twin over the same store (ring-identical
 // results, per tests/shard_local_fill.rs; only the cost differs). CI
 // records `meridian_shard_fill`; the `_omniscient` twin is the
 // committed local baseline (it is what the fast path replaces, and at
-// 10k it is already painfully quadratic).
-fn shard_fill_fixture() -> (np_metric::ShardedWorld, Vec<PeerId>) {
-    let w = ClusterWorld::generate(
+// 10k it is already painfully quadratic). The store is the exact
+// one-super-shard configuration with every block allowed to stay
+// resident.
+fn shard_fill_fixture() -> (np_metric::HierarchicalWorld, Vec<PeerId>) {
+    let w = world_10k();
+    (w.to_hierarchical(1, usize::MAX), w.peers().collect())
+}
+
+/// 200 clusters × 25 ENs × 2 peers = 10k peers.
+fn world_10k() -> ClusterWorld {
+    ClusterWorld::generate(
         ClusterWorldSpec {
             clusters: 200,
             en_per_cluster: 25,
@@ -329,19 +314,16 @@ fn shard_fill_fixture() -> (np_metric::ShardedWorld, Vec<PeerId>) {
             hub_pool: 200,
         },
         7,
-    );
-    let sharded = w.to_sharded_threads(np_util::parallel::available_threads());
-    let members: Vec<PeerId> = w.peers().collect();
-    (sharded, members)
+    )
 }
 
 fn bench_meridian_shard_fill(c: &mut Criterion) {
-    let (sharded, members) = shard_fill_fixture();
+    let (store, members) = shard_fill_fixture();
     let threads = np_util::parallel::available_threads();
     c.bench_function("meridian_shard_fill", |b| {
         b.iter(|| {
             let o = Overlay::build_shard_local_threads(
-                &sharded,
+                &store,
                 members.clone(),
                 MeridianConfig::default(),
                 1,
@@ -353,12 +335,12 @@ fn bench_meridian_shard_fill(c: &mut Criterion) {
 }
 
 fn bench_meridian_omniscient_fill_10k(c: &mut Criterion) {
-    let (sharded, members) = shard_fill_fixture();
+    let (store, members) = shard_fill_fixture();
     let threads = np_util::parallel::available_threads();
     c.bench_function("meridian_omniscient_fill_10k", |b| {
         b.iter(|| {
             let o = Overlay::build_threads(
-                &sharded,
+                &store,
                 members.clone(),
                 MeridianConfig::default(),
                 BuildMode::Omniscient,
@@ -376,8 +358,8 @@ fn bench_meridian_omniscient_fill_10k(c: &mut Criterion) {
 // two-level store at 200k peers (2,000 shards grouped under ~45
 // super-hubs): shard grouping, medoid scans and both summary levels —
 // everything *except* the lazily materialised blocks, which is the
-// point (the sharded build at this size would fill 2,000 dense blocks
-// up front). The cache pair records the per-lookup price of an
+// point (an eager build at this size would fill 2,000 dense blocks up
+// front). The cache pair records the per-lookup price of an
 // intra-shard RTT when the shard's block is resident
 // (`hierarchical_block_cache_hit`) versus when a 1-byte budget forces
 // an evict-and-rematerialise round trip on every alternation
@@ -386,21 +368,6 @@ fn bench_meridian_omniscient_fill_10k(c: &mut Criterion) {
 // world: each is charged 199,900 probes but answered by the
 // shard-grouped `NearestIndex` (the truth cache is built once, during
 // warm-up).
-
-fn hierarchical_world_10k() -> ClusterWorld {
-    ClusterWorld::generate(
-        ClusterWorldSpec {
-            clusters: 200,
-            en_per_cluster: 25,
-            peers_per_en: 2,
-            delta: 0.2,
-            mean_hub_ms: (4.0, 6.0),
-            intra_en: Micros::from_us(100),
-            hub_pool: 200,
-        },
-        7,
-    )
-}
 
 /// 2,000 clusters × 50 ENs × 2 peers = 200k peers.
 fn spec_200k() -> ClusterWorldSpec {
@@ -441,7 +408,7 @@ fn bench_brute_force_hier_200k(c: &mut Criterion) {
 
 fn bench_hierarchical_block_cache_hit(c: &mut Criterion) {
     use np_metric::WorldStore;
-    let w = hierarchical_world_10k();
+    let w = world_10k();
     let h = w.to_hierarchical(14, 256 << 20);
     // Warm shard 0's block once; every iteration after is a pure hit.
     criterion::black_box(h.rtt(PeerId(0), PeerId(1)));
@@ -456,7 +423,7 @@ fn bench_hierarchical_block_cache_hit(c: &mut Criterion) {
 
 fn bench_hierarchical_block_cache_miss(c: &mut Criterion) {
     use np_metric::WorldStore;
-    let w = hierarchical_world_10k();
+    let w = world_10k();
     // A 1-byte budget keeps at most one block resident, so alternating
     // intra-shard lookups between two shards miss (evict + refill) on
     // every single iteration.
@@ -609,7 +576,7 @@ criterion_group! {
               bench_matrix_build_2500_serial, bench_matrix_build_2500_par,
               bench_run_queries_1000_serial, bench_run_queries_1000_par,
               bench_nearest_scan_kernel, bench_nearest_scan_naive,
-              bench_sharded_build_10k, bench_experiment_pipeline,
+              bench_experiment_pipeline,
               bench_serve_pipeline_10k,
               bench_hierarchical_block_cache_hit, bench_hierarchical_block_cache_miss,
               bench_brute_force_hier_200k, bench_np_lint_workspace

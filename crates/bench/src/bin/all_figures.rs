@@ -9,9 +9,10 @@
 //! regenerated (and smoked in CI) automatically. All flags (including
 //! `--threads`/`--seed`/`--world`) are forwarded verbatim to every
 //! figure binary, so one `--threads 8` parallelises the whole
-//! regeneration and one `--world sharded` runs every cluster-world
-//! figure on the block-compressed backend; per-figure footers report
-//! each figure's wall-clock and measured effective speedup.
+//! regeneration and one `--world hierarchical --super-shards 1` runs
+//! every cluster-world query figure on the exact compressed backend;
+//! per-figure footers report each figure's wall-clock and measured
+//! effective speedup.
 
 use np_bench::{cli, Args, FIGURES};
 use std::process::Command;

@@ -5,9 +5,12 @@
 //! (b) the paper's cluster worlds at increasing cluster sizes. The
 //! clustering condition must inflate all three.
 //!
-//! Honours `--world sharded`: the cluster-world diagnostics then read
-//! latencies through the block-compressed backend (bit-identical on §4
-//! worlds — the hub summary is exact there).
+//! Honours `--world hierarchical`: the cluster-world diagnostics then
+//! read latencies through the compressed backend at the runner's
+//! default knobs — exact for x=25 and x=125 (one super-shard), while
+//! x=5's 250 clusters group into super-shards whose cross-group paths
+//! detour through super-hubs. The study builds its own cells, so
+//! `--super-shards` does not reach it.
 //!
 //! The study stage lives in `np_bench::specs::ext_assumptions` (shared
 //! with `np-bench run experiments/ext_assumptions.toml`).

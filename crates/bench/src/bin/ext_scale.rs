@@ -5,12 +5,11 @@
 //! Not a paper figure: the paper stops at "about 2500 peers" because
 //! its object is the dense inter-peer latency matrix (25 MB there,
 //! 4 TB at 1 M peers). This binary sweeps world sizes from the paper's
-//! scale up to 1 M peers on `HierarchicalWorld` (`--world sharded`
-//! replays the historical 50 k sweep on `ShardedWorld`) and, at sizes
-//! where the dense matrix still fits, cross-checks that the compressed
-//! backend produces **bit-identical** `PaperMetrics` for the same seed
-//! — by running the same spec cells through a second, dense-backend
-//! `Experiment`.
+//! scale up to 1 M peers on `HierarchicalWorld` and, at sizes where the
+//! dense matrix still fits and the store resolves to one super-shard,
+//! cross-checks that the compressed backend produces **bit-identical**
+//! `PaperMetrics` for the same seed — by running the same spec cells
+//! through a second, dense-backend `Experiment`.
 //!
 //! Per size it reports the backend's memory footprint, build time, and
 //! the throughput of a brute-force query batch, plus a **Meridian
@@ -23,7 +22,7 @@
 
 use np_bench::specs::{self, ext_scale};
 use np_bench::{cli, full_registry, Args};
-use np_core::experiment::{Backend, Experiment, Workload};
+use np_core::experiment::{Backend, Experiment};
 
 fn main() {
     let args = Args::parse();
@@ -36,20 +35,13 @@ fn main() {
     if !dropped.is_empty() {
         eprintln!(
             "skipping {dropped:?}: a dense matrix past {} peers \
-             does not fit the CI budget; use --world sharded or --world hierarchical",
+             does not fit the CI budget; use --world hierarchical",
             ext_scale::DENSE_LIMIT
         );
     }
     assert!(spec.cell_count() > 0, "no sweep sizes fit the dense backend");
     let backend = spec.backend;
-    let cross_check_cells: Vec<_> = match &spec.workload {
-        Workload::QueryMatrix(cells) => cells
-            .iter()
-            .filter(|c| c.world.total_peers() <= ext_scale::CROSS_CHECK_LIMIT)
-            .cloned()
-            .collect(),
-        Workload::Study(_) => Vec::new(),
-    };
+    let (cross_check_cells, skipped) = ext_scale::dense_cross_check(&spec);
     let registry = full_registry();
     let report = cli::run_experiment(&args, &registry, spec, ext_scale::render);
     // A cell the runner marked failed has no rows to check below: the
@@ -87,11 +79,17 @@ fn main() {
             }
         }
     }
-    // Cross-backend equivalence where dense still fits: the generator's
-    // hub summary is exact on cluster worlds (and the hierarchical
-    // auto-grouping collapses to one super-shard at these sizes), so
-    // the whole metric set must agree bit-for-bit. Run the same (small)
-    // cells through a dense-backend experiment and diff the reports.
+    // Cross-backend equivalence where dense still fits: at one
+    // super-shard the generator's hub summary is exact on cluster
+    // worlds, so the whole metric set must agree bit-for-bit. Run the
+    // same (small) cells through a dense-backend experiment and diff
+    // the reports.
+    if backend != Backend::Dense && !skipped.is_empty() {
+        eprintln!(
+            "skipping the dense cross-check for {skipped:?}: more than one super-shard \
+             approximates cross-group paths (--super-shards 1 is the exact store)"
+        );
+    }
     if backend != Backend::Dense && !cross_check_cells.is_empty() {
         let labels: Vec<&str> = cross_check_cells.iter().map(|c| c.label.as_str()).collect();
         eprintln!("cross-checking {labels:?} against the dense backend...");
@@ -106,7 +104,13 @@ fn main() {
         let dense = Experiment::new(dense_spec, &registry).run_threads(args.threads());
         let compressed_cells = report.query_cells().expect("ext_scale is a query spec");
         let dense_cells = dense.query_cells().expect("cross-check is a query spec");
-        for (co, de) in compressed_cells.iter().zip(dense_cells) {
+        for de in dense_cells {
+            // Matched by label: the filter may skip cells ahead of a
+            // cross-checked one.
+            let co = compressed_cells
+                .iter()
+                .find(|c| c.label == de.label)
+                .expect("cross-check cells come from the main report");
             // Every row — including Meridian, whose compressed-backend
             // overlay came from the shard-local fill while the dense
             // one used the omniscient fill. Bit-equality here is the

@@ -19,7 +19,6 @@ use np_bench::cli::{self, OutFormat};
 use np_bench::serve_cmd::{self, SERVE_USAGE};
 use np_bench::specs;
 use np_bench::{full_registry, Args};
-use np_core::experiment::Backend;
 use np_serve::{Admission, Pacing};
 
 fn main() {
@@ -52,9 +51,7 @@ fn main() {
             &args,
         ),
     );
-    if spec.backend == Backend::Sharded {
-        cli::chrome(&args, "backend: sharded (block-compressed latency store)\n");
-    }
+    cli::backend_note(&args, spec.backend);
     cli::chrome(
         &args,
         &format!(

@@ -63,7 +63,7 @@ fn list() {
     }
     println!("{}", algos.render());
     println!(
-        "common flags: --quick --seed N --threads N --world dense|sharded|hierarchical \
+        "common flags: --quick --seed N --threads N --world dense|hierarchical \
          --shards N --super-shards N --block-cache-mb N --seeds N --out table|json --csv \
          --max-rss-mb N"
     );

@@ -6,11 +6,12 @@
 //! * `--seed N` — base seed (default [`DEFAULT_SEED`]);
 //! * `--threads N` — worker threads; precedence `--threads` >
 //!   `$NP_THREADS` > all cores (results identical at any value);
-//! * `--world dense|sharded|hierarchical` — latency backend for
-//!   cluster-world experiments (measurement-pipeline figures accept and
-//!   note it); an unknown name prints the backend catalogue plus a
-//!   nearest-name hint and exits 2;
-//! * `--shards N` — shard-count override for sharded worlds;
+//! * `--world dense|hierarchical` — latency backend for cluster-world
+//!   experiments (measurement-pipeline figures accept and note it); an
+//!   unknown name prints the backend catalogue plus a nearest-name hint
+//!   and exits 2;
+//! * `--shards N` — cluster-count override for the worlds `ext_scale`
+//!   generates (clusters become shards on the hierarchical backend);
 //! * `--super-shards N` — super-shard (shard-group) count for
 //!   hierarchical worlds (default: 1 for small worlds, √S above);
 //! * `--block-cache-mb N` — resident block-cache budget for
@@ -56,12 +57,12 @@ pub struct Args {
     /// Explicit `--threads N`, if given. Use [`Args::threads`] for the
     /// resolved count.
     pub threads: Option<usize>,
-    /// `--world dense|sharded|hierarchical` — latency backend, if
-    /// given (binaries that support several default to their
-    /// historical backend).
+    /// `--world dense|hierarchical` — latency backend, if given
+    /// (binaries that support several default to their historical
+    /// backend).
     pub world: Option<Backend>,
-    /// `--shards N` — shard-count override for sharded worlds (the
-    /// scale binaries derive cluster counts from it).
+    /// `--shards N` — cluster-count override for the worlds
+    /// `ext_scale` generates.
     pub shards: Option<usize>,
     /// `--super-shards N` — super-shard count for hierarchical worlds
     /// (`None` = runner default: 1 up to 128 shards, √S above).
@@ -104,7 +105,7 @@ impl Default for Args {
 
 /// The shared flag synopsis every binary quotes on a parse error.
 pub const USAGE: &str = "usage: [--quick] [--seed N] [--threads N] \
-[--world dense|sharded|hierarchical] [--shards N] [--super-shards N] [--block-cache-mb N] \
+[--world dense|hierarchical] [--shards N] [--super-shards N] [--block-cache-mb N] \
 [--seeds N] [--out table|json] [--csv] [--max-rss-mb N]";
 
 impl Args {
@@ -246,6 +247,19 @@ pub fn chrome(args: &Args, s: &str) {
         eprintln!("{s}");
     } else {
         println!("{s}");
+    }
+}
+
+/// Print the backend chrome line for `backend` (see [`chrome`]); the
+/// dense backend, every figure's historical default, prints none. The
+/// one backend note behind the figure driver and both serve front
+/// ends.
+pub fn backend_note(args: &Args, backend: Backend) {
+    if backend == Backend::Hierarchical {
+        chrome(
+            args,
+            "backend: hierarchical (two-level hub summary, budget-bounded block cache)\n",
+        );
     }
 }
 
@@ -463,14 +477,7 @@ pub fn run_experiment(
     // JSON lines — see [`chrome`].
     check_spec_algos(&spec, registry);
     chrome(args, &header_block(&spec.title, &spec.paper_shape, args));
-    if spec.backend == Backend::Sharded {
-        chrome(args, "backend: sharded (block-compressed latency store)\n");
-    } else if spec.backend == Backend::Hierarchical {
-        chrome(
-            args,
-            "backend: hierarchical (two-level hub summary, budget-bounded block cache)\n",
-        );
-    }
+    backend_note(args, spec.backend);
     let timer = Report::start(args);
     let report = Experiment::new(spec, registry).run_threads(args.threads());
     match args.out {
@@ -526,8 +533,8 @@ mod tests {
 
     #[test]
     fn world_and_shards_flags() {
-        let a = parse(&["--world", "sharded", "--shards", "32", "--max-rss-mb", "1024"]);
-        assert_eq!(a.world, Some(Backend::Sharded));
+        let a = parse(&["--world", "dense", "--shards", "32", "--max-rss-mb", "1024"]);
+        assert_eq!(a.world, Some(Backend::Dense));
         assert_eq!(a.shards, Some(32));
         assert_eq!(a.max_rss_mb, Some(1024));
         let h = parse(&[
@@ -559,11 +566,11 @@ mod tests {
     fn backend_override() {
         assert_eq!(parse(&[]).backend(Backend::Dense), Backend::Dense);
         assert_eq!(
-            parse(&["--world", "sharded"]).backend(Backend::Dense),
-            Backend::Sharded
+            parse(&["--world", "hierarchical"]).backend(Backend::Dense),
+            Backend::Hierarchical
         );
         assert_eq!(
-            parse(&["--world", "dense"]).backend(Backend::Sharded),
+            parse(&["--world", "dense"]).backend(Backend::Hierarchical),
             Backend::Dense
         );
     }

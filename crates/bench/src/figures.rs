@@ -14,7 +14,7 @@ use np_core::experiment::{ExperimentReport, ExperimentSpec, StudyCtx, StudyOutpu
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FigureKind {
     /// Declarative cells × algorithms × seeds over cluster worlds;
-    /// honours `--world dense|sharded`.
+    /// honours `--world dense|hierarchical`.
     QueryMatrix,
     /// Measurement-stack study over the Internet model (`--world` is
     /// accepted but inert — there is no latency store to swap).
@@ -99,7 +99,7 @@ pub const FIGURES: &[FigureInfo] = &[
         bin: "fig8",
         spec: "fig8",
         kind: FigureKind::QueryMatrix,
-        backends: "dense|sharded",
+        backends: "dense|hierarchical",
         title: "Meridian accuracy vs cluster size (Figure 8)",
         build: specs::fig8::build,
         render: Some(specs::fig8::render),
@@ -110,7 +110,7 @@ pub const FIGURES: &[FigureInfo] = &[
         bin: "fig9",
         spec: "fig9",
         kind: FigureKind::QueryMatrix,
-        backends: "dense|sharded",
+        backends: "dense|hierarchical",
         title: "Meridian accuracy and hub distance vs delta (Figure 9)",
         build: specs::fig9::build,
         render: Some(specs::fig9::render),
@@ -154,7 +154,7 @@ pub const FIGURES: &[FigureInfo] = &[
         bin: "ext_baselines",
         spec: "ext_baselines",
         kind: FigureKind::QueryMatrix,
-        backends: "dense|sharded",
+        backends: "dense|hierarchical",
         title: "all algorithms under the clustering condition (Ext A)",
         build: specs::ext_baselines::build,
         render: Some(specs::ext_baselines::render),
@@ -165,7 +165,7 @@ pub const FIGURES: &[FigureInfo] = &[
         bin: "ext_assumptions",
         spec: "ext_assumptions",
         kind: FigureKind::Study,
-        backends: "dense|sharded",
+        backends: "dense|hierarchical",
         title: "metric-space diagnostics under clustering (Ext B)",
         build: specs::ext_assumptions::build,
         render: None,
@@ -176,7 +176,7 @@ pub const FIGURES: &[FigureInfo] = &[
         bin: "ext_hybrid",
         spec: "ext_hybrid",
         kind: FigureKind::QueryMatrix,
-        backends: "dense|sharded",
+        backends: "dense|hierarchical",
         title: "hybrid UCL registry + Meridian fallback (Ext C)",
         build: specs::ext_hybrid::build,
         render: Some(specs::ext_hybrid::render),
@@ -187,7 +187,7 @@ pub const FIGURES: &[FigureInfo] = &[
         bin: "ext_ablation",
         spec: "ext_ablation",
         kind: FigureKind::QueryMatrix,
-        backends: "dense|sharded",
+        backends: "dense|hierarchical",
         title: "Meridian design-choice ablations (Ext D)",
         build: specs::ext_ablation::build,
         render: Some(specs::ext_ablation::render),
@@ -198,7 +198,7 @@ pub const FIGURES: &[FigureInfo] = &[
         bin: "ext_scale",
         spec: "ext_scale",
         kind: FigureKind::QueryMatrix,
-        backends: "dense|sharded|hierarchical",
+        backends: "dense|hierarchical",
         title: "hierarchical worlds from the 2.5k-peer dense wall to a million peers",
         build: specs::ext_scale::build,
         render: Some(specs::ext_scale::render),
@@ -209,7 +209,7 @@ pub const FIGURES: &[FigureInfo] = &[
         bin: "ext_churn",
         spec: "ext_churn",
         kind: FigureKind::QueryMatrix,
-        backends: "dense|sharded",
+        backends: "dense|hierarchical",
         title: "accuracy and repair cost under event-clocked churn (Ext E)",
         build: specs::ext_churn::build,
         render: Some(specs::ext_churn::render),
@@ -220,7 +220,7 @@ pub const FIGURES: &[FigureInfo] = &[
         bin: "ext_dht",
         spec: "ext_dht",
         kind: FigureKind::QueryMatrix,
-        backends: "dense|sharded",
+        backends: "dense|hierarchical",
         title: "structured-overlay searchers: Kademlia and NSW (Ext F)",
         build: specs::ext_dht::build,
         render: Some(specs::ext_dht::render),
@@ -231,7 +231,7 @@ pub const FIGURES: &[FigureInfo] = &[
         bin: "ext_serve",
         spec: "ext_serve",
         kind: FigureKind::QueryMatrix,
-        backends: "dense|sharded",
+        backends: "dense|hierarchical",
         title: "query-serving daemon under open-loop load (Ext G)",
         build: specs::ext_serve::build,
         render: Some(specs::ext_serve::render),

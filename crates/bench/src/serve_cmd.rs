@@ -23,7 +23,7 @@ use crate::figures::study_stage;
 use crate::specs;
 use np_core::experiment::{
     sink::{json_escape, json_f64},
-    AlgoContext, AlgoRegistry, Backend, BuildCache, ExperimentSpec, ScenarioHandle, Workload,
+    AlgoContext, AlgoRegistry, BuildCache, ExperimentSpec, ScenarioHandle, Workload,
 };
 use np_serve::{run_schedule, Admission, ArrivalSchedule, Pacing, ServeConfig, ServeCtx, ServeReport};
 use np_util::table::{fmt_prob, Table};
@@ -441,14 +441,7 @@ pub fn cmd_serve(argv: &[String]) -> ! {
             &args,
         ),
     );
-    if spec.backend == Backend::Sharded {
-        cli::chrome(&args, "backend: sharded (block-compressed latency store)\n");
-    } else if spec.backend == Backend::Hierarchical {
-        cli::chrome(
-            &args,
-            "backend: hierarchical (two-level hub summary, budget-bounded block cache)\n",
-        );
-    }
+    cli::backend_note(&args, spec.backend);
     cli::chrome(
         &args,
         &format!(

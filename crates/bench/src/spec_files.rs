@@ -91,7 +91,7 @@ pub fn rebase_seeds(spec: &mut ExperimentSpec, new_seed: u64) {
 }
 
 const RUN_USAGE: &str = "usage: np-bench run <spec.toml> [--quick] [--seed N] [--threads N] \
-[--world dense|sharded|hierarchical] [--super-shards N] [--block-cache-mb N] [--seeds N] \
+[--world dense|hierarchical] [--super-shards N] [--block-cache-mb N] [--seeds N] \
 [--out table|json] [--csv] [--algos a,b,c] [--max-rss-mb N]";
 
 /// The run subcommand's parsed inputs: shared flags, the spec path,
@@ -269,7 +269,7 @@ fn run_one(text: &str, path: &Path, inputs: &RunInputs) -> Result<bool, String> 
         if !dropped.is_empty() {
             eprintln!(
                 "skipping {dropped:?}: these cells do not fit the {} backend \
-                 ({} figure policy); use --world sharded or --world hierarchical",
+                 ({} figure policy); use --world hierarchical",
                 spec.backend.name(),
                 spec.name
             );
@@ -278,7 +278,7 @@ fn run_one(text: &str, path: &Path, inputs: &RunInputs) -> Result<bool, String> 
     if spec.cell_count() == 0 {
         return Err(
             "no cells left to run (every cell is paper-scale-only or was dropped); \
-             try without --quick or with --world sharded or --world hierarchical"
+             try without --quick or with --world hierarchical"
                 .into(),
         );
     }

@@ -1,8 +1,8 @@
 //! **Ext B** spec: §2.2's assumption violations measured — growth
 //! constant, greedy doubling-cover size and Levina–Bickel intrinsic
 //! dimension over a growth-friendly uniform world and the paper's
-//! cluster worlds. Honours `--world sharded` through the experiment
-//! layer's `ScenarioHandle`.
+//! cluster worlds. Honours `--world hierarchical` through the
+//! experiment layer's `ScenarioHandle`.
 
 use np_core::experiment::{
     AlgoSpec, Backend, CellSpec, ExperimentSpec, ScenarioHandle, StudyCtx, StudyOutput,

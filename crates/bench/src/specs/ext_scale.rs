@@ -4,11 +4,13 @@
 //! Kademlia column (cheap at any size), and a Meridian column built
 //! through the shard-local ring fill at the sizes where its O(n²)
 //! shard-local fill is affordable. The binary adds the dense
-//! cross-check and the exactness self-checks on top of this spec.
+//! cross-check ([`dense_cross_check`] picks its cells) and the
+//! exactness self-checks on top of this spec.
 
 use crate::cli::{Args, Rendered};
 use np_core::experiment::{
-    AlgoSpec, Backend, CellSpec, ExperimentReport, ExperimentSpec, SeedPlan,
+    hierarchical_knobs, AlgoSpec, Backend, CellSpec, ExperimentReport, ExperimentSpec, SeedPlan,
+    Workload,
 };
 use np_topology::ClusterWorldSpec;
 use np_util::table::Table;
@@ -92,7 +94,7 @@ pub fn build_with(seed: u64, shards: Option<usize>) -> ExperimentSpec {
     let mut spec = ExperimentSpec::query(
         "ext_scale",
         "Extension — hierarchical worlds from the 2.5k-peer dense wall to a million peers",
-        "memory stays block-cache-bounded while peers grow 400x; dense, sharded and hierarchical metrics agree bit-for-bit at paper scale",
+        "memory stays block-cache-bounded while peers grow 400x; dense and one-super-shard hierarchical metrics agree bit-for-bit at paper scale",
         Backend::Hierarchical,
         SeedPlan::Single,
         cells,
@@ -110,7 +112,6 @@ pub fn build(seed: u64) -> ExperimentSpec {
 /// the labels dropped (callers report them; an empty sweep is the
 /// caller's error to raise).
 pub fn drop_oversized_dense_cells(spec: &mut ExperimentSpec) -> Vec<String> {
-    use np_core::experiment::Workload;
     let mut dropped = Vec::new();
     if spec.backend == Backend::Dense {
         if let Workload::QueryMatrix(cells) = &mut spec.workload {
@@ -124,6 +125,33 @@ pub fn drop_oversized_dense_cells(spec: &mut ExperimentSpec) -> Vec<String> {
         }
     }
     dropped
+}
+
+/// The cells the binary re-runs on the dense backend to cross-check a
+/// hierarchical run, plus the labels of the cells within
+/// [`CROSS_CHECK_LIMIT`] it skips. A cell is cross-checked when its
+/// world fits the limit and its knobs resolve to one super-shard — the
+/// exact configuration on cluster worlds. With more super-shards,
+/// cross-group paths detour through super-hubs and legitimately differ
+/// from dense, so those cells are skipped, not failed.
+pub fn dense_cross_check(spec: &ExperimentSpec) -> (Vec<CellSpec>, Vec<String>) {
+    let mut skipped = Vec::new();
+    let Workload::QueryMatrix(cells) = &spec.workload else {
+        return (Vec::new(), skipped);
+    };
+    let checked = cells
+        .iter()
+        .filter(|c| c.world.total_peers() <= CROSS_CHECK_LIMIT)
+        .filter(|c| {
+            let exact = hierarchical_knobs(c).0 == 1;
+            if !exact {
+                skipped.push(c.label.clone());
+            }
+            exact
+        })
+        .cloned()
+        .collect();
+    (checked, skipped)
 }
 
 /// The scale sweep table renderer: store footprint, build and batch
@@ -221,5 +249,34 @@ pub fn render(report: &ExperimentReport, _args: &Args) -> Rendered {
     Rendered {
         body: table.render(),
         csv: Some(table.to_csv()),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::specs::with_args;
+
+    fn labels(cells: &[CellSpec]) -> Vec<&str> {
+        cells.iter().map(|c| c.label.as_str()).collect()
+    }
+
+    #[test]
+    fn cross_check_keeps_only_small_one_super_shard_cells() {
+        let parse = |flags: &[&str]| {
+            Args::try_from_iter(flags.iter().map(|f| f.to_string())).expect("well-formed flags")
+        };
+        // Default knobs: the 2,500-peer cell resolves to one
+        // super-shard and is the only one within the size limit.
+        let spec = with_args(build(7), &parse(&[]));
+        let (checked, skipped) = dense_cross_check(&spec);
+        assert_eq!(labels(&checked), ["2500 peers"]);
+        assert!(skipped.is_empty());
+        // Four super-shards approximate cross-group paths: the cell
+        // is skipped, not cross-checked.
+        let grouped = with_args(build(7), &parse(&["--super-shards", "4"]));
+        let (checked, skipped) = dense_cross_check(&grouped);
+        assert!(checked.is_empty());
+        assert_eq!(skipped, ["2500 peers"]);
     }
 }

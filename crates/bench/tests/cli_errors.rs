@@ -13,6 +13,16 @@ fn run(bin: &str, args: &[&str]) -> (Option<i32>, String) {
     (out.status.code(), String::from_utf8_lossy(&out.stderr).into_owned())
 }
 
+/// The backend names a diagnostic's catalogue lists, in order (the
+/// indented lines after "backends:").
+fn catalogue(stderr: &str) -> Vec<&str> {
+    let rest = stderr.split_once("backends:").map_or("", |(_, r)| r);
+    let lines = rest.lines().skip(1);
+    lines
+        .map_while(|l| l.strip_prefix("  ")?.split_whitespace().next())
+        .collect()
+}
+
 fn assert_usage_error(bin: &str, args: &[&str], expect_msg: &str) {
     let (code, stderr) = run(bin, args);
     assert_eq!(code, Some(2), "{bin} {args:?} must exit 2; stderr: {stderr}");
@@ -37,9 +47,14 @@ fn fig8_malformed_flags_exit_2_with_usage() {
     assert_usage_error(bin, &["--world", "cubic"], "--world: no world backend");
     assert_usage_error(
         bin,
-        &["--world", "shraded"],
-        "did you mean \"sharded\"?",
+        &["--world", "hierarchcal"],
+        "did you mean \"hierarchical\"?",
     );
+    // The retired one-level store's name is no alias: exit 2 with the
+    // catalogue of exactly the live backends.
+    assert_usage_error(bin, &["--world", "sharded"], "no world backend \"sharded\"");
+    let (_, stderr) = run(bin, &["--world", "sharded"]);
+    assert_eq!(catalogue(&stderr), ["dense", "hierarchical"], "{stderr}");
 }
 
 #[test]
@@ -129,6 +144,15 @@ fn np_bench_run_rejects_malformed_specs_with_named_diagnostics() {
     assert_input_error(bin, &["run", &bad], "cell[0].world.clusters");
     let bad = write_spec("swallow.toml", &TINY_SPEC.replace("targets = 4", "targets = 99"));
     assert_input_error(bin, &["run", &bad], "overlay must be non-empty");
+    // The retired backend name is a typed spec error with the live
+    // catalogue.
+    let bad = write_spec(
+        "retired.toml",
+        &TINY_SPEC.replace("backend = \"dense\"", "backend = \"sharded\""),
+    );
+    assert_input_error(bin, &["run", &bad], "key `experiment.backend`");
+    let (_, stderr) = run(bin, &["run", &bad]);
+    assert_eq!(catalogue(&stderr), ["dense", "hierarchical"], "{stderr}");
     // A study spec whose stage nothing registers.
     let study = "[experiment]\nname = \"mystery\"\ntitle = \"t\"\npaper_shape = \"p\"\n\
                  backend = \"dense\"\nseeds = \"single\"\nbase_seed = 1\nworkload = \"study\"\n";

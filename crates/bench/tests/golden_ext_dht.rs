@@ -85,16 +85,20 @@ fn np_bench_run_ext_dht_toml_matches_the_fixture() {
 }
 
 #[test]
-fn ext_dht_sharded_equals_dense_modulo_chrome() {
-    // Backend invariance at the stdout level: the sharded run may
-    // differ in its backend banner, but every metric digit must equal
-    // the dense fixture's — the searchers see the same world through
-    // either store.
+fn ext_dht_one_super_shard_equals_dense_modulo_chrome() {
+    // Backend invariance at the stdout level: the exact one-super-shard
+    // run may differ in its backend banner, but every metric digit must
+    // equal the dense fixture's — the searchers see the same world
+    // through either store.
     let dense = include_str!("fixtures/ext_dht_quick.txt");
-    let sharded = run_ext_dht(&["--world", "sharded"]);
+    let hier = run_ext_dht(&["--world", "hierarchical", "--super-shards", "1"]);
+    assert!(
+        hier.contains("\nbackend: hierarchical"),
+        "not run on the hierarchical backend"
+    );
     assert_eq!(
-        normalize_backend(&sharded),
+        normalize_backend(&hier),
         normalize_backend(dense),
-        "sharded ext_dht diverged from the dense fixture beyond backend chrome"
+        "one-super-shard ext_dht diverged from the dense fixture beyond backend chrome"
     );
 }

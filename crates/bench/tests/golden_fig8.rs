@@ -13,14 +13,13 @@
 //! match — which proves the API redesign is behaviour-preserving, not
 //! merely similar.
 
-//! `fixtures/fig8_sharded_quick.txt` pins the **shard-local Meridian
-//! fill** the same way: it is the committed stdout of `fig8 --quick
-//! --threads 2 --world sharded`, where the `MeridianFactory` routes the
-//! omniscient fill through `Overlay::build_shard_local`. Byte-equality
-//! here freezes the fast path; the cross-fixture test below further
-//! asserts the sharded output equals the *dense* fixture modulo the
-//! backend chrome — the shard-local fill changes nothing but the build
-//! cost.
+//! The same fixture pins the **shard-local Meridian fill**: `fig8
+//! --quick --threads 2 --world hierarchical --super-shards 1` runs the
+//! exact one-super-shard store, where the `MeridianFactory` routes the
+//! omniscient fill through `Overlay::build_shard_local`, and its stdout
+//! must equal the dense fixture modulo the backend chrome — the
+//! compressed store and the shard-local fill change nothing but the
+//! build cost.
 
 use std::process::Command;
 
@@ -94,31 +93,37 @@ fn np_bench_run_fig8_toml_matches_the_fixture() {
 }
 
 #[test]
-fn fig8_sharded_quick_pins_the_shard_local_fill() {
-    let fixture = include_str!("fixtures/fig8_sharded_quick.txt");
+fn fig8_one_super_shard_pins_the_shard_local_fill() {
+    let fixture = include_str!("fixtures/fig8_quick.txt");
+    let args = [
+        "--quick",
+        "--threads",
+        "2",
+        "--world",
+        "hierarchical",
+        "--super-shards",
+        "1",
+    ];
     let out = Command::new(env!("CARGO_BIN_EXE_fig8"))
-        .args(["--quick", "--threads", "2", "--world", "sharded"])
+        .args(args)
         .output()
         .expect("fig8 binary runs");
     assert!(
         out.status.success(),
-        "fig8 --world sharded exited non-zero: {}",
+        "fig8 {args:?} exited non-zero: {}",
         String::from_utf8_lossy(&out.stderr)
     );
     let stdout = String::from_utf8(out.stdout).expect("fig8 output is UTF-8");
-    assert_eq!(
-        normalize(&stdout),
-        normalize(fixture),
-        "fig8 --quick --world sharded diverged from the shard-local-fill fixture"
+    assert!(
+        stdout.contains("\nbackend: hierarchical"),
+        "fig8 {args:?} did not run on the hierarchical backend"
     );
-    // The two fixtures must agree modulo backend chrome: on §4 worlds
-    // the block-compressed store is exact and the shard-local fill is
-    // ring-identical to the omniscient one, so every metric digit of
-    // the sharded run equals the dense run's.
-    let dense = include_str!("fixtures/fig8_quick.txt");
+    // On §4 worlds the one-super-shard store is exact and the
+    // shard-local fill is ring-identical to the omniscient one, so
+    // every metric digit equals the dense run's.
     assert_eq!(
+        normalize_backend(&stdout),
         normalize_backend(fixture),
-        normalize_backend(dense),
-        "sharded and dense fig8 fixtures diverged beyond backend chrome"
+        "fig8 {args:?} diverged from the dense fixture beyond backend chrome"
     );
 }

@@ -17,8 +17,9 @@
 //! * [`trace_graph`] — the traceroute-derived adjacency graph over peers
 //!   and routers that §5's Dijkstra analysis (Figures 10, 11) runs on,
 //! * [`reshard`] — measured pruned clusters as the shard map of the
-//!   compressed latency stores (unclustered peers spill through the
-//!   `NO_SHARD` sentinel into exact singleton shards).
+//!   compressed latency store (unclustered peers spill through the
+//!   `HierarchicalWorld::NO_SHARD` sentinel into exact singleton
+//!   shards).
 
 pub mod azureus;
 pub mod dns;

@@ -8,25 +8,23 @@
 //! latencies, 1.5× pruning), never from ground truth. Every responsive
 //! peer that survived into a pruned cluster is assigned that cluster's
 //! shard; everyone else — unstable route, multihomed, pruned away —
-//! spills through [`ShardedWorld::NO_SHARD`], the sentinel path the
-//! compressors already resolve into appended singleton shards with
+//! spills through [`HierarchicalWorld::NO_SHARD`], the sentinel path
+//! the compressor already resolves into appended singleton shards with
 //! exact (identity-offset) distances.
 //!
-//! The same assignment drives both compressed backends:
-//! [`MeasuredShards::compress`] for the one-level block store and
-//! [`MeasuredShards::compress_hierarchical`] for the two-level store,
-//! which groups the measured shards under super-hubs and keeps resident
-//! blocks under a byte budget.
+//! [`MeasuredShards::compress`] turns the assignment into the
+//! compressed store, which groups the measured shards under super-hubs
+//! and keeps resident blocks under a byte budget.
 
 use crate::azureus::AzureusStudy;
-use np_metric::{HierarchicalWorld, LatencyMatrix, PeerId, ShardedWorld};
+use np_metric::{HierarchicalWorld, LatencyMatrix, PeerId};
 use np_topology::HostId;
 use std::collections::HashMap;
 use std::sync::Arc;
 
 /// A measured shard assignment over the responsive Azureus population:
 /// `peers[i]` is the host behind [`PeerId`]`(i)`, `shard_of[i]` its
-/// pruned-cluster index or [`ShardedWorld::NO_SHARD`].
+/// pruned-cluster index or [`HierarchicalWorld::NO_SHARD`].
 #[derive(Debug, Clone)]
 pub struct MeasuredShards {
     /// The peer population, in the study's (deterministic) responsive
@@ -34,8 +32,8 @@ pub struct MeasuredShards {
     /// peers identically.
     pub peers: Vec<HostId>,
     /// Per-peer shard: the index into the study's pruned cluster list,
-    /// or [`ShardedWorld::NO_SHARD`] for peers outside every pruned
-    /// cluster.
+    /// or [`HierarchicalWorld::NO_SHARD`] for peers outside every
+    /// pruned cluster.
     pub shard_of: Vec<u32>,
     /// How many peers carry a measured shard (the rest spill).
     pub clustered: usize,
@@ -57,11 +55,16 @@ impl MeasuredShards {
         let peers = study.responsive.clone();
         let shard_of: Vec<u32> = peers
             .iter()
-            .map(|h| of_host.get(h).copied().unwrap_or(ShardedWorld::NO_SHARD))
+            .map(|h| {
+                of_host
+                    .get(h)
+                    .copied()
+                    .unwrap_or(HierarchicalWorld::NO_SHARD)
+            })
             .collect();
         let clustered = shard_of
             .iter()
-            .filter(|&&s| s != ShardedWorld::NO_SHARD)
+            .filter(|&&s| s != HierarchicalWorld::NO_SHARD)
             .count();
         MeasuredShards {
             peers,
@@ -91,23 +94,11 @@ impl MeasuredShards {
     }
 
     /// Compress `matrix` (measured latencies, indexed like `peers`)
-    /// under the measured assignment. Spilled peers resolve through the
-    /// sentinel path into exact singleton shards.
-    pub fn compress(&self, matrix: &LatencyMatrix, threads: usize) -> ShardedWorld {
-        assert_eq!(
-            matrix.len(),
-            self.peers.len(),
-            "matrix must index the responsive population"
-        );
-        ShardedWorld::compress(matrix, &self.shard_of, threads)
-    }
-
-    /// [`MeasuredShards::compress`] onto the two-level backend:
-    /// measured shards grouped under `super_shards` super-hubs, lazily
-    /// materialised blocks bounded by `cache_budget_bytes`. At
-    /// `super_shards = 1` the result is bit-identical to
-    /// [`MeasuredShards::compress`].
-    pub fn compress_hierarchical(
+    /// under the measured assignment: measured shards grouped under
+    /// `super_shards` super-hubs, lazily materialised blocks bounded by
+    /// `cache_budget_bytes`. Spilled peers resolve through the sentinel
+    /// path into exact singleton shards.
+    pub fn compress(
         &self,
         matrix: &Arc<LatencyMatrix>,
         super_shards: usize,
@@ -153,7 +144,7 @@ mod tests {
         );
         // Every assigned shard id is a valid pruned-cluster index.
         for &s in &shards.shard_of {
-            assert!(s == ShardedWorld::NO_SHARD || (s as usize) < shards.n_shards);
+            assert!(s == HierarchicalWorld::NO_SHARD || (s as usize) < shards.n_shards);
         }
     }
 
@@ -164,7 +155,7 @@ mod tests {
         let matrix = Arc::new(LatencyMatrix::build(shards.len(), |a, b| {
             world.rtt(shards.peers[a.idx()], shards.peers[b.idx()])
         }));
-        let store = shards.compress(&matrix, 2);
+        let store = shards.compress(&matrix, 1, 1 << 20);
         assert_eq!(store.len(), shards.len());
         // Same-shard distances come out of the dense per-shard block —
         // exact; a spilled peer's distances take a single-detour path
@@ -174,7 +165,7 @@ mod tests {
         for a in 0..shards.len().min(200) {
             for b in 0..shards.len().min(200) {
                 let (pa, pb) = (PeerId(a as u32), PeerId(b as u32));
-                if by_shard(a) == by_shard(b) && by_shard(a) != ShardedWorld::NO_SHARD {
+                if by_shard(a) == by_shard(b) && by_shard(a) != HierarchicalWorld::NO_SHARD {
                     assert_eq!(store.rtt(pa, pb), matrix.rtt(pa, pb));
                     checked_same += 1;
                 } else {
@@ -187,23 +178,15 @@ mod tests {
     }
 
     #[test]
-    fn hierarchical_compress_collapses_to_the_measured_sharded_store() {
+    fn grouped_compress_never_underestimates_the_measured_matrix() {
         let (world, study) = tiny_study();
         let shards = MeasuredShards::from_study(&study);
         let matrix = Arc::new(LatencyMatrix::build(shards.len(), |a, b| {
             world.rtt(shards.peers[a.idx()], shards.peers[b.idx()])
         }));
-        let flat = shards.compress(&matrix, 1);
-        let hier = shards.compress_hierarchical(&matrix, 1, 1 << 20);
-        // One super-shard ⇒ bit-identical distances, peer for peer.
-        for a in (0..shards.len()).step_by(7) {
-            for b in (0..shards.len()).step_by(11) {
-                let (pa, pb) = (PeerId(a as u32), PeerId(b as u32));
-                assert_eq!(hier.rtt(pa, pb), flat.rtt(pa, pb), "{a} vs {b}");
-            }
-        }
-        // Multi-group stays an overestimate-only approximation.
-        let grouped = shards.compress_hierarchical(&matrix, 4, 1 << 20);
+        // Several super-shards stay an overestimate-only approximation.
+        let grouped = shards.compress(&matrix, 4, 1 << 20);
+        assert_eq!(grouped.n_super_shards(), 4);
         for a in (0..shards.len()).step_by(13) {
             for b in (0..shards.len()).step_by(17) {
                 let (pa, pb) = (PeerId(a as u32), PeerId(b as u32));

@@ -84,7 +84,7 @@ pub struct VivaldiSystem {
 
 impl VivaldiSystem {
     /// Run the relaxation over `members` of `matrix` (any latency
-    /// backend — coordinates embed dense and sharded worlds alike).
+    /// backend — coordinates embed dense and compressed worlds alike).
     pub fn build<W: WorldStore + ?Sized>(
         matrix: &W,
         members: Vec<PeerId>,

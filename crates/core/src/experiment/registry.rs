@@ -8,7 +8,7 @@
 //!
 //! The factory contract is deliberately `dyn`-first: the build context
 //! hands out `&dyn WorldStore`, so one factory serves the dense matrix
-//! and the block-compressed sharded backend alike, and the returned
+//! and the compressed hierarchical backend alike, and the returned
 //! algorithm is a `Box<dyn NearestPeerAlgo>` borrowing only the
 //! context's lifetime. Determinism: a factory must derive all
 //! randomness from `ctx.seed` (sub-tagged as needed) — never from
@@ -74,7 +74,8 @@ impl BuildCache {
 /// Everything a factory may consume when instantiating an algorithm
 /// for one (cell, seed) scenario.
 pub struct AlgoContext<'a> {
-    /// The latency backend (dense or sharded — factories must not care).
+    /// The latency backend (dense or hierarchical — factories must not
+    /// care).
     pub store: &'a dyn WorldStore,
     /// The generated cluster world (topology metadata: end-networks,
     /// clusters, hubs — what §5 hint registries key on).

@@ -48,10 +48,11 @@ pub struct CellReport {
     pub label: String,
     /// Peers in the generated world.
     pub peers: usize,
-    /// Clusters (= shards on the sharded backend) in the cell's world.
+    /// Clusters (= shards on the hierarchical backend) in the cell's
+    /// world.
     pub clusters: usize,
     /// Approximate heap bytes of the latency backend (per scenario;
-    /// the sharded backend's raison d'être).
+    /// the hierarchical backend's raison d'être).
     pub store_bytes: usize,
     /// Wall-clock spent building this cell's scenarios (world
     /// generation + backend materialisation, summed over seeds; zero

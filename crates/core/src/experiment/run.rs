@@ -26,8 +26,7 @@ use crate::experiment::spec::{Backend, CellSpec, ExperimentSpec, StudyCtx, Workl
 use crate::runner::{run_queries_threads, PaperMetrics, RunBandMetrics};
 use crate::scenario::ClusterScenario;
 use np_metric::{
-    HierarchicalWorld, LatencyMatrix, NearestCache, NearestPeerAlgo, PeerId, ShardedWorld,
-    WorldStore,
+    HierarchicalWorld, LatencyMatrix, NearestCache, NearestPeerAlgo, PeerId, WorldStore,
 };
 use np_topology::ClusterWorld;
 use np_util::parallel::{par_map, resolve_threads};
@@ -39,7 +38,6 @@ use std::time::{Duration, Instant};
 /// statically per variant.
 pub enum ScenarioHandle {
     Dense(ClusterScenario<LatencyMatrix>),
-    Sharded(ClusterScenario<ShardedWorld>),
     Hierarchical(ClusterScenario<HierarchicalWorld>),
 }
 
@@ -49,10 +47,10 @@ pub const DEFAULT_BLOCK_CACHE_MB: usize = 256;
 /// Resolve a cell's hierarchical knobs to concrete values:
 /// `(super_shards, cache_budget_bytes)`. Unpinned super-shard counts
 /// default to one group while the shard count is small (≤128 — the flat
-/// summary is still cheap there, and one group is the exact,
-/// bit-identical-to-sharded configuration) and ~√S beyond, which keeps
-/// the two-level summary at `O(S^1.5)` entries. Pure in the cell, so
-/// the same spec always resolves identically.
+/// summary is still cheap there, and one group is the exact
+/// configuration, bit-identical to dense on cluster worlds) and ~√S
+/// beyond, which keeps the two-level summary at `O(S^1.5)` entries.
+/// Pure in the cell, so the same spec always resolves identically.
 pub fn hierarchical_knobs(cell: &CellSpec) -> (usize, usize) {
     let s = cell.world.clusters.max(1);
     let groups = cell
@@ -64,19 +62,16 @@ pub fn hierarchical_knobs(cell: &CellSpec) -> (usize, usize) {
 }
 
 impl ScenarioHandle {
-    /// Build a cell's scenario on `backend`.
-    pub fn build(cell: &CellSpec, backend: Backend, seed: u64, threads: usize) -> ScenarioHandle {
+    /// Build a cell's scenario on `backend`. Neither backend's build
+    /// takes a worker count — the dense matrix fills on the ambient
+    /// pool and the hierarchical store materialises blocks lazily — so
+    /// `_threads` only keeps call sites backend-agnostic.
+    pub fn build(cell: &CellSpec, backend: Backend, seed: u64, _threads: usize) -> ScenarioHandle {
         match backend {
             Backend::Dense => ScenarioHandle::Dense(ClusterScenario::build(
                 cell.world.clone(),
                 cell.n_targets,
                 seed,
-            )),
-            Backend::Sharded => ScenarioHandle::Sharded(ClusterScenario::build_sharded_threads(
-                cell.world.clone(),
-                cell.n_targets,
-                seed,
-                threads,
             )),
             Backend::Hierarchical => {
                 let (groups, budget) = hierarchical_knobs(cell);
@@ -95,7 +90,6 @@ impl ScenarioHandle {
     pub fn store(&self) -> &dyn WorldStore {
         match self {
             ScenarioHandle::Dense(s) => &s.matrix,
-            ScenarioHandle::Sharded(s) => &s.matrix,
             ScenarioHandle::Hierarchical(s) => &s.matrix,
         }
     }
@@ -104,7 +98,6 @@ impl ScenarioHandle {
     pub fn world(&self) -> &ClusterWorld {
         match self {
             ScenarioHandle::Dense(s) => &s.world,
-            ScenarioHandle::Sharded(s) => &s.world,
             ScenarioHandle::Hierarchical(s) => &s.world,
         }
     }
@@ -113,7 +106,6 @@ impl ScenarioHandle {
     pub fn overlay(&self) -> &[PeerId] {
         match self {
             ScenarioHandle::Dense(s) => &s.overlay,
-            ScenarioHandle::Sharded(s) => &s.overlay,
             ScenarioHandle::Hierarchical(s) => &s.overlay,
         }
     }
@@ -123,7 +115,6 @@ impl ScenarioHandle {
     pub fn targets(&self) -> &[PeerId] {
         match self {
             ScenarioHandle::Dense(s) => &s.targets,
-            ScenarioHandle::Sharded(s) => &s.targets,
             ScenarioHandle::Hierarchical(s) => &s.targets,
         }
     }
@@ -134,7 +125,6 @@ impl ScenarioHandle {
     pub fn nearest_cache(&self, threads: usize) -> &NearestCache {
         match self {
             ScenarioHandle::Dense(s) => s.nearest_cache(threads),
-            ScenarioHandle::Sharded(s) => s.nearest_cache(threads),
             ScenarioHandle::Hierarchical(s) => s.nearest_cache(threads),
         }
     }
@@ -154,7 +144,6 @@ impl ScenarioHandle {
     ) -> PaperMetrics {
         match self {
             ScenarioHandle::Dense(s) => run_queries_threads(algo, s, n_queries, seed, threads),
-            ScenarioHandle::Sharded(s) => run_queries_threads(algo, s, n_queries, seed, threads),
             ScenarioHandle::Hierarchical(s) => {
                 run_queries_threads(algo, s, n_queries, seed, threads)
             }
@@ -179,16 +168,6 @@ impl ScenarioHandle {
         let mut algo = dynamic_algo(factory, ctx);
         match self {
             ScenarioHandle::Dense(s) => run_dynamic_threads(
-                algo.as_mut(),
-                s,
-                schedule,
-                caches,
-                cfg,
-                n_queries,
-                seed,
-                threads,
-            ),
-            ScenarioHandle::Sharded(s) => run_dynamic_threads(
                 algo.as_mut(),
                 s,
                 schedule,
@@ -568,28 +547,10 @@ mod tests {
     }
 
     #[test]
-    fn dense_and_sharded_agree_on_cluster_worlds() {
-        // The generator's hub summary is exact on §4 worlds, so the
-        // same spec must produce bit-identical metrics on both
-        // backends.
-        let reg = registry();
-        let dense =
-            Experiment::new(spec(SeedPlan::Single, Backend::Dense), &reg).run_threads(2);
-        let sharded =
-            Experiment::new(spec(SeedPlan::Single, Backend::Sharded), &reg).run_threads(2);
-        for (a, b) in dense.query_cells().expect("query spec").iter().zip(sharded.query_cells().expect("query spec")) {
-            for (ra, rb) in a.rows.iter().zip(&b.rows) {
-                assert_eq!(ra.runs, rb.runs);
-            }
-        }
-        assert!(sharded.query_cells().expect("query spec")[0].store_bytes > 0);
-    }
-
-    #[test]
     fn hierarchical_backend_agrees_and_resolves_knobs() {
         // At 4 clusters the auto heuristic picks one super-shard, which
         // is the exact configuration — metrics must be bit-identical to
-        // both other backends through the whole pipeline.
+        // the dense backend's through the whole pipeline.
         let reg = registry();
         let dense =
             Experiment::new(spec(SeedPlan::Single, Backend::Dense), &reg).run_threads(2);
@@ -605,6 +566,7 @@ mod tests {
                 assert_eq!(ra.runs, rb.runs);
             }
         }
+        assert!(hier.query_cells().expect("query spec")[0].store_bytes > 0);
         // Knob resolution: auto G, default budget; pins honoured and
         // clamped; distinct knobs get distinct scenario-cache keys.
         let cells = match &spec(SeedPlan::Single, Backend::Hierarchical).workload {

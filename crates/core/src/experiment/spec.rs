@@ -23,13 +23,12 @@ use np_util::rng::sub_seed;
 pub enum Backend {
     /// The dense `n×n` matrix — the paper's object, exact, quadratic.
     Dense,
-    /// The block-compressed sharded store — per-cluster dense blocks
-    /// plus a hub summary; what scales past ~2.5 k peers.
-    Sharded,
-    /// The two-level store — shards of shards with a super-hub summary
-    /// and lazily materialised blocks under a byte budget; what scales
-    /// to 10⁶ peers with bounded RSS. Knobs: [`CellSpec::super_shards`]
-    /// and [`CellSpec::block_cache_mb`].
+    /// The compressed store — per-cluster dense blocks under a
+    /// hub summary grouped into super-shards, materialised lazily under
+    /// a byte budget; what scales past ~2.5 k peers to 10⁶ with bounded
+    /// RSS. Knobs: [`CellSpec::super_shards`] (one super-shard is the
+    /// exact configuration on cluster worlds) and
+    /// [`CellSpec::block_cache_mb`].
     Hierarchical,
 }
 
@@ -38,22 +37,21 @@ impl Backend {
     pub fn name(self) -> &'static str {
         match self {
             Backend::Dense => "dense",
-            Backend::Sharded => "sharded",
             Backend::Hierarchical => "hierarchical",
         }
     }
 
     /// Every backend, in catalogue order (diagnostics and the
     /// `--world` nearest-name hint enumerate this).
-    pub const ALL: [Backend; 3] = [Backend::Dense, Backend::Sharded, Backend::Hierarchical];
+    pub const ALL: [Backend; 2] = [Backend::Dense, Backend::Hierarchical];
 
     /// One-line description for the `--world` catalogue diagnostic.
     pub fn describe(self) -> &'static str {
         match self {
             Backend::Dense => "the paper's exact n×n matrix (quadratic; ~2.5k peers)",
-            Backend::Sharded => "block-compressed per-cluster blocks + hub summary (~50k peers)",
             Backend::Hierarchical => {
-                "two-level hub summary + budget-bounded lazy blocks (~1M peers)"
+                "per-cluster blocks + two-level hub summary, lazy under a byte budget \
+                 (~1M peers; exact on cluster worlds at --super-shards 1)"
             }
         }
     }
@@ -235,11 +233,11 @@ pub struct CellSpec {
     /// Super-shard count for the hierarchical backend: `None` (the
     /// default) lets the runner choose — 1 group when the shard count
     /// is small enough that the flat summary is cheap, else ~√S.
-    /// Inert on the dense and sharded backends.
+    /// Inert on the dense backend.
     pub super_shards: Option<usize>,
     /// Block-cache budget in MB for the hierarchical backend's lazily
     /// materialised per-shard blocks; `None` uses the runner default
-    /// (256 MB). Inert on the dense and sharded backends.
+    /// (256 MB). Inert on the dense backend.
     pub block_cache_mb: Option<usize>,
     /// Algorithms to run, in report order.
     pub algos: Vec<AlgoSpec>,
@@ -526,7 +524,6 @@ mod tests {
     #[test]
     fn backend_names() {
         assert_eq!(Backend::Dense.name(), "dense");
-        assert_eq!(Backend::Sharded.name(), "sharded");
         assert_eq!(Backend::Hierarchical.name(), "hierarchical");
         // The catalogue covers every variant exactly once.
         let mut names: Vec<&str> = Backend::ALL.iter().map(|b| b.name()).collect();
@@ -541,11 +538,11 @@ mod tests {
             assert_eq!(Backend::parse(b.name()), Ok(b));
         }
         // A near-miss earns a nearest-name hint plus the catalogue.
-        let err = Backend::parse("shraded").unwrap_err();
-        assert_eq!(err.hint.as_deref(), Some("sharded"));
+        let err = Backend::parse("hierarchcal").unwrap_err();
+        assert_eq!(err.hint.as_deref(), Some("hierarchical"));
         let text = err.to_string();
-        assert!(text.contains("no world backend \"shraded\""), "{text}");
-        assert!(text.contains("(did you mean \"sharded\"?)"), "{text}");
+        assert!(text.contains("no world backend \"hierarchcal\""), "{text}");
+        assert!(text.contains("(did you mean \"hierarchical\"?)"), "{text}");
         for b in Backend::ALL {
             assert!(text.contains(b.name()), "catalogue misses {}: {text}", b.name());
         }
@@ -553,5 +550,7 @@ mod tests {
         let err = Backend::parse("cubic").unwrap_err();
         assert_eq!(err.hint, None);
         assert!(!err.to_string().contains("did you mean"));
+        // The retired one-level store's name is no alias.
+        assert!(Backend::parse("sharded").is_err());
     }
 }

@@ -8,7 +8,7 @@
 //! name = "fig8"
 //! title = "Figure 8 — Meridian accuracy vs cluster size"
 //! paper_shape = "closest-peer curve peaks near x=25 then collapses"
-//! backend = "dense"          # or "sharded" / "hierarchical"
+//! backend = "dense"          # or "hierarchical"
 //! seeds = 3                  # "single", or an n-run sweep width
 //! base_seed = 32253960       # the seed the file was generated at
 //! workload = "query"         # or "study"
@@ -421,18 +421,8 @@ impl ExperimentSpec {
         let name = exp.str("name")?.to_string();
         let title = exp.str("title")?.to_string();
         let paper_shape = exp.str("paper_shape")?.to_string();
-        let backend = match exp.str("backend")? {
-            "dense" => Backend::Dense,
-            "sharded" => Backend::Sharded,
-            "hierarchical" => Backend::Hierarchical,
-            other => {
-                return Err(invalid(
-                    "experiment.backend",
-                    "\"dense\", \"sharded\" or \"hierarchical\"",
-                    format!("{other:?}"),
-                ))
-            }
-        };
+        let backend = Backend::parse(exp.str("backend")?)
+            .map_err(|e| invalid("experiment.backend", "a world backend", e))?;
         let seeds = match exp.req("seeds")? {
             toml::Value::Str(s) if s == "single" => SeedPlan::Single,
             // `seeds = 1` means exactly what `--seeds 1` means: one
@@ -728,7 +718,7 @@ mod tests {
             "demo",
             "a title with \"quotes\" and — dashes",
             "shape",
-            Backend::Sharded,
+            Backend::Hierarchical,
             SeedPlan::Sweep(3),
             vec![
                 CellSpec::paper("x=5", 5, 0.2, 101, 5_000, vec![AlgoSpec::new("meridian")])
@@ -861,7 +851,18 @@ mod tests {
         case("queries = 5000", "queries = 0", "at least 1 query");
         case("hub_pool = 250", "hub_pool = 1", "hub pool");
         case("seeds = 3", "seeds = 0", "experiment.seeds");
-        case("backend = \"sharded\"", "backend = \"cubic\"", "experiment.backend");
+        case(
+            "backend = \"hierarchical\"",
+            "backend = \"cubic\"",
+            "experiment.backend",
+        );
+        // The retired one-level store's name gets the catalogue of the
+        // live backends, not an alias.
+        case(
+            "backend = \"hierarchical\"",
+            "backend = \"sharded\"",
+            "backends:\n  dense",
+        );
         // Hierarchical knobs: zero is degenerate for both.
         case("super_shards = 16", "super_shards = 0", "at least 1 super-shard");
         case("block_cache_mb = 64", "block_cache_mb = 0", "block-cache budget");
@@ -964,7 +965,11 @@ mod tests {
                 format!("prop-{round}"),
                 rand_label(&mut rng, &charset),
                 rand_label(&mut rng, &charset),
-                if rng.gen_range(0..2u32) == 0 { Backend::Dense } else { Backend::Sharded },
+                if rng.gen_range(0..2u32) == 0 {
+                    Backend::Dense
+                } else {
+                    Backend::Hierarchical
+                },
                 if rng.gen_range(0..2u32) == 0 {
                     SeedPlan::Single
                 } else {

@@ -236,7 +236,8 @@ pub fn run_queries<W: WorldStore>(
 
 /// [`run_queries`] with an explicit worker count. Generic over the
 /// scenario's latency backend — the query loop reads RTTs only through
-/// [`WorldStore`], so dense and sharded scenarios share this one path.
+/// [`WorldStore`], so dense and hierarchical scenarios share this one
+/// path.
 pub fn run_queries_threads<W: WorldStore>(
     algo: &dyn NearestPeerAlgo,
     scenario: &ClusterScenario<W>,

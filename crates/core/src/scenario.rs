@@ -6,9 +6,8 @@
 //! > as target nodes [...] 5000 Meridian closest-neighbor queries are
 //! > launched to find the closest peer to randomly chosen target nodes."
 
-use np_metric::{HierarchicalWorld, LatencyMatrix, NearestCache, PeerId, ShardedWorld, WorldStore};
+use np_metric::{HierarchicalWorld, LatencyMatrix, NearestCache, PeerId, WorldStore};
 use np_topology::{ClusterWorld, ClusterWorldSpec};
-use np_util::parallel::resolve_threads;
 use np_util::rng::rng_for;
 use rand::seq::SliceRandom;
 use std::sync::OnceLock;
@@ -19,16 +18,16 @@ use std::sync::OnceLock;
 /// Generic over the [`WorldStore`] backend. The default
 /// (`ClusterScenario<LatencyMatrix>`, via [`ClusterScenario::build`] /
 /// [`ClusterScenario::paper`]) materialises the dense matrix exactly as
-/// the paper does; [`ClusterScenario::build_sharded`] materialises the
-/// block-compressed [`ShardedWorld`] instead, which is what lets
+/// the paper does; [`ClusterScenario::build_hierarchical`] materialises
+/// the compressed [`HierarchicalWorld`] instead, which is what lets
 /// scenarios scale past the dense backend's ~2.5 k-peer memory wall.
 /// Both variants draw the **same** overlay/target split from the same
 /// RNG stream, so backends are interchangeable run-for-run.
 pub struct ClusterScenario<W: WorldStore = LatencyMatrix> {
     pub world: ClusterWorld,
     /// The latency backend (named `matrix` since the dense matrix is
-    /// the paper's object; for sharded scenarios it is the compressed
-    /// store).
+    /// the paper's object; for hierarchical scenarios it is the
+    /// compressed store).
     pub matrix: W,
     pub overlay: Vec<PeerId>,
     pub targets: Vec<PeerId>,
@@ -52,35 +51,10 @@ impl ClusterScenario<LatencyMatrix> {
     }
 }
 
-impl ClusterScenario<ShardedWorld> {
-    /// [`ClusterScenario::build`] over the block-compressed backend
-    /// (clusters become shards; see `ClusterWorld::to_sharded`), on the
-    /// ambient thread count. Same seed ⇒ the same overlay/target split
-    /// as the dense build of the same spec.
-    pub fn build_sharded(
-        spec: ClusterWorldSpec,
-        n_targets: usize,
-        seed: u64,
-    ) -> ClusterScenario<ShardedWorld> {
-        ClusterScenario::build_sharded_threads(spec, n_targets, seed, resolve_threads(None))
-    }
-
-    /// [`ClusterScenario::build_sharded`] with an explicit worker count
-    /// for the block fills (bit-identical at any value).
-    pub fn build_sharded_threads(
-        spec: ClusterWorldSpec,
-        n_targets: usize,
-        seed: u64,
-        threads: usize,
-    ) -> ClusterScenario<ShardedWorld> {
-        ClusterScenario::build_with(spec, n_targets, seed, |w| w.to_sharded_threads(threads))
-    }
-}
-
 impl ClusterScenario<HierarchicalWorld> {
-    /// [`ClusterScenario::build`] over the two-level backend
+    /// [`ClusterScenario::build`] over the compressed backend
     /// (`ClusterWorld::to_hierarchical`): same seed ⇒ the same
-    /// overlay/target split as the dense and sharded builds. There is
+    /// overlay/target split as the dense build. There is
     /// no thread parameter — blocks are materialised lazily and every
     /// block is a pure function of the world, so the store is
     /// bit-identical at any thread count and any cache temperature.
@@ -209,7 +183,7 @@ mod tests {
     }
 
     #[test]
-    fn sharded_scenario_matches_dense_split_and_truth() {
+    fn hierarchical_scenario_matches_dense_split_and_truth() {
         let spec = ClusterWorldSpec {
             clusters: 5,
             en_per_cluster: 10,
@@ -220,17 +194,17 @@ mod tests {
             hub_pool: 6,
         };
         let dense = ClusterScenario::build(spec.clone(), 10, 1);
-        let sharded = ClusterScenario::build_sharded_threads(spec, 10, 1, 2);
+        let hier = ClusterScenario::build_hierarchical(spec, 10, 1, 1, usize::MAX);
         // Same seed ⇒ same overlay/target split regardless of backend.
-        assert_eq!(dense.overlay, sharded.overlay);
-        assert_eq!(dense.targets, sharded.targets);
-        // On cluster worlds the hub summary is exact, so ground truth
-        // agrees bit-for-bit too.
+        assert_eq!(dense.overlay, hier.overlay);
+        assert_eq!(dense.targets, hier.targets);
+        // On cluster worlds the one-super-shard summary is exact, so
+        // ground truth agrees bit-for-bit too.
         for &t in &dense.targets {
-            assert_eq!(dense.true_nearest(t), sharded.true_nearest(t));
+            assert_eq!(dense.true_nearest(t), hier.true_nearest(t));
             assert_eq!(
                 dense.nearest_cache(2).nearest(t),
-                sharded.nearest_cache(2).nearest(t)
+                hier.nearest_cache(2).nearest(t)
             );
         }
     }

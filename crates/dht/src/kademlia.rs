@@ -53,7 +53,7 @@ impl Default for KademliaConfig {
 
 /// The shared ring state: every member keyed and sorted by identifier.
 /// A pure function of the overlay membership — no RNG — so dense and
-/// sharded backends (and every thread) derive the identical ring.
+/// hierarchical backends (and every thread) derive the identical ring.
 #[derive(Debug)]
 pub struct KademliaRing {
     /// `(key bits, peer)` sorted ascending by key (ties by peer id;

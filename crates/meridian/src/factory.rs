@@ -75,8 +75,8 @@ impl AlgoFactory for MeridianFactory {
         // several names (the hybrid coverage sweep wraps this factory
         // six times) share one fill and clone the rings out.
         //
-        // When the backend exposes shard structure (the block-compressed
-        // sharded store) the omniscient fill runs through the
+        // When the backend exposes shard structure (the compressed
+        // hierarchical store) the omniscient fill runs through the
         // shard-local fast path — identical rings, a fraction of the
         // work. The fill flavour is part of the cache key so the two
         // paths never alias a slot, even though their contents agree.
@@ -316,9 +316,9 @@ mod tests {
 
     #[test]
     fn sharded_store_auto_picks_shard_local_and_matches_dense() {
-        // On a §4 world the hub summary is exact, so the factory's
-        // shard-local fast path (sharded store) must answer exactly
-        // like the omniscient fill over the dense store.
+        // On a §4 world the one-super-shard hub summary is exact, so
+        // the factory's shard-local fast path (compressed store) must
+        // answer exactly like the omniscient fill over the dense store.
         let spec = ClusterWorldSpec {
             clusters: 4,
             en_per_cluster: 8,
@@ -330,7 +330,7 @@ mod tests {
         };
         let world = ClusterWorld::generate(spec, 11);
         let matrix = world.to_matrix();
-        let sharded = world.to_sharded_threads(2);
+        let compressed = world.to_hierarchical(1, usize::MAX);
         let overlay: Vec<PeerId> = world.peers().skip(4).collect();
         let factory = MeridianFactory::omniscient();
         let build_on = |store: &dyn WorldStore| {
@@ -353,7 +353,7 @@ mod tests {
         };
         assert_eq!(
             build_on(&matrix),
-            build_on(&sharded),
+            build_on(&compressed),
             "shard-local fast path diverged from the dense omniscient fill"
         );
     }

@@ -149,7 +149,7 @@ pub enum BuildMode {
 /// Generic over [`WorldStore`] (defaulting to the dense matrix): the
 /// omniscient fill and gossip warm-up read inter-member RTTs through
 /// the trait, so overlays build identically over a [`LatencyMatrix`]
-/// or a sharded world.
+/// or a compressed `HierarchicalWorld`.
 pub struct Overlay<'m, W: WorldStore + ?Sized = LatencyMatrix> {
     cfg: MeridianConfig,
     world: &'m W,
@@ -299,8 +299,9 @@ impl<'m, W: WorldStore + ?Sized> Overlay<'m, W> {
         Overlay::build_shard_local_threads(world, members, cfg, seed, resolve_threads(None))
     }
 
-    /// The shard-local omniscient ring fill, for backends exposing a
-    /// [`ShardView`] (the block-compressed `ShardedWorld`). Produces
+    /// The shard-local omniscient ring fill, for backends with shard
+    /// structure (the compressed `HierarchicalWorld`, through
+    /// [`WorldStore::shard_view`]). Produces
     /// rings **bit-identical** to [`BuildMode::Omniscient`] under the
     /// same seed — it is a fast path, not an approximation — while
     /// reading only (a) the node's own shard's dense block and (b) the
@@ -347,8 +348,8 @@ impl<'m, W: WorldStore + ?Sized> Overlay<'m, W> {
         );
         let n_world = world.len();
         let n_shards = view.n_shards();
-        // Flat per-peer shard/offset tables: one pass of trait calls,
-        // then the per-pair hot loop is pure array reads.
+        // Flat per-peer shard/offset tables: one pass of lookups, then
+        // the per-pair hot loop is pure array reads.
         let shard_of: Vec<u32> = (0..n_world as u32)
             .map(|i| view.shard_of(PeerId(i)) as u32)
             .collect();
@@ -1118,7 +1119,7 @@ mod tests {
 
     /// The tentpole contract in miniature: the shard-local fill is a
     /// fast path, not an approximation — identical rings to the
-    /// omniscient fill over the same sharded store and seed.
+    /// omniscient fill over the same compressed store and seed.
     #[test]
     fn shard_local_fill_matches_omniscient_rings() {
         use np_topology::{ClusterWorld, ClusterWorldSpec};
@@ -1134,10 +1135,10 @@ mod tests {
             },
             31,
         );
-        let sharded = world.to_sharded_threads(2);
+        let store = world.to_hierarchical(1, usize::MAX);
         let members: Vec<PeerId> = world.peers().skip(8).collect();
         let omniscient = Overlay::build_threads(
-            &sharded,
+            &store,
             members.clone(),
             MeridianConfig::default(),
             BuildMode::Omniscient,
@@ -1145,7 +1146,7 @@ mod tests {
             2,
         );
         let local = Overlay::build_shard_local_threads(
-            &sharded,
+            &store,
             members.clone(),
             MeridianConfig::default(),
             31,
@@ -1166,8 +1167,8 @@ mod tests {
             assert_eq!(a, b, "rings of {p} diverged");
         }
         // And the query path sees no difference either.
-        let t1 = Target::new(PeerId(0), &sharded);
-        let t2 = Target::new(PeerId(0), &sharded);
+        let t1 = Target::new(PeerId(0), &store);
+        let t2 = Target::new(PeerId(0), &store);
         assert_eq!(
             omniscient.find_nearest(&t1, &mut rng_from(5)),
             local.find_nearest(&t2, &mut rng_from(5))

@@ -27,7 +27,7 @@ impl NearestCache {
     /// [`WorldStore::nearest_within`]) for every target, querying one
     /// [`NearestIndex`] over `members` for the targets in parallel on
     /// `threads` workers. Works over any latency backend — dense
-    /// matrix or sharded world.
+    /// matrix or compressed world.
     ///
     /// Each target's query is independent and reads only the shared
     /// index and world, so the result is identical at any thread

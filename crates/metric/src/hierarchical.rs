@@ -1,11 +1,24 @@
-//! Two-level block-streamed latency worlds: shards of shards with a
-//! hierarchical hub summary and lazily materialised per-shard blocks.
+//! The compressed latency store: dense per-cluster blocks under a
+//! two-level hub summary, materialised lazily under a byte budget.
 //!
-//! [`crate::ShardedWorld`] breaks the dense matrix's n² wall, but two of
-//! its own costs go quadratic on the way to 10⁶ peers: the `S×S` hub
-//! summary (S ≈ 20 k shards at 1 M peers → 1.6 GB of f32) and the
-//! resident per-shard dense blocks (Σ mₛ² floats live for the whole
-//! run). [`HierarchicalWorld`] removes both:
+//! The dense matrix is quadratic: 25 MB at the paper's 2.5 k peers but
+//! 40 GB at 100 k and 4 TB at 1 M. The surveyed P2P-management
+//! literature's standard answer is hierarchical decomposition, and the
+//! paper's own §4 worlds are *already* hierarchical — peers hang off
+//! end-networks, which hang off cluster hubs, and every inter-cluster
+//! path is `up + hub-to-hub + down`. [`HierarchicalWorld`] stores that
+//! factorization:
+//!
+//! * peers are partitioned into **shards** (cluster assignments), and
+//!   each shard keeps a **dense block** of exact intra-shard RTTs;
+//! * inter-shard RTTs come from a **hub summary** — a per-peer hub
+//!   offset plus a shard-hub distance:
+//!   `rtt(a, b) = offset[a] + hub(shard(a), shard(b)) + offset[b]`.
+//!
+//! Two costs of the one-level form still go quadratic on the way to
+//! 10⁶ peers: an `S×S` hub matrix (S ≈ 20 k shards at 1 M peers →
+//! 1.6 GB of f32) and resident blocks (Σ mₛ² floats for the whole
+//! run). The store removes both:
 //!
 //! * **Two-level hub summary.** Shards are grouped into `G`
 //!   **super-shards**. Each group keeps a dense intra-group hub matrix
@@ -23,12 +36,12 @@
 //!   ```
 //!
 //!   summed in `u64` microseconds from the stored whole-µs `f32`
-//!   components — the same no-re-rounding discipline as the one-level
-//!   backend. With `G = √S` the summary is `O(S^1.5)` entries instead
-//!   of `S²`.
+//!   components, so sums are deterministic and (for the < 2²⁴ µs
+//!   latencies of every generated world) free of float re-rounding.
+//!   With `G = √S` the summary is `O(S^1.5)` entries instead of `S²`.
 //!
 //! * **Lazily materialised, budget-bounded blocks.** Intra-shard RTTs
-//!   still read a dense per-shard block, but blocks are built on first
+//!   read a dense per-shard block, but blocks are built on first
 //!   touch from the retained generator closure and cached under a byte
 //!   budget with least-recently-stamped eviction — peak RSS is
 //!   `summaries + O(n) + min(budget, Σ mₛ²·4)` instead of `Σ mₛ²·4`.
@@ -40,22 +53,34 @@
 //!
 //! # Exact vs approximate
 //!
-//! * **1 super-shard** collapses to [`crate::ShardedWorld`]: one
-//!   intra-group hub matrix holding exactly the `S×S` summary, every
-//!   path the same `u64` sum — bit-identical, property-tested in
-//!   `tests/world_equivalence.rs`.
-//! * **Intra-shard and intra-group queries** are as exact as the
-//!   one-level backend's (exact blocks; the group's own hub matrix).
-//! * **Cross-group queries** detour through the two super-hub shards:
-//!   in a metric hub space the estimate overestimates by at most
-//!   `2·(H(s(a), σ(a)) + H(s(b), σ(b)))` — the PR 4 spill/medoid
-//!   detour-bound analysis, one level up (`H` = hub distance, `σ` =
-//!   the endpoint's super-hub shard). On §4 generated worlds the
-//!   level-1 summary is the generator's own rule, so this is the
-//!   *only* approximation the second level adds.
+//! * **One shard** — the world is one dense block; every query is
+//!   bit-identical to [`LatencyMatrix`].
+//! * **Intra-shard queries** — always exact, any shard count: they
+//!   read the dense block.
+//! * **One super-shard** — the group's hub matrix holds the whole
+//!   `S×S` summary, so every inter-shard path is the one-level sum
+//!   above. On hub-and-spoke worlds (`ClusterWorld::to_hierarchical`
+//!   with one super-shard) that sum *is* the generator's inter-cluster
+//!   rule, so the store is exact everywhere — bit-identical to the
+//!   dense matrix, property-tested in `tests/world_equivalence.rs`.
+//! * **Arbitrary matrices** ([`HierarchicalWorld::compress`]) — each
+//!   shard's hub is its medoid, so inter-shard distances are
+//!   `d(a,b) ≈ d(a,hₐ) + d(hₐ,h_b) + d(b,h_b)`. In a metric space this
+//!   overestimates by at most `2·(d(a,hₐ) + d(b,h_b))` (two triangle
+//!   detours); on hub-and-spoke worlds the error is exactly
+//!   `2·(offset(hₐ) + offset(h_b))` — the medoids' own spoke
+//!   latencies, counted twice.
+//! * **Cross-group queries** (more than one super-shard) detour
+//!   through the two super-hub shards: in a metric hub space the
+//!   estimate overestimates by at most
+//!   `2·(H(s(a), σ(a)) + H(s(b), σ(b)))` — the same detour bound, one
+//!   level up (`H` = hub distance, `σ` = the endpoint's super-hub
+//!   shard). On §4 generated worlds the level-1 summary is the
+//!   generator's own rule, so this is the *only* approximation the
+//!   second level adds.
 
 use crate::matrix::{LatencyMatrix, PeerId};
-use crate::world::{ShardView, WorldStore};
+use crate::world::WorldStore;
 use np_util::Micros;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
@@ -169,16 +194,15 @@ impl BlockCache {
     }
 }
 
-/// A two-level block-streamed latency world. See the module docs for
-/// the model and the exactness ledger.
+/// The compressed latency world. See the module docs for the model and
+/// the exactness ledger.
 pub struct HierarchicalWorld {
     n: usize,
     /// Shard → members, ascending id.
     members: Vec<Vec<PeerId>>,
     shard_of: Vec<u32>,
     local_of: Vec<u32>,
-    /// Peer → shard-hub latency, µs-as-f32 (level 1, same as the
-    /// one-level backend).
+    /// Peer → shard-hub latency, µs-as-f32 (level 1).
     offset: Vec<f32>,
     /// Shard → super-shard (group) index.
     super_of: Vec<u32>,
@@ -213,12 +237,20 @@ impl std::fmt::Debug for HierarchicalWorld {
 }
 
 impl HierarchicalWorld {
+    /// Sentinel shard id for peers that match **no** cluster (spills):
+    /// [`HierarchicalWorld::compress`] routes each such peer into its
+    /// own singleton overflow shard instead of producing out-of-bounds
+    /// shard indices. [`HierarchicalWorld::build_lazy`] rejects the
+    /// sentinel outright — it has no matrix to derive an overflow hub
+    /// from.
+    pub const NO_SHARD: u32 = u32::MAX;
+
     /// Build from a shard assignment, the level-1 hub summary (as a
     /// function — it is *not* stored densely), and an exact pairwise
     /// latency function retained for lazy block fills.
     ///
     /// `shard_of[p]` is peer `p`'s shard; ids must cover `0..S`
-    /// (the [`crate::ShardedWorld::NO_SHARD`] sentinel is rejected —
+    /// (the [`HierarchicalWorld::NO_SHARD`] sentinel is rejected —
     /// resolve spills before building, as `compress` does).
     /// `super_shards` is clamped to `[1, S]`; shards are grouped into
     /// that many contiguous, balanced runs (shard id order), so the
@@ -239,7 +271,7 @@ impl HierarchicalWorld {
         let n = shard_of.len();
         assert_eq!(offset.len(), n, "one hub offset per peer");
         assert!(
-            shard_of.iter().all(|&s| s != crate::ShardedWorld::NO_SHARD),
+            shard_of.iter().all(|&s| s != HierarchicalWorld::NO_SHARD),
             "NO_SHARD spills must be resolved before build_lazy"
         );
         let n_shards = shard_of.iter().map(|&s| s as usize + 1).max().unwrap_or(1);
@@ -330,12 +362,33 @@ impl HierarchicalWorld {
         }
     }
 
-    /// Compress an existing dense matrix under a shard assignment —
-    /// the two-level twin of [`crate::ShardedWorld::compress`]: the
-    /// level-1 summary comes from per-shard medoid hubs exactly as
-    /// there (spills via [`crate::ShardedWorld::NO_SHARD`] become
-    /// appended singleton overflow shards), then the second level is
-    /// grouped/elected on top by [`HierarchicalWorld::build_lazy`].
+    /// Compress an existing dense matrix under a shard assignment,
+    /// deriving the level-1 hub summary from the matrix itself: each
+    /// shard's hub is its **medoid** (the member minimising total
+    /// intra-shard RTT, ties by lowest id), `offset[p] = rtt(p, hub)`,
+    /// and hub-to-hub RTTs are read straight from the matrix. The
+    /// second level is grouped and elected on top by
+    /// [`HierarchicalWorld::build_lazy`]. Intra-shard queries stay
+    /// exact; inter-shard distances carry the triangle detour error
+    /// bounded in the module docs.
+    ///
+    /// # Spills
+    ///
+    /// A peer assigned [`HierarchicalWorld::NO_SHARD`] (it matched no
+    /// cluster — e.g. an np-cluster assignment that left it
+    /// unclassified) is routed into its own **singleton overflow
+    /// shard**: the peer is its own hub with offset 0, and its hub
+    /// distances are read from the matrix like any other. Overflow
+    /// shards are appended after the real clusters in ascending
+    /// peer-id order.
+    ///
+    /// **Error bound:** a spill's distances are *better* approximated
+    /// than a regular inter-shard pair's — `d(spill, b) = d(spill, h_b) +
+    /// d(b, h_b)`, a **single** triangle detour, overestimating by at
+    /// most `2·d(b, h_b)` (the other endpoint's detour only; the
+    /// spill's own detour term is zero). At one super-shard,
+    /// spill-to-spill distances are exact. The price is summary size:
+    /// each spill adds one hub row.
     pub fn compress(
         matrix: &Arc<LatencyMatrix>,
         shard_of: &[u32],
@@ -346,7 +399,7 @@ impl HierarchicalWorld {
         assert_eq!(shard_of.len(), n, "one shard id per peer");
         let real_shards = shard_of
             .iter()
-            .filter(|&&s| s != crate::ShardedWorld::NO_SHARD)
+            .filter(|&&s| s != HierarchicalWorld::NO_SHARD)
             .map(|&s| s as usize + 1)
             .max()
             .unwrap_or(0);
@@ -354,7 +407,7 @@ impl HierarchicalWorld {
         let dense_assignment: Vec<u32> = shard_of
             .iter()
             .map(|&s| {
-                if s == crate::ShardedWorld::NO_SHARD {
+                if s == HierarchicalWorld::NO_SHARD {
                     let id = next_overflow;
                     next_overflow += 1;
                     id
@@ -441,9 +494,9 @@ impl HierarchicalWorld {
         self.cache.insert(s, data)
     }
 
-    /// Serial upper-triangle fill + mirror — the same bytes the
-    /// one-level backend's parallel fill produces (the fill recipe is
-    /// value-identical at any thread count), just computed on demand.
+    /// Serial upper-triangle fill + mirror — the same values
+    /// [`LatencyMatrix::build_par`] stores for these pairs, computed on
+    /// demand.
     fn materialise(&self, s: usize) -> Vec<f32> {
         let ms = &self.members[s];
         let m = ms.len();
@@ -508,33 +561,45 @@ impl HierarchicalWorld {
     }
 }
 
-impl ShardView for HierarchicalWorld {
-    fn n_shards(&self) -> usize {
-        self.members.len()
-    }
-
-    fn shard_of(&self, p: PeerId) -> usize {
+/// The shard structure, as shard-local consumers (the Meridian
+/// shard-local fill, [`crate::NearestIndex`]) read it through
+/// [`WorldStore::shard_view`]. Every inter-shard pair satisfies
+///
+/// ```text
+/// rtt(a, b) == hub_offset_us(a) + hub_rtt_us(shard_of(a), shard_of(b)) + hub_offset_us(b)
+/// ```
+///
+/// **exactly**, as the `u64` microsecond sum [`WorldStore::rtt`]
+/// computes, so shard-local reconstruction is bit-identical, not
+/// approximate. For shards in different super-shards the hub distance
+/// itself is the level-2 sum
+/// `super_offset_us(a) + super_rtt_us(super_of(a), super_of(b)) + super_offset_us(b)`.
+impl HierarchicalWorld {
+    /// The shard a peer belongs to.
+    pub fn shard_of(&self, p: PeerId) -> usize {
         self.shard_of[p.idx()] as usize
     }
 
-    fn shard_members(&self, shard: usize) -> &[PeerId] {
+    /// Members of one shard, ascending id.
+    pub fn shard_members(&self, shard: usize) -> &[PeerId] {
         &self.members[shard]
     }
 
+    /// Peer → its shard hub latency in whole µs (the stored component,
+    /// truncated exactly as [`WorldStore::rtt`] sums it).
     #[inline]
-    fn hub_offset_us(&self, p: PeerId) -> u64 {
+    pub fn hub_offset_us(&self, p: PeerId) -> u64 {
         self.offset[p.idx()] as u64
     }
 
-    /// The *composed* hub distance: intra-group pairs read the group's
-    /// dense hub matrix; cross-group pairs reassemble the super-hub
-    /// detour in `u64` µs. This keeps the level-1 [`ShardView`]
-    /// contract — `rtt = offset + hub_rtt_us + offset` for all
-    /// inter-shard pairs — true verbatim at level 2, which is what
-    /// lets the shard-local Meridian fill (and every other `ShardView`
-    /// consumer) run unchanged, bit-identically, over this backend.
+    /// The *composed* hub distance in whole µs (zero on the diagonal):
+    /// intra-group pairs read the group's dense hub matrix; cross-group
+    /// pairs reassemble the super-hub detour in `u64` µs. Composing
+    /// here keeps `rtt = offset + hub_rtt_us + offset` true for every
+    /// inter-shard pair, so level-1 consumers (the shard-local Meridian
+    /// fill) never need to know a second level exists.
     #[inline]
-    fn hub_rtt_us(&self, a: usize, b: usize) -> u64 {
+    pub fn hub_rtt_us(&self, a: usize, b: usize) -> u64 {
         let (ga, gb) = (self.super_of[a] as usize, self.super_of[b] as usize);
         if ga == gb {
             let (hub, gs) = (&self.intra_hub[ga], self.group_side[ga]);
@@ -546,28 +611,32 @@ impl ShardView for HierarchicalWorld {
         }
     }
 
-    fn hub_peer(&self, shard: usize) -> Option<PeerId> {
+    /// The shard's hub id: the member closest to its hub (minimum
+    /// offset, ties by lowest id). For worlds built by
+    /// [`HierarchicalWorld::compress`] this is the medoid itself
+    /// (offset 0); `None` for an empty shard.
+    pub fn hub_peer(&self, shard: usize) -> Option<PeerId> {
         self.members[shard]
             .iter()
             .copied()
             .min_by_key(|&m| (self.offset[m.idx()] as u64, m))
     }
 
-    fn n_super_shards(&self) -> usize {
-        self.intra_hub.len()
-    }
-
-    fn super_of(&self, shard: usize) -> usize {
+    /// The super-shard a shard belongs to.
+    pub fn super_of(&self, shard: usize) -> usize {
         self.super_of[shard] as usize
     }
 
+    /// Shard hub → its super-hub latency in whole µs (the stored
+    /// level-2 component; zero for the super-hub shard itself).
     #[inline]
-    fn super_offset_us(&self, shard: usize) -> u64 {
+    pub fn super_offset_us(&self, shard: usize) -> u64 {
         self.super_offset[shard] as u64
     }
 
+    /// Super-hub-to-super-hub latency in whole µs (zero diagonal).
     #[inline]
-    fn super_rtt_us(&self, a: usize, b: usize) -> u64 {
+    pub fn super_rtt_us(&self, a: usize, b: usize) -> u64 {
         self.super_rtt[a * self.intra_hub.len() + b] as u64
     }
 }
@@ -590,7 +659,7 @@ impl WorldStore for HierarchicalWorld {
         } else {
             Micros(
                 self.offset[a.idx()] as u64
-                    + ShardView::hub_rtt_us(self, sa, sb)
+                    + self.hub_rtt_us(sa, sb)
                     + self.offset[b.idx()] as u64,
             )
         }
@@ -613,7 +682,7 @@ impl WorldStore for HierarchicalWorld {
         summaries + indexes + self.total_block_bytes().min(self.cache.budget_bytes)
     }
 
-    fn shard_view(&self) -> Option<&dyn ShardView> {
+    fn shard_view(&self) -> Option<&HierarchicalWorld> {
         Some(self)
     }
 }
@@ -621,10 +690,11 @@ impl WorldStore for HierarchicalWorld {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ShardedWorld;
 
-    /// The sharded module's star fixture, one level up: shard = id/4,
-    /// offset `1 + id%4` ms, hub-to-hub `10·|sa−sb|` ms.
+    /// A two-level synthetic hub world: shard = id / 4, offset
+    /// `1 + id%4` ms, hub-to-hub `10·|sa−sb|` ms, intra-shard exact
+    /// star paths. Mirrors the §4 construction without np-topology
+    /// (which depends on this crate).
     fn star_rtt(a: PeerId, b: PeerId) -> Micros {
         if a == b {
             return Micros::ZERO;
@@ -649,51 +719,186 @@ mod tests {
         HierarchicalWorld::build_lazy(&shard_of, super_shards, offset, star_hub_us, budget, star_rtt)
     }
 
-    fn star_sharded(n_shards: u32) -> ShardedWorld {
-        let n = (n_shards * 4) as usize;
-        let shard_of: Vec<u32> = (0..n as u32).map(|i| i / 4).collect();
-        let s = n_shards as usize;
-        let mut hub = vec![0.0f32; s * s];
-        for a in 0..s {
-            for b in 0..s {
-                hub[a * s + b] = star_hub_us(a, b) as f32;
+    #[test]
+    fn reassembles_the_generating_rule_exactly() {
+        let w = star_hier(3, 1, usize::MAX);
+        w.validate().expect("valid");
+        assert_eq!(w.len(), 12);
+        assert_eq!(w.n_shards(), 3);
+        assert_eq!(w.n_super_shards(), 1);
+        assert_eq!(w.max_shard_len(), 4);
+        for a in w.peers() {
+            for b in w.peers() {
+                assert_eq!(w.rtt(a, b), star_rtt(a, b), "rtt({a},{b})");
             }
         }
-        let offset: Vec<f32> = (0..n as u32).map(|i| (1_000 + 1_000 * (i % 4)) as f32).collect();
-        ShardedWorld::build_par(&shard_of, hub, offset, 2, star_rtt)
+        // Exact RTTs make every nearest answer the dense one too.
+        let dense = LatencyMatrix::build(12, star_rtt);
+        let members: Vec<PeerId> = w.peers().collect();
+        for a in w.peers() {
+            assert_eq!(
+                w.nearest_within(a, &members),
+                dense.nearest_within(a, &members)
+            );
+        }
     }
 
     #[test]
-    fn one_super_shard_is_bit_identical_to_sharded() {
-        let hier = star_hier(5, 1, usize::MAX);
-        let flat = star_sharded(5);
-        hier.validate().expect("valid");
-        assert_eq!(hier.n_super_shards(), 1);
-        let members: Vec<PeerId> = hier.peers().collect();
-        for a in hier.peers() {
-            for b in hier.peers() {
-                assert_eq!(hier.rtt(a, b), flat.rtt(a, b), "rtt({a},{b})");
+    fn single_shard_matches_dense_bitwise() {
+        let n = 37;
+        let dense = LatencyMatrix::build_par(n, 3, star_rtt);
+        let single = HierarchicalWorld::build_lazy(
+            &vec![0; n],
+            1,
+            vec![0.0; n],
+            |_, _| 0,
+            usize::MAX,
+            star_rtt,
+        );
+        single.validate().expect("valid");
+        assert_eq!(single.n_shards(), 1);
+        let members: Vec<PeerId> = dense.peers().collect();
+        for a in dense.peers() {
+            for b in dense.peers() {
+                assert_eq!(single.rtt(a, b), dense.rtt(a, b));
             }
             assert_eq!(
-                hier.nearest_within(a, &members),
-                WorldStore::nearest_within(&flat, a, &members)
+                single.nearest_within(a, &members),
+                dense.nearest_within(a, &members)
             );
         }
-        // The ShardView components agree too — the shard-local fill
-        // reads these, not rtt.
-        for a in hier.peers() {
-            assert_eq!(
-                ShardView::hub_offset_us(&hier, a),
-                ShardView::hub_offset_us(&flat, a)
-            );
+    }
+
+    #[test]
+    fn compress_keeps_intra_shard_exact_and_overestimates_inter() {
+        let n = 16usize;
+        let dense = Arc::new(LatencyMatrix::build(n, star_rtt));
+        let shard_of: Vec<u32> = (0..n as u32).map(|i| i / 4).collect();
+        let w = HierarchicalWorld::compress(&dense, &shard_of, 1, usize::MAX);
+        w.validate().expect("valid");
+        for a in dense.peers() {
+            for b in dense.peers() {
+                if w.shard_of(a) == w.shard_of(b) {
+                    assert_eq!(w.rtt(a, b), dense.rtt(a, b), "intra-shard must be exact");
+                } else {
+                    // Medoid-detour estimate: never an underestimate in
+                    // a metric space, off by exactly the medoids'
+                    // doubled spoke latencies in this star world.
+                    assert!(w.rtt(a, b) >= dense.rtt(a, b), "underestimated {a}->{b}");
+                    assert!(
+                        w.rtt(a, b) <= dense.rtt(a, b) + Micros::from_ms_u64(4),
+                        "error beyond the 2·(1 ms + 1 ms) medoid bound for {a}->{b}"
+                    );
+                }
+            }
         }
-        for sa in 0..5 {
-            assert_eq!(ShardView::hub_peer(&hier, sa), ShardView::hub_peer(&flat, sa));
-            for sb in 0..5 {
-                assert_eq!(
-                    ShardView::hub_rtt_us(&hier, sa, sb),
-                    ShardView::hub_rtt_us(&flat, sa, sb)
-                );
+    }
+
+    #[test]
+    fn memory_is_subquadratic() {
+        let compressed = star_hier(16, 1, usize::MAX); // 64 peers in 16 shards
+        let dense_bytes = 64 * 64 * 4;
+        assert!(
+            compressed.approx_bytes() < dense_bytes / 2,
+            "compressed {} bytes vs dense {dense_bytes}",
+            compressed.approx_bytes()
+        );
+    }
+
+    #[test]
+    fn empty_world_is_consistent() {
+        let w = HierarchicalWorld::build_lazy(&[], 1, Vec::new(), |_, _| 0, usize::MAX, star_rtt);
+        assert!(w.is_empty());
+        assert_eq!(w.n_shards(), 1);
+        assert_eq!(w.max_shard_len(), 0);
+        w.validate().expect("valid");
+    }
+
+    #[test]
+    fn shard_view_reassembles_rtt_and_names_hub_peers() {
+        let w = star_hier(3, 1, usize::MAX);
+        let view = w.shard_view().expect("the compressed store has shards");
+        assert_eq!(view.n_shards(), 3);
+        for p in w.peers() {
+            assert_eq!(view.shard_of(p), (p.0 / 4) as usize);
+        }
+        assert_eq!(
+            view.shard_members(1),
+            &[PeerId(4), PeerId(5), PeerId(6), PeerId(7)]
+        );
+        // Inter-shard rtt must reassemble from the view's components
+        // exactly as WorldStore::rtt sums them.
+        for a in w.peers() {
+            for b in w.peers() {
+                let (sa, sb) = (view.shard_of(a), view.shard_of(b));
+                if sa != sb {
+                    let sum =
+                        view.hub_offset_us(a) + view.hub_rtt_us(sa, sb) + view.hub_offset_us(b);
+                    assert_eq!(Micros(sum), w.rtt(a, b), "view sum diverged for ({a},{b})");
+                }
+            }
+        }
+        // Hub peer: minimum offset (1 ms for id % 4 == 0), ties by id.
+        assert_eq!(view.hub_peer(0), Some(PeerId(0)));
+        assert_eq!(view.hub_peer(2), Some(PeerId(8)));
+        // The dense matrix has no shard structure.
+        let dense = LatencyMatrix::build(8, star_rtt);
+        assert!(WorldStore::shard_view(&dense).is_none());
+    }
+
+    #[test]
+    fn compress_routes_spills_into_singleton_overflow_shards() {
+        // 16-peer star world: shards 0..2 assigned normally, the last
+        // four peers match no cluster (NO_SHARD).
+        let n = 16usize;
+        let dense = Arc::new(LatencyMatrix::build(n, star_rtt));
+        let shard_of: Vec<u32> = (0..n as u32)
+            .map(|i| {
+                if i < 12 {
+                    i / 4
+                } else {
+                    HierarchicalWorld::NO_SHARD
+                }
+            })
+            .collect();
+        let w = HierarchicalWorld::compress(&dense, &shard_of, 1, usize::MAX);
+        w.validate().expect("valid");
+        // 3 real shards + one singleton per spill, in peer-id order.
+        assert_eq!(w.n_shards(), 7);
+        for (k, spill) in (12u32..16).enumerate() {
+            let s = 3 + k;
+            assert_eq!(w.shard_of(PeerId(spill)), s);
+            assert_eq!(w.shard_members(s), &[PeerId(spill)]);
+            // A singleton's hub is the peer itself, offset zero.
+            assert_eq!(w.hub_peer(s), Some(PeerId(spill)));
+            assert_eq!(w.hub_offset_us(PeerId(spill)), 0);
+        }
+        for a in dense.peers() {
+            for b in dense.peers() {
+                if w.shard_of(a) == w.shard_of(b) {
+                    assert_eq!(w.rtt(a, b), dense.rtt(a, b), "intra-shard must stay exact");
+                } else {
+                    // One detour per non-spill endpoint: never an
+                    // underestimate, and bounded by the endpoints' hub
+                    // detours (zero for spills).
+                    let hub_detour = |p: PeerId| {
+                        let hub = w.hub_peer(w.shard_of(p)).expect("non-empty");
+                        dense.rtt(p, hub)
+                    };
+                    let bound =
+                        dense.rtt(a, b) + hub_detour(a).scale(2.0) + hub_detour(b).scale(2.0);
+                    assert!(w.rtt(a, b) >= dense.rtt(a, b), "underestimated {a}->{b}");
+                    assert!(
+                        w.rtt(a, b) <= bound,
+                        "error beyond the detour bound for {a}->{b}"
+                    );
+                }
+            }
+        }
+        // Spill-to-spill pairs are hub-to-hub reads: exact.
+        for a in 12u32..16 {
+            for b in 12u32..16 {
+                assert_eq!(w.rtt(PeerId(a), PeerId(b)), dense.rtt(PeerId(a), PeerId(b)));
             }
         }
     }
@@ -703,33 +908,31 @@ mod tests {
         // 6 shards in 2 groups of 3; cross-group pairs detour through
         // the two group medoids (the middle shards, 1 and 4).
         let hier = star_hier(6, 2, usize::MAX);
-        let flat = star_sharded(6);
         hier.validate().expect("valid");
         assert_eq!(hier.n_super_shards(), 2);
         assert_eq!(hier.super_hub_shard, vec![1, 4]);
         for a in hier.peers() {
             for b in hier.peers() {
-                let (sa, sb) = (ShardView::shard_of(&hier, a), ShardView::shard_of(&hier, b));
-                let (ga, gb) = (ShardView::super_of(&hier, sa), ShardView::super_of(&hier, sb));
+                let (sa, sb) = (hier.shard_of(a), hier.shard_of(b));
+                let (ga, gb) = (hier.super_of(sa), hier.super_of(sb));
                 if ga == gb {
-                    assert_eq!(hier.rtt(a, b), flat.rtt(a, b), "intra-group must be exact");
+                    assert_eq!(hier.rtt(a, b), star_rtt(a, b), "intra-group must be exact");
                 } else {
                     // Detour bound, one level up: never an
                     // underestimate, off by at most the two endpoints'
                     // super-hub detours, doubled.
-                    let bound = flat.rtt(a, b).as_us()
-                        + 2 * (ShardView::super_offset_us(&hier, sa)
-                            + ShardView::super_offset_us(&hier, sb));
-                    assert!(hier.rtt(a, b) >= flat.rtt(a, b), "underestimated {a}->{b}");
+                    let bound = star_rtt(a, b).as_us()
+                        + 2 * (hier.super_offset_us(sa) + hier.super_offset_us(sb));
+                    assert!(hier.rtt(a, b) >= star_rtt(a, b), "underestimated {a}->{b}");
                     assert!(
                         hier.rtt(a, b).as_us() <= bound,
                         "error beyond the level-2 detour bound for {a}->{b}"
                     );
-                    // And the contract the level-2 ShardView documents.
-                    let sum = ShardView::super_offset_us(&hier, sa)
-                        + ShardView::super_rtt_us(&hier, ga, gb)
-                        + ShardView::super_offset_us(&hier, sb);
-                    assert_eq!(ShardView::hub_rtt_us(&hier, sa, sb), sum);
+                    // And the level-2 sum the shard structure documents.
+                    let sum = hier.super_offset_us(sa)
+                        + hier.super_rtt_us(ga, gb)
+                        + hier.super_offset_us(sb);
+                    assert_eq!(hier.hub_rtt_us(sa, sb), sum);
                 }
             }
         }
@@ -786,31 +989,11 @@ mod tests {
     }
 
     #[test]
-    fn compress_matches_sharded_compress_at_one_super_shard() {
-        let n = 16usize;
-        let dense = Arc::new(LatencyMatrix::build(n, star_rtt));
-        // Last four peers unassigned → singleton overflow shards, the
-        // same spill path ShardedWorld::compress takes.
-        let shard_of: Vec<u32> = (0..n as u32)
-            .map(|i| if i < 12 { i / 4 } else { ShardedWorld::NO_SHARD })
-            .collect();
-        let hier = HierarchicalWorld::compress(&dense, &shard_of, 1, usize::MAX);
-        let flat = ShardedWorld::compress(&dense, &shard_of, 2);
-        hier.validate().expect("valid");
-        assert_eq!(hier.n_shards(), 7);
-        for a in dense.peers() {
-            for b in dense.peers() {
-                assert_eq!(hier.rtt(a, b), flat.rtt(a, b), "rtt({a},{b})");
-            }
-        }
-    }
-
-    #[test]
     fn grouping_is_balanced_and_contiguous() {
         let w = star_hier(7, 3, usize::MAX);
         // 7 shards in 3 groups: sizes 3, 2, 2, contiguous by shard id.
         assert_eq!(w.n_super_shards(), 3);
-        let groups: Vec<usize> = (0..7).map(|s| ShardView::super_of(&w, s)).collect();
+        let groups: Vec<usize> = (0..7).map(|s| w.super_of(s)).collect();
         assert_eq!(groups, vec![0, 0, 0, 1, 1, 2, 2]);
         // Clamping: more groups than shards degrades to singletons.
         let clamped = star_hier(3, 64, usize::MAX);
@@ -835,24 +1018,10 @@ mod tests {
     }
 
     #[test]
-    fn default_shard_view_level2_is_the_single_super_shard() {
-        // The defaulted level-2 methods on any one-level ShardView
-        // (here ShardedWorld) describe exactly one super-shard.
-        let flat = star_sharded(3);
-        let view: &dyn ShardView = &flat;
-        assert_eq!(view.n_super_shards(), 1);
-        for s in 0..3 {
-            assert_eq!(view.super_of(s), 0);
-            assert_eq!(view.super_offset_us(s), 0);
-        }
-        assert_eq!(view.super_rtt_us(0, 0), 0);
-    }
-
-    #[test]
     #[should_panic(expected = "NO_SHARD")]
     fn build_lazy_rejects_the_spill_sentinel() {
         HierarchicalWorld::build_lazy(
-            &[0, ShardedWorld::NO_SHARD],
+            &[0, HierarchicalWorld::NO_SHARD],
             1,
             vec![0.0, 0.0],
             |_, _| 0,

@@ -5,9 +5,8 @@
 //! Brute force (probe every member, keep the closest) and the
 //! ground-truth [`crate::NearestCache`] ask the same question — which
 //! member of one fixed set is closest to `t`? — for many targets. On
-//! the hub-model stores ([`crate::ShardedWorld`],
-//! [`crate::HierarchicalWorld`]) most of the answer does not depend on
-//! `t`. Every member `m` of a shard `s ≠ shard(t)` sits at
+//! the compressed store ([`HierarchicalWorld`]) most of the answer does
+//! not depend on `t`. Every member `m` of a shard `s ≠ shard(t)` sits at
 //!
 //! ```text
 //! rtt(t, m) = hub_offset(t) + hub_rtt(shard(t), s) + hub_offset(m)
@@ -31,12 +30,11 @@
 //! * one candidate per other shard of the target's super-shard,
 //! * one candidate per other super-shard,
 //!
-//! which is O(|own shard| + |own super-shard| + G). The kernel is
-//! written once against [`ShardView`], so one-level stores (a single
-//! super-shard) and two-level stores share it. Stores without a
-//! [`ShardView`] (the dense matrix, drifted wrappers) answer through
-//! their own [`WorldStore::nearest_within`]: for the dense matrix that
-//! is the SIMD row gather.
+//! which is O(|own shard| + |own super-shard| + G); at one super-shard
+//! the last term is empty. Stores without shard structure (the dense
+//! matrix, drifted wrappers; [`WorldStore::shard_view`] is `None`)
+//! answer through their own [`WorldStore::nearest_within`]: for the
+//! dense matrix that is the SIMD row gather.
 //!
 //! # Exactness
 //!
@@ -46,10 +44,12 @@
 //! microseconds exactly below 2²⁴ µs (16.8 s) — the range the
 //! [`crate::scan`] kernel assumes. There the index and the default scan
 //! agree bit for bit; `tests/world_equivalence.rs` property-tests it on
-//! all three backends against a wrapper store that keeps the default.
+//! both backends, at one and at several super-shards, against a
+//! wrapper store that keeps the default.
 
+use crate::hierarchical::HierarchicalWorld;
 use crate::matrix::PeerId;
-use crate::world::{ShardView, WorldStore};
+use crate::world::WorldStore;
 
 /// The nearest member of one fixed member set, for any target.
 ///
@@ -62,13 +62,13 @@ pub struct NearestIndex<'w, W: WorldStore + ?Sized = dyn WorldStore> {
     present: Vec<u64>,
     /// Some member is listed more than once.
     repeats: bool,
-    /// The hub-model minima; `None` on stores without a [`ShardView`].
+    /// The hub-model minima; `None` on stores without shard structure.
     hubs: Option<HubMinima<'w>>,
 }
 
 /// Per-shard and per-super-shard closest members of one member set.
 struct HubMinima<'w> {
-    view: &'w dyn ShardView,
+    view: &'w HierarchicalWorld,
     /// Shard → `(hub_offset, id)` of its member closest to the shard
     /// hub; `None` for a shard without members.
     shard_best: Vec<Option<(u64, PeerId)>>,
@@ -88,7 +88,7 @@ fn offer(best: &mut Option<(u64, PeerId)>, cand: (u64, PeerId)) {
 }
 
 impl<'w> HubMinima<'w> {
-    fn build(view: &'w dyn ShardView, members: &[PeerId]) -> HubMinima<'w> {
+    fn build(view: &'w HierarchicalWorld, members: &[PeerId]) -> HubMinima<'w> {
         let mut shard_best = vec![None; view.n_shards()];
         for &m in members {
             offer(

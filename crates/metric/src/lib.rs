@@ -31,13 +31,11 @@
 //!   over any backend (the churn scenarios' time-varying latencies),
 //! * [`world`] — the [`world::WorldStore`] backend trait every consumer
 //!   (targets, caches, overlays, the runner) is written against,
-//! * [`sharded`] — [`sharded::ShardedWorld`], the block-compressed
-//!   backend (dense per-cluster blocks + hub summary) that takes worlds
-//!   past the dense matrix's ~2.5 k-peer memory wall,
 //! * [`hierarchical`] — [`hierarchical::HierarchicalWorld`], the
-//!   two-level backend (shards of shards, super-hub summary, lazily
-//!   materialised blocks under a byte budget) that takes worlds to
-//!   10⁶ peers with bounded RSS,
+//!   compressed backend (per-cluster blocks, a hub summary grouped
+//!   under super-hubs, lazily materialised blocks under a byte budget)
+//!   that takes worlds past the dense matrix's ~2.5 k-peer memory wall
+//!   to 10⁶ peers with bounded RSS,
 //! * [`scan`] — the shared SIMD-friendly nearest-scan kernel the dense
 //!   matrix and the default `nearest_within` run on.
 
@@ -50,7 +48,6 @@ pub mod index;
 pub mod matrix;
 pub mod nearest;
 pub mod scan;
-pub mod sharded;
 pub mod world;
 
 pub use cache::NearestCache;
@@ -59,5 +56,4 @@ pub use hierarchical::{CacheStats, HierarchicalWorld};
 pub use index::NearestIndex;
 pub use matrix::{LatencyMatrix, PeerId};
 pub use nearest::{FaultPlan, NearestPeerAlgo, ProbeCounter, QueryOutcome, Target};
-pub use sharded::ShardedWorld;
-pub use world::{ShardView, WorldStore};
+pub use world::WorldStore;

@@ -94,7 +94,7 @@ impl ProbeCounter {
 ///
 /// Holds its world as a `&dyn` [`WorldStore`], so every
 /// [`NearestPeerAlgo`] implementation works unchanged over the dense
-/// matrix and the block-compressed [`crate::ShardedWorld`] alike.
+/// matrix and the compressed [`crate::HierarchicalWorld`] alike.
 pub struct Target<'a> {
     id: PeerId,
     world: &'a dyn WorldStore,
@@ -275,8 +275,8 @@ impl<A: NearestPeerAlgo + ?Sized> NearestPeerAlgo for Box<A> {
 /// latency-only algorithms degenerate towards this.
 ///
 /// Generic over the latency backend (defaulting to the dense matrix),
-/// so it is also the reference algorithm for sharded worlds too large
-/// to materialise densely. Every query is charged one probe per member
+/// so it is also the reference algorithm for compressed worlds too
+/// large to materialise densely. Every query is charged one probe per member
 /// other than the target; the answer itself comes from a
 /// [`NearestIndex`] built once in [`BruteForce::new`] (see
 /// [`Target::probe_all`]).

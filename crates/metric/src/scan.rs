@@ -3,15 +3,15 @@
 //! Every full-row nearest query in the workspace — dense
 //! [`crate::LatencyMatrix::nearest_within`] and the
 //! [`crate::WorldStore`] default implementation that
-//! [`crate::ShardedWorld`], [`crate::HierarchicalWorld`] and
-//! [`crate::DriftedWorld`] inherit — bottoms out in the same
+//! [`crate::HierarchicalWorld`] and [`crate::DriftedWorld`] inherit —
+//! bottoms out in the same
 //! operation: *argmin over a gathered `f32` distance row, ties broken
 //! by lowest [`PeerId`]*. This module is that one kernel, written so
 //! the hot reduction auto-vectorizes.
 //!
 //! [`crate::NearestIndex`] (behind [`crate::NearestCache`] and
 //! brute force) calls it only on stores without shard structure — on
-//! the dense matrix, through the row gather. On the hub-model stores it
+//! the dense matrix, through the row gather. On the compressed store it
 //! answers from per-shard minima instead and never gathers a row.
 //!
 //! # Shape

@@ -8,8 +8,8 @@
 //! probe-counted [`crate::Target`], the ground-truth
 //! [`crate::NearestCache`], the Meridian overlay fill, the batch query
 //! runner) actually needs — peer count, pairwise RTT, and the derived
-//! nearest/k-NN queries — so dense and block-compressed backends
-//! ([`crate::ShardedWorld`]) interchange freely.
+//! nearest/k-NN queries — so the dense matrix and the compressed
+//! [`crate::HierarchicalWorld`] interchange freely.
 //!
 //! The trait is object-safe on purpose: [`crate::Target`] holds a
 //! `&dyn WorldStore`, which keeps every `NearestPeerAlgo`
@@ -30,6 +30,7 @@
 //!   (`tests/world_equivalence.rs`, via a wrapper store that keeps
 //!   the default).
 
+use crate::hierarchical::HierarchicalWorld;
 use crate::matrix::PeerId;
 use crate::scan;
 use np_util::Micros;
@@ -44,7 +45,7 @@ pub trait WorldStore: Sync {
     fn rtt(&self, a: PeerId, b: PeerId) -> Micros;
 
     /// Approximate heap footprint of the backend in bytes — the number
-    /// the sharded backend exists to shrink. Capacity telemetry only.
+    /// the compressed backend exists to shrink. Capacity telemetry only.
     fn approx_bytes(&self) -> usize;
 
     /// True iff the world holds no peers.
@@ -99,91 +100,14 @@ pub trait WorldStore: Sync {
     }
 
     /// The backend's shard structure, when it has one. The dense matrix
-    /// (and any other flat backend) returns `None`; the block-compressed
-    /// [`crate::ShardedWorld`] returns itself. This is the object-safe
-    /// bridge that lets consumers holding a `&dyn WorldStore` (the
-    /// experiment factories) discover shard locality — e.g. the Meridian
+    /// (and any other flat backend) returns `None`; the compressed
+    /// [`HierarchicalWorld`] returns itself. This is the bridge that
+    /// lets consumers holding a `&dyn WorldStore` (the experiment
+    /// factories) discover shard locality — e.g. the Meridian
     /// shard-local overlay fill and [`crate::NearestIndex`] — without
     /// the algorithm stack going generic over the backend.
-    fn shard_view(&self) -> Option<&dyn ShardView> {
+    fn shard_view(&self) -> Option<&HierarchicalWorld> {
         None
-    }
-}
-
-/// Shard structure exposed by block-compressed backends: membership and
-/// iteration (`shard_of`, `shard_members`), the hub summary the
-/// inter-shard distances are reassembled from, and the per-shard hub
-/// ids. Everything a *shard-local* consumer needs to reproduce
-/// [`WorldStore::rtt`] without touching a dense row:
-///
-/// * intra-shard pairs read the shard's dense block (via
-///   [`WorldStore::rtt`], which is O(1) there);
-/// * inter-shard pairs are `hub_offset_us(a) + hub_rtt_us(s(a), s(b)) +
-///   hub_offset_us(b)` — **exactly** the `u64` microsecond sum `rtt`
-///   computes, so shard-local reconstruction is bit-identical, not
-///   approximate.
-pub trait ShardView: WorldStore {
-    /// Number of shards.
-    fn n_shards(&self) -> usize;
-
-    /// The shard a peer belongs to.
-    fn shard_of(&self, p: PeerId) -> usize;
-
-    /// Members of one shard, ascending id.
-    fn shard_members(&self, shard: usize) -> &[PeerId];
-
-    /// Peer → its shard hub latency in whole µs (the stored component,
-    /// truncated exactly as [`WorldStore::rtt`] sums it).
-    fn hub_offset_us(&self, p: PeerId) -> u64;
-
-    /// Hub-to-hub latency in whole µs (zero on the diagonal).
-    fn hub_rtt_us(&self, a: usize, b: usize) -> u64;
-
-    /// The shard's hub id: the member closest to its hub (minimum
-    /// offset, ties by lowest id). For worlds built by
-    /// `ShardedWorld::compress` this is the medoid itself (offset 0);
-    /// `None` for an empty shard.
-    fn hub_peer(&self, shard: usize) -> Option<PeerId>;
-
-    // ---- Level 2: super-shard structure -------------------------------
-    //
-    // Two-level backends (`crate::HierarchicalWorld`) group shards into
-    // super-shards and reassemble *hub-to-hub* distances for shards in
-    // different groups as
-    //
-    //   hub_rtt_us(a, b) == super_offset_us(a)
-    //                     + super_rtt_us(super_of(a), super_of(b))
-    //                     + super_offset_us(b)
-    //
-    // **exactly**, as a `u64` microsecond sum. Because the composition
-    // happens *inside* `hub_rtt_us`, level-1 consumers (the shard-local
-    // Meridian fill, the spill-detour analysis) keep working verbatim —
-    // they never need to know a second level exists; `NearestIndex`
-    // reads the components below to keep one candidate per
-    // super-shard. One-level backends are, by these defaults, a single
-    // super-shard containing every shard, with all level-2 components
-    // zero.
-
-    /// Number of super-shards. One-level backends are one big group.
-    fn n_super_shards(&self) -> usize {
-        1
-    }
-
-    /// The super-shard a shard belongs to.
-    fn super_of(&self, _shard: usize) -> usize {
-        0
-    }
-
-    /// Shard hub → its super-hub latency in whole µs (the stored
-    /// level-2 component; zero for a one-level backend).
-    fn super_offset_us(&self, _shard: usize) -> u64 {
-        0
-    }
-
-    /// Super-hub-to-super-hub latency in whole µs (zero diagonal; zero
-    /// everywhere for a one-level backend).
-    fn super_rtt_us(&self, _a: usize, _b: usize) -> u64 {
-        0
     }
 }
 

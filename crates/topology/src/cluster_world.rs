@@ -18,7 +18,7 @@
 //! synthetic [`HubMatrix`] standing in for the Meridian dataset.
 
 use crate::hub::HubMatrix;
-use np_metric::{HierarchicalWorld, LatencyMatrix, PeerId, ShardedWorld};
+use np_metric::{HierarchicalWorld, LatencyMatrix, PeerId};
 use np_util::dist;
 use np_util::rng::rng_for;
 use np_util::Micros;
@@ -207,60 +207,21 @@ impl ClusterWorld {
         LatencyMatrix::build_par(self.len(), threads, |a, b| self.rtt(a, b))
     }
 
-    /// Materialise the block-compressed [`ShardedWorld`] backend:
-    /// clusters become shards, with one dense block of exact RTTs per
-    /// cluster and the hub summary read straight from the generator
-    /// (per-peer hub latency + hub-to-hub matrix), on the ambient
-    /// thread count.
-    ///
-    /// On this world the hub summary is **exact**, not approximate: the
-    /// generator's inter-cluster rule *is* `up + hub-to-hub + down`, and
-    /// the sharded backend reassembles the same whole-microsecond sum.
-    /// Memory drops from the dense `n²` floats to
-    /// `Σ cluster² + clusters² + O(n)` — the difference between 40 GB
-    /// and tens of MB at 100 k peers.
-    pub fn to_sharded(&self) -> ShardedWorld {
-        self.to_sharded_threads(np_util::parallel::resolve_threads(None))
-    }
-
-    /// [`ClusterWorld::to_sharded`] with an explicit worker count.
-    /// Bit-identical at any thread count (row-blocked block fills).
-    pub fn to_sharded_threads(&self, threads: usize) -> ShardedWorld {
-        let n = self.len();
-        let shard_of: Vec<u32> = (0..n as u32)
-            .map(|i| self.cluster_of(PeerId(i)) as u32)
-            .collect();
-        let s = self.spec.clusters;
-        let mut hub_rtt = vec![0.0f32; s * s];
-        for a in 0..s {
-            for b in (a + 1)..s {
-                let v = self
-                    .hubs
-                    .rtt(self.cluster_hub[a], self.cluster_hub[b])
-                    .as_us() as f32;
-                hub_rtt[a * s + b] = v;
-                hub_rtt[b * s + a] = v;
-            }
-        }
-        let offset: Vec<f32> = (0..n as u32)
-            .map(|i| self.hub_latency(PeerId(i)).as_us() as f32)
-            .collect();
-        ShardedWorld::build_par(&shard_of, hub_rtt, offset, threads, |a, b| self.rtt(a, b))
-    }
-
-    /// Materialise the two-level [`HierarchicalWorld`] backend:
-    /// clusters become shards as in [`ClusterWorld::to_sharded`], the
-    /// level-1 hub summary is read straight from the generator (so at
-    /// `super_shards == 1` the store is bit-identical to the sharded
-    /// backend — the collapse law `tests/world_equivalence.rs` pins),
-    /// and per-cluster blocks are materialised lazily from a retained
-    /// O(1) clone of this world, resident only up to
+    /// Materialise the compressed [`HierarchicalWorld`] backend:
+    /// clusters become shards, the level-1 hub summary (per-peer hub
+    /// latency + hub-to-hub distance) is read straight from the
+    /// generator, and per-cluster blocks are materialised lazily from a
+    /// retained O(1) clone of this world, resident only up to
     /// `cache_budget_bytes`.
     ///
-    /// With more than one super-shard, shards are grouped contiguously
-    /// and cross-group hub distances detour through each group's
-    /// medoid hub — the only approximation the second level adds on
-    /// these worlds.
+    /// At `super_shards == 1` the store is **exact**, not approximate:
+    /// the generator's inter-cluster rule *is* `up + hub-to-hub +
+    /// down`, and the store reassembles the same whole-microsecond sum,
+    /// so it is bit-identical to [`ClusterWorld::to_matrix`] (the
+    /// collapse law `tests/world_equivalence.rs` pins). With more than
+    /// one super-shard, shards are grouped contiguously and cross-group
+    /// hub distances detour through each group's medoid hub — the only
+    /// approximation the second level adds on these worlds.
     pub fn to_hierarchical(
         &self,
         super_shards: usize,
@@ -429,37 +390,29 @@ mod tests {
     }
 
     #[test]
-    fn sharded_backend_is_exact_on_cluster_worlds() {
+    fn one_super_shard_is_exact_on_cluster_worlds() {
         use np_metric::WorldStore;
         let w = small();
-        let sharded = w.to_sharded_threads(2);
-        sharded.validate().expect("valid");
-        assert_eq!(sharded.n_shards(), 4);
-        assert_eq!(WorldStore::len(&sharded), w.len());
+        let one = w.to_hierarchical(1, usize::MAX);
+        one.validate().expect("valid");
+        assert_eq!(one.n_shards(), 4);
+        assert_eq!(WorldStore::len(&one), w.len());
         // The hub summary reassembles the generator's own rule: every
         // pair — intra-EN, intra-cluster, inter-cluster — is exact.
         for a in w.peers() {
             for b in w.peers() {
-                assert_eq!(sharded.rtt(a, b), w.rtt(a, b), "rtt({a},{b})");
+                assert_eq!(one.rtt(a, b), w.rtt(a, b), "rtt({a},{b})");
             }
         }
         // And it really is compressed relative to the dense bytes.
         let dense = w.to_matrix();
-        assert!(sharded.approx_bytes() < WorldStore::approx_bytes(&dense));
+        assert!(one.approx_bytes() < WorldStore::approx_bytes(&dense));
     }
 
     #[test]
-    fn hierarchical_backend_collapses_to_sharded_and_stays_exact_within_groups() {
+    fn two_super_shards_never_underestimate_under_a_starved_cache() {
         use np_metric::WorldStore;
         let w = small();
-        let sharded = w.to_sharded_threads(2);
-        // One super-shard: bit-identical to the sharded store.
-        let one = w.to_hierarchical(1, usize::MAX);
-        for a in w.peers() {
-            for b in w.peers() {
-                assert_eq!(one.rtt(a, b), sharded.rtt(a, b), "G=1 rtt({a},{b})");
-            }
-        }
         // Two super-shards under a starved cache: still exact on this
         // generator within groups, never an underestimate across.
         let two = w.to_hierarchical(2, 1);

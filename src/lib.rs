@@ -15,7 +15,7 @@
 //! |---|---|
 //! | [`util`] | latency units, deterministic RNG, statistics, CDFs, plots |
 //! | [`topology`] | the Internet model and the paper's §4 cluster worlds |
-//! | [`metric`] | latency backends (dense, sharded, hierarchical), Dijkstra, metric diagnostics, the search API |
+//! | [`metric`] | latency backends (dense, hierarchical), Dijkstra, metric diagnostics, the search API |
 //! | [`probe`] | ping / traceroute / King / TCP-ping simulators |
 //! | [`cluster`] | the §3 measurement pipelines (Figures 3–7) |
 //! | [`meridian`] | the Meridian overlay and β-routing queries |
@@ -83,8 +83,7 @@ pub mod prelude {
     pub use np_dht::{ChordMap, ChordRing, KeyValueMap, PerfectMap};
     pub use np_meridian::{BuildMode, MeridianConfig, Overlay};
     pub use np_metric::{
-        LatencyMatrix, NearestPeerAlgo, PeerId, QueryOutcome, ShardView, ShardedWorld, Target,
-        WorldStore,
+        HierarchicalWorld, LatencyMatrix, NearestPeerAlgo, PeerId, QueryOutcome, Target, WorldStore,
     };
     pub use np_probe::{King, NoiseConfig, Pinger, TcpPing, Tracer};
     pub use np_remedies::{PrefixRegistry, UclRegistry};

@@ -7,10 +7,9 @@
 //! 1. **Thread invariance** — same seed ⇒ bit-identical [`PaperMetrics`]
 //!    at 1, 2, 4 and 8 threads (exact float equality; the registry's
 //!    promise that `AlgoContext::threads` never affects results).
-//! 2. **Backend invariance** — the dense matrix, the block-compressed
-//!    sharded store, and the two-level hierarchical store at one
-//!    super-shard describe the same world, so metrics must agree
-//!    bit-for-bit across backends; at two super-shards under a starved
+//! 2. **Backend invariance** — the dense matrix and the hierarchical
+//!    store at one super-shard describe the same world, so metrics must
+//!    agree bit-for-bit across backends; at two super-shards under a starved
 //!    block cache the store approximates, but every name must still be
 //!    thread-invariant and rerun-stable over it.
 //! 3. **Probe accounting** — every algorithm pays for its answers
@@ -28,7 +27,7 @@ use nearest_peer::prelude::*;
 use np_bench::full_registry;
 use np_core::experiment::{AlgoContext, BuildCache};
 use np_core::{run_queries_threads, PaperMetrics};
-use np_metric::{HierarchicalWorld, ShardedWorld, WorldStore};
+use np_metric::{HierarchicalWorld, WorldStore};
 
 const THREAD_COUNTS: [usize; 3] = [2, 4, 8];
 const QUERIES: usize = 40;
@@ -51,10 +50,6 @@ fn world_spec() -> ClusterWorldSpec {
 
 fn dense(seed: u64) -> ClusterScenario {
     ClusterScenario::build(world_spec(), 12, seed)
-}
-
-fn sharded(seed: u64) -> ClusterScenario<ShardedWorld> {
-    ClusterScenario::build_sharded_threads(world_spec(), 12, seed, 1)
 }
 
 fn hierarchical(
@@ -104,27 +99,18 @@ fn every_registry_algo_is_thread_invariant() {
     }
 }
 
-/// Contract 2: dense, sharded and one-super-shard hierarchical backends
-/// agree bit-for-bit, every name.
+/// Contract 2: dense and one-super-shard hierarchical backends agree
+/// bit-for-bit, every name.
 #[test]
 fn every_registry_algo_is_backend_invariant() {
     let d = dense(1301);
-    let s = sharded(1301);
     let h = hierarchical(1301, 1, usize::MAX);
-    assert_eq!(d.overlay, s.overlay, "backends drew different splits");
-    assert_eq!(d.targets, s.targets);
-    assert_eq!(d.overlay, h.overlay, "hierarchical drew a different split");
+    assert_eq!(d.overlay, h.overlay, "backends drew different splits");
     assert_eq!(d.targets, h.targets);
     for name in full_registry().names() {
         for threads in [1, 4] {
-            let dm = run_algo(&d, name, 1301, threads, QUERIES);
             assert_eq!(
-                dm,
-                run_algo(&s, name, 1301, threads, QUERIES),
-                "{name} diverged across dense/sharded at {threads} threads"
-            );
-            assert_eq!(
-                dm,
+                run_algo(&d, name, 1301, threads, QUERIES),
                 run_algo(&h, name, 1301, threads, QUERIES),
                 "{name} diverged across dense/hierarchical at {threads} threads"
             );

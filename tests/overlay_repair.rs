@@ -11,7 +11,7 @@
 //! 1. randomized multi-round property sweeps — many seeds, random
 //!    departure batches, repair thread counts 1/2/4 — against the
 //!    single-threaded reference rebuild;
-//! 2. at the paper's §4 scale on the sharded backend, where the repair
+//! 2. at the paper's §4 scale on the hierarchical backend, where the repair
 //!    replaces the full shard-local refill;
 //! 3. the cost claim itself: a k-departure repair replays ≤ k rings
 //!    per survivor, never the full ring set.
@@ -101,14 +101,15 @@ fn incremental_repair_is_bit_identical_to_rebuild_after_every_round() {
     }
 }
 
-/// Paper-scale equivalence on the sharded backend: one 2,500-peer §4
-/// world, a 40-peer departure batch, repair vs survivor rebuild —
-/// exactly the membership event `ext_churn`'s dynamic runner feeds the
-/// repair path.
+/// Paper-scale equivalence on the hierarchical backend (one
+/// super-shard, the shard-local fill): one 2,500-peer §4 world, a
+/// 40-peer departure batch, repair vs survivor rebuild — exactly the
+/// membership event `ext_churn`'s dynamic runner feeds the repair path.
 #[test]
-fn repair_matches_rebuild_at_paper_scale_on_the_sharded_backend() {
+fn repair_matches_rebuild_at_paper_scale_on_the_hierarchical_backend() {
     let spec = ClusterWorldSpec::paper(25, 0.2); // 50 clusters, 2,500 peers
-    let scenario = nearest_peer::core::ClusterScenario::build_sharded_threads(spec, 100, 31, 4);
+    let scenario =
+        nearest_peer::core::ClusterScenario::build_hierarchical(spec, 100, 31, 1, usize::MAX);
     let mut repaired = Overlay::build_shard_local_threads(
         &scenario.matrix,
         scenario.overlay.clone(),

@@ -12,26 +12,26 @@
 use nearest_peer::prelude::*;
 use np_core::{run_queries_threads, sweep_three_runs_threads, RunBandMetrics};
 use np_metric::nearest::BruteForce;
-use np_metric::{HierarchicalWorld, NearestCache, ShardedWorld, WorldStore};
+use np_metric::{HierarchicalWorld, NearestCache};
 
 const THREAD_COUNTS: [usize; 3] = [2, 4, 8];
 
+/// Small enough for CI, big enough that an 8-thread run actually
+/// splits the work (96 peers in 4 clusters).
+fn world_spec() -> ClusterWorldSpec {
+    ClusterWorldSpec {
+        clusters: 4,
+        en_per_cluster: 12,
+        peers_per_en: 2,
+        delta: 0.2,
+        mean_hub_ms: (4.0, 6.0),
+        intra_en: Micros::from_us(100),
+        hub_pool: 6,
+    }
+}
+
 fn scenario(seed: u64) -> ClusterScenario {
-    // Small enough for CI, big enough that an 8-thread run actually
-    // splits the work (96 peers, 16 targets).
-    ClusterScenario::build(
-        ClusterWorldSpec {
-            clusters: 4,
-            en_per_cluster: 12,
-            peers_per_en: 2,
-            delta: 0.2,
-            mean_hub_ms: (4.0, 6.0),
-            intra_en: Micros::from_us(100),
-            hub_pool: 6,
-        },
-        16,
-        seed,
-    )
+    ClusterScenario::build(world_spec(), 16, seed)
 }
 
 fn assert_bands_identical(a: &RunBandMetrics, b: &RunBandMetrics) {
@@ -138,129 +138,16 @@ fn world_matrix_identical_at_any_thread_count() {
     }
 }
 
-/// The sharded scenario's world-spec twin of [`scenario`] (96 peers in
-/// 4 shards, 16 targets).
-fn sharded_scenario(seed: u64) -> np_core::ClusterScenario<ShardedWorld> {
-    np_core::ClusterScenario::build_sharded_threads(
-        ClusterWorldSpec {
-            clusters: 4,
-            en_per_cluster: 12,
-            peers_per_en: 2,
-            delta: 0.2,
-            mean_hub_ms: (4.0, 6.0),
-            intra_en: Micros::from_us(100),
-            hub_pool: 6,
-        },
-        16,
-        seed,
-        1,
-    )
-}
-
-/// Sharded-backend matrix build: per-shard row-blocked block fills must
-/// reproduce the 1-thread build bit-for-bit, like the dense builder.
-#[test]
-fn sharded_world_identical_at_any_thread_count() {
-    let world = ClusterWorld::generate(
-        ClusterWorldSpec {
-            clusters: 3,
-            en_per_cluster: 10,
-            peers_per_en: 2,
-            delta: 0.3,
-            mean_hub_ms: (4.0, 6.0),
-            intra_en: Micros::from_us(100),
-            hub_pool: 5,
-        },
-        77,
-    );
-    let serial = world.to_sharded_threads(1);
-    serial.validate().expect("serial sharded world valid");
-    for threads in THREAD_COUNTS {
-        let par = world.to_sharded_threads(threads);
-        par.validate().expect("parallel sharded world valid");
-        assert_eq!(par.len(), serial.len());
-        assert_eq!(par.n_shards(), serial.n_shards());
-        for a in serial.peers() {
-            for b in serial.peers() {
-                assert_eq!(
-                    serial.rtt(a, b),
-                    par.rtt(a, b),
-                    "sharded rtt({a}, {b}) diverged at {threads} threads"
-                );
-            }
-        }
-    }
-}
-
-/// Query batches over a sharded scenario: the full metric set must be
-/// bit-identical at any thread count, exactly like the dense path.
-#[test]
-fn sharded_batch_metrics_identical_at_any_thread_count() {
-    let s = sharded_scenario(404);
-    let algo = BruteForce::new(&s.matrix, s.overlay.clone());
-    let serial = run_queries_threads(&algo, &s, 120, 13, 1);
-    assert_eq!(serial.p_correct_closest, 1.0, "brute force is exact");
-    for threads in THREAD_COUNTS {
-        let par = run_queries_threads(&algo, &s, 120, 13, threads);
-        assert_eq!(serial, par, "sharded batch diverged at {threads} threads");
-    }
-}
-
-/// Multi-seed sweep bands over sharded scenarios (outer per-seed
-/// parallelism composed with inner query parallelism and the sharded
-/// block fills).
-#[test]
-fn sharded_sweep_bands_identical_at_any_thread_count() {
-    let run_with = |threads: usize| {
-        sweep_three_runs_threads(55, threads, |seed| {
-            let s = sharded_scenario(seed);
-            let algo = BruteForce::new(&s.matrix, s.overlay.clone());
-            run_queries_threads(&algo, &s, 60, seed, threads)
-        })
-    };
-    let serial = run_with(1);
-    for threads in [2, 4, 8] {
-        assert_bands_identical(&serial, &run_with(threads));
-    }
-}
-
-/// The two backends must see the very same experiment: same seed ⇒
-/// same split, same ground truth, same metrics — dense vs sharded.
-#[test]
-fn sharded_scenario_metrics_match_dense_scenario() {
-    let dense = scenario(505);
-    let sharded = sharded_scenario(505);
-    assert_eq!(dense.overlay, sharded.overlay);
-    assert_eq!(dense.targets, sharded.targets);
-    let da = BruteForce::new(&dense.matrix, dense.overlay.clone());
-    let sa = BruteForce::new(&sharded.matrix, sharded.overlay.clone());
-    for threads in [1, 4] {
-        assert_eq!(
-            run_queries_threads(&da, &dense, 100, 17, threads),
-            run_queries_threads(&sa, &sharded, 100, 17, threads),
-            "backends diverged at {threads} threads"
-        );
-    }
-}
-
-/// The hierarchical scenario's twin of [`sharded_scenario`]: the same
-/// 96-peer world behind the two-level backend, with `super_shards`
-/// groups and a block cache of `cache_budget_bytes`.
+/// The hierarchical scenario's twin of [`scenario`]: the same 96-peer
+/// world (4 shards, 16 targets) behind the compressed backend, with
+/// `super_shards` groups and a block cache of `cache_budget_bytes`.
 fn hierarchical_scenario(
     seed: u64,
     super_shards: usize,
     cache_budget_bytes: usize,
 ) -> np_core::ClusterScenario<HierarchicalWorld> {
     np_core::ClusterScenario::build_hierarchical(
-        ClusterWorldSpec {
-            clusters: 4,
-            en_per_cluster: 12,
-            peers_per_en: 2,
-            delta: 0.2,
-            mean_hub_ms: (4.0, 6.0),
-            intra_en: Micros::from_us(100),
-            hub_pool: 6,
-        },
+        world_spec(),
         16,
         seed,
         super_shards,
@@ -321,29 +208,29 @@ fn hierarchical_sweep_bands_identical_at_any_thread_count() {
     }
 }
 
-/// At one super-shard the hierarchical store is bit-identical to the
-/// sharded one, so the three backends must see the very same
-/// experiment: same seed ⇒ same split, same ground truth, same
-/// metrics. With more super-shards the split and targets still agree
-/// (they are drawn before any backend exists).
+/// At one super-shard the hierarchical store is exact on cluster
+/// worlds, so both backends must see the very same experiment: same
+/// seed ⇒ same split, same ground truth, same metrics. With more
+/// super-shards the split and targets still agree (they are drawn
+/// before any backend exists).
 #[test]
-fn hierarchical_scenario_metrics_match_sharded_scenario() {
-    let sharded = sharded_scenario(505);
+fn hierarchical_scenario_metrics_match_dense_scenario() {
+    let dense = scenario(505);
     let hier = hierarchical_scenario(505, 1, usize::MAX);
-    assert_eq!(sharded.overlay, hier.overlay);
-    assert_eq!(sharded.targets, hier.targets);
-    let sa = BruteForce::new(&sharded.matrix, sharded.overlay.clone());
+    assert_eq!(dense.overlay, hier.overlay);
+    assert_eq!(dense.targets, hier.targets);
+    let da = BruteForce::new(&dense.matrix, dense.overlay.clone());
     let ha = BruteForce::new(&hier.matrix, hier.overlay.clone());
     for threads in [1, 4] {
         assert_eq!(
-            run_queries_threads(&sa, &sharded, 100, 17, threads),
+            run_queries_threads(&da, &dense, 100, 17, threads),
             run_queries_threads(&ha, &hier, 100, 17, threads),
             "backends diverged at {threads} threads"
         );
     }
     let grouped = hierarchical_scenario(505, 3, 1 << 12);
-    assert_eq!(sharded.overlay, grouped.overlay);
-    assert_eq!(sharded.targets, grouped.targets);
+    assert_eq!(dense.overlay, grouped.overlay);
+    assert_eq!(dense.targets, grouped.targets);
 }
 
 /// The ground-truth cache must agree with direct scans regardless of
@@ -411,10 +298,10 @@ fn omniscient_ring_fill_identical_at_any_thread_count() {
 /// draws per-node offer orders from `item_seed(seed, "MFIL", index)`
 /// exactly like the omniscient fill, so its rings must be bit-identical
 /// at 1, 2, 4 and 8 threads — and equal to the omniscient fill over the
-/// same sharded store.
+/// same compressed store.
 #[test]
 fn shard_local_fill_identical_at_any_thread_count() {
-    let s = sharded_scenario(808);
+    let s = hierarchical_scenario(808, 1, usize::MAX);
     let serial = Overlay::build_shard_local_threads(
         &s.matrix,
         s.overlay.clone(),
@@ -422,7 +309,7 @@ fn shard_local_fill_identical_at_any_thread_count() {
         808,
         1,
     );
-    let rings_of = |o: &Overlay<'_, ShardedWorld>, p| -> Vec<(np_metric::PeerId, Micros)> {
+    let rings_of = |o: &Overlay<'_, HierarchicalWorld>, p| -> Vec<(np_metric::PeerId, Micros)> {
         o.rings_of(p).primaries().map(|m| (m.peer, m.rtt)).collect()
     };
     for threads in THREAD_COUNTS {
@@ -508,7 +395,7 @@ fn experiment_pipeline_identical_at_any_thread_count() {
             }],
         )
     };
-    for backend in [Backend::Dense, Backend::Sharded, Backend::Hierarchical] {
+    for backend in [Backend::Dense, Backend::Hierarchical] {
         let serial = Experiment::new(spec(backend), &registry).run_threads(1);
         for threads in THREAD_COUNTS {
             let par = Experiment::new(spec(backend), &registry).run_threads(threads);
@@ -598,7 +485,7 @@ fn churn_spec(
 fn churn_pipeline_identical_at_any_thread_count() {
     use np_core::experiment::Backend;
     let registry = churn_registry();
-    for backend in [Backend::Dense, Backend::Sharded, Backend::Hierarchical] {
+    for backend in [Backend::Dense, Backend::Hierarchical] {
         let serial =
             np_core::experiment::Experiment::new(churn_spec(backend, 30.0), &registry)
                 .run_threads(1);
@@ -640,7 +527,7 @@ fn null_churn_matches_the_static_pipeline() {
     use np_core::experiment::{Backend, Experiment, Workload};
     use np_core::ChurnConfig;
     let registry = churn_registry();
-    for backend in [Backend::Dense, Backend::Sharded, Backend::Hierarchical] {
+    for backend in [Backend::Dense, Backend::Hierarchical] {
         let mut dynamic = churn_spec(backend, 0.0);
         let mut static_ = churn_spec(backend, 0.0);
         if let Workload::QueryMatrix(cells) = &mut dynamic.workload {

@@ -15,7 +15,7 @@
 use nearest_peer::prelude::*;
 use np_core::{draw_target_schedule, run_one_query, run_queries_threads, PaperMetrics};
 use np_metric::nearest::BruteForce;
-use np_metric::{NearestCache, ShardedWorld, WorldStore};
+use np_metric::{NearestCache, WorldStore};
 use np_serve::{run_schedule, ArrivalSchedule, Pacing, ServeConfig, ServeCtx, ServeReport};
 
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -36,10 +36,6 @@ fn world_spec() -> ClusterWorldSpec {
 
 fn dense_scenario(seed: u64) -> ClusterScenario {
     ClusterScenario::build(world_spec(), 16, seed)
-}
-
-fn sharded_scenario(seed: u64) -> np_core::ClusterScenario<ShardedWorld> {
-    np_core::ClusterScenario::build_sharded_threads(world_spec(), 16, seed, 1)
 }
 
 /// Serve `n` queries of the batch schedule through a pipeline with
@@ -130,33 +126,17 @@ fn meridian_service_equals_batch_dense() {
     }
 }
 
-/// Brute force on the sharded backend: exact answers through the
-/// block-compressed store, served at every worker count.
-#[test]
-fn brute_force_service_equals_batch_sharded() {
-    let s = sharded_scenario(202);
-    let algo = BruteForce::new(&s.matrix, s.overlay.clone());
-    let n = 120;
-    let batch = run_queries_threads(&algo, &s, n, 11, 1);
-    assert_eq!(batch.p_correct_closest, 1.0, "brute force is exact");
-    let truth = NearestCache::build(&s.matrix, &s.overlay, &s.targets, 1);
-    for workers in WORKER_COUNTS {
-        let report = serve_batch(&s, &algo, &truth, n, 11, workers, 8);
-        assert_report_matches_batch(&report, &batch, n, &format!("brute @{workers}w sharded"));
-    }
-}
-
 /// Brute force on the hierarchical backend, both at one super-shard
-/// (where the store is bit-identical to `ShardedWorld`, so the served
-/// answers must equal the sharded run's, slot for slot) and at two
-/// super-shards under a deliberately starved block cache (where the
-/// serve≡batch contract must hold regardless — eviction and
-/// re-materialisation are timing, not results).
+/// (where the store is exact on cluster worlds, so the served answers
+/// must equal the dense run's, slot for slot) and at two super-shards
+/// under a deliberately starved block cache (where the serve≡batch
+/// contract must hold regardless — eviction and re-materialisation are
+/// timing, not results).
 #[test]
 fn brute_force_service_equals_batch_hierarchical() {
-    let s = sharded_scenario(202);
+    let s = dense_scenario(202);
     let n = 120;
-    let sharded_answers = {
+    let dense_answers = {
         let algo = BruteForce::new(&s.matrix, s.overlay.clone());
         let truth = NearestCache::build(&s.matrix, &s.overlay, &s.targets, 1);
         serve_batch(&s, &algo, &truth, n, 11, 1, 8).answers
@@ -182,8 +162,8 @@ fn brute_force_service_equals_batch_hierarchical() {
             );
             if super_shards == 1 {
                 assert_eq!(
-                    report.answers, sharded_answers,
-                    "one super-shard must serve the sharded backend's exact answers"
+                    report.answers, dense_answers,
+                    "one super-shard must serve the dense backend's exact answers"
                 );
             }
         }

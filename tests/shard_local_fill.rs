@@ -3,13 +3,15 @@
 //! `Overlay::build_shard_local` claims to be a **fast path**, not an
 //! approximation: under the same seed it must produce rings
 //! bit-identical to the omniscient fill — member for member, ring for
-//! ring, RTT for RTT — on any backend that exposes a `ShardView`. This
-//! file enforces that claim where it matters:
+//! ring, RTT for RTT — on any backend with shard structure
+//! (`WorldStore::shard_view`). This file enforces that claim where it
+//! matters:
 //!
 //! 1. at the paper's own scale — a 2,500-peer §4 world through
-//!    `ClusterWorld::to_sharded`, where the hub summary is exact;
-//! 2. under `ShardedWorld::compress`, including spill peers routed into
-//!    singleton overflow shards — the fill must agree with the
+//!    `ClusterWorld::to_hierarchical` at one super-shard, where the hub
+//!    summary is exact;
+//! 2. under `HierarchicalWorld::compress`, including spill peers routed
+//!    into singleton overflow shards — the fill must agree with the
 //!    omniscient fill *over the same compressed store* exactly, while
 //!    the store itself approximates;
 //! 3. the compressed store's metric deltas surface in the overlay's
@@ -17,6 +19,7 @@
 
 use nearest_peer::prelude::*;
 use np_util::rng::rng_from;
+use std::sync::Arc;
 
 /// Ring-for-ring, member-for-member equality of two overlays.
 fn assert_identical_rings<W: WorldStore + ?Sized, V: WorldStore + ?Sized>(
@@ -33,13 +36,14 @@ fn assert_identical_rings<W: WorldStore + ?Sized, V: WorldStore + ?Sized>(
 }
 
 /// Acceptance criterion of the shard-local fill: bit-identical rings to
-/// the omniscient fill on a `to_sharded` §4 world at the paper's 2,500
+/// the omniscient fill on a one-super-shard §4 world at the paper's 2,500
 /// peers (the scale fig8/fig9 run at), with the paper's overlay/target
 /// split.
 #[test]
 fn shard_local_fill_is_bit_identical_at_paper_scale() {
     let spec = ClusterWorldSpec::paper(25, 0.2); // 50 clusters, 2,500 peers
-    let scenario = nearest_peer::core::ClusterScenario::build_sharded_threads(spec, 100, 9, 4);
+    let scenario =
+        nearest_peer::core::ClusterScenario::build_hierarchical(spec, 100, 9, 1, usize::MAX);
     let omniscient = Overlay::build_threads(
         &scenario.matrix,
         scenario.overlay.clone(),
@@ -93,12 +97,18 @@ fn star_matrix(n: usize) -> LatencyMatrix {
 #[test]
 fn shard_local_fill_matches_omniscient_under_compress_with_spills() {
     let n = 96usize;
-    let dense = star_matrix(n);
+    let dense = Arc::new(star_matrix(n));
     // Peers 80.. match no cluster: spills.
     let shard_of: Vec<u32> = (0..n as u32)
-        .map(|i| if i < 80 { i / 8 } else { ShardedWorld::NO_SHARD })
+        .map(|i| {
+            if i < 80 {
+                i / 8
+            } else {
+                HierarchicalWorld::NO_SHARD
+            }
+        })
         .collect();
-    let world = ShardedWorld::compress(&dense, &shard_of, 2);
+    let world = HierarchicalWorld::compress(&dense, &shard_of, 1, usize::MAX);
     world.validate().expect("valid");
     let members: Vec<PeerId> = (0..n as u32).filter(|i| i % 5 != 0).map(PeerId).collect();
     let omniscient = Overlay::build_threads(
@@ -121,14 +131,14 @@ fn shard_local_fill_matches_omniscient_under_compress_with_spills() {
 #[test]
 fn compress_ring_rtts_stay_within_the_medoid_detour_bound() {
     let n = 96usize;
-    let dense = star_matrix(n);
+    let dense = Arc::new(star_matrix(n));
     let shard_of: Vec<u32> = (0..n as u32).map(|i| i / 8).collect();
-    let world = ShardedWorld::compress(&dense, &shard_of, 2);
+    let world = HierarchicalWorld::compress(&dense, &shard_of, 1, usize::MAX);
     let members: Vec<PeerId> = (0..n as u32).map(PeerId).collect();
     let local =
         Overlay::build_shard_local_threads(&world, members.clone(), MeridianConfig::default(), 5, 2);
     let detour = |p: PeerId| {
-        let hub = ShardView::hub_peer(&world, ShardView::shard_of(&world, p)).expect("non-empty");
+        let hub = world.hub_peer(world.shard_of(p)).expect("non-empty");
         dense.rtt(p, hub)
     };
     for &p in &members {

@@ -1,25 +1,26 @@
-//! The sharded backend's equivalence contract, property-tested.
+//! The compressed backend's equivalence contract, property-tested.
 //!
-//! [`ShardedWorld`] earns its place by being *provably* interchangeable
-//! with the dense matrix where it claims exactness:
+//! [`HierarchicalWorld`] earns its place by being *provably*
+//! interchangeable with the dense matrix where it claims exactness:
 //!
-//! 1. **Shard count 1** is the dense matrix: one block, built by the
-//!    same row-blocked fill — every RTT, every `nearest_within`, and
-//!    every `NearestCache` answer must be **bit-identical**.
+//! 1. **Shard count 1** is the dense matrix: one block, filled by the
+//!    same recipe — every RTT, every `nearest_within`, and every
+//!    `NearestCache` answer must be **bit-identical**.
 //! 2. **Intra-cluster queries** on multi-shard worlds read dense
 //!    blocks: they must match dense ground truth exactly, any shard
 //!    count.
-//! 3. On hub-and-spoke worlds (`ClusterWorld::to_sharded`) the hub
-//!    summary reassembles the generator's own rule, so even
-//!    *inter*-cluster RTTs are exact — the paper-figure cross-checks in
-//!    `ext_scale` rest on this.
+//! 3. On hub-and-spoke worlds at one super-shard
+//!    (`ClusterWorld::to_hierarchical(1, …)`) the hub summary
+//!    reassembles the generator's own rule, so even *inter*-cluster
+//!    RTTs are exact — the paper-figure cross-checks in `ext_scale`
+//!    rest on this.
 //!
-//! The two-level backend earns its place the same way, by collapse
-//! laws pinned below the property block:
+//! Collapse laws pinned below the property block:
 //!
-//! 4. **One super-shard** makes [`HierarchicalWorld`] bit-identical to
-//!    `ShardedWorld` — RTTs, `nearest_within`, `NearestCache`, and the
-//!    Meridian shard-local rings built over either store.
+//! 4. **One super-shard** makes the store bit-identical to the dense
+//!    matrix end to end — RTTs, `nearest_within`, `NearestCache`, and
+//!    the Meridian shard-local rings against the omniscient rings over
+//!    the dense matrix.
 //! 5. **All-singleton shards** (every peer its own shard, zero
 //!    offsets, the dense matrix as the hub summary) make it
 //!    bit-identical to the dense matrix.
@@ -31,14 +32,13 @@
 //! The shard-grouped [`NearestIndex`] the truth cache and brute force
 //! answer through earns its place the same way:
 //!
-//! 7. On every backend — dense, sharded, and multi-group hierarchical
-//!    under a 0-MiB block budget — and for member sets that cover
-//!    everyone, a stride, all but some whole shards, all but some
-//!    whole super-shards, repeat members, one peer or no one,
-//!    `NearestIndex::nearest`
-//!    equals the trait's default scan for every target, members
-//!    included. The tie-heavy star world (hub offsets of 1–4 ms)
-//!    pins the lowest-id tie break.
+//! 7. On every backend — dense, one super-shard, and multi-group
+//!    hierarchical under a 0-MiB block budget — and for member sets
+//!    that cover everyone, a stride, all but some whole shards, all but
+//!    some whole super-shards, repeat members, one peer or no one,
+//!    `NearestIndex::nearest` equals the trait's default scan for every
+//!    target, members included. The tie-heavy star world (hub offsets
+//!    of 1–4 ms) pins the lowest-id tie break.
 //!
 //! Worlds are random ≤512-peer cluster worlds from the vendored
 //! proptest harness; assertions are exact equality, never tolerances.
@@ -46,7 +46,7 @@
 use nearest_peer::prelude::{BuildMode, MeridianConfig, Overlay};
 use np_metric::{
     HierarchicalWorld, LatencyMatrix, NearestCache, NearestIndex, NearestPeerAlgo, PeerId,
-    ShardView, ShardedWorld, WorldStore,
+    WorldStore,
 };
 use np_topology::{ClusterWorld, ClusterWorldSpec};
 use np_util::Micros;
@@ -69,9 +69,9 @@ fn world(clusters: usize, en_per_cluster: usize, delta_pct: u64, seed: u64) -> C
 }
 
 proptest::proptest! {
-    /// Property 1: a shard-count-1 `ShardedWorld` is bit-identical to
-    /// the dense matrix — RTTs, `nearest_within` over arbitrary member
-    /// subsets, and the `NearestCache` built on top.
+    /// Property 1: a shard-count-1 store is bit-identical to the dense
+    /// matrix — RTTs, `nearest_within` over arbitrary member subsets,
+    /// and the `NearestCache` built on top.
     #[test]
     fn single_shard_is_bit_identical_to_dense(
         seed in 0u64..1_000,
@@ -83,7 +83,15 @@ proptest::proptest! {
         let n = w.len();
         proptest::prop_assert!(n <= 512);
         let dense = w.to_matrix_threads(1);
-        let single = ShardedWorld::single_shard(n, 2, |a, b| w.rtt(a, b));
+        let gen = w.clone();
+        let single = HierarchicalWorld::build_lazy(
+            &vec![0; n],
+            1,
+            vec![0.0; n],
+            |_, _| 0,
+            usize::MAX,
+            move |a, b| gen.rtt(a, b),
+        );
         proptest::prop_assert_eq!(single.n_shards(), 1);
         for a in dense.peers() {
             for b in dense.peers() {
@@ -131,22 +139,22 @@ proptest::proptest! {
     ) {
         let w = world(clusters, en, delta_pct, seed);
         let dense = w.to_matrix_threads(1);
-        let sharded = w.to_sharded_threads(2);
-        proptest::prop_assert_eq!(sharded.n_shards(), clusters);
+        let one = w.to_hierarchical(1, usize::MAX);
+        proptest::prop_assert_eq!(one.n_shards(), clusters);
         for t in dense.peers() {
             let cluster_members: Vec<PeerId> = dense
                 .peers()
                 .filter(|&p| w.same_cluster(p, t))
                 .collect();
             proptest::prop_assert_eq!(
-                sharded.nearest_within(t, &cluster_members),
+                one.nearest_within(t, &cluster_members),
                 dense.nearest_within(t, &cluster_members),
                 "intra-cluster nearest({}) diverged", t
             );
             // Intra-cluster RTTs are exact, peer by peer.
             for &m in &cluster_members {
                 proptest::prop_assert_eq!(
-                    sharded.rtt(t, m),
+                    one.rtt(t, m),
                     dense.rtt(t, m),
                     "intra-cluster rtt({},{}) diverged", t, m
                 );
@@ -154,10 +162,10 @@ proptest::proptest! {
         }
     }
 
-    /// Property 3: `ClusterWorld::to_sharded` is exact *everywhere* on
-    /// hub-and-spoke worlds — the hub summary is the generator's own
-    /// inter-cluster rule, so full-membership ground truth (what the
-    /// paper-figure scenarios use) is bit-identical too.
+    /// Property 3: `ClusterWorld::to_hierarchical(1, …)` is exact
+    /// *everywhere* on hub-and-spoke worlds — the hub summary is the
+    /// generator's own inter-cluster rule, so full-membership ground
+    /// truth (what the paper-figure scenarios use) is bit-identical too.
     #[test]
     fn cluster_world_hub_summary_is_exact(
         seed in 0u64..1_000,
@@ -166,11 +174,11 @@ proptest::proptest! {
     ) {
         let w = world(clusters, en, 20, seed);
         let dense = w.to_matrix_threads(1);
-        let sharded = w.to_sharded_threads(2);
+        let one = w.to_hierarchical(1, usize::MAX);
         for a in dense.peers() {
             for b in dense.peers() {
                 proptest::prop_assert_eq!(
-                    sharded.rtt(a, b),
+                    one.rtt(a, b),
                     dense.rtt(a, b),
                     "rtt({},{}) diverged", a, b
                 );
@@ -179,7 +187,7 @@ proptest::proptest! {
         let all: Vec<PeerId> = dense.peers().collect();
         for t in dense.peers() {
             proptest::prop_assert_eq!(
-                sharded.nearest_within(t, &all),
+                one.nearest_within(t, &all),
                 dense.nearest_within(t, &all)
             );
         }
@@ -203,24 +211,25 @@ fn assert_identical_rings<W: WorldStore + ?Sized, V: WorldStore + ?Sized>(
 }
 
 /// Collapse law 4: one super-shard makes the hierarchical store
-/// bit-identical to the sharded one — every RTT, every `nearest_within`
-/// over arbitrary member subsets, every `NearestCache` answer, and the
-/// Meridian shard-local rings built over either store.
+/// bit-identical to the dense matrix on cluster worlds — every RTT,
+/// every `nearest_within` over arbitrary member subsets, every
+/// `NearestCache` answer, and the Meridian shard-local rings against
+/// the omniscient rings over the dense matrix.
 #[test]
-fn one_super_shard_collapses_to_the_sharded_world() {
+fn one_super_shard_collapses_to_the_dense_matrix() {
     for seed in [3u64, 41] {
         let w = world(5, 6, 20, seed); // 60 peers, 5 shards
         let n = w.len();
-        let sharded = w.to_sharded_threads(2);
+        let dense = w.to_matrix_threads(2);
         let hier = w.to_hierarchical(1, 1 << 20);
         hier.validate().expect("valid hierarchical store");
         assert_eq!(hier.n_super_shards(), 1);
-        assert_eq!(hier.n_shards(), sharded.n_shards());
+        assert_eq!(hier.n_shards(), 5);
         for a in (0..n as u32).map(PeerId) {
             for b in (0..n as u32).map(PeerId) {
                 assert_eq!(
                     WorldStore::rtt(&hier, a, b),
-                    WorldStore::rtt(&sharded, a, b),
+                    dense.rtt(a, b),
                     "rtt({a},{b}) diverged at seed {seed}"
                 );
             }
@@ -232,7 +241,7 @@ fn one_super_shard_collapses_to_the_sharded_world() {
             for &t in &all {
                 assert_eq!(
                     hier.nearest_within(t, members),
-                    sharded.nearest_within(t, members),
+                    dense.nearest_within(t, members),
                     "nearest_within({t}) diverged on {} members",
                     members.len()
                 );
@@ -240,15 +249,16 @@ fn one_super_shard_collapses_to_the_sharded_world() {
         }
         let split = n - n / 4;
         let (overlay, targets) = all.split_at(split);
-        let cs = NearestCache::build(&sharded, overlay, targets, 2);
+        let cd = NearestCache::build(&dense, overlay, targets, 2);
         let ch = NearestCache::build(&hier, overlay, targets, 2);
         for &t in targets {
-            assert_eq!(cs.nearest(t), ch.nearest(t), "cache diverged for {t}");
+            assert_eq!(cd.nearest(t), ch.nearest(t), "cache diverged for {t}");
         }
-        let os = Overlay::build_shard_local_threads(
-            &sharded,
+        let od = Overlay::build_threads(
+            &dense,
             overlay.to_vec(),
             MeridianConfig::default(),
+            BuildMode::Omniscient,
             seed,
             2,
         );
@@ -259,7 +269,7 @@ fn one_super_shard_collapses_to_the_sharded_world() {
             seed,
             2,
         );
-        assert_identical_rings(&os, &oh);
+        assert_identical_rings(&od, &oh);
     }
 }
 
@@ -355,7 +365,7 @@ impl WorldStore for DefaultScan<'_> {
 /// two-level `view` over the same peer ids: everyone, a stride, all
 /// but every third shard, all but super-shard 1 (and all but every
 /// other super-shard), the stride listed twice, one peer, and no one.
-fn member_sets(view: &dyn ShardView) -> Vec<Vec<PeerId>> {
+fn member_sets(view: &HierarchicalWorld) -> Vec<Vec<PeerId>> {
     let all: Vec<PeerId> = (0..view.len() as u32).map(PeerId).collect();
     let keep = |f: &dyn Fn(usize, usize) -> bool| -> Vec<PeerId> {
         all.iter()
@@ -406,8 +416,9 @@ fn assert_index_is_the_default_scan(
 }
 
 proptest::proptest! {
-    /// Property 7: the index equals the default scan on all three
-    /// backends of one random world.
+    /// Property 7: the index equals the default scan on both backends
+    /// of one random world, the compressed one at one and at several
+    /// super-shards.
     #[test]
     fn nearest_index_is_the_default_scan_on_every_backend(
         seed in 0u64..1_000,
@@ -418,12 +429,12 @@ proptest::proptest! {
         let w = world(clusters, en, delta_pct, seed);
         let super_shards = 2 + (seed % 3) as usize;
         let dense = w.to_matrix_threads(1);
-        let sharded = w.to_sharded_threads(2);
+        let one = w.to_hierarchical(1, 0);
         let hier = w.to_hierarchical(super_shards, 0);
         proptest::prop_assert!(hier.n_super_shards() >= 2);
         let sets = member_sets(&hier);
         assert_index_is_the_default_scan("dense", &dense, &sets)?;
-        assert_index_is_the_default_scan("sharded", &sharded, &sets)?;
+        assert_index_is_the_default_scan("one super-shard", &one, &sets)?;
         assert_index_is_the_default_scan("hierarchical", &hier, &sets)?;
     }
 }
@@ -457,13 +468,9 @@ fn nearest_index_breaks_star_world_ties_like_the_default_scan() {
         .map(|i| (1_000 * (1 + i % 4)) as f32)
         .collect();
     let hub_us = |a: usize, b: usize| 10_000 * a.abs_diff(b) as u64;
-    let hub: Vec<f32> = (0..n_shards * n_shards)
-        .map(|i| hub_us(i / n_shards, i % n_shards) as f32)
-        .collect();
     for intra_ms in [0, 10] {
         let rtt = star_rtt(intra_ms);
         let dense = LatencyMatrix::build(n, rtt);
-        let sharded = ShardedWorld::build_par(&shard_of, hub.clone(), offset.clone(), 2, rtt);
         for groups in [1, 2, 3, n_shards] {
             let hier =
                 HierarchicalWorld::build_lazy(&shard_of, groups, offset.clone(), hub_us, 0, rtt);
@@ -472,7 +479,6 @@ fn nearest_index_breaks_star_world_ties_like_the_default_scan() {
             assert_index_is_the_default_scan(&label, &hier, &sets).expect(&label);
             if groups == 2 {
                 assert_index_is_the_default_scan(&label, &dense, &sets).expect("dense");
-                assert_index_is_the_default_scan(&label, &sharded, &sets).expect("sharded");
             }
         }
     }
