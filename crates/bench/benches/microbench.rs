@@ -1,7 +1,7 @@
 //! Criterion microbenches for the performance-critical primitives.
 //!
 //! These are *performance* benches (the scientific "benches" are the
-//! `src/bin/fig*.rs` experiment binaries). Sizes are chosen so the whole
+//! `experiments/*.toml` figure specs). Sizes are chosen so the whole
 //! suite completes in a few minutes on one core.
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -448,7 +448,7 @@ fn bench_hierarchical_block_cache_miss(c: &mut Criterion) {
 
 fn bench_experiment_pipeline(c: &mut Criterion) {
     use np_core::experiment::{AlgoSpec, Backend, CellSpec, Experiment, ExperimentSpec, SeedPlan};
-    let registry = np_bench::standard_registry();
+    let registry = np_bench::full_registry();
     let threads = np_util::parallel::available_threads();
     c.bench_function("experiment_pipeline_100q", |b| {
         b.iter(|| {

@@ -7,8 +7,10 @@
 //!   `ExperimentSpec` (see `experiments/`) and drive it through the
 //!   standard pipeline with the usual
 //!   `--quick/--seed/--threads/--seeds/--out/--world` overrides plus
-//!   `--algos a,b,c`; a `[catalogue]` manifest runs every listed spec
-//!   in order. New scenario = a config file, not a recompile.
+//!   `--algos a,b,c`, then apply the figure's self-check; a
+//!   `[catalogue]` manifest (`experiments/all_figures.toml`) runs every
+//!   listed spec in order. This is how every figure runs. New scenario
+//!   = a config file, not a recompile.
 //! * `np-bench serve <spec.toml> [flags]` — stand a query-matrix spec
 //!   up as the `np-serve` actor pipeline and offer seeded Poisson load
 //!   (`--rate`/`--duration`), reporting throughput and
@@ -36,18 +38,17 @@
 //! factory table and fails on any name collision or missing entry.
 
 use np_bench::bench_report::{engine_speedups, parse_bench_json};
-use np_bench::{full_registry, serve_cmd, spec_files, FIGURES};
+use np_bench::{cli, full_registry, serve_cmd, spec_files, FIGURES};
 use np_util::table::Table;
 
 fn list() {
-    println!("figure binaries (cargo run --release -p np-bench --bin <name>):\n");
-    let mut figs = Table::new(&["binary", "kind", "backends", "spec file", "title"]);
+    println!("figures (np-bench run <spec file>):\n");
+    let mut figs = Table::new(&["spec file", "kind", "backends", "title"]);
     for f in FIGURES {
         figs.row(&[
-            f.bin.to_string(),
+            format!("experiments/{}", spec_files::spec_file_name(f.spec)),
             f.kind.name().to_string(),
             f.backends.to_string(),
-            format!("experiments/{}", spec_files::spec_file_name(f.spec)),
             f.title.to_string(),
         ]);
     }
@@ -62,12 +63,11 @@ fn list() {
         algos.row(&[name.to_string(), desc]);
     }
     println!("{}", algos.render());
+    println!("common flags: {}", cli::USAGE.trim_start_matches("usage: "));
     println!(
-        "common flags: --quick --seed N --threads N --world dense|hierarchical \
-         --shards N --super-shards N --block-cache-mb N --seeds N --out table|json --csv \
-         --max-rss-mb N"
+        "spec files: np-bench run experiments/<name>.toml, or experiments/all_figures.toml for \
+         every figure  (np-bench specs regenerates them)"
     );
-    println!("spec files: np-bench run experiments/<name>.toml  (np-bench specs regenerates them)");
     println!(
         "lint: np-bench lint [tags] [--check]  (determinism & concurrency static analysis — \
          see README \"Determinism contract\")"

@@ -1,6 +1,7 @@
 //! Shared CLI parsing and the figure driver.
 //!
-//! Every figure binary supports one flag set, parsed here once:
+//! `np-bench run` and `np-bench serve` share one flag set, parsed here
+//! once:
 //!
 //! * `--quick` — scaled-down smoke run (CI-sized);
 //! * `--seed N` — base seed (default [`DEFAULT_SEED`]);
@@ -10,8 +11,6 @@
 //!   experiments (measurement-pipeline figures accept and note it); an
 //!   unknown name prints the backend catalogue plus a nearest-name hint
 //!   and exits 2;
-//! * `--shards N` — cluster-count override for the worlds `ext_scale`
-//!   generates (clusters become shards on the hierarchical backend);
 //! * `--super-shards N` — super-shard (shard-group) count for
 //!   hierarchical worlds (default: 1 for small worlds, √S above);
 //! * `--block-cache-mb N` — resident block-cache budget for
@@ -22,15 +21,12 @@
 //! * `--csv` — additionally emit the table as CSV (table mode);
 //! * `--max-rss-mb N` — fail if peak RSS exceeds the budget.
 //!
-//! [`run_experiment`] is the one driver behind all binaries: it prints
-//! the header, executes the [`ExperimentSpec`] through
-//! [`np_core::experiment::Experiment`], renders via the figure's
-//! renderer (or the JSON sink), and prints the wall-clock /
-//! effective-parallelism footer.
+//! [`run_experiment`] is the one batch driver: it prints the header,
+//! executes an [`Experiment`], renders via the figure's renderer (or
+//! the JSON sink), and prints the wall-clock / effective-parallelism
+//! footer.
 
-use np_core::experiment::{
-    sink, AlgoRegistry, Backend, Experiment, ExperimentReport, ExperimentSpec, SeedPlan, Workload,
-};
+use np_core::experiment::{sink, Backend, Experiment, ExperimentReport, SeedPlan};
 use np_util::parallel::{busy_time, resolve_threads};
 use np_util::rng::DEFAULT_SEED;
 use std::time::{Duration, Instant};
@@ -50,20 +46,16 @@ pub enum OutFormat {
 pub struct Args {
     pub quick: bool,
     pub seed: u64,
-    /// Was `--seed` given explicitly? (`np-bench run` only rebases a
-    /// spec file's committed seeds on an explicit override.)
+    /// Was `--seed` given explicitly? (`np-bench run` and `serve` only
+    /// rebase a spec file's committed seeds on an explicit override.)
     pub seed_explicit: bool,
     pub csv: bool,
     /// Explicit `--threads N`, if given. Use [`Args::threads`] for the
     /// resolved count.
     pub threads: Option<usize>,
-    /// `--world dense|hierarchical` — latency backend, if given
-    /// (binaries that support several default to their historical
-    /// backend).
+    /// `--world dense|hierarchical` — latency backend, if given (the
+    /// spec's own backend otherwise).
     pub world: Option<Backend>,
-    /// `--shards N` — cluster-count override for the worlds
-    /// `ext_scale` generates.
-    pub shards: Option<usize>,
     /// `--super-shards N` — super-shard count for hierarchical worlds
     /// (`None` = runner default: 1 up to 128 shards, √S above).
     pub super_shards: Option<usize>,
@@ -79,7 +71,7 @@ pub struct Args {
     /// `--max-rss-mb N` — fail the run if peak RSS exceeds this (CI
     /// memory regression guard; needs `/proc`, i.e. Linux).
     pub max_rss_mb: Option<u64>,
-    /// Leftover positional/unknown flags for binary-specific handling.
+    /// Leftover positional/unknown flags for the subcommand to handle.
     pub rest: Vec<String>,
 }
 
@@ -92,7 +84,6 @@ impl Default for Args {
             csv: false,
             threads: None,
             world: None,
-            shards: None,
             super_shards: None,
             block_cache_mb: None,
             seeds: None,
@@ -103,24 +94,16 @@ impl Default for Args {
     }
 }
 
-/// The shared flag synopsis every binary quotes on a parse error.
+/// The shared flag synopsis (`np-bench list` prints it).
 pub const USAGE: &str = "usage: [--quick] [--seed N] [--threads N] \
-[--world dense|hierarchical] [--shards N] [--super-shards N] [--block-cache-mb N] \
+[--world dense|hierarchical] [--super-shards N] [--block-cache-mb N] \
 [--seeds N] [--out table|json] [--csv] [--max-rss-mb N]";
 
 impl Args {
-    /// Parse from `std::env::args()`; malformed values print the error
-    /// plus [`USAGE`] to stderr and exit 2 — never a panic backtrace
-    /// (asserted end-to-end by `crates/bench/tests/cli_errors.rs`).
-    pub fn parse() -> Args {
-        match Self::try_from_iter(std::env::args().skip(1)) {
-            Ok(args) => args,
-            Err(e) => exit_usage(&e),
-        }
-    }
-
     /// Parse from an explicit iterator; malformed values become `Err`
-    /// with a human-readable message naming the flag.
+    /// with a human-readable message naming the flag (the subcommands
+    /// print it with their usage line and exit 2 — asserted end to end
+    /// by `crates/bench/tests/cli_errors.rs`).
     pub fn try_from_iter(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
         fn value(
             it: &mut impl Iterator<Item = String>,
@@ -174,10 +157,6 @@ impl Args {
                         }
                     };
                 }
-                "--shards" => {
-                    let v = value(&mut it, "--shards")?;
-                    out.shards = Some(positive(&v, "--shards")?);
-                }
                 "--super-shards" => {
                     let v = value(&mut it, "--super-shards")?;
                     out.super_shards = Some(positive(&v, "--super-shards")?);
@@ -222,15 +201,6 @@ impl Args {
     }
 }
 
-/// Print a flag error plus [`USAGE`] to stderr and exit with code 2
-/// (the conventional usage-error status). Shared by [`Args::parse`]
-/// and binaries with their own pre-flight validation (`all_figures`).
-pub fn exit_usage(error: &str) -> ! {
-    eprintln!("error: {error}");
-    eprintln!("{USAGE}");
-    std::process::exit(2);
-}
-
 /// Print a non-flag input error (bad spec file, unknown algorithm) to
 /// stderr and exit 2 — a diagnostic, never a panic backtrace. The flag
 /// synopsis is omitted: the problem is the input, not the flags.
@@ -260,41 +230,6 @@ pub fn backend_note(args: &Args, backend: Backend) {
             args,
             "backend: hierarchical (two-level hub summary, budget-bounded block cache)\n",
         );
-    }
-}
-
-/// Exit 1 if the report carries any marked cell failure. The runner's
-/// `catch_unwind` keeps a panicking cell from killing its siblings,
-/// but a figure whose run lost a cell must not report success to CI —
-/// every query binary calls this on the returned report. (The spec
-/// runner instead maps failures to its own exit/catalogue accounting.)
-pub fn exit_on_failed_cells(report: &ExperimentReport) {
-    let failed: Vec<&str> = report
-        .query_cells()
-        .unwrap_or_default()
-        .iter()
-        .filter(|c| c.error.is_some())
-        .map(|c| c.label.as_str())
-        .collect();
-    if !failed.is_empty() {
-        eprintln!("error: {} cell(s) failed: {failed:?}", failed.len());
-        std::process::exit(1);
-    }
-}
-
-/// Resolve every algorithm name a query spec references, so a bad name
-/// is one catalogue-and-hint diagnostic *before* any world is built —
-/// not a panic backtrace out of the pipeline. Exits 2 on a miss.
-fn check_spec_algos(spec: &ExperimentSpec, registry: &AlgoRegistry) {
-    let Workload::QueryMatrix(cells) = &spec.workload else {
-        return;
-    };
-    for cell in cells {
-        for algo in &cell.algos {
-            if let Err(e) = registry.lookup(&algo.name) {
-                exit_error(&format!("cell {:?}: {e}", cell.label));
-            }
-        }
     }
 }
 
@@ -342,11 +277,6 @@ pub fn header_block(figure: &str, paper_shape: &str, args: &Args) -> String {
     )
 }
 
-/// Print the standard experiment header to stdout.
-pub fn header(figure: &str, paper_shape: &str, args: &Args) {
-    println!("{}", header_block(figure, paper_shape, args));
-}
-
 /// Format a `RunBand` as `median [min, max]`.
 pub fn band(b: np_util::stats::RunBand) -> String {
     format!("{:.3} [{:.3}, {:.3}]", b.median, b.min, b.max)
@@ -354,10 +284,10 @@ pub fn band(b: np_util::stats::RunBand) -> String {
 
 /// Wall-clock + effective-parallelism accounting for a figure run.
 ///
-/// Start one right after [`header`]; [`Report::footer`] prints elapsed
-/// wall-clock and the measured *effective parallelism* — the ratio of
-/// busy time accumulated inside the parallel engine to wall-clock
-/// time. Busy time is workers' in-loop wall time, so when threads do
+/// Start one right after the header; [`Report::footer_line`] reports
+/// elapsed wall-clock and the measured *effective parallelism* — the
+/// ratio of busy time accumulated inside the parallel engine to
+/// wall-clock time. Busy time is workers' in-loop wall time, so when threads do
 /// not exceed free cores the ratio is the speedup over a 1-thread
 /// run; on an oversubscribed machine it reads as the concurrency
 /// level instead (descheduled workers still accumulate busy time).
@@ -410,12 +340,6 @@ impl Report {
             speedup,
         )
     }
-
-    /// Print the footer to stdout.
-    pub fn footer(&self) {
-        println!();
-        println!("{}", self.footer_line());
-    }
 }
 
 /// What a figure's renderer returns: the human body (tables + charts)
@@ -461,25 +385,24 @@ pub fn study_rendered(report: &ExperimentReport, _args: &Args) -> Rendered {
     }
 }
 
-/// The one driver behind every figure binary: header → pipeline →
+/// The batch driver behind `np-bench run`: header → pipeline →
 /// rendered output (table mode uses `render`; `--out json` uses the
-/// generic JSON sink) → footer → RSS budget. Returns the report so
-/// binaries can run extra checks (e.g. `ext_scale`'s dense
-/// cross-check) — against it.
+/// generic JSON sink) → footer → RSS budget. The caller resolves
+/// every algorithm name first, and gets the report back for the
+/// figure's self-check.
 pub fn run_experiment(
     args: &Args,
-    registry: &AlgoRegistry,
-    spec: ExperimentSpec,
+    experiment: &Experiment,
     render: impl FnOnce(&ExperimentReport, &Args) -> Rendered,
 ) -> ExperimentReport {
     // Under --out json the human chrome (header, backend note, timing
     // footer) moves to stderr, keeping stdout pure machine-diffable
     // JSON lines — see [`chrome`].
-    check_spec_algos(&spec, registry);
+    let spec = experiment.spec();
     chrome(args, &header_block(&spec.title, &spec.paper_shape, args));
     backend_note(args, spec.backend);
     let timer = Report::start(args);
-    let report = Experiment::new(spec, registry).run_threads(args.threads());
+    let report = experiment.run_threads(args.threads());
     match args.out {
         OutFormat::Table => {
             let rendered = render(&report, args);
@@ -533,9 +456,8 @@ mod tests {
 
     #[test]
     fn world_and_shards_flags() {
-        let a = parse(&["--world", "dense", "--shards", "32", "--max-rss-mb", "1024"]);
+        let a = parse(&["--world", "dense", "--max-rss-mb", "1024"]);
         assert_eq!(a.world, Some(Backend::Dense));
-        assert_eq!(a.shards, Some(32));
         assert_eq!(a.max_rss_mb, Some(1024));
         let h = parse(&[
             "--world", "hierarchical", "--super-shards", "50", "--block-cache-mb", "512",
@@ -545,7 +467,6 @@ mod tests {
         assert_eq!(h.block_cache_mb, Some(512));
         let d = parse(&[]);
         assert_eq!(d.world, None);
-        assert_eq!(d.shards, None);
         assert_eq!(d.super_shards, None);
         assert_eq!(d.block_cache_mb, None);
         assert_eq!(d.max_rss_mb, None);
@@ -647,7 +568,7 @@ mod tests {
     #[test]
     fn malformed_flags_are_errors_not_panics() {
         // The Result API is the only parse path; there is no panicking
-        // variant left for a binary to reach a backtrace through.
+        // variant to reach a backtrace through.
         let err = |args: &[&str]| {
             Args::try_from_iter(args.iter().map(|s| s.to_string())).unwrap_err()
         };
@@ -659,8 +580,16 @@ mod tests {
     #[test]
     fn usage_names_every_flag() {
         for flag in [
-            "--quick", "--seed", "--threads", "--world", "--shards", "--super-shards",
-            "--block-cache-mb", "--seeds", "--out", "--csv", "--max-rss-mb",
+            "--quick",
+            "--seed",
+            "--threads",
+            "--world",
+            "--super-shards",
+            "--block-cache-mb",
+            "--seeds",
+            "--out",
+            "--csv",
+            "--max-rss-mb",
         ] {
             assert!(USAGE.contains(flag), "{flag} missing from USAGE");
         }

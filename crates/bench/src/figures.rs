@@ -1,14 +1,19 @@
-//! The figure catalogue: every experiment binary, as data.
+//! The figure catalogue: every experiment, as data.
 //!
-//! `all_figures` iterates this table to regenerate everything,
-//! `np-bench list` prints it, `np-bench specs` serialises each entry's
-//! [`FigureInfo::build`] output into `experiments/*.toml`, and
-//! `np-bench run` resolves a loaded spec's renderer/study stage here —
-//! one source of truth for "what experiments exist".
+//! `np-bench list` prints this table, `np-bench specs` serialises each
+//! entry's [`FigureInfo::build`] output into `experiments/*.toml` (plus
+//! the `all_figures.toml` manifest that runs them all), and `np-bench
+//! run` resolves a loaded spec's renderer, study stage, study flags and
+//! self-check here — one source of truth for "what experiments exist".
 
 use crate::cli::{Args, Rendered};
 use crate::specs;
 use np_core::experiment::{ExperimentReport, ExperimentSpec, StudyCtx, StudyOutput, StudyStage};
+
+/// A figure's post-run self-check: the resolved spec that ran, its
+/// report (no cell failed) and the run's flags. `Err` names what broke;
+/// `np-bench run` then exits 1.
+pub type Check = fn(&ExperimentSpec, &ExperimentReport, &Args) -> Result<(), String>;
 
 /// How a figure runs through the experiment pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,14 +35,13 @@ impl FigureKind {
     }
 }
 
-/// One experiment binary.
+/// One figure.
 pub struct FigureInfo {
-    /// Binary name under `crates/bench/src/bin/`.
-    pub bin: &'static str,
-    /// The spec name its `ExperimentSpec` carries.
+    /// The spec name its `ExperimentSpec` carries (and its spec file's
+    /// stem under `experiments/`).
     pub spec: &'static str,
     pub kind: FigureKind,
-    /// Which `--world` backends the binary actually honours.
+    /// Which `--world` backends the figure actually honours.
     pub backends: &'static str,
     /// One-line description for `np-bench list`.
     pub title: &'static str,
@@ -55,15 +59,19 @@ pub struct FigureInfo {
     /// Figure-specific backend policy applied after the CLI overrides
     /// resolve (e.g. ext_scale drops cells whose dense matrix cannot
     /// fit the CI budget). Returns the labels of dropped cells; the
-    /// caller reports them. Shared by the binary and `np-bench run`.
+    /// caller reports them.
     pub clamp: Option<fn(&mut ExperimentSpec) -> Vec<String>>,
+    /// The self-check `np-bench run` applies to a report with no failed
+    /// cell (rows matched by algorithm name, so `--algos` still works).
+    pub check: Option<Check>,
+    /// The study flags the figure's stage reads (e.g. `--show-tree`);
+    /// `np-bench run` rejects any flag no figure lists.
+    pub flags: &'static [&'static str],
 }
 
-/// Every figure/extension binary, in regeneration order. (`all_figures`
-/// itself and the `np-bench` utility are not figures.)
+/// Every figure/extension, in regeneration order.
 pub const FIGURES: &[FigureInfo] = &[
     FigureInfo {
-        bin: "fig3_4",
         spec: "fig3_4",
         kind: FigureKind::Study,
         backends: "n/a (measurement pipeline)",
@@ -71,10 +79,11 @@ pub const FIGURES: &[FigureInfo] = &[
         build: specs::fig3_4::build,
         render: None,
         clamp: None,
+        check: None,
+        flags: &["--show-tree"],
         study: Some(specs::fig3_4::study),
     },
     FigureInfo {
-        bin: "fig5",
         spec: "fig5",
         kind: FigureKind::Study,
         backends: "n/a (measurement pipeline)",
@@ -82,10 +91,11 @@ pub const FIGURES: &[FigureInfo] = &[
         build: specs::fig5::build,
         render: None,
         clamp: None,
+        check: None,
+        flags: &[],
         study: Some(specs::fig5::study),
     },
     FigureInfo {
-        bin: "fig6_7",
         spec: "fig6_7",
         kind: FigureKind::Study,
         backends: "n/a (measurement pipeline)",
@@ -93,10 +103,11 @@ pub const FIGURES: &[FigureInfo] = &[
         build: specs::fig6_7::build,
         render: None,
         clamp: None,
+        check: None,
+        flags: &[],
         study: Some(specs::fig6_7::study),
     },
     FigureInfo {
-        bin: "fig8",
         spec: "fig8",
         kind: FigureKind::QueryMatrix,
         backends: "dense|hierarchical",
@@ -105,9 +116,10 @@ pub const FIGURES: &[FigureInfo] = &[
         render: Some(specs::fig8::render),
         study: None,
         clamp: None,
+        check: None,
+        flags: &[],
     },
     FigureInfo {
-        bin: "fig9",
         spec: "fig9",
         kind: FigureKind::QueryMatrix,
         backends: "dense|hierarchical",
@@ -116,9 +128,10 @@ pub const FIGURES: &[FigureInfo] = &[
         render: Some(specs::fig9::render),
         study: None,
         clamp: None,
+        check: None,
+        flags: &[],
     },
     FigureInfo {
-        bin: "fig10",
         spec: "fig10",
         kind: FigureKind::Study,
         backends: "n/a (measurement pipeline)",
@@ -126,10 +139,11 @@ pub const FIGURES: &[FigureInfo] = &[
         build: specs::fig10::build,
         render: None,
         clamp: None,
+        check: None,
+        flags: &[],
         study: Some(specs::fig10::study),
     },
     FigureInfo {
-        bin: "fig11",
         spec: "fig11",
         kind: FigureKind::Study,
         backends: "n/a (measurement pipeline)",
@@ -137,10 +151,11 @@ pub const FIGURES: &[FigureInfo] = &[
         build: specs::fig11::build,
         render: None,
         clamp: None,
+        check: None,
+        flags: &[],
         study: Some(specs::fig11::study),
     },
     FigureInfo {
-        bin: "ucl_discovery",
         spec: "ucl_discovery",
         kind: FigureKind::Study,
         backends: "n/a (measurement pipeline)",
@@ -148,10 +163,11 @@ pub const FIGURES: &[FigureInfo] = &[
         build: specs::ucl_discovery::build,
         render: None,
         clamp: None,
+        check: None,
+        flags: &["--chord"],
         study: Some(specs::ucl_discovery::study),
     },
     FigureInfo {
-        bin: "ext_baselines",
         spec: "ext_baselines",
         kind: FigureKind::QueryMatrix,
         backends: "dense|hierarchical",
@@ -160,9 +176,10 @@ pub const FIGURES: &[FigureInfo] = &[
         render: Some(specs::ext_baselines::render),
         study: None,
         clamp: None,
+        check: None,
+        flags: &[],
     },
     FigureInfo {
-        bin: "ext_assumptions",
         spec: "ext_assumptions",
         kind: FigureKind::Study,
         backends: "dense|hierarchical",
@@ -170,10 +187,11 @@ pub const FIGURES: &[FigureInfo] = &[
         build: specs::ext_assumptions::build,
         render: None,
         clamp: None,
+        check: None,
+        flags: &[],
         study: Some(specs::ext_assumptions::study),
     },
     FigureInfo {
-        bin: "ext_hybrid",
         spec: "ext_hybrid",
         kind: FigureKind::QueryMatrix,
         backends: "dense|hierarchical",
@@ -182,9 +200,10 @@ pub const FIGURES: &[FigureInfo] = &[
         render: Some(specs::ext_hybrid::render),
         study: None,
         clamp: None,
+        check: None,
+        flags: &[],
     },
     FigureInfo {
-        bin: "ext_ablation",
         spec: "ext_ablation",
         kind: FigureKind::QueryMatrix,
         backends: "dense|hierarchical",
@@ -193,9 +212,10 @@ pub const FIGURES: &[FigureInfo] = &[
         render: Some(specs::ext_ablation::render),
         study: None,
         clamp: None,
+        check: None,
+        flags: &[],
     },
     FigureInfo {
-        bin: "ext_scale",
         spec: "ext_scale",
         kind: FigureKind::QueryMatrix,
         backends: "dense|hierarchical",
@@ -204,9 +224,10 @@ pub const FIGURES: &[FigureInfo] = &[
         render: Some(specs::ext_scale::render),
         study: None,
         clamp: Some(specs::ext_scale::drop_oversized_dense_cells),
+        check: Some(specs::ext_scale::check),
+        flags: &[],
     },
     FigureInfo {
-        bin: "ext_churn",
         spec: "ext_churn",
         kind: FigureKind::QueryMatrix,
         backends: "dense|hierarchical",
@@ -215,9 +236,10 @@ pub const FIGURES: &[FigureInfo] = &[
         render: Some(specs::ext_churn::render),
         study: None,
         clamp: None,
+        check: Some(specs::ext_churn::check),
+        flags: &[],
     },
     FigureInfo {
-        bin: "ext_dht",
         spec: "ext_dht",
         kind: FigureKind::QueryMatrix,
         backends: "dense|hierarchical",
@@ -226,9 +248,10 @@ pub const FIGURES: &[FigureInfo] = &[
         render: Some(specs::ext_dht::render),
         study: None,
         clamp: None,
+        check: Some(specs::ext_dht::check),
+        flags: &[],
     },
     FigureInfo {
-        bin: "ext_serve",
         spec: "ext_serve",
         kind: FigureKind::QueryMatrix,
         backends: "dense|hierarchical",
@@ -237,6 +260,8 @@ pub const FIGURES: &[FigureInfo] = &[
         render: Some(specs::ext_serve::render),
         study: None,
         clamp: None,
+        check: None,
+        flags: &[],
     },
 ];
 
@@ -259,14 +284,23 @@ mod tests {
 
     #[test]
     fn catalogue_is_complete_and_unique() {
-        assert_eq!(FIGURES.len(), 16, "16 figure binaries + all_figures = 17");
-        let mut bins: Vec<&str> = FIGURES.iter().map(|f| f.bin).collect();
-        bins.sort_unstable();
-        bins.dedup();
-        assert_eq!(bins.len(), FIGURES.len(), "duplicate bin names");
+        assert_eq!(
+            FIGURES.len(),
+            16,
+            "16 figures + the all_figures manifest = 17 spec files"
+        );
+        let mut names: Vec<&str> = FIGURES.iter().map(|f| f.spec).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), FIGURES.len(), "duplicate spec names");
         for f in FIGURES {
-            assert_eq!(f.bin, f.spec, "spec name tracks binary name");
             assert!(!f.title.is_empty());
+            // Only study stages read passthrough flags.
+            assert!(
+                f.flags.is_empty() || f.kind == FigureKind::Study,
+                "{}",
+                f.spec
+            );
         }
     }
 
@@ -274,23 +308,23 @@ mod tests {
     fn builders_study_stages_and_kinds_agree() {
         for f in FIGURES {
             let spec = (f.build)(1);
-            assert_eq!(spec.name, f.spec, "{}: spec name drifted", f.bin);
+            assert_eq!(spec.name, f.spec, "{}: spec name drifted", f.spec);
             match f.kind {
                 FigureKind::QueryMatrix => {
-                    assert!(f.render.is_some(), "{}: query figures render", f.bin);
+                    assert!(f.render.is_some(), "{}: query figures render", f.spec);
                     assert!(f.study.is_none());
                     assert!(spec.cell_count() >= 1);
                     assert!(study_stage(f.spec).is_none());
                 }
                 FigureKind::Study => {
                     assert!(f.render.is_none());
-                    assert!(f.study.is_some(), "{}: study figures need a stage", f.bin);
+                    assert!(f.study.is_some(), "{}: study figures need a stage", f.spec);
                     assert!(study_stage(f.spec).is_some());
                 }
             }
             // Every built-in spec passes its own validation.
             spec.validate()
-                .unwrap_or_else(|e| panic!("{}: invalid built-in spec: {e}", f.bin));
+                .unwrap_or_else(|e| panic!("{}: invalid built-in spec: {e}", f.spec));
         }
         assert!(figure("fig8").is_some());
         assert!(figure("nope").is_none());

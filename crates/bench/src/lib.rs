@@ -1,21 +1,25 @@
 //! # np-bench
 //!
-//! The experiment harness: one binary per paper figure (under
-//! `src/bin/`), Criterion microbenches (under `benches/`), and the
-//! shared library every binary is a thin client of:
+//! The experiment harness: the `np-bench` binary (under `src/bin/`),
+//! Criterion microbenches (under `benches/`), and the library behind
+//! both:
 //!
 //! * [`cli`] — the one flag parser (`--quick`, `--seed`, `--threads`,
-//!   `--world`, `--shards`, `--seeds`, `--out`, `--csv`,
-//!   `--max-rss-mb`) and [`cli::run_experiment`], the header →
-//!   pipeline → render → footer driver;
-//! * [`registry`] — [`registry::standard_registry`], every
-//!   `AlgoFactory` in the workspace under its canonical name;
-//! * [`figures`] — the figure catalogue (`all_figures` and `np-bench
-//!   list` iterate it).
+//!   `--world`, `--super-shards`, `--block-cache-mb`, `--seeds`,
+//!   `--out`, `--csv`, `--max-rss-mb`) and [`cli::run_experiment`],
+//!   the header → pipeline → render → footer driver;
+//! * [`registry`] — [`registry::full_registry`], every `AlgoFactory`
+//!   in the workspace under its canonical name;
+//! * [`figures`] — the figure catalogue (`np-bench list` prints it,
+//!   `np-bench specs` serialises it into `experiments/`);
+//! * [`spec_files`] — `np-bench run <spec.toml>` and `np-bench specs`;
+//! * [`serve_cmd`] — `np-bench serve <spec.toml>`.
 //!
-//! Binaries construct an [`np_core::experiment::ExperimentSpec`] (the
-//! declarative what), hand it to `run_experiment` (the how), and render
-//! the typed report into their figure's table/chart layout. Adding a
+//! A figure is an [`np_core::experiment::ExperimentSpec`] (the
+//! declarative what) checked in as `experiments/<fig>.toml`;
+//! `np-bench run` loads it, drives it through the `Experiment`
+//! pipeline (the how), renders the typed report into the figure's
+//! table/chart layout and applies the figure's self-check. Adding a
 //! scenario is a new ~15-line spec, not a new subsystem; see the
 //! README's "Experiment API" section for a worked example.
 
@@ -27,12 +31,5 @@ pub mod serve_cmd;
 pub mod spec_files;
 pub mod specs;
 
-pub use cli::{
-    band, enforce_rss_budget, header, peak_rss_mb, Args, OutFormat, Rendered, Report,
-};
-pub use figures::{figure, study_stage, FigureInfo, FigureKind, FIGURES};
-pub use registry::{full_registry, standard_registry};
-
-/// Historical alias: the backend enum moved into `np-core`'s
-/// experiment API (`np_core::experiment::Backend`).
-pub use np_core::experiment::Backend as WorldBackend;
+pub use figures::{study_stage, FigureInfo, FIGURES};
+pub use registry::full_registry;

@@ -1,8 +1,8 @@
-//! The harness's standard algorithm registry.
+//! The harness's algorithm registry.
 //!
-//! One place where every crate's [`AlgoFactory`] meets: binaries start
-//! from [`standard_registry`] and override or extend entries for their
-//! ablations (re-registering a name replaces it).
+//! One place where every crate's [`AlgoFactory`] meets under its
+//! canonical name: spec files, the benches and the conformance suite
+//! all resolve names through [`full_registry`].
 
 use np_baselines::{BeaconingFactory, KargerRuhlFactory, TapestryFactory, TiersFactory};
 use np_coords::CoordWalkFactory;
@@ -12,7 +12,7 @@ use np_meridian::MeridianFactory;
 use np_remedies::HybridHintFactory;
 
 /// Every algorithm the workspace implements, registered under its
-/// canonical name:
+/// canonical name. The paper's algorithms and the UCL remedy:
 ///
 /// | name | algorithm |
 /// |---|---|
@@ -26,7 +26,14 @@ use np_remedies::HybridHintFactory;
 /// | `beaconing` | beacon latency vectors |
 /// | `coord-walk` | Vivaldi coordinates + greedy walk |
 /// | `ucl+meridian` | §5 UCL registry (full coverage) + Meridian fallback |
-pub fn standard_registry() -> AlgoRegistry {
+///
+/// plus every extension-figure entry: the Ext D Meridian ablations
+/// (`ablate-*`), the Ext C hybrid coverage sweep
+/// (`ucl{0,25,50,75,100}+meridian`), and the Ext F structured-overlay
+/// searchers (`kademlia`/`nsw` and their parameter variants). A
+/// checked-in `experiments/*.toml` may reference any of these names;
+/// registering an entry costs nothing until a cell names it.
+pub fn full_registry() -> AlgoRegistry {
     let mut reg = AlgoRegistry::new();
     reg.register(Box::new(BruteForceFactory));
     reg.register(Box::new(RandomChoiceFactory));
@@ -42,19 +49,6 @@ pub fn standard_registry() -> AlgoRegistry {
         1.0,
         MeridianFactory::omniscient(),
     )));
-    reg
-}
-
-/// [`standard_registry`] plus every extension-figure entry: the Ext D
-/// Meridian ablations (`ablate-*`), the Ext C hybrid coverage sweep
-/// (`ucl{0,25,50,75,100}+meridian`), and the Ext F structured-overlay
-/// searchers (`kademlia`/`nsw` and their parameter variants). This is
-/// the registry `np-bench run` resolves spec files against — a
-/// checked-in `experiments/*.toml` may reference any of these names —
-/// and what the extension binaries themselves use (registering an
-/// entry costs nothing until a cell names it).
-pub fn full_registry() -> AlgoRegistry {
-    let mut reg = standard_registry();
     for factory in crate::specs::ext_ablation::variant_factories() {
         reg.register(Box::new(factory));
     }
@@ -75,7 +69,7 @@ mod tests {
 
     #[test]
     fn standard_names_are_stable() {
-        let reg = standard_registry();
+        let reg = full_registry();
         let names = reg.names();
         for expected in [
             "brute-force",
@@ -91,7 +85,6 @@ mod tests {
         ] {
             assert!(names.contains(&expected), "missing {expected}: {names:?}");
         }
-        assert_eq!(reg.len(), 10);
         // Every entry self-describes for `np-bench list`.
         for (name, desc) in reg.catalogue() {
             assert!(!desc.is_empty(), "{name} has no description");
@@ -122,8 +115,5 @@ mod tests {
         ] {
             assert!(reg.get(expected).is_some(), "missing {expected}");
         }
-        // The standard names survive unreplaced.
-        assert!(reg.get("meridian").is_some());
-        assert!(reg.get("ucl+meridian").is_some());
     }
 }

@@ -11,15 +11,18 @@
 //! The serving path is contractually the batch path per query, so under
 //! lossless admission (`--admission block`, the default) this module
 //! cross-checks every row: it reruns the served schedule through
-//! `run_queries` and demands bit-identical [`PaperMetrics`]. A mismatch
-//! is a harness bug and exits non-zero — the equivalence contract is
-//! enforced on the main path, not only in tests.
+//! `run_queries` and demands bit-identical [`PaperMetrics`]. Every row
+//! must also account for each submission (admitted or shed, every
+//! admitted query answered, the whole schedule under lossless
+//! admission) and keep brute force exact. A violation is a harness bug
+//! and exits non-zero — the contracts are enforced on the main path,
+//! not only in tests.
 //!
 //! `--record PATH` appends the machine-readable rows to a BENCH-style
 //! JSON map (`BENCH_serve.json` in CI), keyed `spec/cell/algo`.
 
 use crate::cli::{self, Args, OutFormat};
-use crate::figures::study_stage;
+use crate::spec_files::load_spec;
 use crate::specs;
 use np_core::experiment::{
     sink::{json_escape, json_f64},
@@ -179,12 +182,32 @@ impl ServeRow {
             0.0
         }
     }
+
+    /// The accounting every served row must satisfy: each submission is
+    /// admitted or shed, a drained pipeline answers every admitted
+    /// query, lossless admission completes the whole schedule, and brute
+    /// force stays exact.
+    pub fn check(&self) -> Result<(), &'static str> {
+        let s = &self.report.stats;
+        let exact = self.report.metrics.p_correct_closest == 1.0;
+        if s.submitted != s.admitted + s.shed {
+            Err("every submission must be admitted or shed")
+        } else if s.completed != s.admitted {
+            Err("a drained pipeline answers every admitted query")
+        } else if self.verified && s.completed as usize != self.offered {
+            Err("lossless admission completes the whole schedule")
+        } else if self.algo == "brute-force" && s.completed > 0 && !exact {
+            Err("brute force must stay exact under service")
+        } else {
+            Ok(())
+        }
+    }
 }
 
 /// Serve every (cell, algorithm) of a query-matrix spec and return the
 /// rows. Under lossless admission each row is cross-checked against the
-/// batch runner (service≡batch); a violation prints the two metric sets
-/// and exits 1.
+/// batch runner (service≡batch), and every row is checked
+/// ([`ServeRow::check`]); a violation prints what broke and exits 1.
 pub fn serve_spec(
     spec: &ExperimentSpec,
     registry: &AlgoRegistry,
@@ -259,7 +282,7 @@ pub fn serve_spec(
                     std::process::exit(1);
                 }
             }
-            rows.push(ServeRow {
+            let row = ServeRow {
                 spec: spec.name.clone(),
                 cell: cell.label.clone(),
                 algo: algo_spec.name.clone(),
@@ -269,7 +292,12 @@ pub fn serve_spec(
                 duration_s: opts.duration_s,
                 report,
                 verified,
-            });
+            };
+            if let Err(e) = row.check() {
+                eprintln!("error: {}: {e} (cell {:?})", row.algo, row.cell);
+                std::process::exit(1);
+            }
+            rows.push(row);
         }
     }
     rows
@@ -391,7 +419,7 @@ pub fn render_record(rows: &[ServeRow]) -> String {
 
 /// `np-bench serve <spec.toml> [flags]`.
 pub fn cmd_serve(argv: &[String]) -> ! {
-    let args = match Args::try_from_iter(argv.iter().cloned()) {
+    let mut args = match Args::try_from_iter(argv.iter().cloned()) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("error: {e}");
@@ -399,7 +427,7 @@ pub fn cmd_serve(argv: &[String]) -> ! {
             std::process::exit(2);
         }
     };
-    let (path, opts) = match parse_serve_rest(&args.rest, args.quick) {
+    let (path, opts) = match parse_serve_rest(&std::mem::take(&mut args.rest), args.quick) {
         Ok(p) => p,
         Err(e) => {
             eprintln!("error: {e}");
@@ -416,20 +444,10 @@ pub fn cmd_serve(argv: &[String]) -> ! {
         Ok(t) => t,
         Err(e) => cli::exit_error(&format!("cannot read {}: {e}", path.display())),
     };
-    let mut spec = match ExperimentSpec::from_toml_with(&text, study_stage) {
+    let spec = match load_spec(&text, &path, &mut args) {
         Ok(s) => s,
-        Err(e) => cli::exit_error(&format!("{}: {e}", path.display())),
+        Err(e) => cli::exit_error(&e),
     };
-    spec.backend = args.backend(spec.backend);
-    if args.super_shards.is_some() || args.block_cache_mb.is_some() {
-        if let Workload::QueryMatrix(cells) = &mut spec.workload {
-            for cell in cells {
-                cell.super_shards = args.super_shards.or(cell.super_shards);
-                cell.block_cache_mb = args.block_cache_mb.or(cell.block_cache_mb);
-            }
-        }
-    }
-    let spec = spec.resolve_quick(args.quick);
     let registry = crate::registry::full_registry();
     let threads = args.threads();
 
@@ -540,6 +558,43 @@ mod tests {
         ] {
             assert!(SERVE_USAGE.contains(flag), "{flag} missing from SERVE_USAGE");
         }
+    }
+
+    #[test]
+    fn row_check_rejects_doctored_accounting() {
+        let row = |algo: &str, submitted, completed| ServeRow {
+            spec: "s".into(),
+            cell: "c".into(),
+            algo: algo.into(),
+            workers: 1,
+            offered: 10,
+            rate_qps: 1.0,
+            duration_s: 1.0,
+            report: ServeReport {
+                metrics: np_core::runner::reduce_records(&[], 0),
+                answers: Vec::new(),
+                stats: np_serve::ServeStats {
+                    submitted,
+                    admitted: 10,
+                    completed,
+                    shed: 0,
+                    batches: 1,
+                    policy: "block",
+                },
+                queued: LatencyHist::new(),
+                service: LatencyHist::new(),
+                total: LatencyHist::new(),
+                wall: std::time::Duration::ZERO,
+            },
+            verified: true,
+        };
+        assert_eq!(row("random", 10, 10).check(), Ok(()));
+        let lost = "a drained pipeline answers every admitted query";
+        assert_eq!(row("random", 10, 9).check(), Err(lost));
+        let leaked = "every submission must be admitted or shed";
+        assert_eq!(row("random", 11, 10).check(), Err(leaked));
+        let inexact = "brute force must stay exact under service";
+        assert_eq!(row("brute-force", 10, 10).check(), Err(inexact));
     }
 
     #[test]

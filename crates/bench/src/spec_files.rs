@@ -7,22 +7,24 @@
 //!   `all_figures.toml` catalogue manifest; `--check` diffs instead of
 //!   writing, which is CI's anti-drift gate — a spec file cannot
 //!   silently disagree with the builder that defines the figure.
-//! * [`cmd_run`] — load a spec file, resolve its study stage and
-//!   renderer through the figure catalogue and its algorithm names
+//! * [`cmd_run`] — load a spec file ([`load_spec`], shared with
+//!   `np-bench serve`), resolve its study stage, renderer and
+//!   self-check through the figure catalogue and its algorithm names
 //!   through [`crate::full_registry`], apply the usual
 //!   `--quick/--seed/--threads/--seeds/--out/--world` overrides (plus
 //!   `--algos` to swap the algorithm list), and drive the standard
-//!   `Experiment` pipeline. Every malformed input — unreadable file,
-//!   TOML syntax, unknown key, unknown algorithm, degenerate world —
-//!   exits 2 with a named-key/named-algo diagnostic, never a panic.
+//!   `Experiment` pipeline. Every malformed input — unknown flag,
+//!   unreadable file, TOML syntax, unknown key, unknown algorithm,
+//!   degenerate world — exits 2 with a named diagnostic, never a panic.
 //!
-//! A catalogue manifest (`[catalogue]` with a `specs` list) runs every
-//! listed file in order — the `all_figures` equivalent for spec files.
+//! A catalogue manifest (`[catalogue]` with a `specs` list, such as
+//! `experiments/all_figures.toml`) runs every listed file in order, in
+//! one process.
 
 use crate::cli::{self, Args, Rendered};
 use crate::figures::{figure, study_stage, FIGURES};
 use crate::registry::full_registry;
-use np_core::experiment::{AlgoSpec, ExperimentSpec, Workload};
+use np_core::experiment::{AlgoSpec, Experiment, ExperimentSpec, Workload};
 use np_util::rng::DEFAULT_SEED;
 use std::path::{Path, PathBuf};
 
@@ -78,8 +80,8 @@ pub fn all_spec_files() -> Vec<(String, String)> {
 
 /// Shift a loaded spec's committed seeds onto a new base: every cell
 /// keeps its offset from the file's `base_seed` (the `seed + x`
-/// pattern all figures use), so `--seed N` on a spec file means the
-/// same thing it means on the figure binary.
+/// pattern all figures use), so `--seed N` on a spec file yields the
+/// spec the figure's builder makes at seed N.
 pub fn rebase_seeds(spec: &mut ExperimentSpec, new_seed: u64) {
     let old = spec.base_seed;
     if let Workload::QueryMatrix(cells) = &mut spec.workload {
@@ -90,40 +92,43 @@ pub fn rebase_seeds(spec: &mut ExperimentSpec, new_seed: u64) {
     spec.base_seed = new_seed;
 }
 
+/// Load a spec file the way `run` and `serve` both do: parse it,
+/// rebase its seeds on an explicit `--seed` (or adopt the file's own
+/// seed, which the header then quotes), and apply the shared overrides
+/// ([`crate::specs::with_args`]).
+pub fn load_spec(text: &str, path: &Path, args: &mut Args) -> Result<ExperimentSpec, String> {
+    let mut spec = ExperimentSpec::from_toml_with(text, study_stage)
+        .map_err(|e| format!("{}: {e}", path.display()))?;
+    if args.seed_explicit {
+        rebase_seeds(&mut spec, args.seed);
+    } else {
+        args.seed = spec.base_seed;
+    }
+    Ok(crate::specs::with_args(spec, args))
+}
+
 const RUN_USAGE: &str = "usage: np-bench run <spec.toml> [--quick] [--seed N] [--threads N] \
 [--world dense|hierarchical] [--super-shards N] [--block-cache-mb N] [--seeds N] \
-[--out table|json] [--csv] [--algos a,b,c] [--max-rss-mb N]";
+[--out table|json] [--csv] [--algos a,b,c] [--max-rss-mb N] [--show-tree] [--chord]";
 
-/// The run subcommand's parsed inputs: shared flags, the spec path,
-/// the optional `--algos` override, and passthrough flags for study
-/// stages.
+/// The run subcommand's parsed inputs: shared flags (with the study
+/// flags left in [`Args::rest`]), the spec path and the optional
+/// `--algos` override.
 #[derive(Debug)]
 pub struct RunInputs {
     pub args: Args,
     pub path: PathBuf,
     pub algos: Option<Vec<String>>,
-    pub passthrough: Vec<String>,
 }
 
 /// Parse `np-bench run`'s argv (pure; errors are returned, not
-/// printed).
+/// printed). A flag no catalogue entry reads is an error, so a typo
+/// never runs a figure with the flag silently dropped.
 pub fn parse_run_args(argv: &[String]) -> Result<RunInputs, String> {
     let mut args = Args::try_from_iter(argv.iter().cloned())?;
-    if args.shards.is_some() {
-        // The shards override rewrites the world *generator* inputs,
-        // which a spec file pins explicitly; silently ignoring it
-        // would let "the same flags" produce different worlds than
-        // the ext_scale binary.
-        return Err(
-            "--shards has no effect on spec files — edit the world's `clusters` in the TOML \
-             (or use the ext_scale binary, whose generator takes the override)"
-                .into(),
-        );
-    }
     let rest = std::mem::take(&mut args.rest);
     let mut path: Option<PathBuf> = None;
     let mut algos: Option<Vec<String>> = None;
-    let mut passthrough = Vec::new();
     let mut it = rest.into_iter();
     while let Some(a) = it.next() {
         if a == "--algos" {
@@ -149,17 +154,14 @@ pub fn parse_run_args(argv: &[String]) -> Result<RunInputs, String> {
                 ));
             }
             path = Some(PathBuf::from(a));
+        } else if FIGURES.iter().any(|f| f.flags.contains(&a.as_str())) {
+            args.rest.push(a);
         } else {
-            passthrough.push(a);
+            return Err(format!("unknown flag {a:?}"));
         }
     }
     let path = path.ok_or("run requires a spec file path")?;
-    Ok(RunInputs {
-        args,
-        path,
-        algos,
-        passthrough,
-    })
+    Ok(RunInputs { args, path, algos })
 }
 
 /// `np-bench run <spec.toml> [flags]`.
@@ -238,20 +240,11 @@ fn run_catalogue(doc: &toml::Table, inputs: &RunInputs) -> ! {
 }
 
 /// Load + run one spec file. A load/validation problem is `Err` (the
-/// caller names the exit); a runtime cell failure returns `Ok(true)`
-/// (the report marks it; catalogue runs keep going).
+/// caller names the exit); a runtime cell failure or a failed figure
+/// self-check returns `Ok(true)` (catalogue runs keep going).
 fn run_one(text: &str, path: &Path, inputs: &RunInputs) -> Result<bool, String> {
-    let mut spec = ExperimentSpec::from_toml_with(text, study_stage)
-        .map_err(|e| format!("{}: {e}", path.display()))?;
     let mut args = inputs.args.clone();
-    args.rest = inputs.passthrough.clone();
-    if args.seed_explicit {
-        rebase_seeds(&mut spec, args.seed);
-    } else {
-        // The header quotes the seed; reflect the file's, not the
-        // ambient default.
-        args.seed = spec.base_seed;
-    }
+    let mut spec = load_spec(text, path, &mut args)?;
     if let Some(names) = &inputs.algos {
         if let Workload::QueryMatrix(cells) = &mut spec.workload {
             for cell in cells {
@@ -259,12 +252,12 @@ fn run_one(text: &str, path: &Path, inputs: &RunInputs) -> Result<bool, String> 
             }
         }
     }
-    let mut spec = crate::specs::with_args(spec, &args);
-    // Figure-specific backend policy (e.g. ext_scale's CI-budget drop
-    // of dense cells past the quadratic wall) — the same hook the
-    // figure binary applies, resolved from the catalogue; generic
-    // user-authored specs run whatever they declare.
-    if let Some(clamp) = figure(&spec.name).and_then(|f| f.clamp) {
+    // Figure-specific policy (e.g. ext_scale's CI-budget drop of dense
+    // cells past the quadratic wall, and its self-check), resolved from
+    // the catalogue; generic user-authored specs run whatever they
+    // declare.
+    let figure = figure(&spec.name);
+    if let Some(clamp) = figure.and_then(|f| f.clamp) {
         let dropped = clamp(&mut spec);
         if !dropped.is_empty() {
             eprintln!(
@@ -284,9 +277,9 @@ fn run_one(text: &str, path: &Path, inputs: &RunInputs) -> Result<bool, String> 
     }
     spec.validate().map_err(|e| format!("{}: {e}", path.display()))?;
     let registry = full_registry();
-    // Resolve every algorithm name here (not only inside the pipeline
-    // driver, which exits the process): in a catalogue run an unknown
-    // name must fail this entry and let the remaining specs run.
+    // Resolve every algorithm name before any world is built: in a
+    // catalogue run an unknown name must fail this entry and let the
+    // remaining specs run.
     if let Workload::QueryMatrix(cells) = &spec.workload {
         for cell in cells {
             for algo in &cell.algos {
@@ -296,21 +289,30 @@ fn run_one(text: &str, path: &Path, inputs: &RunInputs) -> Result<bool, String> 
             }
         }
     }
-    let renderer = figure(&spec.name).and_then(|f| f.render);
-    let report = cli::run_experiment(&args, &registry, spec, move |report, args| {
-        match renderer {
-            Some(render) => render(report, args),
-            None => match report.study_output() {
-                Some(_) => cli::study_rendered(report, args),
-                None => Rendered::plain(np_core::experiment::sink::render_table(report)),
-            },
-        }
+    let renderer = figure.and_then(|f| f.render);
+    let experiment = Experiment::new(spec, &registry);
+    let report = cli::run_experiment(&args, &experiment, move |report, args| match renderer {
+        Some(render) => render(report, args),
+        None => match report.study_output() {
+            Some(_) => cli::study_rendered(report, args),
+            None => Rendered::plain(np_core::experiment::sink::render_table(report)),
+        },
     });
-    Ok(report
+    if report
         .query_cells()
         .unwrap_or_default()
         .iter()
-        .any(|c| c.error.is_some()))
+        .any(|c| c.error.is_some())
+    {
+        return Ok(true);
+    }
+    if let Some(check) = figure.and_then(|f| f.check) {
+        if let Err(e) = check(experiment.spec(), &report, &args) {
+            eprintln!("error: {} self-check failed: {e}", report.name);
+            return Ok(true);
+        }
+    }
+    Ok(false)
 }
 
 /// `np-bench specs [--check] [--dir DIR]`.
@@ -418,12 +420,21 @@ mod tests {
 
     #[test]
     fn rebase_preserves_per_cell_offsets() {
-        let fig8 = figure("fig8").expect("fig8 exists");
-        let mut at_default = (fig8.build)(DEFAULT_SEED);
-        let at_nine = (fig8.build)(9);
-        rebase_seeds(&mut at_default, 9);
-        assert_eq!(at_default, at_nine, "rebase must equal rebuilding at the new seed");
+        // Loading a checked-in file and rebasing it must equal the
+        // figure's builder at the new seed — what `--seed N` means.
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../experiments");
+        for f in FIGURES {
+            let text = std::fs::read_to_string(dir.join(spec_file_name(f.spec)))
+                .unwrap_or_else(|e| panic!("{}: {e}", f.spec));
+            for seed in [1, 0xDEAD_BEEF] {
+                let mut spec = ExperimentSpec::from_toml_with(&text, study_stage)
+                    .unwrap_or_else(|e| panic!("{}: {e}", f.spec));
+                rebase_seeds(&mut spec, seed);
+                assert_eq!(spec, (f.build)(seed), "{} rebased to {seed:#x}", f.spec);
+            }
+        }
         // Identity rebase is a no-op.
+        let fig8 = figure("fig8").expect("fig8 exists");
         let mut spec = (fig8.build)(DEFAULT_SEED);
         rebase_seeds(&mut spec, DEFAULT_SEED);
         assert_eq!(spec, (fig8.build)(DEFAULT_SEED));
@@ -431,32 +442,31 @@ mod tests {
 
     #[test]
     fn run_args_parse_path_algos_and_passthrough() {
-        let argv: Vec<String> = [
+        let argv = |args: &[&str]| args.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let inputs = parse_run_args(&argv(&[
             "experiments/fig8.toml",
             "--quick",
             "--algos",
             "meridian, random",
             "--show-tree",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        let inputs = parse_run_args(&argv).expect("parses");
+        ]))
+        .expect("parses");
         assert_eq!(inputs.path, PathBuf::from("experiments/fig8.toml"));
         assert!(inputs.args.quick);
         assert_eq!(
             inputs.algos.as_deref(),
             Some(&["meridian".to_string(), "random".to_string()][..])
         );
-        assert_eq!(inputs.passthrough, vec!["--show-tree".to_string()]);
+        assert_eq!(inputs.args.rest, vec!["--show-tree".to_string()]);
         // Errors: no path, dangling --algos, a second spec path, and
-        // --shards (a world-generator override a spec file pins).
-        assert!(parse_run_args(&["--quick".to_string()]).is_err());
-        assert!(parse_run_args(&["x.toml".to_string(), "--algos".to_string()]).is_err());
-        let err = parse_run_args(&["a.toml".to_string(), "b.toml".to_string()]).unwrap_err();
+        // any flag no figure reads — a typo or the retired --shards.
+        assert!(parse_run_args(&argv(&["--quick"])).is_err());
+        assert!(parse_run_args(&argv(&["x.toml", "--algos"])).is_err());
+        let err = parse_run_args(&argv(&["a.toml", "b.toml"])).unwrap_err();
         assert!(err.contains("one spec file"), "{err}");
-        let err = parse_run_args(&["a.toml".to_string(), "--shards".to_string(), "8".to_string()])
-            .unwrap_err();
-        assert!(err.contains("--shards has no effect"), "{err}");
+        let err = parse_run_args(&argv(&["a.toml", "--qiuck"])).unwrap_err();
+        assert_eq!(err, "unknown flag \"--qiuck\"");
+        let err = parse_run_args(&argv(&["a.toml", "--shards", "8"])).unwrap_err();
+        assert_eq!(err, "unknown flag \"--shards\"");
     }
 }

@@ -95,6 +95,29 @@ pub fn build(seed: u64) -> ExperimentSpec {
     spec
 }
 
+/// The ext_churn self-check. The brute-force reference must stay exact
+/// — its `NearestCache` is incrementally evicted/admitted across churn
+/// epochs, and a stale truth table would silently corrupt every
+/// accuracy column — and every row must report its repair accounting,
+/// at least the initial epoch per run.
+pub fn check(_: &ExperimentSpec, report: &ExperimentReport, _: &Args) -> Result<(), String> {
+    for cell in report.query_cells().unwrap_or_default() {
+        for row in &cell.rows {
+            let inexact = row.runs.iter().any(|m| m.p_correct_closest != 1.0);
+            let epochs = row.churn.map_or(0, |stats| stats.epochs);
+            let broken = if row.algo == "brute-force" && inexact {
+                "brute force must stay exact under churn"
+            } else if epochs < row.runs.len() as u64 {
+                "fewer churn epochs than runs"
+            } else {
+                continue;
+            };
+            return Err(format!("{}: {broken} ({})", row.algo, cell.label));
+        }
+    }
+    Ok(())
+}
+
 /// The churn sweep renderer: accuracy per algorithm plus the dynamic
 /// runner's event and repair accounting (meridian row — brute force
 /// and random rebuild trivially and have no rings to repair).
@@ -169,6 +192,7 @@ pub fn render(report: &ExperimentReport, _args: &Args) -> Rendered {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use np_core::experiment::ReportBody;
 
     #[test]
     fn every_cell_runs_the_fault_injected_dynamic_pipeline() {
@@ -186,5 +210,32 @@ mod tests {
             assert!(cell.in_quick, "the whole sweep is CI-smokeable");
         }
         spec.validate().expect("built-in churn spec validates");
+    }
+
+    #[test]
+    fn check_accepts_a_churned_run_and_rejects_doctored_reports() {
+        let args = Args::default();
+        let churned = || {
+            let mut spec = crate::specs::tests::tiny_spec(&["brute-force", "meridian"]);
+            let np_core::experiment::Workload::QueryMatrix(cells) = &mut spec.workload else {
+                unreachable!("tiny_spec is a query spec");
+            };
+            cells[0].churn = Some(fault_model(10.0));
+            spec
+        };
+        let mut report = crate::specs::tests::run(churned());
+        check(&churned(), &report, &args).expect("a genuine churned run passes");
+        let ReportBody::Query(cells) = &mut report.body else {
+            unreachable!("query report");
+        };
+        cells[0].rows[1].churn = None;
+        let err = check(&churned(), &report, &args).unwrap_err();
+        assert_eq!(err, "meridian: fewer churn epochs than runs (96 peers)");
+        let ReportBody::Query(cells) = &mut report.body else {
+            unreachable!("query report");
+        };
+        cells[0].rows[0].runs[0].p_correct_closest = 0.5;
+        let err = check(&churned(), &report, &args).unwrap_err();
+        assert!(err.contains("brute force must stay exact"), "{err}");
     }
 }

@@ -100,6 +100,33 @@ pub fn build(seed: u64) -> ExperimentSpec {
     spec
 }
 
+/// The Ext F self-check. The reference row must stay exact with unit
+/// stretch — `mean_stretch` reading the wrong RTT pair would corrupt
+/// the whole stretch column — every row must count probes and keep
+/// stretch at or above 1, and both searcher families must actually
+/// walk (nonzero hops).
+pub fn check(_: &ExperimentSpec, report: &ExperimentReport, _: &Args) -> Result<(), String> {
+    for cell in report.query_cells().unwrap_or_default() {
+        for row in &cell.rows {
+            let searcher = row.algo.starts_with("kademlia") || row.algo.starts_with("nsw");
+            for m in &row.runs {
+                let exact = m.p_correct_closest == 1.0 && m.mean_stretch == 1.0;
+                let broken = if row.algo == "brute-force" && !exact {
+                    "the reference must stay exact with unit stretch"
+                } else if !(m.mean_probes > 0.0 && m.mean_stretch >= 1.0) {
+                    "probes must be counted and stretch is bounded below by 1"
+                } else if searcher && m.mean_hops <= 0.0 {
+                    "structured searchers must hop"
+                } else {
+                    continue;
+                };
+                return Err(format!("{}: {broken} ({})", row.algo, cell.label));
+            }
+        }
+    }
+    Ok(())
+}
+
 /// The Ext F table renderer: accuracy, stretch, hop and probe columns.
 pub fn render(report: &ExperimentReport, _args: &Args) -> Rendered {
     let mut table = Table::new(&[
@@ -145,6 +172,7 @@ pub fn render(report: &ExperimentReport, _args: &Args) -> Rendered {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use np_core::experiment::ReportBody;
 
     #[test]
     fn spec_validates_and_names_both_families() {
@@ -169,6 +197,26 @@ mod tests {
             assert!(names.contains(&expected), "missing {expected}: {names:?}");
         }
         assert!(cell.quick_queries.is_some(), "dual-budget cell");
+    }
+
+    #[test]
+    fn check_accepts_a_genuine_run_and_rejects_doctored_reports() {
+        let args = Args::default();
+        let spec = || crate::specs::tests::tiny_spec(&["brute-force", "kademlia", "nsw"]);
+        let mut report = crate::specs::tests::run(spec());
+        check(&spec(), &report, &args).expect("a genuine run passes");
+        let ReportBody::Query(cells) = &mut report.body else {
+            unreachable!("query report");
+        };
+        cells[0].rows[2].runs[0].mean_hops = 0.0;
+        let err = check(&spec(), &report, &args).unwrap_err();
+        assert!(err.contains("nsw: structured searchers must hop"), "{err}");
+        let ReportBody::Query(cells) = &mut report.body else {
+            unreachable!("query report");
+        };
+        cells[0].rows[0].runs[0].mean_stretch = 1.5;
+        let err = check(&spec(), &report, &args).unwrap_err();
+        assert!(err.contains("unit stretch"), "{err}");
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! **Ext C** spec: the hybrid remedy (UCL registry + Meridian
 //! fallback) across registry deployment coverages. Each coverage level
 //! is one `HybridHintFactory` registration — the factories live in
-//! [`crate::registry::full_registry`] so `np-bench run` resolves the
-//! same names the binary does; all rows share one scenario and one
-//! Meridian ring fill through the pipeline's caches.
+//! [`crate::registry::full_registry`], where `np-bench run` resolves
+//! them by name; all rows share one scenario and one Meridian ring fill
+//! through the pipeline's caches.
 
 use crate::cli::{Args, Rendered};
 use np_core::experiment::{

@@ -3,14 +3,15 @@
 //! hierarchical backend, with a brute-force reference column, a
 //! Kademlia column (cheap at any size), and a Meridian column built
 //! through the shard-local ring fill at the sizes where its O(n²)
-//! shard-local fill is affordable. The binary adds the dense
-//! cross-check ([`dense_cross_check`] picks its cells) and the
-//! exactness self-checks on top of this spec.
+//! shard-local fill is affordable. [`check`] adds the exactness
+//! self-checks and, at the sizes where the dense matrix still fits,
+//! the dense cross-check ([`dense_cross_check`] picks its cells).
 
-use crate::cli::{Args, Rendered};
+use crate::cli::{self, Args, Rendered};
+use crate::registry::full_registry;
 use np_core::experiment::{
-    hierarchical_knobs, AlgoSpec, Backend, CellSpec, ExperimentReport, ExperimentSpec, SeedPlan,
-    Workload,
+    hierarchical_knobs, AlgoSpec, Backend, CellSpec, Experiment, ExperimentReport, ExperimentSpec,
+    SeedPlan, Workload,
 };
 use np_topology::ClusterWorldSpec;
 use np_util::table::Table;
@@ -23,7 +24,7 @@ pub const SIZES: &[usize] = &[2_500, 10_000, 25_000, 50_000, 200_000, 1_000_000]
 pub const QUICK_SIZES: &[usize] = &[2_500, 10_000, 200_000];
 
 /// Dense is quadratic: past this size a single matrix outgrows the CI
-/// memory budget this binary is asserted under.
+/// memory budget this figure is asserted under.
 pub const DENSE_LIMIT: usize = 12_000;
 
 /// Cross-check against dense only at paper scale: the point of the
@@ -45,10 +46,9 @@ pub const MERIDIAN_LIMIT: usize = 50_000;
 pub const MAX_CLUSTERS: usize = 2_500;
 
 /// The cluster-world spec for `peers` total peers: the paper's shape
-/// (2 peers per end-network, 25 end-networks per cluster) unless
-/// `shards` overrides the cluster count.
-pub fn world_for(peers: usize, shards: Option<usize>) -> ClusterWorldSpec {
-    let clusters = shards.unwrap_or_else(|| (peers / 50).max(1).min(MAX_CLUSTERS));
+/// (2 peers per end-network, 25 end-networks per cluster).
+pub fn world_for(peers: usize) -> ClusterWorldSpec {
+    let clusters = (peers / 50).clamp(1, MAX_CLUSTERS);
     let en_per_cluster = (peers / (clusters * 2)).max(1);
     ClusterWorldSpec {
         clusters,
@@ -61,16 +61,13 @@ pub fn world_for(peers: usize, shards: Option<usize>) -> ClusterWorldSpec {
     }
 }
 
-/// The dual-budget scale spec at `seed`, with an optional `--shards`
-/// cluster-count override (the serialised `experiments/ext_scale.toml`
-/// is the `shards = None` shape).
-pub fn build_with(seed: u64, shards: Option<usize>) -> ExperimentSpec {
+/// The dual-budget scale spec at `seed`.
+pub fn build(seed: u64) -> ExperimentSpec {
     let cells = SIZES
         .iter()
         .map(|&requested| {
-            let world = world_for(requested, shards);
-            // With a --shards override the spec rounds to whole
-            // clusters; label the world actually built.
+            let world = world_for(requested);
+            // Worlds round to whole clusters; label the world built.
             let peers = world.total_peers();
             let mut algos = vec![AlgoSpec::new("brute-force"), AlgoSpec::new("kademlia")];
             if peers <= MERIDIAN_LIMIT {
@@ -103,11 +100,6 @@ pub fn build_with(seed: u64, shards: Option<usize>) -> ExperimentSpec {
     spec
 }
 
-/// The catalogue builder (no shard override).
-pub fn build(seed: u64) -> ExperimentSpec {
-    build_with(seed, None)
-}
-
 /// Drop cells whose dense matrix would not fit the CI budget. Returns
 /// the labels dropped (callers report them; an empty sweep is the
 /// caller's error to raise).
@@ -127,7 +119,7 @@ pub fn drop_oversized_dense_cells(spec: &mut ExperimentSpec) -> Vec<String> {
     dropped
 }
 
-/// The cells the binary re-runs on the dense backend to cross-check a
+/// The cells [`check`] re-runs on the dense backend to cross-check a
 /// hierarchical run, plus the labels of the cells within
 /// [`CROSS_CHECK_LIMIT`] it skips. A cell is cross-checked when its
 /// world fits the limit and its knobs resolve to one super-shard — the
@@ -152,6 +144,86 @@ pub fn dense_cross_check(spec: &ExperimentSpec) -> (Vec<CellSpec>, Vec<String>) 
         .cloned()
         .collect();
     (checked, skipped)
+}
+
+/// The ext_scale self-check, matched by registry name (the sweep's
+/// algorithm set varies with size and with `--algos`): brute force must
+/// be exact, the shard-locally built Meridian overlay must stay a
+/// working query structure (members answer, probes are spent), and the
+/// Kademlia walk must converge in bounded rounds. On a hierarchical run
+/// the [`dense_cross_check`] cells then re-run on the dense backend and
+/// every row must agree bit for bit — including Meridian, whose
+/// compressed-backend overlay came from the shard-local fill while the
+/// dense one used the omniscient fill.
+pub fn check(spec: &ExperimentSpec, report: &ExperimentReport, args: &Args) -> Result<(), String> {
+    let cells = report.query_cells().unwrap_or_default();
+    for cell in cells {
+        for row in &cell.rows {
+            for m in &row.runs {
+                let healthy = match row.algo.as_str() {
+                    "brute-force" => m.p_correct_closest == 1.0,
+                    "meridian" => m.mean_probes > 0.0 && m.p_correct_cluster > 0.0,
+                    "kademlia" => m.mean_probes > 0.0 && (1.0..64.0).contains(&m.mean_hops),
+                    _ => true,
+                };
+                if !healthy {
+                    return Err(format!("{} degenerate at {} peers", row.algo, cell.peers));
+                }
+            }
+        }
+    }
+    if spec.backend == Backend::Dense {
+        return Ok(());
+    }
+    let (cross_check_cells, skipped) = dense_cross_check(spec);
+    if !skipped.is_empty() {
+        eprintln!(
+            "skipping the dense cross-check for {skipped:?}: more than one super-shard \
+             approximates cross-group paths (--super-shards 1 is the exact store)"
+        );
+    }
+    if cross_check_cells.is_empty() {
+        return Ok(());
+    }
+    let labels: Vec<&str> = cross_check_cells.iter().map(|c| c.label.as_str()).collect();
+    eprintln!("cross-checking {labels:?} against the dense backend...");
+    let dense_spec = ExperimentSpec::query(
+        "ext_scale-crosscheck",
+        "dense cross-check",
+        "",
+        Backend::Dense,
+        spec.seeds,
+        cross_check_cells,
+    );
+    let dense = Experiment::new(dense_spec, &full_registry()).run_threads(args.threads());
+    for de in dense.query_cells().unwrap_or_default() {
+        if let Some(error) = &de.error {
+            return Err(format!("dense {:?} failed: {error}", de.label));
+        }
+        // Matched by label: the filter may skip cells ahead of a
+        // cross-checked one.
+        let co = cells
+            .iter()
+            .find(|c| c.label == de.label)
+            .ok_or_else(|| format!("cross-check cell {:?} missing from the report", de.label))?;
+        for (cr, dr) in co.rows.iter().zip(&de.rows) {
+            if cr.runs != dr.runs {
+                return Err(format!(
+                    "{} and dense {} diverged at {} peers",
+                    spec.backend.name(),
+                    cr.algo,
+                    co.peers
+                ));
+            }
+        }
+        let line = format!("{} peers: dense cross-check identical ✓", co.peers);
+        cli::chrome(args, &line);
+    }
+    // The cross-check allocates dense matrices after the driver's
+    // budget check; re-assert the peak so the budget covers the whole
+    // run.
+    cli::enforce_rss_budget(args);
+    Ok(())
 }
 
 /// The scale sweep table renderer: store footprint, build and batch
@@ -255,7 +327,9 @@ pub fn render(report: &ExperimentReport, _args: &Args) -> Rendered {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::specs::tests::{run, tiny_spec};
     use crate::specs::with_args;
+    use np_core::experiment::ReportBody;
 
     fn labels(cells: &[CellSpec]) -> Vec<&str> {
         cells.iter().map(|c| c.label.as_str()).collect()
@@ -278,5 +352,31 @@ mod tests {
         let (checked, skipped) = dense_cross_check(&grouped);
         assert!(checked.is_empty());
         assert_eq!(skipped, ["2500 peers"]);
+    }
+
+    #[test]
+    fn check_cross_checks_a_hierarchical_run_and_rejects_doctored_reports() {
+        let args = Args::default();
+        let spec = || {
+            let mut spec = tiny_spec(&["brute-force", "meridian", "kademlia"]);
+            spec.backend = Backend::Hierarchical;
+            spec
+        };
+        let mut report = run(spec());
+        check(&spec(), &report, &args).expect("one super-shard agrees with dense");
+        // A Meridian digit that dense does not reproduce.
+        let ReportBody::Query(cells) = &mut report.body else {
+            unreachable!("query report");
+        };
+        cells[0].rows[1].runs[0].p_correct_closest += 0.25;
+        let err = check(&spec(), &report, &args).unwrap_err();
+        assert_eq!(err, "hierarchical and dense meridian diverged at 96 peers");
+        // An inexact reference fails before any cross-check runs.
+        let ReportBody::Query(cells) = &mut report.body else {
+            unreachable!("query report");
+        };
+        cells[0].rows[0].runs[0].p_correct_closest = 0.5;
+        let err = check(&spec(), &report, &args).unwrap_err();
+        assert_eq!(err, "brute-force degenerate at 96 peers");
     }
 }

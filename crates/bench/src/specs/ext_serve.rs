@@ -8,11 +8,11 @@
 //! tail latency (p50/p99/p999) do their probe costs buy? The spec
 //! itself is an ordinary query-matrix cell — `np-bench run
 //! experiments/ext_serve.toml` drives it through the *batch* pipeline
-//! (this module's [`render`] shows the accuracy/probe table), while the
-//! `ext_serve` binary and `np-bench serve` drive the same cell through
-//! the *serving* pipeline (`crate::serve_cmd`), whose per-query answers
-//! and `PaperMetrics` are contractually bit-identical to the batch path
-//! under lossless admission.
+//! (this module's [`render`] shows the accuracy/probe table), while
+//! `np-bench serve experiments/ext_serve.toml` drives the same cell
+//! through the *serving* pipeline (`crate::serve_cmd`), whose per-query
+//! answers and `PaperMetrics` are contractually bit-identical to the
+//! batch path under lossless admission.
 
 use crate::cli::{Args, Rendered};
 use np_core::experiment::{
@@ -56,8 +56,8 @@ pub fn build(seed: u64) -> ExperimentSpec {
 
 /// The batch-path renderer (`np-bench run experiments/ext_serve.toml`):
 /// the accuracy/probe table of the same cell the serving pipeline
-/// drives. Serve timing (throughput, latency quantiles) comes from the
-/// `ext_serve` binary / `np-bench serve`, which render their own table.
+/// drives. Serve timing (throughput, latency quantiles) comes from
+/// `np-bench serve`, which renders its own table.
 pub fn render(report: &ExperimentReport, _args: &Args) -> Rendered {
     let mut table = Table::new(&[
         "algorithm",

@@ -1,5 +1,8 @@
 //! **Figure 11** spec: false-positive and false-negative rates of the
-//! IP-prefix heuristic vs. prefix length.
+//! IP-prefix heuristic vs. prefix length. Paper series: median FP and
+//! FN over peers with a ≤10 ms neighbour (≈2,400 of 22,796), for prefix
+//! lengths 8–24; FP falls with longer prefixes, FN rises, and there is
+//! no sweet spot.
 
 use np_cluster::TraceGraph;
 use np_core::experiment::{Backend, ExperimentSpec, StudyCtx, StudyOutput};

@@ -1,4 +1,11 @@
 //! **Figures 3 & 4** spec: the DNS-pair latency-prediction study.
+//!
+//! Paper series: Fig 3 is the cumulative distribution of the prediction
+//! measure (predicted ÷ King-measured) over 18,019 DNS-server pairs,
+//! ≈65 % of them within [0.5, 2]; Fig 4 is the per-bin
+//! 5/25/50/75/95-percentiles of the measure vs. predicted latency (log
+//! x), rising with predicted latency, plus bin populations.
+//!
 //! `--show-tree` (a passthrough flag) additionally renders a Figure
 //! 2-style sample traceroute tree.
 

@@ -1,5 +1,9 @@
 //! **Figure 5** spec: intra-domain vs. inter-domain latency
-//! distributions. On degenerate (sub-`--quick`) worlds a distribution
+//! distributions. Paper series: four CDFs — same-domain pairs
+//! (predicted, hop caps 5 and 10) and different-domain pairs (predicted
+//! and King-measured, hop cap 10); intra-domain latencies are about an
+//! order of magnitude smaller, and tightening the hop cap changes
+//! little. On degenerate (sub-`--quick`) worlds a distribution
 //! can be empty; its rows are marked `n/a` instead of aborting — the
 //! headline ratio needs both medians and is skipped likewise.
 

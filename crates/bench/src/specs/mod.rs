@@ -1,23 +1,21 @@
 //! The figure specs and renderers, as library code.
 //!
-//! Every figure binary used to own its `ExperimentSpec` construction
-//! and its renderer; `np-bench run <spec.toml>` needs both reachable
-//! *by spec name* — the TOML file supplies the spec data, the
-//! catalogue supplies the matching renderer (query figures) or study
-//! stage (measurement figures). So each figure lives here as a module
-//! with:
+//! `np-bench run <spec.toml>` needs each figure reachable *by spec
+//! name* — the TOML file supplies the spec data, the catalogue supplies
+//! the matching renderer (query figures) or study stage (measurement
+//! figures). So each figure lives here as a module with:
 //!
 //! * `build(seed) -> ExperimentSpec` — the **dual-budget** spec: paper
 //!   query counts plus `quick_queries`/`in_quick` markers, exactly what
 //!   `np-bench specs` serialises into `experiments/*.toml`;
 //! * `render(report, args) -> Rendered` for query figures, or
-//!   `study(ctx) -> StudyOutput` for measurement figures.
+//!   `study(ctx) -> StudyOutput` for measurement figures;
+//! * for ext_scale, ext_churn and ext_dht, a `check` the runner applies
+//!   to the finished report.
 //!
-//! The binaries are thin wrappers: parse flags, call
-//! [`spec_for_args`], hand the result to `cli::run_experiment` with
-//! the module's renderer. Renderers read everything they need from the
-//! typed report (cell labels carry the sweep variable), so the same
-//! renderer serves a binary-built spec and a TOML-loaded one.
+//! Renderers read everything they need from the typed report (cell
+//! labels carry the sweep variable), so the same renderer serves a
+//! built spec and a TOML-loaded one.
 
 pub mod ext_ablation;
 pub mod ext_assumptions;
@@ -37,21 +35,13 @@ pub mod fig9;
 pub mod ucl_discovery;
 
 use crate::cli::Args;
-use crate::figures::FigureInfo;
 use np_core::experiment::{ExperimentSpec, Workload};
 
 /// Apply the shared CLI overrides to a figure's dual-budget spec:
 /// `--world` picks the backend, `--super-shards`/`--block-cache-mb`
 /// pin the hierarchical knobs on every cell, `--seeds` the sweep
 /// width, leftover flags pass through to study stages, and `--quick`
-/// resolves the quick/paper budget pair. The result is exactly the
-/// spec the pre-refactor binary would have built inline.
-pub fn spec_for_args(figure: &FigureInfo, args: &Args) -> ExperimentSpec {
-    with_args((figure.build)(args.seed), args)
-}
-
-/// [`spec_for_args`] for an already-built spec (the TOML loader and
-/// binaries with extra build inputs use this half directly).
+/// resolves the quick/paper budget pair.
 pub fn with_args(mut spec: ExperimentSpec, args: &Args) -> ExperimentSpec {
     spec.backend = args.backend(spec.backend);
     if args.super_shards.is_some() || args.block_cache_mb.is_some() {
@@ -75,8 +65,54 @@ pub fn label_value(label: &str) -> Option<f64> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::registry::full_registry;
+    use np_core::experiment::{
+        AlgoSpec, Backend, CellSpec, Experiment, ExperimentReport, SeedPlan,
+    };
+    use np_topology::ClusterWorldSpec;
+    use np_util::Micros;
+
+    /// A one-cell dense spec over a 96-peer cluster world: small enough
+    /// to run in a unit test, so a figure check sees a genuine report
+    /// before the test doctors it.
+    pub(crate) fn tiny_spec(algos: &[&str]) -> ExperimentSpec {
+        let cell = CellSpec {
+            label: "96 peers".into(),
+            world: ClusterWorldSpec {
+                clusters: 4,
+                en_per_cluster: 12,
+                peers_per_en: 2,
+                delta: 0.2,
+                mean_hub_ms: (4.0, 6.0),
+                intra_en: Micros::from_us(100),
+                hub_pool: 4,
+            },
+            n_targets: 4,
+            base_seed: 7,
+            queries: 20,
+            quick_queries: None,
+            in_quick: true,
+            churn: None,
+            super_shards: None,
+            block_cache_mb: None,
+            algos: algos.iter().copied().map(AlgoSpec::new).collect(),
+        };
+        ExperimentSpec::query(
+            "tiny",
+            "tiny",
+            "n/a",
+            Backend::Dense,
+            SeedPlan::Single,
+            vec![cell],
+        )
+    }
+
+    /// Run `spec` through the full registry on two threads.
+    pub(crate) fn run(spec: ExperimentSpec) -> ExperimentReport {
+        Experiment::new(spec, &full_registry()).run_threads(2)
+    }
 
     #[test]
     fn label_values_parse() {

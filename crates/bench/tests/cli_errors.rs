@@ -1,9 +1,13 @@
 //! Malformed flags must exit 2 with the error and usage on stderr — a
-//! diagnostic, not a panic backtrace — on every bench binary
-//! (acceptance criterion of the error-path bugfix; the library-level
-//! messages are unit-tested in `np_bench::cli`).
+//! diagnostic, not a panic backtrace — on every `np-bench` subcommand
+//! (the library-level messages are unit-tested in `np_bench::cli`).
 
 use std::process::Command;
+
+/// A checked-in spec file, by name.
+fn spec(name: &str) -> String {
+    format!("{}/../../experiments/{name}", env!("CARGO_MANIFEST_DIR"))
+}
 
 fn run(bin: &str, args: &[&str]) -> (Option<i32>, String) {
     let out = Command::new(bin)
@@ -36,43 +40,59 @@ fn assert_usage_error(bin: &str, args: &[&str], expect_msg: &str) {
 
 #[test]
 fn fig8_malformed_flags_exit_2_with_usage() {
-    let bin = env!("CARGO_BIN_EXE_fig8");
-    assert_usage_error(bin, &["--seed", "banana"], "--seed must be a u64");
-    assert_usage_error(bin, &["--threads"], "--threads requires a value");
+    let bin = env!("CARGO_BIN_EXE_np-bench");
+    let fig8 = spec("fig8.toml");
+    let run_fig8 = |flags: &[&'static str]| [&["run", fig8.as_str()][..], flags].concat();
+    let banana = run_fig8(&["--seed", "banana"]);
+    assert_usage_error(bin, &banana, "--seed must be a u64");
+    assert_usage_error(bin, &run_fig8(&["--threads"]), "--threads requires a value");
     // An unknown backend exits 2 with the catalogue and, when a name
     // is close, a nearest-name hint — the unknown-algorithm shape.
-    let (_, stderr) = run(bin, &["--world", "cubic"]);
+    let cubic = run_fig8(&["--world", "cubic"]);
+    let (_, stderr) = run(bin, &cubic);
     assert!(stderr.contains("no world backend \"cubic\""), "{stderr}");
     assert!(stderr.contains("hierarchical"), "catalogue missing: {stderr}");
-    assert_usage_error(bin, &["--world", "cubic"], "--world: no world backend");
-    assert_usage_error(
-        bin,
-        &["--world", "hierarchcal"],
-        "did you mean \"hierarchical\"?",
-    );
+    assert_usage_error(bin, &cubic, "--world: no world backend");
+    let typo = run_fig8(&["--world", "hierarchcal"]);
+    assert_usage_error(bin, &typo, "did you mean \"hierarchical\"?");
     // The retired one-level store's name is no alias: exit 2 with the
     // catalogue of exactly the live backends.
-    assert_usage_error(bin, &["--world", "sharded"], "no world backend \"sharded\"");
-    let (_, stderr) = run(bin, &["--world", "sharded"]);
+    let sharded = run_fig8(&["--world", "sharded"]);
+    assert_usage_error(bin, &sharded, "no world backend \"sharded\"");
+    let (_, stderr) = run(bin, &sharded);
     assert_eq!(catalogue(&stderr), ["dense", "hierarchical"], "{stderr}");
+    // A misspelt flag, or the retired --shards, is an error naming the
+    // flag — not a silently ignored study-stage passthrough after a
+    // full paper-scale run.
+    assert_usage_error(bin, &run_fig8(&["--qiuck"]), "unknown flag \"--qiuck\"");
+    let shards = run_fig8(&["--shards", "8"]);
+    assert_usage_error(bin, &shards, "unknown flag \"--shards\"");
 }
 
 #[test]
 fn ext_scale_malformed_flags_exit_2_with_usage() {
     assert_usage_error(
-        env!("CARGO_BIN_EXE_ext_scale"),
-        &["--seeds", "0"],
+        env!("CARGO_BIN_EXE_np-bench"),
+        &["run", &spec("ext_scale.toml"), "--seeds", "0"],
         "--seeds must be at least 1",
     );
 }
 
 #[test]
-fn all_figures_validates_flags_before_spawning_children() {
-    // One usage error up front — not 13 failing child binaries.
-    assert_usage_error(
-        env!("CARGO_BIN_EXE_all_figures"),
-        &["--out", "xml"],
-        "--out must be",
+fn all_figures_validates_flags_before_any_member_runs() {
+    // One usage error up front — no member banner, no failing member.
+    let bin = env!("CARGO_BIN_EXE_np-bench");
+    let args = ["run", &spec("all_figures.toml"), "--out", "xml"];
+    assert_usage_error(bin, &args, "--out must be");
+    let stdout = Command::new(bin)
+        .args(args)
+        .output()
+        .expect("spawns")
+        .stdout;
+    assert!(
+        stdout.is_empty(),
+        "a member ran: {}",
+        String::from_utf8_lossy(&stdout)
     );
 }
 

@@ -1,11 +1,12 @@
 //! Golden-file regression for the Ext F structured-overlay searchers.
 //!
-//! `fixtures/ext_dht_quick.txt` is the committed stdout of `ext_dht
-//! --quick --threads 2` on the dense backend, captured when the
-//! Kademlia/NSW searchers landed. Every table digit — accuracy,
-//! stretch, probe and hop means for both searcher families and their
-//! parameter variants — must reproduce byte for byte (only the
-//! wall-clock footer is timing, not behaviour). The XOR frontier, the
+//! `fixtures/ext_dht_quick.txt` is the committed stdout of the ext_dht
+//! figure at `--quick --threads 2` on the dense backend, captured when
+//! the Kademlia/NSW searchers landed. `np-bench run
+//! experiments/ext_dht.toml` must reproduce every table digit —
+//! accuracy, stretch, probe and hop means for both searcher families
+//! and their parameter variants — byte for byte (only the wall-clock
+//! footer is timing, not behaviour). The XOR frontier, the
 //! NSW insertion order, the per-query RNG streams and the new
 //! `mean_stretch` reduction are all pinned here.
 
@@ -35,50 +36,35 @@ fn normalize_backend(s: &str) -> String {
     out.join("\n")
 }
 
+/// `np-bench run experiments/ext_dht.toml --quick --threads 2
+/// <extra>`'s stdout; a non-zero exit (a failed cell or self-check)
+/// fails the test.
 fn run_ext_dht(extra: &[&str]) -> String {
-    let mut args = vec!["--quick", "--threads", "2"];
+    let spec_path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../experiments/ext_dht.toml"
+    );
+    let mut args = vec!["run", spec_path, "--quick", "--threads", "2"];
     args.extend_from_slice(extra);
-    let out = Command::new(env!("CARGO_BIN_EXE_ext_dht"))
-        .args(&args)
-        .output()
-        .expect("ext_dht binary runs");
-    assert!(
-        out.status.success(),
-        "ext_dht {args:?} exited non-zero: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    String::from_utf8(out.stdout).expect("ext_dht output is UTF-8")
-}
-
-#[test]
-fn ext_dht_quick_matches_the_fixture() {
-    let fixture = include_str!("fixtures/ext_dht_quick.txt");
-    assert_eq!(
-        normalize(&run_ext_dht(&[])),
-        normalize(fixture),
-        "ext_dht --quick output diverged from the committed fixture"
-    );
-}
-
-#[test]
-fn np_bench_run_ext_dht_toml_matches_the_fixture() {
-    // The serialised-spec path: `np-bench run experiments/ext_dht.toml
-    // --quick` resolves `kademlia`/`nsw` and the variant names from the
-    // full registry and must reproduce the binary's bytes.
-    let fixture = include_str!("fixtures/ext_dht_quick.txt");
-    let spec_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../experiments/ext_dht.toml");
     let out = Command::new(env!("CARGO_BIN_EXE_np-bench"))
-        .args(["run", spec_path, "--quick", "--threads", "2"])
+        .args(&args)
         .output()
         .expect("np-bench binary runs");
     assert!(
         out.status.success(),
-        "np-bench run exited non-zero: {}",
+        "np-bench {args:?} exited non-zero: {}",
         String::from_utf8_lossy(&out.stderr)
     );
-    let stdout = String::from_utf8(out.stdout).expect("output is UTF-8");
+    String::from_utf8(out.stdout).expect("output is UTF-8")
+}
+
+#[test]
+fn np_bench_run_ext_dht_toml_matches_the_fixture() {
+    // The serialised-spec path resolves `kademlia`/`nsw` and the
+    // variant names from the full registry.
+    let fixture = include_str!("fixtures/ext_dht_quick.txt");
     assert_eq!(
-        normalize(&stdout),
+        normalize(&run_ext_dht(&[])),
         normalize(fixture),
         "np-bench run experiments/ext_dht.toml --quick diverged from the ext_dht fixture"
     );

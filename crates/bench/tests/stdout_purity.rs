@@ -12,9 +12,9 @@
 
 use std::process::Command;
 
-/// An ext_scale-named spec (so the catalogue's clamp hook applies) with
-/// one cell the dense backend fits and one 15,000-peer cell it must
-/// drop with a warning.
+/// An ext_scale-named spec (so the catalogue's clamp hook and self-check
+/// apply) with one cell the dense backend fits and one 15,000-peer cell
+/// it must drop with a warning.
 const CLAMPED_SPEC: &str = r#"
 [experiment]
 name = "ext_scale"
@@ -97,6 +97,24 @@ fn clamp_warning_goes_to_stderr_and_json_stdout_stays_pure() {
         assert!(line.contains("\"spec\":\"ext_scale\""), "{line}");
         assert!(line.contains("\"cell\":\"96 peers\""), "{line}");
     }
+    // On the hierarchical backend both cells run, and the self-check's
+    // dense cross-check of the small one reports on stderr.
+    let out = Command::new(env!("CARGO_BIN_EXE_np-bench"))
+        .args(["run", path.to_str().expect("utf-8"), "--out", "json"])
+        .args(["--threads", "2", "--world", "hierarchical"])
+        .output()
+        .expect("spawns");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "stderr: {stderr}\nstdout: {stdout}");
+    assert!(
+        stderr.contains("96 peers: dense cross-check identical ✓"),
+        "cross-check verdict missing from stderr: {stderr}"
+    );
+    let lines: Vec<&str> = stdout.lines().filter(|l| !l.trim().is_empty()).collect();
+    assert_eq!(lines.len(), 2, "both cells ran, got: {stdout}");
+    let json = |l: &&str| l.starts_with('{') && l.ends_with('}');
+    assert!(lines.iter().all(json), "non-JSON stdout: {stdout}");
 }
 
 /// The same purity for a churn spec: the dynamic runner's extra
@@ -257,6 +275,30 @@ name = "random"
             && recorded.contains("\"serve-purity/s/random\""),
         "record keys missing: {recorded}"
     );
+}
+
+/// `--seed` reaches the served schedule: the Poisson arrivals and every
+/// cell seed rebase on it, as they do for `np-bench run`.
+#[test]
+fn serve_honours_an_explicit_seed() {
+    let out = Command::new(env!("CARGO_BIN_EXE_np-bench"))
+        .args(["serve", "experiments/ext_serve.toml", "--quick"])
+        .args(["--threads", "2", "--pacing", "replay"])
+        .args(["--seed", "9", "--out", "json"])
+        .current_dir(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."))
+        .output()
+        .expect("spawns");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "stderr: {stderr}\nstdout: {stdout}");
+    assert!(stderr.contains("base seed: 0x9,"), "{stderr}");
+    let meridian = stdout
+        .lines()
+        .find(|l| l.contains("\"algo\":\"meridian\""))
+        .unwrap_or_else(|| panic!("no meridian row: {stdout}"));
+    assert!(meridian.contains("\"offered\":293,"), "{meridian}");
+    let p_closest = "\"p_correct_closest\":0.08873720136518772,";
+    assert!(meridian.contains(p_closest), "{meridian}");
 }
 
 /// A serve run against a measurement study must be a clean diagnostic

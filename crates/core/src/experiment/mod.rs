@@ -18,7 +18,7 @@
 //!   BENCH-style records.
 //!
 //! Adding a scenario is building an [`ExperimentSpec`] (~15 lines) —
-//! not a new binary. Every figure binary in `np-bench` is such a spec.
+//! not a new binary. Every figure in `np-bench` is such a spec.
 //!
 //! # Example
 //!

@@ -128,8 +128,8 @@ pub struct AlgoRegistry {
 }
 
 impl AlgoRegistry {
-    /// An empty registry. Most callers want their harness's standard
-    /// registry (`np-bench`'s `standard_registry()`) and extend it.
+    /// An empty registry. Most callers want their harness's full
+    /// registry (`np-bench`'s `full_registry()`) and extend it.
     pub fn new() -> AlgoRegistry {
         AlgoRegistry::default()
     }

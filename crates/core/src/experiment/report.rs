@@ -4,7 +4,7 @@
 //! per-algorithm [`PaperMetrics`] for every run, the aggregated
 //! [`RunBandMetrics`], and the wall-clock/probe accounting the figure
 //! footers and BENCH artifacts quote. Reports are plain data — sinks
-//! (`sink` module) and the figure binaries' renderers consume them.
+//! (`sink` module) and the figures' renderers consume them.
 
 use crate::churn::ChurnStats;
 use crate::runner::{PaperMetrics, RunBandMetrics};

@@ -32,7 +32,7 @@
 //!   [`experiment::AlgoFactory`] registry and the generic
 //!   [`experiment::Experiment`] pipeline into typed
 //!   [`experiment::ExperimentReport`]s with pluggable sinks — every
-//!   figure binary in `np-bench` is such a spec.
+//!   figure in `np-bench` is such a spec.
 //!
 //! Downstream users normally `use nearest_peer::prelude::*` (the facade
 //! crate re-exports everything here).

@@ -303,7 +303,7 @@ pub fn sweep_three_runs(
 }
 
 /// [`sweep_three_runs`] with an explicit worker count for the
-/// outer per-seed parallelism (the figure binaries pass `--threads`
+/// outer per-seed parallelism (figure runs pass `--threads`
 /// here as well as to the inner query batches).
 pub fn sweep_three_runs_threads(
     base_seed: u64,

@@ -1,6 +1,6 @@
 //! Terminal rendering of experiment output.
 //!
-//! The figure binaries must show the *shape* of each paper plot without a
+//! The figures must show the *shape* of each paper plot without a
 //! plotting stack. This module renders CDFs and x/y series as fixed-size
 //! ASCII charts, with optional logarithmic axes (several paper figures use
 //! log x-axes).

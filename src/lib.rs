@@ -23,7 +23,7 @@
 //! | [`baselines`] | Karger–Ruhl, Tapestry, Tiers, Beaconing |
 //! | [`dht`] | Chord and the key-value map facade, plus the Kademlia and NSW searchers |
 //! | [`remedies`] | §5: UCL, IP-prefix, multicast, central registries |
-//! | [`core`] | scenarios, the experiment runner, the hybrid algorithm, and the declarative `ExperimentSpec` → `AlgoFactory` registry → `Experiment` pipeline behind every figure binary |
+//! | [`core`] | scenarios, the experiment runner, the hybrid algorithm, and the declarative `ExperimentSpec` → `AlgoFactory` registry → `Experiment` pipeline behind every figure |
 //!
 //! ## Quickstart
 //!
@@ -56,9 +56,10 @@
 //! assert!(metrics.p_correct_closest < 0.9);
 //! ```
 //!
-//! The experiment binaries regenerating every paper figure live in
-//! `np-bench` (`cargo run --release -p np-bench --bin fig8`, etc.); the
-//! `EXPERIMENTS` section of README.md lists them with their flags.
+//! Every paper figure is a checked-in spec under `experiments/`, run by
+//! `np-bench` (`cargo run --release -p np-bench --bin np-bench -- run
+//! experiments/fig8.toml`, etc.); the `EXPERIMENTS` section of
+//! README.md lists them with their flags.
 
 pub use np_baselines as baselines;
 pub use np_cluster as cluster;
