@@ -184,6 +184,44 @@ fn bench_hypervolume(c: &mut Criterion) {
     });
 }
 
+/// The selector on a ring of the paper's x = 125, δ = 0.2 world: node
+/// 0 is offered every peer in id order, and the bench selects 16 of
+/// its first ring holding k + l = 20 candidates. Clustered latencies
+/// put this ring on the degenerate floor, which the random 3-D case
+/// above never reaches.
+fn bench_hypervolume_clustered(c: &mut Criterion) {
+    use np_meridian::rings::{RingConfig, RingSet};
+    let w = world_2500();
+    let m = w.to_matrix();
+    let cfg = RingConfig::default();
+    let mut rs = RingSet::new(PeerId(0), cfg);
+    for q in w.peers() {
+        rs.insert(q, m.rtt(PeerId(0), q));
+    }
+    // Candidate order as ring management sees it: the ring's
+    // primaries, then its secondaries.
+    let ring = (0..cfg.n_rings)
+        .map(|r| {
+            rs.primaries()
+                .chain(rs.secondaries())
+                .filter(|mm| cfg.ring_of(mm.rtt) == r)
+                .map(|mm| mm.peer)
+                .collect::<Vec<PeerId>>()
+        })
+        .find(|peers| peers.len() == cfg.k + cfg.l)
+        .expect("the x = 125 world fills a ring");
+    c.bench_function("ring_management_select_16_of_20_clustered", |b| {
+        b.iter(|| {
+            let dist = |i: usize, j: usize| m.rtt(ring[i], ring[j]).as_ms();
+            criterion::black_box(np_meridian::hypervolume::select_max_volume(
+                ring.len(),
+                cfg.k,
+                dist,
+            ))
+        })
+    });
+}
+
 // --- serial vs parallel engine benches -------------------------------
 //
 // The pairs below record the parallel engine's speedup in-repo (the
@@ -572,7 +610,7 @@ criterion_group! {
     config = config();
     targets = bench_matrix_build, bench_meridian_build, bench_meridian_query,
               bench_chord_lookup, bench_kademlia_lookup, bench_nsw_build,
-              bench_dijkstra_local, bench_vivaldi, bench_hypervolume,
+              bench_dijkstra_local, bench_vivaldi, bench_hypervolume, bench_hypervolume_clustered,
               bench_matrix_build_2500_serial, bench_matrix_build_2500_par,
               bench_run_queries_1000_serial, bench_run_queries_1000_par,
               bench_nearest_scan_kernel, bench_nearest_scan_naive,

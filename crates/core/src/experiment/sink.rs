@@ -4,9 +4,7 @@
 //!   binaries with bespoke layouts render their own from the typed
 //!   report instead);
 //! * [`render_json_lines`] — one JSON object per (cell, algorithm)
-//!   row, machine-diffable, the `--out json` format;
-//! * [`bench_record`] — a BENCH-style artifact line (name + wall +
-//!   probe totals) for benchmark logs.
+//!   row, machine-diffable, the `--out json` format.
 //!
 //! JSON is emitted by hand: the workspace builds without registry
 //! access, so there is no serde; the emitter escapes strings and
@@ -211,23 +209,6 @@ pub fn render_table(report: &ExperimentReport) -> String {
     }
 }
 
-/// A one-line BENCH-style record of the run (pipeline accounting for
-/// benchmark logs and CI artifacts).
-pub fn bench_record(report: &ExperimentReport) -> String {
-    format!(
-        "{{\"experiment\":\"{}\",\"backend\":\"{}\",\"threads\":{},\"cells\":{},\"total_probes\":{},\"wall_s\":{}}}",
-        json_escape(&report.name),
-        report.backend.name(),
-        report.threads,
-        match &report.body {
-            ReportBody::Query(c) => c.len(),
-            ReportBody::Study(_) => 1,
-        },
-        report.total_probes(),
-        json_f64(report.wall.as_secs_f64()),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -372,12 +353,8 @@ mod tests {
     }
 
     #[test]
-    fn escaping_and_bench_record() {
+    fn json_escaping_and_non_finite_floats() {
         assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
         assert_eq!(json_f64(f64::NAN), "null");
-        let rec = bench_record(&query_report());
-        assert!(rec.contains("\"experiment\":\"fig8\""));
-        assert!(rec.contains("\"cells\":1"));
-        assert!(rec.contains("\"total_probes\":12000"));
     }
 }

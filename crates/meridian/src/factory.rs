@@ -77,9 +77,11 @@ impl AlgoFactory for MeridianFactory {
         //
         // When the backend exposes shard structure (the compressed
         // hierarchical store) the omniscient fill runs through the
-        // shard-local fast path — identical rings, a fraction of the
-        // work. The fill flavour is part of the cache key so the two
-        // paths never alias a slot, even though their contents agree.
+        // shard-local fast path — identical rings, with each distance
+        // to another shard read from flat hub-summary tables instead of
+        // the store. The fill flavour is part of the cache key so the
+        // two paths never alias a slot, even though their contents
+        // agree.
         let shard_local =
             self.mode == BuildMode::Omniscient && ctx.store.shard_view().is_some();
         let key = format!(

@@ -65,6 +65,87 @@ fn ring_bounds(cfg: &RingConfig) -> Vec<u64> {
         .collect()
 }
 
+/// Node `stream`'s offer order: the roster shuffled by its own
+/// `item_seed(seed, FILL_TAG, stream)` stream.
+fn offer_order(roster: &[PeerId], seed: u64, stream: u64) -> Vec<PeerId> {
+    let mut order = roster.to_vec();
+    order.shuffle(&mut rng_from(item_seed(seed, FILL_TAG, stream)));
+    order
+}
+
+/// The survivor-window ring fill: offer `order` to `rs`'s owner and
+/// insert only the offers that survive, which leaves the rings exactly
+/// as a plain [`RingSet::insert`] of every offer would.
+///
+/// Why it is exact: offered once each at a fixed RTT, a ring's members
+/// after the fill are precisely its **first `k`** arrivals (the
+/// primaries, in arrival order) plus the **last ≤ `l`** arrivals after
+/// them (the secondaries — the FIFO recycle keeps exactly the trailing
+/// window). So per ring only those `k + l` survivors are kept, and
+/// replayed in arrival order. Each offer costs one `dist_us` call and a
+/// partition-point search of `bounds` ([`ring_bounds`]), with no `ln`
+/// and no per-offer ring bookkeeping.
+///
+/// `dist_us(q)` is the owner's whole-µs RTT to `q`; offers to the owner
+/// itself and those `removed` rejects are skipped. With `dirty`, only
+/// offers classified into a ring `r` with `dirty[r]` are kept (repair
+/// replays cleared rings; the rest of `rs` must not hold any of their
+/// offers). Returns the number of offers kept — the inserts a plain
+/// replay would make. `order` must not repeat a peer.
+fn fill_survivors(
+    rs: &mut RingSet,
+    order: &[PeerId],
+    bounds: &[u64],
+    mut dist_us: impl FnMut(PeerId) -> u64,
+    removed: impl Fn(PeerId) -> bool,
+    dirty: Option<&[bool]>,
+) -> u64 {
+    let cfg = *rs.config();
+    let (k, l, owner) = (cfg.k, cfg.l, rs.owner());
+    // Per ring r: first[r*k..] holds the first k arrivals; late[r*l..]
+    // is a circular window over the n_late[r] arrivals after them.
+    let mut first = vec![(owner, 0u64); cfg.n_rings * k];
+    let mut late = vec![(owner, 0u64); cfg.n_rings * l];
+    let mut n_first = vec![0usize; cfg.n_rings];
+    let mut n_late = vec![0usize; cfg.n_rings];
+    let mut kept = 0u64;
+    for &q in order {
+        if q == owner || removed(q) {
+            continue;
+        }
+        let d = dist_us(q);
+        let r = bounds.partition_point(|&b| d >= b);
+        debug_assert_eq!(
+            r,
+            cfg.ring_of(Micros(d)),
+            "boundary table diverged from ring_of at {d} us"
+        );
+        if dirty.is_some_and(|dirty| !dirty[r]) {
+            continue;
+        }
+        kept += 1;
+        if n_first[r] < k {
+            first[r * k + n_first[r]] = (q, d);
+            n_first[r] += 1;
+        } else if l > 0 {
+            late[r * l + n_late[r] % l] = (q, d);
+            n_late[r] += 1;
+        }
+    }
+    // Replay the survivors in arrival order.
+    for r in 0..cfg.n_rings {
+        let window = n_late[r].min(l);
+        let oldest = n_late[r] - window;
+        let survivors = first[r * k..r * k + n_first[r]]
+            .iter()
+            .chain((oldest..n_late[r]).map(|j| &late[r * l + j % l]));
+        for &(q, d) in survivors {
+            rs.insert(q, Micros(d));
+        }
+    }
+    kept
+}
+
 /// Meridian parameters (§4 of the paper: β = 0.5, 16 per ring).
 #[derive(Debug, Clone, Copy)]
 pub struct MeridianConfig {
@@ -125,7 +206,9 @@ pub struct FillOrigin {
 pub struct RepairStats {
     /// Rings cleared and replayed from the fill's offer streams.
     pub rings_replayed: u64,
-    /// Ring insertions performed during those replays.
+    /// Surviving offers classified into those rings during the replays:
+    /// the insertions a plain replay makes (the fill kernel inserts only
+    /// each ring's survivors of them).
     pub ring_inserts: u64,
     /// Departures handled by plain [`Overlay::leave`] because no fill
     /// origin was recorded (gossip builds, post-join overlays).
@@ -178,9 +261,12 @@ impl<'m, W: WorldStore + ?Sized> Overlay<'m, W> {
     /// pure function of the matrix and its own offer-order RNG stream
     /// (`item_seed(seed, FILL_TAG, index)`), so per-node fill + ring
     /// management run in parallel via [`par_map`] and the rings come
-    /// out bit-identical at any `threads`, including 1. The gossip
-    /// warm-up is inherently sequential (nodes exchange evolving ring
-    /// contents) and stays serial regardless of `threads`.
+    /// out bit-identical at any `threads`, including 1. The fill keeps
+    /// only each ring's survivors of the offer stream (see
+    /// `fill_survivors`), so `members` must not contain duplicates
+    /// (scenario overlays are sorted and unique). The gossip warm-up is
+    /// inherently sequential (nodes exchange evolving ring contents)
+    /// and stays serial regardless of `threads`.
     pub fn build_threads(
         world: &'m W,
         members: Vec<PeerId>,
@@ -203,16 +289,12 @@ impl<'m, W: WorldStore + ?Sized> Overlay<'m, W> {
                 // arrival order would be. Per-node work — fill plus this
                 // node's management rounds — is independent given the
                 // matrix, so it fans out across workers.
+                let bounds = ring_bounds(&cfg.rings);
                 let filled = par_map(threads, &members, |i, &p| {
-                    let mut order_rng = rng_from(item_seed(seed, FILL_TAG, i as u64));
-                    let mut order = members.clone();
-                    order.shuffle(&mut order_rng);
+                    let order = offer_order(&members, seed, i as u64);
                     let mut rs = RingSet::new(p, cfg.rings);
-                    for &q in &order {
-                        if q != p {
-                            rs.insert(q, world.rtt(p, q));
-                        }
-                    }
+                    let rtt_us = |q| world.rtt(p, q).as_us();
+                    fill_survivors(&mut rs, &order, &bounds, rtt_us, |_| false, None);
                     for _ in 0..cfg.manage_rounds {
                         rs.manage(|a, b| world.rtt(a, b));
                     }
@@ -307,21 +389,14 @@ impl<'m, W: WorldStore + ?Sized> Overlay<'m, W> {
     /// reading only (a) the node's own shard's dense block and (b) the
     /// hub summary for every other shard's members.
     ///
-    /// Why it is exact: offered once each at a fixed RTT, a ring's
-    /// members after the omniscient fill are precisely the **first
-    /// `k`** arrivals (the primaries, in arrival order) plus the
-    /// **last ≤ `l`** arrivals after them (the secondaries — the FIFO
-    /// recycle keeps exactly the trailing window). So the fill only
-    /// needs, per (node, ring), those `k + l` survivors of the node's
-    /// shuffled offer order — which this path computes with a
-    /// boundary-table ring classification over hub-summary sums (one
-    /// `u64` add + a partition-point search per candidate, no `ln`, no
-    /// per-offer ring bookkeeping) and then replays into a [`RingSet`].
-    /// The per-node offer order is drawn from the *same*
-    /// `item_seed(seed, FILL_TAG, index)` streams as the omniscient
-    /// fill, so the two paths agree member for member, ring for ring
-    /// (enforced by `tests/shard_local_fill.rs`), and results are
-    /// bit-identical at any `threads` (enforced by
+    /// Both fills run the same survivor-window kernel over the *same*
+    /// `item_seed(seed, FILL_TAG, index)` offer streams; only the
+    /// distance source differs. Here it is one `u64` add of hub-summary
+    /// offsets for another shard's member and the dense block for the
+    /// node's own shard, which reassembles exactly the `rtt` the
+    /// omniscient fill reads. So the two paths agree member for member,
+    /// ring for ring (enforced by `tests/shard_local_fill.rs`), and
+    /// results are bit-identical at any `threads` (enforced by
     /// `tests/parallel_determinism.rs`).
     ///
     /// `members` must not contain duplicates (scenario overlays are
@@ -357,11 +432,7 @@ impl<'m, W: WorldStore + ?Sized> Overlay<'m, W> {
             .map(|i| view.hub_offset_us(PeerId(i)))
             .collect();
         let bounds = ring_bounds(&cfg.rings);
-        let (k, l, n_rings) = (cfg.rings.k, cfg.rings.l, cfg.rings.n_rings);
         let filled = par_map(threads, &members, |i, &p| {
-            let mut order_rng = rng_from(item_seed(seed, FILL_TAG, i as u64));
-            let mut order = members.clone();
-            order.shuffle(&mut order_rng);
             let sp = shard_of[p.idx()] as usize;
             // base[s] = offset(p) + hub(s_p, s): the inter-shard prefix
             // of the exact u64 microsecond sum `rtt` reassembles.
@@ -374,52 +445,17 @@ impl<'m, W: WorldStore + ?Sized> Overlay<'m, W> {
                     }
                 })
                 .collect();
-            // Per ring: the first k arrivals, plus a circular window of
-            // the ≤l arrivals after them.
-            let mut first: Vec<Vec<(PeerId, u64)>> = vec![Vec::new(); n_rings];
-            let mut late: Vec<Vec<(PeerId, u64)>> = vec![Vec::new(); n_rings];
-            let mut late_start = vec![0usize; n_rings];
-            for &q in &order {
-                if q == p {
-                    continue;
-                }
+            let rtt_us = |q: PeerId| {
                 let sq = shard_of[q.idx()] as usize;
-                let d = if sq == sp {
+                if sq == sp {
                     world.rtt(p, q).as_us() // own shard: the dense block
                 } else {
                     base[sq] + off_us[q.idx()] // hub-summary neighbour
-                };
-                let r = bounds.partition_point(|&b| d >= b);
-                debug_assert_eq!(
-                    r,
-                    cfg.rings.ring_of(Micros(d)),
-                    "boundary table diverged from ring_of at {d} us"
-                );
-                if first[r].len() < k {
-                    first[r].push((q, d));
-                } else if l > 0 {
-                    let lt = &mut late[r];
-                    if lt.len() < l {
-                        lt.push((q, d));
-                    } else {
-                        lt[late_start[r]] = (q, d);
-                        late_start[r] = (late_start[r] + 1) % l;
-                    }
                 }
-            }
-            // Replay the survivors in arrival order: identical RingSet
-            // state to having offered every member.
+            };
+            let order = offer_order(&members, seed, i as u64);
             let mut rs = RingSet::new(p, cfg.rings);
-            for r in 0..n_rings {
-                for &(q, d) in &first[r] {
-                    rs.insert(q, Micros(d));
-                }
-                let lt = &late[r];
-                for j in 0..lt.len() {
-                    let (q, d) = lt[(late_start[r] + j) % lt.len()];
-                    rs.insert(q, Micros(d));
-                }
-            }
+            fill_survivors(&mut rs, &order, &bounds, rtt_us, |_| false, None);
             for _ in 0..cfg.manage_rounds {
                 rs.manage(|a, b| world.rtt(a, b));
             }
@@ -712,46 +748,39 @@ impl<'m, W: WorldStore + ?Sized> Overlay<'m, W> {
             .map(|(i, &p)| (p, i as u64))
             .collect();
         let (world, cfg) = (self.world, self.cfg);
+        let bounds = ring_bounds(&cfg.rings);
         let rings = &self.rings;
         // Per-survivor: find the dirty rings, clear + replay them from
         // the fill stream over the survivor set, re-manage only those
         // rings. Pure per-node function → parallel and deterministic.
         let repaired = par_map(threads, &self.members, |_, &p| {
-            let mut dirty: Vec<usize> = going
-                .iter()
-                .filter(|&&q| q != p)
-                .map(|&q| cfg.rings.ring_of(world.rtt(p, q)))
-                .collect();
-            dirty.sort_unstable();
-            dirty.dedup();
-            if dirty.is_empty() {
+            let mut dirty = vec![false; cfg.rings.n_rings];
+            for &q in going.iter().filter(|&&q| q != p) {
+                dirty[cfg.rings.ring_of(world.rtt(p, q))] = true;
+            }
+            let dirty_rings: Vec<usize> = (0..dirty.len()).filter(|&r| dirty[r]).collect();
+            if dirty_rings.is_empty() {
                 return (None, 0u64);
             }
             let mut rs = rings[&p].clone();
-            for &r in &dirty {
+            for &r in &dirty_rings {
                 rs.clear_ring(r);
             }
-            let stream = stream_of[&p];
-            let mut order_rng = rng_from(item_seed(origin.seed, FILL_TAG, stream));
-            let mut order = origin.roster.clone();
-            order.shuffle(&mut order_rng);
-            let mut inserts = 0u64;
-            for &q in &order {
-                if q == p || removed_set.contains(&q) {
-                    continue;
-                }
-                let d = world.rtt(p, q);
-                if dirty.binary_search(&cfg.rings.ring_of(d)).is_ok() {
-                    rs.insert(q, d);
-                    inserts += 1;
-                }
-            }
+            let order = offer_order(&origin.roster, origin.seed, stream_of[&p]);
+            let inserts = fill_survivors(
+                &mut rs,
+                &order,
+                &bounds,
+                |q| world.rtt(p, q).as_us(),
+                |q| removed_set.contains(&q),
+                Some(&dirty),
+            );
             for _ in 0..cfg.manage_rounds {
-                for &r in &dirty {
+                for &r in &dirty_rings {
                     rs.manage_ring(r, |a, b| world.rtt(a, b));
                 }
             }
-            (Some((rs, dirty.len() as u64)), inserts)
+            (Some((rs, dirty_rings.len() as u64)), inserts)
         });
         for (i, (res, inserts)) in repaired.into_iter().enumerate() {
             stats.ring_inserts += inserts;
@@ -789,9 +818,7 @@ impl<'m, W: WorldStore + ?Sized> Overlay<'m, W> {
             .map(|(i, &p)| (i as u64, p))
             .collect();
         let filled = par_map(threads, &survivors, |_, &(stream, p)| {
-            let mut order_rng = rng_from(item_seed(origin.seed, FILL_TAG, stream));
-            let mut order = origin.roster.clone();
-            order.shuffle(&mut order_rng);
+            let order = offer_order(&origin.roster, origin.seed, stream);
             let mut rs = RingSet::new(p, cfg.rings);
             for &q in &order {
                 if q != p && !removed_set.contains(&q) {
@@ -1204,24 +1231,96 @@ mod tests {
         out
     }
 
+    /// The survivor-window fill against its reference: with nothing
+    /// removed, [`Overlay::rebuild_surviving`] replays every offer
+    /// through plain [`RingSet::insert`], so it must equal the fresh
+    /// build, primaries and secondaries in stored order.
+    #[test]
+    fn fresh_fill_equals_the_plain_insert_replay() {
+        use np_topology::{ClusterWorld, ClusterWorldSpec};
+        let m = cluster_matrix(40, 0.5);
+        let dense = Overlay::build_threads(
+            &m,
+            (0..80).map(PeerId).collect(),
+            MeridianConfig::default(),
+            BuildMode::Omniscient,
+            77,
+            2,
+        );
+        assert_eq!(
+            ring_state(&dense),
+            ring_state(&dense.rebuild_surviving(2)),
+            "dense"
+        );
+        let world = ClusterWorld::generate(
+            ClusterWorldSpec {
+                clusters: 8,
+                en_per_cluster: 10,
+                peers_per_en: 2,
+                delta: 0.3,
+                mean_hub_ms: (4.0, 6.0),
+                intra_en: Micros::from_us(100),
+                hub_pool: 11,
+            },
+            13,
+        );
+        let members: Vec<PeerId> = world.peers().skip(6).collect();
+        for super_shards in [1, 4] {
+            let store = world.to_hierarchical(super_shards, usize::MAX);
+            let local = Overlay::build_shard_local_threads(
+                &store,
+                members.clone(),
+                MeridianConfig::default(),
+                13,
+                2,
+            );
+            assert_eq!(
+                ring_state(&local),
+                ring_state(&local.rebuild_surviving(2)),
+                "shard-local at {super_shards} super-shards"
+            );
+        }
+    }
+
     #[test]
     fn repair_is_bit_identical_to_full_rebuild() {
         let m = cluster_matrix(40, 0.5);
         let members: Vec<PeerId> = (0..80).map(PeerId).collect();
         let mut overlay = Overlay::build_threads(
             &m,
-            members,
+            members.clone(),
             MeridianConfig::default(),
             BuildMode::Omniscient,
             77,
             2,
         );
+        let rings = RingConfig::default();
+        let mut removed: Vec<PeerId> = Vec::new();
         // Three rounds of batched departures, repaired incrementally;
         // after each round the rings must equal a from-scratch replay
         // over the survivor set.
         for round in [vec![5u32, 17, 33], vec![2, 60], vec![61, 62, 63, 40]] {
             let departed: Vec<PeerId> = round.iter().copied().map(PeerId).collect();
+            removed.extend_from_slice(&departed);
+            // Independent count of the surviving offers whose ring the
+            // round dirties, over every survivor's full roster.
+            let expected_inserts: usize = members
+                .iter()
+                .filter(|p| !removed.contains(p))
+                .map(|&p| {
+                    let dirty: Vec<usize> = departed
+                        .iter()
+                        .map(|&q| rings.ring_of(m.rtt(p, q)))
+                        .collect();
+                    members
+                        .iter()
+                        .filter(|&&q| q != p && !removed.contains(&q))
+                        .filter(|&&q| dirty.contains(&rings.ring_of(m.rtt(p, q))))
+                        .count()
+                })
+                .sum();
             let stats = overlay.repair_after_leaves_threads(&departed, 2);
+            assert_eq!(stats.ring_inserts, expected_inserts as u64, "ring_inserts");
             assert_eq!(stats.fallback_leaves, 0);
             assert!(stats.rings_replayed > 0, "dirty rings must be found");
             assert!(
