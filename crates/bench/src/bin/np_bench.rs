@@ -4,28 +4,20 @@
 //!   algorithm registry (names + descriptions): what experiments exist
 //!   and which algorithm names an `ExperimentSpec` may reference.
 //! * `np-bench run <spec.toml> [flags]` — load a serialised
-//!   `ExperimentSpec` (see `experiments/`) and drive it through the
-//!   standard pipeline with the usual
-//!   `--quick/--seed/--threads/--seeds/--out/--world` overrides plus
-//!   `--algos a,b,c`, then apply the figure's self-check; a
-//!   `[catalogue]` manifest (`experiments/all_figures.toml`) runs every
-//!   listed spec in order. This is how every figure runs. New scenario
-//!   = a config file, not a recompile.
+//!   `ExperimentSpec` (each `experiments/<fig>.toml` is its figure's
+//!   only definition) and drive it through the standard pipeline with
+//!   the usual `--quick/--seed/--threads/--seeds/--out/--world`
+//!   overrides plus `--algos a,b,c`, then apply the figure's
+//!   self-check; a `[catalogue]` manifest
+//!   (`experiments/all_figures.toml`) runs every listed spec in order.
+//!   This is how every figure runs. New scenario = a config file, not a
+//!   recompile.
 //! * `np-bench serve <spec.toml> [flags]` — stand a query-matrix spec
 //!   up as the `np-serve` actor pipeline and offer seeded Poisson load
 //!   (`--rate`/`--duration`), reporting throughput and
 //!   queued/service/total latency quantiles; under the default
 //!   lossless admission every row is cross-checked bit-identical
 //!   against the batch runner.
-//! * `np-bench specs [--check] [--dir DIR]` — regenerate the
-//!   `experiments/` spec files from the figure catalogue; `--check`
-//!   diffs instead (CI's anti-drift gate).
-//! * `np-bench lint [tags] [--check]` — the workspace determinism &
-//!   concurrency static-analysis pass (same engine as the standalone
-//!   `np-lint` binary): map-iteration on result paths, ambient clocks,
-//!   RNG stream-tag collisions, undocumented `unsafe`, and BlockCache
-//!   lock order. `--check` exits nonzero on any unsuppressed finding;
-//!   `tags` dumps the stream-tag registry.
 //! * `np-bench speedup [--min X] [--json PATH]` — read
 //!   `BENCH_parallel.json`, report every `_serial`/`_par` engine pair's
 //!   measured speedup (plus notable single benches like
@@ -66,11 +58,7 @@ fn list() {
     println!("common flags: {}", cli::USAGE.trim_start_matches("usage: "));
     println!(
         "spec files: np-bench run experiments/<name>.toml, or experiments/all_figures.toml for \
-         every figure  (np-bench specs regenerates them)"
-    );
-    println!(
-        "lint: np-bench lint [tags] [--check]  (determinism & concurrency static analysis — \
-         see README \"Determinism contract\")"
+         every figure  (each file is its figure's definition; edit it by hand)"
     );
 }
 
@@ -163,12 +151,10 @@ fn main() {
         Some("speedup") => speedup(&args[1..]),
         Some("run") => spec_files::cmd_run(&args[1..]),
         Some("serve") => serve_cmd::cmd_serve(&args[1..]),
-        Some("specs") => spec_files::cmd_specs(&args[1..]),
-        Some("lint") => std::process::exit(np_lint::run_cli(&args[1..])),
         Some(other) => {
             eprintln!(
                 "unknown subcommand {other:?}; try: np-bench list | np-bench run <spec.toml> | \
-                 np-bench serve <spec.toml> | np-bench specs | np-bench speedup | np-bench lint"
+                 np-bench serve <spec.toml> | np-bench speedup"
             );
             std::process::exit(2);
         }

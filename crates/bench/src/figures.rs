@@ -1,10 +1,11 @@
-//! The figure catalogue: every experiment, as data.
+//! The figure catalogue: what each figure's spec file cannot hold.
 //!
-//! `np-bench list` prints this table, `np-bench specs` serialises each
-//! entry's [`FigureInfo::build`] output into `experiments/*.toml` (plus
-//! the `all_figures.toml` manifest that runs them all), and `np-bench
-//! run` resolves a loaded spec's renderer, study stage, study flags and
-//! self-check here — one source of truth for "what experiments exist".
+//! A figure is defined by its checked-in `experiments/<spec>.toml`
+//! (cells, worlds, algorithms, seeds, budgets). This table adds the
+//! code the file names: `np-bench list` prints it, and `np-bench run`
+//! resolves a loaded spec's renderer, study stage, study flags, clamp
+//! and self-check here by the spec's name. `all_figures.toml` lists
+//! exactly these entries, in this order.
 
 use crate::cli::{Args, Rendered};
 use crate::specs;
@@ -45,11 +46,6 @@ pub struct FigureInfo {
     pub backends: &'static str,
     /// One-line description for `np-bench list`.
     pub title: &'static str,
-    /// Build the figure's dual-budget [`ExperimentSpec`] at a base
-    /// seed (paper query counts plus `quick_queries`/`in_quick`
-    /// markers; `resolve_quick` picks a mode). `np-bench specs`
-    /// serialises exactly this.
-    pub build: fn(u64) -> ExperimentSpec,
     /// The figure's bespoke renderer (query figures; `None` for
     /// studies, which render through `cli::study_rendered`).
     pub render: Option<fn(&ExperimentReport, &Args) -> Rendered>,
@@ -69,14 +65,13 @@ pub struct FigureInfo {
     pub flags: &'static [&'static str],
 }
 
-/// Every figure/extension, in regeneration order.
+/// Every figure/extension, in `all_figures.toml` order.
 pub const FIGURES: &[FigureInfo] = &[
     FigureInfo {
         spec: "fig3_4",
         kind: FigureKind::Study,
         backends: "n/a (measurement pipeline)",
         title: "DNS-pair latency-prediction measure (Figures 3 & 4)",
-        build: specs::fig3_4::build,
         render: None,
         clamp: None,
         check: None,
@@ -88,7 +83,6 @@ pub const FIGURES: &[FigureInfo] = &[
         kind: FigureKind::Study,
         backends: "n/a (measurement pipeline)",
         title: "intra- vs inter-domain latency distributions (Figure 5)",
-        build: specs::fig5::build,
         render: None,
         clamp: None,
         check: None,
@@ -100,7 +94,6 @@ pub const FIGURES: &[FigureInfo] = &[
         kind: FigureKind::Study,
         backends: "n/a (measurement pipeline)",
         title: "Azureus cluster sizes and latencies (Figures 6 & 7)",
-        build: specs::fig6_7::build,
         render: None,
         clamp: None,
         check: None,
@@ -112,7 +105,6 @@ pub const FIGURES: &[FigureInfo] = &[
         kind: FigureKind::QueryMatrix,
         backends: "dense|hierarchical",
         title: "Meridian accuracy vs cluster size (Figure 8)",
-        build: specs::fig8::build,
         render: Some(specs::fig8::render),
         study: None,
         clamp: None,
@@ -124,7 +116,6 @@ pub const FIGURES: &[FigureInfo] = &[
         kind: FigureKind::QueryMatrix,
         backends: "dense|hierarchical",
         title: "Meridian accuracy and hub distance vs delta (Figure 9)",
-        build: specs::fig9::build,
         render: Some(specs::fig9::render),
         study: None,
         clamp: None,
@@ -136,7 +127,6 @@ pub const FIGURES: &[FigureInfo] = &[
         kind: FigureKind::Study,
         backends: "n/a (measurement pipeline)",
         title: "inter-peer router hops vs latency (Figure 10)",
-        build: specs::fig10::build,
         render: None,
         clamp: None,
         check: None,
@@ -148,7 +138,6 @@ pub const FIGURES: &[FigureInfo] = &[
         kind: FigureKind::Study,
         backends: "n/a (measurement pipeline)",
         title: "IP-prefix heuristic error rates (Figure 11)",
-        build: specs::fig11::build,
         render: None,
         clamp: None,
         check: None,
@@ -160,7 +149,6 @@ pub const FIGURES: &[FigureInfo] = &[
         kind: FigureKind::Study,
         backends: "n/a (measurement pipeline)",
         title: "UCL discovery rates vs tracked routers (paper Section 5)",
-        build: specs::ucl_discovery::build,
         render: None,
         clamp: None,
         check: None,
@@ -172,7 +160,6 @@ pub const FIGURES: &[FigureInfo] = &[
         kind: FigureKind::QueryMatrix,
         backends: "dense|hierarchical",
         title: "all algorithms under the clustering condition (Ext A)",
-        build: specs::ext_baselines::build,
         render: Some(specs::ext_baselines::render),
         study: None,
         clamp: None,
@@ -184,7 +171,6 @@ pub const FIGURES: &[FigureInfo] = &[
         kind: FigureKind::Study,
         backends: "dense|hierarchical",
         title: "metric-space diagnostics under clustering (Ext B)",
-        build: specs::ext_assumptions::build,
         render: None,
         clamp: None,
         check: None,
@@ -196,7 +182,6 @@ pub const FIGURES: &[FigureInfo] = &[
         kind: FigureKind::QueryMatrix,
         backends: "dense|hierarchical",
         title: "hybrid UCL registry + Meridian fallback (Ext C)",
-        build: specs::ext_hybrid::build,
         render: Some(specs::ext_hybrid::render),
         study: None,
         clamp: None,
@@ -208,7 +193,6 @@ pub const FIGURES: &[FigureInfo] = &[
         kind: FigureKind::QueryMatrix,
         backends: "dense|hierarchical",
         title: "Meridian design-choice ablations (Ext D)",
-        build: specs::ext_ablation::build,
         render: Some(specs::ext_ablation::render),
         study: None,
         clamp: None,
@@ -220,7 +204,6 @@ pub const FIGURES: &[FigureInfo] = &[
         kind: FigureKind::QueryMatrix,
         backends: "dense|hierarchical",
         title: "hierarchical worlds from the 2.5k-peer dense wall to a million peers",
-        build: specs::ext_scale::build,
         render: Some(specs::ext_scale::render),
         study: None,
         clamp: Some(specs::ext_scale::drop_oversized_dense_cells),
@@ -232,7 +215,6 @@ pub const FIGURES: &[FigureInfo] = &[
         kind: FigureKind::QueryMatrix,
         backends: "dense|hierarchical",
         title: "accuracy and repair cost under event-clocked churn (Ext E)",
-        build: specs::ext_churn::build,
         render: Some(specs::ext_churn::render),
         study: None,
         clamp: None,
@@ -244,7 +226,6 @@ pub const FIGURES: &[FigureInfo] = &[
         kind: FigureKind::QueryMatrix,
         backends: "dense|hierarchical",
         title: "structured-overlay searchers: Kademlia and NSW (Ext F)",
-        build: specs::ext_dht::build,
         render: Some(specs::ext_dht::render),
         study: None,
         clamp: None,
@@ -256,7 +237,6 @@ pub const FIGURES: &[FigureInfo] = &[
         kind: FigureKind::QueryMatrix,
         backends: "dense|hierarchical",
         title: "query-serving daemon under open-loop load (Ext G)",
-        build: specs::ext_serve::build,
         render: Some(specs::ext_serve::render),
         study: None,
         clamp: None,
@@ -307,7 +287,7 @@ mod tests {
     #[test]
     fn builders_study_stages_and_kinds_agree() {
         for f in FIGURES {
-            let spec = (f.build)(1);
+            let spec = crate::specs::tests::checked_in(f.spec);
             assert_eq!(spec.name, f.spec, "{}: spec name drifted", f.spec);
             match f.kind {
                 FigureKind::QueryMatrix => {
@@ -322,9 +302,9 @@ mod tests {
                     assert!(study_stage(f.spec).is_some());
                 }
             }
-            // Every built-in spec passes its own validation.
+            // Every checked-in spec passes its own validation.
             spec.validate()
-                .unwrap_or_else(|e| panic!("{}: invalid built-in spec: {e}", f.spec));
+                .unwrap_or_else(|e| panic!("{}: invalid checked-in spec: {e}", f.spec));
         }
         assert!(figure("fig8").is_some());
         assert!(figure("nope").is_none());

@@ -10,18 +10,18 @@
 //!   the header → pipeline → render → footer driver;
 //! * [`registry`] — [`registry::full_registry`], every `AlgoFactory`
 //!   in the workspace under its canonical name;
-//! * [`figures`] — the figure catalogue (`np-bench list` prints it,
-//!   `np-bench specs` serialises it into `experiments/`);
-//! * [`spec_files`] — `np-bench run <spec.toml>` and `np-bench specs`;
+//! * [`figures`] — the figure catalogue: each figure's renderer or
+//!   study stage, clamp and self-check (`np-bench list` prints it);
+//! * [`spec_files`] — `np-bench run <spec.toml>`;
 //! * [`serve_cmd`] — `np-bench serve <spec.toml>`.
 //!
 //! A figure is an [`np_core::experiment::ExperimentSpec`] (the
-//! declarative what) checked in as `experiments/<fig>.toml`;
-//! `np-bench run` loads it, drives it through the `Experiment`
-//! pipeline (the how), renders the typed report into the figure's
-//! table/chart layout and applies the figure's self-check. Adding a
-//! scenario is a new ~15-line spec, not a new subsystem; see the
-//! README's "Experiment API" section for a worked example.
+//! declarative what) checked in as `experiments/<fig>.toml`, which is
+//! its only definition; `np-bench run` loads it, drives it through the
+//! `Experiment` pipeline (the how), renders the typed report into the
+//! figure's table/chart layout and applies the figure's self-check.
+//! Adding a figure is a TOML file plus a [`FIGURES`] entry for its
+//! renderer or study stage; see the README's "Spec files" section.
 
 pub mod bench_report;
 pub mod cli;

@@ -1,21 +1,16 @@
-//! The `experiments/` spec-file catalogue and the `np-bench run` /
-//! `np-bench specs` subcommands.
+//! `np-bench run`: load a figure's checked-in spec file and run it.
 //!
-//! * [`cmd_specs`] — (re)generate one `experiments/<name>.toml` per
-//!   [`crate::FIGURES`] entry (serialising the figure's dual-budget
-//!   `ExperimentSpec` at the default seed) plus the
-//!   `all_figures.toml` catalogue manifest; `--check` diffs instead of
-//!   writing, which is CI's anti-drift gate — a spec file cannot
-//!   silently disagree with the builder that defines the figure.
-//! * [`cmd_run`] — load a spec file ([`load_spec`], shared with
-//!   `np-bench serve`), resolve its study stage, renderer and
-//!   self-check through the figure catalogue and its algorithm names
-//!   through [`crate::full_registry`], apply the usual
-//!   `--quick/--seed/--threads/--seeds/--out/--world` overrides (plus
-//!   `--algos` to swap the algorithm list), and drive the standard
-//!   `Experiment` pipeline. Every malformed input — unknown flag,
-//!   unreadable file, TOML syntax, unknown key, unknown algorithm,
-//!   degenerate world — exits 2 with a named diagnostic, never a panic.
+//! Each `experiments/<fig>.toml` is its figure's only definition — a
+//! hand-edited, serialised `ExperimentSpec` that `cargo test` holds to
+//! canonical form. [`cmd_run`] loads a spec file ([`load_spec`], shared
+//! with `np-bench serve`), resolves its study stage, renderer and
+//! self-check through the figure catalogue and its algorithm names
+//! through [`crate::full_registry`], applies the usual
+//! `--quick/--seed/--threads/--seeds/--out/--world` overrides (plus
+//! `--algos` to swap the algorithm list), and drives the standard
+//! `Experiment` pipeline. Every malformed input — unknown flag,
+//! unreadable file, TOML syntax, unknown key, unknown algorithm,
+//! degenerate world — exits 2 with a named diagnostic, never a panic.
 //!
 //! A catalogue manifest (`[catalogue]` with a `specs` list, such as
 //! `experiments/all_figures.toml`) runs every listed file in order, in
@@ -25,63 +20,18 @@ use crate::cli::{self, Args, Rendered};
 use crate::figures::{figure, study_stage, FIGURES};
 use crate::registry::full_registry;
 use np_core::experiment::{AlgoSpec, Experiment, ExperimentSpec, Workload};
-use np_util::rng::DEFAULT_SEED;
 use std::path::{Path, PathBuf};
-
-/// Header prepended to every generated spec file.
-pub const SPEC_HEADER: &str = "\
-# Generated by `np-bench specs` from the figure catalogue (np_bench::FIGURES).\n\
-# Do not edit by hand: CI regenerates and fails on any diff.\n\
-#   regenerate: cargo run --release -p np-bench --bin np-bench -- specs\n\
-#   run:        cargo run --release -p np-bench --bin np-bench -- run experiments/<name>.toml [flags]\n";
 
 /// The file name of a figure's spec.
 pub fn spec_file_name(spec: &str) -> String {
     format!("{spec}.toml")
 }
 
-/// The serialised content of one figure's spec file.
-pub fn spec_file_content(f: &crate::FigureInfo) -> String {
-    format!("{SPEC_HEADER}\n{}", (f.build)(DEFAULT_SEED).to_toml())
-}
-
-/// The `all_figures.toml` catalogue manifest: every spec in
-/// regeneration order.
-pub fn catalogue_content() -> String {
-    let mut t = toml::Table::new();
-    let mut cat = toml::Table::new();
-    cat.insert("name", toml::Value::Str("all_figures".into()));
-    cat.insert(
-        "title",
-        toml::Value::Str("every figure/extension spec, in regeneration order".into()),
-    );
-    cat.insert(
-        "specs",
-        toml::Value::Array(
-            FIGURES
-                .iter()
-                .map(|f| toml::Value::Str(spec_file_name(f.spec)))
-                .collect(),
-        ),
-    );
-    t.insert("catalogue", toml::Value::Table(cat));
-    format!("{SPEC_HEADER}\n{}", toml::emit(&t))
-}
-
-/// Every `(file name, content)` pair the catalogue generates.
-pub fn all_spec_files() -> Vec<(String, String)> {
-    let mut files: Vec<(String, String)> = FIGURES
-        .iter()
-        .map(|f| (spec_file_name(f.spec), spec_file_content(f)))
-        .collect();
-    files.push(("all_figures.toml".into(), catalogue_content()));
-    files
-}
-
 /// Shift a loaded spec's committed seeds onto a new base: every cell
 /// keeps its offset from the file's `base_seed` (the `seed + x`
-/// pattern all figures use), so `--seed N` on a spec file yields the
-/// spec the figure's builder makes at seed N.
+/// pattern all figures use), so `--seed N` moves the whole figure to
+/// seed N, and rebasing back to the file's `base_seed` gives the file's
+/// spec.
 pub fn rebase_seeds(spec: &mut ExperimentSpec, new_seed: u64) {
     let old = spec.base_seed;
     if let Workload::QueryMatrix(cells) = &mut spec.workload {
@@ -315,129 +265,37 @@ fn run_one(text: &str, path: &Path, inputs: &RunInputs) -> Result<bool, String> 
     Ok(false)
 }
 
-/// `np-bench specs [--check] [--dir DIR]`.
-pub fn cmd_specs(argv: &[String]) -> ! {
-    let mut check = false;
-    let mut dir = PathBuf::from("experiments");
-    let mut it = argv.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--check" => check = true,
-            "--dir" => match it.next() {
-                Some(d) => dir = PathBuf::from(d),
-                None => cli::exit_error("--dir requires a path"),
-            },
-            other => cli::exit_error(&format!(
-                "unknown specs flag {other:?}; usage: np-bench specs [--check] [--dir DIR]"
-            )),
-        }
-    }
-    let files = all_spec_files();
-    if check {
-        let mut drifted = Vec::new();
-        for (name, want) in &files {
-            let path = dir.join(name);
-            match std::fs::read_to_string(&path) {
-                Ok(have) if have == *want => {}
-                Ok(_) => drifted.push(format!("{name} (content differs)")),
-                Err(e) => drifted.push(format!("{name} ({e})")),
-            }
-        }
-        // Also re-parse what is actually on disk: a file that matches
-        // byte-for-byte necessarily parses, but this keeps the gate
-        // meaningful if the comparison set ever narrows.
-        for f in FIGURES {
-            let path = dir.join(spec_file_name(f.spec));
-            if let Ok(text) = std::fs::read_to_string(&path) {
-                if let Err(e) = ExperimentSpec::from_toml_with(&text, study_stage) {
-                    drifted.push(format!("{} (does not load: {e})", spec_file_name(f.spec)));
-                }
-            }
-        }
-        if drifted.is_empty() {
-            println!(
-                "{} spec files in {} match the figure catalogue",
-                files.len(),
-                dir.display()
-            );
-            std::process::exit(0);
-        }
-        eprintln!(
-            "error: {} spec file(s) drifted from np_bench::FIGURES — regenerate with `np-bench specs`:",
-            drifted.len()
-        );
-        for d in drifted {
-            eprintln!("  {d}");
-        }
-        std::process::exit(1);
-    }
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        cli::exit_error(&format!("cannot create {}: {e}", dir.display()));
-    }
-    for (name, content) in &files {
-        let path = dir.join(name);
-        if let Err(e) = std::fs::write(&path, content) {
-            cli::exit_error(&format!("cannot write {}: {e}", path.display()));
-        }
-        println!("wrote {}", path.display());
-    }
-    std::process::exit(0);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn generated_files_cover_the_catalogue_plus_manifest() {
-        let files = all_spec_files();
-        assert_eq!(files.len(), FIGURES.len() + 1, "16 figures + all_figures manifest = 17");
-        for (name, content) in &files {
-            assert!(name.ends_with(".toml"));
-            assert!(content.starts_with(SPEC_HEADER), "{name} missing the header");
-        }
-        let (_, manifest) = files.last().expect("manifest last");
-        let doc = toml::parse(manifest).expect("manifest parses");
-        let listed = doc
-            .get("catalogue")
-            .and_then(|c| c.as_table())
-            .and_then(|c| c.get("specs"))
-            .and_then(|s| s.as_array())
-            .expect("specs list");
-        assert_eq!(listed.len(), FIGURES.len());
-    }
-
-    #[test]
-    fn every_generated_spec_loads_and_validates() {
-        for f in FIGURES {
-            let content = spec_file_content(f);
-            let spec = ExperimentSpec::from_toml_with(&content, study_stage)
-                .unwrap_or_else(|e| panic!("{}: {e}", f.spec));
-            assert_eq!(spec.name, f.spec);
-            assert_eq!(spec.base_seed, DEFAULT_SEED);
-        }
-    }
-
-    #[test]
     fn rebase_preserves_per_cell_offsets() {
-        // Loading a checked-in file and rebasing it must equal the
-        // figure's builder at the new seed — what `--seed N` means.
-        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../experiments");
+        // `--seed N` shifts every cell by the same amount; rebasing
+        // back to the file's own seed gives the file's spec.
+        let offsets = |spec: &ExperimentSpec| match &spec.workload {
+            Workload::QueryMatrix(cells) => cells
+                .iter()
+                .map(|c| c.base_seed.wrapping_sub(spec.base_seed))
+                .collect(),
+            Workload::Study(_) => Vec::new(),
+        };
         for f in FIGURES {
-            let text = std::fs::read_to_string(dir.join(spec_file_name(f.spec)))
-                .unwrap_or_else(|e| panic!("{}: {e}", f.spec));
+            let file = crate::specs::tests::checked_in(f.spec);
             for seed in [1, 0xDEAD_BEEF] {
-                let mut spec = ExperimentSpec::from_toml_with(&text, study_stage)
-                    .unwrap_or_else(|e| panic!("{}: {e}", f.spec));
+                let mut spec = crate::specs::tests::checked_in(f.spec);
                 rebase_seeds(&mut spec, seed);
-                assert_eq!(spec, (f.build)(seed), "{} rebased to {seed:#x}", f.spec);
+                assert_eq!(spec.base_seed, seed, "{}", f.spec);
+                assert_eq!(
+                    offsets(&spec),
+                    offsets(&file),
+                    "{} rebased to {seed:#x}",
+                    f.spec
+                );
+                rebase_seeds(&mut spec, file.base_seed);
+                assert_eq!(spec, file, "{} rebased to {seed:#x} and back", f.spec);
             }
         }
-        // Identity rebase is a no-op.
-        let fig8 = figure("fig8").expect("fig8 exists");
-        let mut spec = (fig8.build)(DEFAULT_SEED);
-        rebase_seeds(&mut spec, DEFAULT_SEED);
-        assert_eq!(spec, (fig8.build)(DEFAULT_SEED));
     }
 
     #[test]

@@ -1,86 +1,11 @@
-//! **Ext D** spec: Meridian design-choice ablations at the paper's
+//! **Ext D** renderer: Meridian design-choice ablations at the paper's
 //! δ=0.2 / 125-end-network configuration — β, ring management and the
-//! construction mode, each a `MeridianFactory::custom` under its own
-//! registry name (registered by [`crate::registry::full_registry`]).
+//! construction mode, one registry entry per variant (see
+//! [`crate::registry::full_registry`]).
 
 use crate::cli::{Args, Rendered};
-use np_core::experiment::{
-    AlgoSpec, Backend, CellSpec, ExperimentReport, ExperimentSpec, SeedPlan,
-};
-use np_meridian::{BuildMode, MeridianConfig, MeridianFactory};
+use np_core::experiment::ExperimentReport;
 use np_util::table::{fmt_f, fmt_prob, Table};
-
-/// The ablation grid: `(registry name, display label, config, build)`.
-pub fn variants() -> Vec<(&'static str, &'static str, MeridianConfig, BuildMode)> {
-    let base = MeridianConfig::default();
-    vec![
-        (
-            "ablate-base",
-            "baseline (beta=0.5, manage=2, omniscient)",
-            base,
-            BuildMode::Omniscient,
-        ),
-        (
-            "ablate-b25",
-            "beta=0.25",
-            MeridianConfig { beta: 0.25, ..base },
-            BuildMode::Omniscient,
-        ),
-        (
-            "ablate-b75",
-            "beta=0.75",
-            MeridianConfig { beta: 0.75, ..base },
-            BuildMode::Omniscient,
-        ),
-        (
-            "ablate-nomanage",
-            "no ring management",
-            MeridianConfig {
-                manage_rounds: 0,
-                ..base
-            },
-            BuildMode::Omniscient,
-        ),
-        (
-            "ablate-gossip",
-            "gossip build (8 rounds, fanout 8)",
-            base,
-            BuildMode::Gossip {
-                rounds: 8,
-                fanout: 8,
-            },
-        ),
-    ]
-}
-
-/// The ablation factories (registered by
-/// [`crate::registry::full_registry`]).
-pub fn variant_factories() -> Vec<MeridianFactory> {
-    variants()
-        .into_iter()
-        .map(|(name, _, cfg, mode)| MeridianFactory::custom(name, cfg, mode))
-        .collect()
-}
-
-/// The dual-budget Ext D spec at `seed`.
-pub fn build(seed: u64) -> ExperimentSpec {
-    let algos = variants()
-        .into_iter()
-        .map(|(name, label, _, _)| AlgoSpec::labelled(name, label))
-        .collect();
-    let cells =
-        vec![CellSpec::paper("x=125", 125, 0.2, seed, 2_000, algos).with_quick_queries(300)];
-    let mut spec = ExperimentSpec::query(
-        "ext_ablation",
-        "Ext D — Meridian ablations at x=125, delta=0.2",
-        "beta trades probes for accuracy; ring management is ~neutral under clustering",
-        Backend::Dense,
-        SeedPlan::Single,
-        cells,
-    );
-    spec.base_seed = seed;
-    spec
-}
 
 /// The Ext D variants table renderer.
 pub fn render(report: &ExperimentReport, _args: &Args) -> Rendered {

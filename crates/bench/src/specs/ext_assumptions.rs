@@ -4,9 +4,7 @@
 //! cluster worlds. Honours `--world hierarchical` through the
 //! experiment layer's `ScenarioHandle`.
 
-use np_core::experiment::{
-    AlgoSpec, Backend, CellSpec, ExperimentSpec, ScenarioHandle, StudyCtx, StudyOutput,
-};
+use np_core::experiment::{AlgoSpec, CellSpec, ScenarioHandle, StudyCtx, StudyOutput};
 use np_metric::diagnostics::assumption_report;
 use np_metric::{LatencyMatrix, PeerId};
 use np_util::rng::rng_for;
@@ -73,18 +71,4 @@ pub fn study(ctx: &StudyCtx) -> StudyOutput {
         text: out,
         tables: vec![("ext_assumptions".into(), table)],
     }
-}
-
-/// The Ext B study spec at `seed`.
-pub fn build(seed: u64) -> ExperimentSpec {
-    ExperimentSpec::study(
-        "ext_assumptions",
-        "Ext B — metric-space diagnostics under clustering",
-        "growth/doubling constants and intrinsic dimension blow up with cluster size",
-        Backend::Dense,
-        seed,
-        false,
-        Vec::new(),
-        study,
-    )
 }

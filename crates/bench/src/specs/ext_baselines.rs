@@ -4,63 +4,8 @@
 //! probes the whole overlay).
 
 use crate::cli::{Args, Rendered};
-use np_core::experiment::{
-    AlgoSpec, Backend, CellSpec, ExperimentReport, ExperimentSpec, SeedPlan,
-};
+use np_core::experiment::ExperimentReport;
 use np_util::table::{fmt_f, fmt_prob, Table};
-
-/// Cluster sizes: the full sweep; `--quick` keeps the 25/250 contrast.
-pub const XS: &[usize] = &[5, 25, 250];
-const QUERIES: usize = 1_000;
-const QUICK_QUERIES: usize = 150;
-
-/// The dual-budget Ext A spec at `seed`.
-pub fn build(seed: u64) -> ExperimentSpec {
-    let algos = || {
-        vec![
-            AlgoSpec::new("meridian"),
-            AlgoSpec::new("karger-ruhl"),
-            AlgoSpec::new("tapestry"),
-            AlgoSpec::new("tiers"),
-            AlgoSpec::new("beaconing"),
-            AlgoSpec::new("coord-walk"),
-            AlgoSpec::new("random"),
-            AlgoSpec::new("brute-force")
-                .with_queries(QUERIES / 5)
-                .with_quick_queries(QUICK_QUERIES / 5),
-        ]
-    };
-    let cells = XS
-        .iter()
-        .map(|&x| {
-            let cell = CellSpec::paper(
-                format!("x={x}"),
-                x,
-                0.2,
-                seed.wrapping_add(x as u64),
-                QUERIES,
-                algos(),
-            )
-            .with_quick_queries(QUICK_QUERIES);
-            // Quick keeps the smallest-vs-largest contrast only.
-            if x == 5 {
-                cell.paper_scale_only()
-            } else {
-                cell
-            }
-        })
-        .collect();
-    let mut spec = ExperimentSpec::query(
-        "ext_baselines",
-        "Ext A — all algorithms under the clustering condition",
-        "every latency-only scheme collapses at x=250; brute force does not",
-        Backend::Dense,
-        SeedPlan::Single,
-        cells,
-    );
-    spec.base_seed = seed;
-    spec
-}
 
 /// The Ext A all-algorithms table renderer.
 pub fn render(report: &ExperimentReport, _args: &Args) -> Rendered {

@@ -1,9 +1,9 @@
-//! **Extension — churn** spec: the paper's static worlds made dynamic.
+//! **Extension — churn**: the paper's static worlds made dynamic.
 //!
 //! The paper measures nearest-peer discovery over a frozen latency
 //! snapshot; real deployments churn. This extension sweeps a seeded
-//! event-clocked [`ChurnConfig`] rate (joins, leaves and RTT drift over
-//! 60 simulated seconds, plus probe loss with deterministic
+//! event-clocked [`np_core::ChurnConfig`] rate (joins, leaves and RTT
+//! drift over 60 simulated seconds, plus probe loss with deterministic
 //! retry-with-backoff) over the paper's 500-peer cluster world and
 //! reports accuracy *and* repair cost per rate: full overlay rebuilds
 //! vs rings replayed by the incremental leave repair.
@@ -15,85 +15,8 @@
 //! figures.
 
 use crate::cli::{Args, Rendered};
-use np_core::experiment::{
-    AlgoSpec, Backend, CellSpec, ExperimentReport, ExperimentSpec, SeedPlan,
-};
-use np_core::ChurnConfig;
-use np_topology::ClusterWorldSpec;
+use np_core::experiment::{ExperimentReport, ExperimentSpec};
 use np_util::table::Table;
-use np_util::Micros;
-
-/// Membership events per simulated minute, the sweep variable.
-pub const RATES: &[f64] = &[0.0, 2.0, 6.0, 12.0];
-/// Simulated wall-clock per cell (one minute, so rates read as
-/// events-per-run).
-pub const DURATION_S: f64 = 60.0;
-
-/// The shared fault model: every cell — including `rate=0` — runs with
-/// probe loss, temporarily-offline leavers and bounded RTT drift, so
-/// the sweep isolates the *membership* rate.
-pub fn fault_model(events_per_min: f64) -> ChurnConfig {
-    ChurnConfig {
-        events_per_min,
-        duration_s: DURATION_S,
-        drift_max_us: 2_000,
-        offline_frac: 0.05,
-        loss: 0.05,
-        retries: 3,
-    }
-}
-
-/// The paper-scale world every cell shares (10 clusters × 25
-/// end-networks × 2 peers = 500 peers).
-pub fn world() -> ClusterWorldSpec {
-    ClusterWorldSpec {
-        clusters: 10,
-        en_per_cluster: 25,
-        peers_per_en: 2,
-        delta: 0.2,
-        mean_hub_ms: (4.0, 6.0),
-        intra_en: Micros::from_us(100),
-        hub_pool: 10,
-    }
-}
-
-/// The dual-budget churn spec at `seed`: one cell per rate, three
-/// seeds for bands, brute force as the truth-maintenance reference and
-/// random choice as the floor.
-pub fn build(seed: u64) -> ExperimentSpec {
-    let cells = RATES
-        .iter()
-        .enumerate()
-        .map(|(i, &rate)| CellSpec {
-            label: format!("rate={rate}"),
-            world: world(),
-            n_targets: 50,
-            base_seed: seed.wrapping_add(i as u64),
-            queries: 400,
-            quick_queries: Some(100),
-            in_quick: true,
-            churn: Some(fault_model(rate)),
-            super_shards: None,
-            block_cache_mb: None,
-            algos: vec![
-                AlgoSpec::new("brute-force"),
-                AlgoSpec::new("meridian"),
-                AlgoSpec::new("random"),
-            ],
-        })
-        .collect();
-    let mut spec = ExperimentSpec::query(
-        "ext_churn",
-        "Extension — accuracy and repair cost under event-clocked churn",
-        "incremental ring repair keeps Meridian near its static accuracy while \
-         replaying a few rings per leave instead of rebuilding the overlay",
-        Backend::Dense,
-        SeedPlan::THREE_RUNS,
-        cells,
-    );
-    spec.base_seed = seed;
-    spec
-}
 
 /// The ext_churn self-check. The brute-force reference must stay exact
 /// — its `NearestCache` is incrementally evicted/admitted across churn
@@ -196,20 +119,25 @@ mod tests {
 
     #[test]
     fn every_cell_runs_the_fault_injected_dynamic_pipeline() {
-        let spec = build(11);
-        let cells = match &spec.workload {
-            np_core::experiment::Workload::QueryMatrix(cells) => cells,
-            np_core::experiment::Workload::Study(_) => panic!("query spec"),
+        let spec = crate::specs::tests::checked_in("ext_churn");
+        let np_core::experiment::Workload::QueryMatrix(cells) = &spec.workload else {
+            panic!("ext_churn is a query spec");
         };
-        assert_eq!(cells.len(), RATES.len());
-        for (cell, &rate) in cells.iter().zip(RATES) {
+        assert_eq!(cells.len(), 4);
+        for cell in cells {
             let churn = cell.churn.expect("all churn cells are dynamic");
-            assert_eq!(churn.events_per_min, rate);
+            // The label carries the swept rate; the first cell is the
+            // membership-free rate=0 baseline.
+            assert_eq!(
+                crate::specs::label_value(&cell.label),
+                Some(churn.events_per_min)
+            );
             assert!(churn.loss > 0.0, "fault injection stays on at rate 0");
             assert!(churn.retries >= 1);
             assert!(cell.in_quick, "the whole sweep is CI-smokeable");
         }
-        spec.validate().expect("built-in churn spec validates");
+        assert_eq!(cells[0].churn.map(|c| c.events_per_min), Some(0.0));
+        spec.validate().expect("checked-in churn spec validates");
     }
 
     #[test]
@@ -220,7 +148,14 @@ mod tests {
             let np_core::experiment::Workload::QueryMatrix(cells) = &mut spec.workload else {
                 unreachable!("tiny_spec is a query spec");
             };
-            cells[0].churn = Some(fault_model(10.0));
+            cells[0].churn = Some(np_core::ChurnConfig {
+                events_per_min: 10.0,
+                duration_s: 60.0,
+                drift_max_us: 2_000,
+                offline_frac: 0.05,
+                loss: 0.05,
+                retries: 3,
+            });
             spec
         };
         let mut report = crate::specs::tests::run(churned());

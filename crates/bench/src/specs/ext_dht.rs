@@ -1,7 +1,7 @@
-//! **Ext F** spec: structured-overlay searchers — Kademlia's iterative
-//! XOR-metric lookup and the NSW latency-space graph walk — against the
-//! brute-force and Meridian reference points at the paper's δ=0.2 /
-//! 125-end-network configuration.
+//! **Ext F** renderer and self-check: structured-overlay searchers —
+//! Kademlia's iterative XOR-metric lookup and the NSW latency-space
+//! graph walk — against the brute-force and Meridian reference points
+//! at the paper's δ=0.2 / 125-end-network configuration.
 //!
 //! The question (ROADMAP "DHT and graph-walk searchers"): does the
 //! paper's "nearest peer is hard" finding survive structured-overlay
@@ -12,93 +12,8 @@
 //! optimal each answer lands even when it is not the literal nearest.
 
 use crate::cli::{Args, Rendered};
-use np_core::experiment::{
-    AlgoFactory, AlgoSpec, Backend, CellSpec, ExperimentReport, ExperimentSpec, SeedPlan,
-};
-use np_dht::{KademliaConfig, KademliaFactory, NswConfig, NswFactory};
+use np_core::experiment::{ExperimentReport, ExperimentSpec};
 use np_util::table::{fmt_f, fmt_prob, Table};
-
-/// One parameterised searcher variant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DhtVariant {
-    Kademlia(KademliaConfig),
-    Nsw(NswConfig),
-}
-
-/// The variant grid: `(registry name, display label, config)` — the
-/// standard `kademlia`/`nsw` entries carry the default configs and are
-/// registered separately by [`crate::registry::full_registry`].
-pub fn variants() -> Vec<(&'static str, &'static str, DhtVariant)> {
-    vec![
-        (
-            "kademlia-a1",
-            "Kademlia alpha=1 (serial lookup)",
-            DhtVariant::Kademlia(KademliaConfig { k: 8, alpha: 1 }),
-        ),
-        (
-            "kademlia-k16",
-            "Kademlia k=16 frontier",
-            DhtVariant::Kademlia(KademliaConfig { k: 16, alpha: 3 }),
-        ),
-        (
-            "nsw-m10",
-            "NSW M=10 links",
-            DhtVariant::Nsw(NswConfig { m: 10, starts: 3 }),
-        ),
-        (
-            "nsw-s1",
-            "NSW single-start walk",
-            DhtVariant::Nsw(NswConfig { m: 5, starts: 1 }),
-        ),
-    ]
-}
-
-/// The variant factories (registered by
-/// [`crate::registry::full_registry`] next to the standard
-/// `kademlia`/`nsw` entries).
-pub fn variant_factories() -> Vec<Box<dyn AlgoFactory>> {
-    variants()
-        .into_iter()
-        .map(|(name, _, v)| match v {
-            DhtVariant::Kademlia(cfg) => {
-                Box::new(KademliaFactory::with_config(name, cfg)) as Box<dyn AlgoFactory>
-            }
-            DhtVariant::Nsw(cfg) => Box::new(NswFactory::with_config(name, cfg)),
-        })
-        .collect()
-}
-
-/// The dual-budget Ext F spec at `seed`.
-pub fn build(seed: u64) -> ExperimentSpec {
-    let mut algos = vec![
-        AlgoSpec::labelled("brute-force", "brute force (reference)"),
-        AlgoSpec::labelled("meridian", "meridian (paper baseline)"),
-        AlgoSpec::labelled("kademlia", "Kademlia k=8, alpha=3"),
-    ];
-    for (name, label, v) in variants() {
-        if matches!(v, DhtVariant::Kademlia(_)) {
-            algos.push(AlgoSpec::labelled(name, label));
-        }
-    }
-    algos.push(AlgoSpec::labelled("nsw", "NSW M=5, 3 starts"));
-    for (name, label, v) in variants() {
-        if matches!(v, DhtVariant::Nsw(_)) {
-            algos.push(AlgoSpec::labelled(name, label));
-        }
-    }
-    let cells =
-        vec![CellSpec::paper("x=125", 125, 0.2, seed, 2_000, algos).with_quick_queries(300)];
-    let mut spec = ExperimentSpec::query(
-        "ext_dht",
-        "Ext F — structured-overlay searchers at x=125, delta=0.2",
-        "XOR convergence is latency-blind and greedy descent strands on cluster minima",
-        Backend::Dense,
-        SeedPlan::Single,
-        cells,
-    );
-    spec.base_seed = seed;
-    spec
-}
 
 /// The Ext F self-check. The reference row must stay exact with unit
 /// stretch — `mean_stretch` reading the wrong RTT pair would corrupt
@@ -176,8 +91,8 @@ mod tests {
 
     #[test]
     fn spec_validates_and_names_both_families() {
-        let spec = build(42);
-        spec.validate().expect("valid built-in spec");
+        let spec = crate::specs::tests::checked_in("ext_dht");
+        spec.validate().expect("valid checked-in spec");
         assert_eq!(spec.name, "ext_dht");
         let np_core::experiment::Workload::QueryMatrix(cells) = &spec.workload else {
             panic!("ext_dht is a query spec");
@@ -217,15 +132,5 @@ mod tests {
         cells[0].rows[0].runs[0].mean_stretch = 1.5;
         let err = check(&spec(), &report, &args).unwrap_err();
         assert!(err.contains("unit stretch"), "{err}");
-    }
-
-    #[test]
-    fn variant_factories_cover_the_grid() {
-        let factories = variant_factories();
-        assert_eq!(factories.len(), variants().len());
-        for (f, (name, _, _)) in factories.iter().zip(variants()) {
-            assert_eq!(f.name(), name);
-            assert!(!f.description().is_empty());
-        }
     }
 }

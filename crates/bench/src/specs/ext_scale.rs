@@ -1,8 +1,9 @@
-//! **Extension — scale** spec: cluster worlds past the dense matrix's
+//! **Extension — scale**: cluster worlds past the dense matrix's
 //! ~2.5 k-peer wall, up to a million peers on the two-level
 //! hierarchical backend, with a brute-force reference column, a
 //! Kademlia column (cheap at any size), and a Meridian column built
-//! through the shard-local ring fill at the sizes where its O(n²)
+//! through the shard-local ring fill. `experiments/ext_scale.toml`
+//! names Meridian only in the cells up to 50k peers, where its O(n²)
 //! shard-local fill is affordable. [`check`] adds the exactness
 //! self-checks and, at the sizes where the dense matrix still fits,
 //! the dense cross-check ([`dense_cross_check`] picks its cells).
@@ -10,18 +11,9 @@
 use crate::cli::{self, Args, Rendered};
 use crate::registry::full_registry;
 use np_core::experiment::{
-    hierarchical_knobs, AlgoSpec, Backend, CellSpec, Experiment, ExperimentReport, ExperimentSpec,
-    SeedPlan, Workload,
+    hierarchical_knobs, Backend, CellSpec, Experiment, ExperimentReport, ExperimentSpec, Workload,
 };
-use np_topology::ClusterWorldSpec;
 use np_util::table::Table;
-use np_util::Micros;
-
-/// Sweep sizes (requested peers; worlds round to whole clusters).
-pub const SIZES: &[usize] = &[2_500, 10_000, 25_000, 50_000, 200_000, 1_000_000];
-/// Sizes that also run under `--quick` (the 200k cell is CI's
-/// hierarchical smoke; the 1M cell is paper-scale only).
-pub const QUICK_SIZES: &[usize] = &[2_500, 10_000, 200_000];
 
 /// Dense is quadratic: past this size a single matrix outgrows the CI
 /// memory budget this figure is asserted under.
@@ -32,73 +24,6 @@ pub const DENSE_LIMIT: usize = 12_000;
 /// 10k×10k cross-check matrix (400 MB) would dominate the peak-RSS
 /// number the CI job asserts on.
 pub const CROSS_CHECK_LIMIT: usize = 4_000;
-
-/// Meridian's shard-local ring fill probes every same-shard pair —
-/// O(n²) total across shards — so its column stops here; brute force
-/// (one linear scan per query) and Kademlia (binary-search buckets,
-/// O(log n) rounds) continue to the million-peer cells.
-pub const MERIDIAN_LIMIT: usize = 50_000;
-
-/// Past this many clusters the generator's hub matrix (quadratic in
-/// the hub pool) would dominate the build; bigger worlds grow the
-/// cluster *size* instead, which is exactly what the hierarchical
-/// backend's per-shard blocks are budgeted for.
-pub const MAX_CLUSTERS: usize = 2_500;
-
-/// The cluster-world spec for `peers` total peers: the paper's shape
-/// (2 peers per end-network, 25 end-networks per cluster).
-pub fn world_for(peers: usize) -> ClusterWorldSpec {
-    let clusters = (peers / 50).clamp(1, MAX_CLUSTERS);
-    let en_per_cluster = (peers / (clusters * 2)).max(1);
-    ClusterWorldSpec {
-        clusters,
-        en_per_cluster,
-        peers_per_en: 2,
-        delta: 0.2,
-        mean_hub_ms: (4.0, 6.0),
-        intra_en: Micros::from_us(100),
-        hub_pool: clusters.max(2),
-    }
-}
-
-/// The dual-budget scale spec at `seed`.
-pub fn build(seed: u64) -> ExperimentSpec {
-    let cells = SIZES
-        .iter()
-        .map(|&requested| {
-            let world = world_for(requested);
-            // Worlds round to whole clusters; label the world built.
-            let peers = world.total_peers();
-            let mut algos = vec![AlgoSpec::new("brute-force"), AlgoSpec::new("kademlia")];
-            if peers <= MERIDIAN_LIMIT {
-                algos.insert(1, AlgoSpec::new("meridian"));
-            }
-            CellSpec {
-                label: format!("{peers} peers"),
-                world,
-                n_targets: 100,
-                base_seed: seed.wrapping_add(peers as u64),
-                queries: 1_000,
-                quick_queries: Some(250),
-                in_quick: QUICK_SIZES.contains(&requested),
-                churn: None,
-                super_shards: None,
-                block_cache_mb: None,
-                algos,
-            }
-        })
-        .collect();
-    let mut spec = ExperimentSpec::query(
-        "ext_scale",
-        "Extension — hierarchical worlds from the 2.5k-peer dense wall to a million peers",
-        "memory stays block-cache-bounded while peers grow 400x; dense and one-super-shard hierarchical metrics agree bit-for-bit at paper scale",
-        Backend::Hierarchical,
-        SeedPlan::Single,
-        cells,
-    );
-    spec.base_seed = seed;
-    spec
-}
 
 /// Drop cells whose dense matrix would not fit the CI budget. Returns
 /// the labels dropped (callers report them; an empty sweep is the
@@ -229,7 +154,7 @@ pub fn check(spec: &ExperimentSpec, report: &ExperimentReport, args: &Args) -> R
 /// The scale sweep table renderer: store footprint, build and batch
 /// timings, and the brute-force / Meridian / Kademlia accuracy
 /// columns. Rows are matched by registry name, never by position, so
-/// the sizes past [`MERIDIAN_LIMIT`] (and any `--algos` override)
+/// the cells without a Meridian row (and any `--algos` override)
 /// simply render `-` in the columns they skip.
 pub fn render(report: &ExperimentReport, _args: &Args) -> Rendered {
     let cells = report.query_cells().unwrap_or_default();
@@ -327,7 +252,7 @@ pub fn render(report: &ExperimentReport, _args: &Args) -> Rendered {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::specs::tests::{run, tiny_spec};
+    use crate::specs::tests::{checked_in, run, tiny_spec};
     use crate::specs::with_args;
     use np_core::experiment::ReportBody;
 
@@ -342,13 +267,13 @@ mod tests {
         };
         // Default knobs: the 2,500-peer cell resolves to one
         // super-shard and is the only one within the size limit.
-        let spec = with_args(build(7), &parse(&[]));
+        let spec = with_args(checked_in("ext_scale"), &parse(&[]));
         let (checked, skipped) = dense_cross_check(&spec);
         assert_eq!(labels(&checked), ["2500 peers"]);
         assert!(skipped.is_empty());
         // Four super-shards approximate cross-group paths: the cell
         // is skipped, not cross-checked.
-        let grouped = with_args(build(7), &parse(&["--super-shards", "4"]));
+        let grouped = with_args(checked_in("ext_scale"), &parse(&["--super-shards", "4"]));
         let (checked, skipped) = dense_cross_check(&grouped);
         assert!(checked.is_empty());
         assert_eq!(skipped, ["2500 peers"]);

@@ -1,4 +1,4 @@
-//! **Ext G** spec: the query-serving daemon — sustained open-loop load
+//! **Ext G**: the query-serving daemon — sustained open-loop load
 //! against the paper's x=125 / δ=0.2 world.
 //!
 //! Everything else in the harness answers a pre-drawn batch and exits;
@@ -15,9 +15,7 @@
 //! batch path under lossless admission.
 
 use crate::cli::{Args, Rendered};
-use np_core::experiment::{
-    AlgoSpec, Backend, CellSpec, ExperimentReport, ExperimentSpec, SeedPlan,
-};
+use np_core::experiment::ExperimentReport;
 use np_util::table::{fmt_f, fmt_prob, Table};
 
 /// The serve harness's default offered load: `(rate qps, duration s)`.
@@ -29,29 +27,6 @@ pub fn default_load(quick: bool) -> (f64, f64) {
     } else {
         (400.0, 5.0)
     }
-}
-
-/// The dual-budget Ext G spec at `seed`: one paper-shaped cell, the
-/// four serving algorithms the BENCH_serve.json artifact tracks.
-pub fn build(seed: u64) -> ExperimentSpec {
-    let algos = vec![
-        AlgoSpec::labelled("brute-force", "brute force (exact, probe-heavy)"),
-        AlgoSpec::labelled("meridian", "meridian (paper baseline)"),
-        AlgoSpec::labelled("kademlia", "Kademlia k=8, alpha=3"),
-        AlgoSpec::labelled("nsw", "NSW M=5, 3 starts"),
-    ];
-    let cells =
-        vec![CellSpec::paper("x=125", 125, 0.2, seed, 2_000, algos).with_quick_queries(300)];
-    let mut spec = ExperimentSpec::query(
-        "ext_serve",
-        "Ext G — query-serving daemon at x=125, delta=0.2",
-        "probe budgets become tail latency under sustained open-loop load",
-        Backend::Dense,
-        SeedPlan::Single,
-        cells,
-    );
-    spec.base_seed = seed;
-    spec
 }
 
 /// The batch-path renderer (`np-bench run experiments/ext_serve.toml`):
@@ -103,8 +78,8 @@ mod tests {
 
     #[test]
     fn spec_validates_and_names_the_serving_algorithms() {
-        let spec = build(42);
-        spec.validate().expect("valid built-in spec");
+        let spec = crate::specs::tests::checked_in("ext_serve");
+        spec.validate().expect("valid checked-in spec");
         assert_eq!(spec.name, "ext_serve");
         let np_core::experiment::Workload::QueryMatrix(cells) = &spec.workload else {
             panic!("ext_serve is a query spec");

@@ -6,7 +6,7 @@
 //! — and hop-length grows with latency.
 
 use np_cluster::TraceGraph;
-use np_core::experiment::{Backend, ExperimentSpec, StudyCtx, StudyOutput};
+use np_core::experiment::{StudyCtx, StudyOutput};
 use np_remedies::ucl;
 use np_topology::{HostId, InternetModel, WorldParams};
 use np_util::ascii::{Axis, Chart};
@@ -77,18 +77,4 @@ pub fn study(ctx: &StudyCtx) -> StudyOutput {
         text: out,
         tables: vec![("fig10_hops".into(), t)],
     }
-}
-
-/// The Figure 10 study spec at `seed`.
-pub fn build(seed: u64) -> ExperimentSpec {
-    ExperimentSpec::study(
-        "fig10",
-        "Figure 10 — inter-peer router hops vs latency",
-        "hop-length grows with latency; median ~4 hops at ~4 ms",
-        Backend::Dense,
-        seed,
-        false,
-        Vec::new(),
-        study,
-    )
 }

@@ -5,7 +5,7 @@
 //! no sweet spot.
 
 use np_cluster::TraceGraph;
-use np_core::experiment::{Backend, ExperimentSpec, StudyCtx, StudyOutput};
+use np_core::experiment::{StudyCtx, StudyOutput};
 use np_remedies::prefix;
 use np_topology::{HostId, InternetModel, WorldParams};
 use np_util::ascii::{Axis, Chart};
@@ -67,18 +67,4 @@ pub fn study(ctx: &StudyCtx) -> StudyOutput {
         text: out,
         tables: vec![("fig11_error_rates".into(), t)],
     }
-}
-
-/// The Figure 11 study spec at `seed`.
-pub fn build(seed: u64) -> ExperimentSpec {
-    ExperimentSpec::study(
-        "fig11",
-        "Figure 11 — IP-prefix heuristic error rates",
-        "FP falls / FN rises with prefix length; no sweet spot",
-        Backend::Dense,
-        seed,
-        false,
-        Vec::new(),
-        study,
-    )
 }

@@ -10,7 +10,7 @@
 //! 2-style sample traceroute tree.
 
 use np_cluster::dns::{run, DnsStudyConfig};
-use np_core::experiment::{Backend, ExperimentSpec, StudyCtx, StudyOutput};
+use np_core::experiment::{StudyCtx, StudyOutput};
 use np_topology::{HostId, InternetModel, WorldParams};
 use np_util::ascii::{Axis, Chart};
 use np_util::binned::{BinScale, BinnedScatter};
@@ -110,18 +110,4 @@ pub fn study(ctx: &StudyCtx) -> StudyOutput {
         text: out,
         tables: vec![("fig3_cdf".into(), t3), ("fig4_binned".into(), t4)],
     }
-}
-
-/// The Figures 3 & 4 study spec at `seed`.
-pub fn build(seed: u64) -> ExperimentSpec {
-    ExperimentSpec::study(
-        "fig3_4",
-        "Figures 3 & 4 — DNS-pair prediction measure",
-        "~65% of pairs within [0.5, 2]; per-bin medians rise with predicted latency",
-        Backend::Dense,
-        seed,
-        false,
-        Vec::new(),
-        study,
-    )
 }

@@ -8,7 +8,7 @@
 //! headline ratio needs both medians and is skipped likewise.
 
 use np_cluster::domain;
-use np_core::experiment::{Backend, ExperimentSpec, StudyCtx, StudyOutput};
+use np_core::experiment::{StudyCtx, StudyOutput};
 use np_topology::{InternetModel, WorldParams};
 use np_util::ascii::{Axis, Chart};
 use np_util::table::Table;
@@ -83,18 +83,4 @@ pub fn study(ctx: &StudyCtx) -> StudyOutput {
         text: out,
         tables: vec![("fig5_distributions".into(), t)],
     }
-}
-
-/// The Figure 5 study spec at `seed`.
-pub fn build(seed: u64) -> ExperimentSpec {
-    ExperimentSpec::study(
-        "fig5",
-        "Figure 5 — intra-domain vs inter-domain latencies",
-        "intra-domain ~10x smaller; predicted tracks measured for inter-domain",
-        Backend::Dense,
-        seed,
-        false,
-        Vec::new(),
-        study,
-    )
 }

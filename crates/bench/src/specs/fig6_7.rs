@@ -10,7 +10,7 @@
 
 use np_cluster::azureus;
 use np_cluster::AzureusStudy;
-use np_core::experiment::{Backend, ExperimentSpec, StudyCtx, StudyOutput};
+use np_core::experiment::{StudyCtx, StudyOutput};
 use np_probe::vantage::render_table1;
 use np_topology::{InternetModel, WorldParams};
 use np_util::ascii::{Axis, Chart};
@@ -105,18 +105,4 @@ pub fn study(ctx: &StudyCtx) -> StudyOutput {
         text: out,
         tables: vec![("fig6_cumulative".into(), t6), ("fig7_clusters".into(), t7)],
     }
-}
-
-/// The Figures 6 & 7 study spec at `seed`.
-pub fn build(seed: u64) -> ExperimentSpec {
-    ExperimentSpec::study(
-        "fig6_7",
-        "Figures 6 & 7 — Azureus clustering",
-        "non-negligible fraction of peers in large similar-latency clusters",
-        Backend::Dense,
-        seed,
-        false,
-        Vec::new(),
-        study,
-    )
 }

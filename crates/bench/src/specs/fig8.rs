@@ -14,42 +14,9 @@
 //! by `crates/bench/tests/golden_fig8.rs`.
 
 use crate::cli::{band, Args, Rendered};
-use np_core::experiment::{
-    AlgoSpec, Backend, CellSpec, ExperimentReport, ExperimentSpec, SeedPlan,
-};
+use np_core::experiment::ExperimentReport;
 use np_util::ascii::{Axis, Chart};
 use np_util::table::Table;
-
-/// Cluster sizes of the paper's sweep.
-pub const XS: &[usize] = &[5, 25, 50, 125, 250];
-
-/// The dual-budget Figure 8 spec at `seed`.
-pub fn build(seed: u64) -> ExperimentSpec {
-    let cells = XS
-        .iter()
-        .map(|&x| {
-            CellSpec::paper(
-                format!("x={x}"),
-                x,
-                0.2,
-                seed.wrapping_add(x as u64),
-                5_000,
-                vec![AlgoSpec::new("meridian")],
-            )
-            .with_quick_queries(400)
-        })
-        .collect();
-    let mut spec = ExperimentSpec::query(
-        "fig8",
-        "Figure 8 — Meridian accuracy vs cluster size",
-        "closest-peer curve peaks near x=25 then collapses; cluster curve rises to ~1",
-        Backend::Dense,
-        SeedPlan::THREE_RUNS,
-        cells,
-    );
-    spec.base_seed = seed;
-    spec
-}
 
 /// The Figure 8 table + chart renderer.
 pub fn render(report: &ExperimentReport, _args: &Args) -> Rendered {

@@ -9,42 +9,9 @@
 //! discusses.
 
 use crate::cli::{band, Args, Rendered};
-use np_core::experiment::{
-    AlgoSpec, Backend, CellSpec, ExperimentReport, ExperimentSpec, SeedPlan,
-};
+use np_core::experiment::ExperimentReport;
 use np_util::ascii::{Axis, Chart};
 use np_util::table::Table;
-
-/// The δ sweep of the paper.
-pub const DELTAS: &[f64] = &[0.0, 0.2, 0.4, 0.6, 0.8, 1.0];
-
-/// The dual-budget Figure 9 spec at `seed`.
-pub fn build(seed: u64) -> ExperimentSpec {
-    let cells = DELTAS
-        .iter()
-        .map(|&delta| {
-            CellSpec::paper(
-                format!("delta={delta}"),
-                125,
-                delta,
-                seed.wrapping_add((delta * 1000.0) as u64),
-                5_000,
-                vec![AlgoSpec::new("meridian")],
-            )
-            .with_quick_queries(400)
-        })
-        .collect();
-    let mut spec = ExperimentSpec::query(
-        "fig9",
-        "Figure 9 — Meridian accuracy and hub distance of found peers vs delta",
-        "accuracy rises ~0.08 -> ~0.4 with delta; hub latency of found peers falls ~5 -> ~2 ms",
-        Backend::Dense,
-        SeedPlan::THREE_RUNS,
-        cells,
-    );
-    spec.base_seed = seed;
-    spec
-}
 
 /// The Figure 9 table + two-chart renderer.
 pub fn render(report: &ExperimentReport, _args: &Args) -> Rendered {

@@ -1,21 +1,17 @@
-//! The figure specs and renderers, as library code.
+//! The figures' code, as library code.
 //!
-//! `np-bench run <spec.toml>` needs each figure reachable *by spec
-//! name* — the TOML file supplies the spec data, the catalogue supplies
-//! the matching renderer (query figures) or study stage (measurement
-//! figures). So each figure lives here as a module with:
+//! Each figure's data — cells, worlds, algorithms, seeds, budgets —
+//! lives only in its checked-in `experiments/<fig>.toml`. `np-bench run`
+//! loads that file and resolves, by the spec's name, what a file cannot
+//! hold. Each figure lives here as a module with:
 //!
-//! * `build(seed) -> ExperimentSpec` — the **dual-budget** spec: paper
-//!   query counts plus `quick_queries`/`in_quick` markers, exactly what
-//!   `np-bench specs` serialises into `experiments/*.toml`;
 //! * `render(report, args) -> Rendered` for query figures, or
 //!   `study(ctx) -> StudyOutput` for measurement figures;
 //! * for ext_scale, ext_churn and ext_dht, a `check` the runner applies
-//!   to the finished report.
+//!   to the finished report, and for ext_scale a backend clamp.
 //!
 //! Renderers read everything they need from the typed report (cell
-//! labels carry the sweep variable), so the same renderer serves a
-//! built spec and a TOML-loaded one.
+//! labels carry the sweep variable), so they serve any spec file.
 
 pub mod ext_ablation;
 pub mod ext_assumptions;
@@ -107,6 +103,17 @@ pub(crate) mod tests {
             SeedPlan::Single,
             vec![cell],
         )
+    }
+
+    /// The checked-in `experiments/<name>.toml`, parsed.
+    pub(crate) fn checked_in(name: &str) -> ExperimentSpec {
+        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../../experiments")
+            .join(crate::spec_files::spec_file_name(name));
+        let text = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        ExperimentSpec::from_toml_with(&text, crate::study_stage)
+            .unwrap_or_else(|e| panic!("{}: {e}", path.display()))
     }
 
     /// Run `spec` through the full registry on two threads.

@@ -4,7 +4,7 @@
 //! (the median case) and about 6 routers each for a 75% success rate." The `--chord` passthrough flag backs the
 //! registry with the real Chord ring instead of the perfect map.
 
-use np_core::experiment::{Backend, ExperimentSpec, StudyCtx, StudyOutput};
+use np_core::experiment::{StudyCtx, StudyOutput};
 use np_dht::{ChordMap, PerfectMap};
 use np_remedies::ucl::discovery_study;
 use np_topology::{HostId, InternetModel, WorldParams};
@@ -57,18 +57,4 @@ pub fn study(ctx: &StudyCtx) -> StudyOutput {
         text: out,
         tables: vec![("ucl_discovery".into(), t)],
     }
-}
-
-/// The UCL discovery study spec at `seed`.
-pub fn build(seed: u64) -> ExperimentSpec {
-    ExperimentSpec::study(
-        "ucl_discovery",
-        "UCL discovery study (paper Section 5)",
-        "~50% success at 3 tracked routers, ~75% at 6 (5 ms targets)",
-        Backend::Dense,
-        seed,
-        false,
-        Vec::new(),
-        study,
-    )
 }

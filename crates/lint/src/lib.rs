@@ -250,7 +250,7 @@ fn collect_rs(root: &Path, dir: &Path, out: &mut Vec<(String, PathBuf)>) -> std:
     Ok(())
 }
 
-/// The shared CLI driver behind both `np-lint` and `np-bench lint`.
+/// The command-line entry point of the `np-lint` binary.
 ///
 /// ```text
 /// [tags] [--check] [--root DIR]

@@ -8,8 +8,7 @@
 //!
 //! With no `--root`, the workspace root is found by walking up from
 //! the current directory to the first `Cargo.toml` with a
-//! `[workspace]` section. `np-bench lint` drives the same
-//! [`np_lint::run_cli`] entry point.
+//! `[workspace]` section.
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();

@@ -2,7 +2,7 @@
 //!
 //! Registers the paper's §4 Meridian (omniscient simulator fill,
 //! β = 0.5) and the deployable gossip warm-up under distinct names;
-//! ablation binaries register further variants via
+//! the harness registry adds the ablation variants via
 //! [`MeridianFactory::custom`].
 
 use crate::overlay::{BuildMode, Overlay};
@@ -48,6 +48,24 @@ impl MeridianFactory {
             mode,
         }
     }
+
+    /// The build-cache slot of this factory's ring fill. The fill is a
+    /// pure function of (world, members, ring geometry, management
+    /// rounds, mode, seed); the context's build cache already scopes
+    /// world and seed, and β and the hop budget only steer queries. So
+    /// every factory that fills alike — the hybrid coverage sweep, the
+    /// β ablations — shares one fill and clones the rings out. The fill
+    /// flavour is part of the key so the direct and shard-local paths
+    /// never alias a slot, even though their contents agree.
+    fn fill_key(&self, shard_local: bool) -> String {
+        format!(
+            "meridian-rings|{:?}|manage={}|{:?}|fill={}",
+            self.cfg.rings,
+            self.cfg.manage_rounds,
+            self.mode,
+            if shard_local { "shard-local" } else { "direct" }
+        )
+    }
 }
 
 impl AlgoFactory for MeridianFactory {
@@ -69,28 +87,14 @@ impl AlgoFactory for MeridianFactory {
     }
 
     fn build<'a>(&self, ctx: &AlgoContext<'a>) -> Box<dyn NearestPeerAlgo + 'a> {
-        // The ring fill is a pure function of (world, members, cfg,
-        // mode, seed); the context's build cache already scopes world
-        // and seed, so identical configurations registered under
-        // several names (the hybrid coverage sweep wraps this factory
-        // six times) share one fill and clone the rings out.
-        //
         // When the backend exposes shard structure (the compressed
         // hierarchical store) the omniscient fill runs through the
         // shard-local fast path — identical rings, with each distance
         // to another shard read from flat hub-summary tables instead of
-        // the store. The fill flavour is part of the cache key so the
-        // two paths never alias a slot, even though their contents
-        // agree.
+        // the store.
         let shard_local =
             self.mode == BuildMode::Omniscient && ctx.store.shard_view().is_some();
-        let key = format!(
-            "meridian-rings|{:?}|{:?}|fill={}",
-            self.cfg,
-            self.mode,
-            if shard_local { "shard-local" } else { "direct" }
-        );
-        let parts = ctx.shared.get_or_build(&key, || {
+        let parts = ctx.shared.get_or_build(&self.fill_key(shard_local), || {
             let overlay = if shard_local {
                 Overlay::build_shard_local_threads(
                     ctx.store,
@@ -111,8 +115,12 @@ impl AlgoFactory for MeridianFactory {
             };
             overlay.into_parts()
         });
-        let (cfg, members, rings, origin) = (*parts).clone();
-        Box::new(Overlay::from_parts(ctx.store, cfg, members, rings, origin))
+        // The cached parts may come from a factory with another β or
+        // hop budget: the overlay queries with this factory's own cfg.
+        let (_, members, rings, origin) = (*parts).clone();
+        Box::new(Overlay::from_parts(
+            ctx.store, self.cfg, members, rings, origin,
+        ))
     }
 
     fn dynamic_override<'a>(
@@ -314,6 +322,72 @@ mod tests {
             assert_eq!(outs[0], outs[1], "cache hit diverged");
             assert_eq!(outs[0], outs[2], "cache path diverged from scratch build");
         }
+    }
+
+    #[test]
+    fn query_only_knobs_share_the_fill_and_keep_their_own_answers() {
+        // β only steers queries, so a β = 0.25 factory reuses the ring
+        // fill a β = 0.5 factory cached — and must still answer with
+        // its own β, exactly like a build from a fresh cache.
+        let m = line_world(96);
+        let members: Vec<PeerId> = (0..48).map(|i| PeerId(2 * i)).collect();
+        let world = ClusterWorld::generate(
+            ClusterWorldSpec {
+                clusters: 1,
+                en_per_cluster: 1,
+                peers_per_en: 2,
+                delta: 0.2,
+                mean_hub_ms: (4.0, 6.0),
+                intra_en: Micros::from_us(100),
+                hub_pool: 2,
+            },
+            1,
+        );
+        let ctx_for = |shared| AlgoContext {
+            store: &m,
+            world: &world,
+            overlay: &members,
+            seed: 21,
+            threads: 2,
+            shared,
+        };
+        let base = MeridianFactory::omniscient();
+        let with = |cfg| MeridianFactory::custom("variant", cfg, BuildMode::Omniscient);
+        let b25 = with(MeridianConfig {
+            beta: 0.25,
+            ..MeridianConfig::default()
+        });
+        let unmanaged = with(MeridianConfig {
+            manage_rounds: 0,
+            ..MeridianConfig::default()
+        });
+        assert_eq!(b25.fill_key(false), base.fill_key(false));
+        assert_ne!(unmanaged.fill_key(false), base.fill_key(false));
+        assert_ne!(base.fill_key(true), base.fill_key(false));
+        let shared = BuildCache::new();
+        let fresh = BuildCache::new();
+        let baseline = base.build(&ctx_for(&shared));
+        let cached = b25.build(&ctx_for(&shared)); // the β = 0.5 factory's fill
+        let uncached = b25.build(&ctx_for(&fresh));
+        let answers = |algo: &dyn NearestPeerAlgo| -> Vec<_> {
+            (0..48u32)
+                .map(|t| {
+                    let target = Target::new(PeerId(2 * t + 1), &m);
+                    algo.find_nearest(&target, &mut rng_from(u64::from(t)))
+                })
+                .collect()
+        };
+        let b25_answers = answers(uncached.as_ref());
+        assert_eq!(
+            answers(cached.as_ref()),
+            b25_answers,
+            "shared fill changed the answers"
+        );
+        assert_ne!(
+            answers(baseline.as_ref()),
+            b25_answers,
+            "beta must matter on this world"
+        );
     }
 
     #[test]

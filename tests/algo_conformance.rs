@@ -35,7 +35,7 @@ const QUERIES: usize = 40;
 /// A small §4 world: 4 clusters × 10 end-networks × 2 peers = 80 peers,
 /// 12 of them held out as targets. Big enough that an 8-thread run
 /// splits the work and every ring/bucket/graph structure is non-trivial,
-/// small enough that 26 algorithms × 4 thread counts stays CI-friendly.
+/// small enough that 23 algorithms × 4 thread counts stays CI-friendly.
 fn world_spec() -> ClusterWorldSpec {
     ClusterWorldSpec {
         clusters: 4,
