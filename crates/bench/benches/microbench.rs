@@ -92,9 +92,11 @@ fn bench_chord_lookup(c: &mut Criterion) {
 // The Ext F structured-overlay searchers: `kademlia_lookup_500` costs
 // one iterative XOR-frontier lookup (k=8, alpha=3) over a 500-peer key
 // ring — the per-query price of the `kademlia` registry entry —
-// and `nsw_build_500` costs the seeded greedy NSW graph construction
+// `nsw_build_500` costs the seeded greedy NSW graph construction
 // (M=5) that the `nsw` factory amortises across a cell via the shared
-// BuildCache. Both land in BENCH_parallel.json next to `chord_lookup`.
+// BuildCache, and `nsw_walk_500` costs one default multi-start query
+// (3 walks) over that graph, the per-query price of the `nsw` entry.
+// All three land in BENCH_parallel.json next to `chord_lookup`.
 
 fn bench_kademlia_lookup(c: &mut Criterion) {
     use std::sync::Arc;
@@ -123,6 +125,25 @@ fn bench_nsw_build(c: &mut Criterion) {
         b.iter(|| {
             let g = np_dht::NswGraph::build(&m, &members, 5, 7);
             criterion::black_box(g.edges())
+        })
+    });
+}
+
+fn bench_nsw_walk(c: &mut Criterion) {
+    use std::sync::Arc;
+    let w = world_500();
+    let m = w.to_matrix();
+    let members: Vec<PeerId> = w.peers().collect();
+    let graph = Arc::new(np_dht::NswGraph::build(&m, &members, 5, 7));
+    let walk = np_dht::NswWalk::new(graph, np_dht::NswConfig::default());
+    c.bench_function("nsw_walk_500", |b| {
+        use np_metric::NearestPeerAlgo;
+        let mut rng = rng_from(9);
+        let mut i = 0u32;
+        b.iter(|| {
+            let target = Target::new(PeerId(i % 10), &m);
+            i += 1;
+            criterion::black_box(walk.find_nearest(&target, &mut rng).probes)
         })
     });
 }
@@ -609,7 +630,7 @@ criterion_group! {
     name = benches;
     config = config();
     targets = bench_matrix_build, bench_meridian_build, bench_meridian_query,
-              bench_chord_lookup, bench_kademlia_lookup, bench_nsw_build,
+              bench_chord_lookup, bench_kademlia_lookup, bench_nsw_build, bench_nsw_walk,
               bench_dijkstra_local, bench_vivaldi, bench_hypervolume, bench_hypervolume_clustered,
               bench_matrix_build_2500_serial, bench_matrix_build_2500_par,
               bench_run_queries_1000_serial, bench_run_queries_1000_par,

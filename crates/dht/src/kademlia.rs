@@ -16,18 +16,18 @@
 //! queries the α XOR-closest unqueried candidates of its k-closest
 //! frontier; each queried member returns the k closest contacts it
 //! knows (its Kademlia buckets, derived deterministically from the
-//! sorted ring) and measures its own RTT to the target — one counted
-//! probe via [`Target::try_probe_from`], so probe faults are observed.
-//! The lookup terminates when the frontier stops improving (every
-//! frontier member has been queried and no closer candidate appeared);
-//! the answer is the latency-best responder seen along the way.
+//! sorted ring by one descent of its key's binary subtree) and
+//! measures its own RTT to the target — one counted probe via
+//! [`Target::try_probe_from`], so probe faults are observed. The
+//! lookup terminates when the frontier stops improving (every frontier
+//! member has been queried and no closer candidate appeared); the
+//! answer is the latency-best responder seen along the way.
 
 use crate::hash::Key;
 use np_metric::{NearestPeerAlgo, PeerId, QueryOutcome, Target};
 use np_util::Micros;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Lookup parameters: the paper-standard `k`-closest frontier width and
@@ -90,17 +90,30 @@ impl KademliaRing {
     /// The contacts node `v` knows: for each bucket `b` (candidates
     /// whose XOR distance to `v` has its highest set bit at `b`), the
     /// first `per_bucket` ring entries of that bucket's key range.
-    /// Buckets are contiguous key ranges — bit `b` of the key flipped,
-    /// higher bits equal, lower bits free — so each is two binary
-    /// searches, no per-node table to store.
+    ///
+    /// Bucket `b` is the sibling half of `v`'s subtree one level up:
+    /// higher bits equal to `v`'s, bit `b` flipped, lower bits free. So
+    /// one descent finds them all, with no per-node table to store.
+    /// `[lo, hi)` holds the keys that agree with `v` above bit `b`; one
+    /// binary search splits it at bit `b` into `v`'s half, where the
+    /// descent continues, and bucket `b`. It stops once `v`'s half holds
+    /// only `v`'s own key: every lower bucket is then empty.
     fn contacts(&self, v_key: u64, per_bucket: usize, out: &mut Vec<(u64, PeerId)>) {
         out.clear();
-        for b in 0..64u32 {
-            let low_mask = (1u64 << b) - 1;
-            let base = (v_key & !(low_mask | (1 << b))) | (!v_key & (1 << b));
-            let start = self.ring.partition_point(|&(k, _)| k < base);
-            let end = self.ring.partition_point(|&(k, _)| k <= base | low_mask);
-            out.extend(self.ring[start..end].iter().take(per_bucket));
+        let (mut lo, mut hi) = (0, self.ring.len());
+        for b in (0..64u32).rev() {
+            if lo == hi || (self.ring[lo].0 == v_key && self.ring[hi - 1].0 == v_key) {
+                break;
+            }
+            let bit = 1u64 << b;
+            let mid = lo + self.ring[lo..hi].partition_point(|&(k, _)| k & bit == 0);
+            let (bucket, own) = if v_key & bit == 0 {
+                (mid..hi, lo..mid)
+            } else {
+                (lo..mid, mid..hi)
+            };
+            out.extend(self.ring[bucket].iter().take(per_bucket));
+            (lo, hi) = (own.start, own.end);
         }
     }
 }
@@ -130,8 +143,7 @@ impl NearestPeerAlgo for KademliaLookup {
     }
 
     fn find_nearest(&self, target: &Target<'_>, rng: &mut StdRng) -> QueryOutcome {
-        let tkey = peer_key(target.id());
-        let dist = |p: PeerId| peer_key(p) ^ tkey;
+        let (k, tkey) = (self.cfg.k, peer_key(target.id()));
         // "Initiates a closest-peer query at a random peer."
         let start = loop {
             let &m = self.members.choose(rng).expect("non-empty overlay");
@@ -139,14 +151,17 @@ impl NearestPeerAlgo for KademliaLookup {
                 break m;
             }
         };
-        // The shortlist orders all known candidates by XOR distance to
-        // the target's key; the frontier is its k-closest prefix.
-        let mut shortlist: BTreeSet<(u64, PeerId)> = BTreeSet::new();
-        shortlist.insert((dist(start), start));
-        let mut queried: BTreeSet<PeerId> = BTreeSet::new();
+        // The shortlist orders every known candidate by XOR distance to
+        // the target's key; only its k-closest prefix, the frontier, is
+        // kept, each entry with its queried flag. The shortlist only
+        // grows, so a candidate ranked below k never re-enters the
+        // frontier and dropping it changes no batch.
+        let mut frontier: Vec<(u64, PeerId, bool)> = Vec::with_capacity(k + 1);
+        frontier.push((peer_key(start) ^ tkey, start, false));
         let mut best: Option<(Micros, PeerId)> = None;
         let mut fallback: Option<PeerId> = None;
         let mut hops = 0u32;
+        let mut batch = Vec::with_capacity(self.cfg.alpha);
         let mut contact_buf = Vec::new();
         // Each round queries the α closest unqueried frontier members.
         // The frontier "stops improving" exactly when its k members are
@@ -154,19 +169,16 @@ impl NearestPeerAlgo for KademliaLookup {
         // batch comes up empty and the loop ends. 64 rounds bounds the
         // walk at the key width (unreachable in practice).
         while hops < 64 {
-            let batch: Vec<PeerId> = shortlist
-                .iter()
-                .take(self.cfg.k)
-                .map(|&(_, p)| p)
-                .filter(|p| !queried.contains(p))
-                .take(self.cfg.alpha)
-                .collect();
+            batch.clear();
+            for entry in frontier.iter_mut().filter(|e| !e.2).take(self.cfg.alpha) {
+                entry.2 = true;
+                batch.push(entry.1);
+            }
             if batch.is_empty() {
                 break;
             }
             hops += 1;
-            for v in batch {
-                queried.insert(v);
+            for &v in &batch {
                 fallback.get_or_insert(v);
                 // v measures its RTT to the target — counted, fallible
                 // under a fault plan (a dead responder is skipped).
@@ -175,12 +187,17 @@ impl NearestPeerAlgo for KademliaLookup {
                         best = Some((d, v));
                     }
                 }
-                // v returns the k closest contacts it knows.
-                self.ring.contacts(peer_key(v), self.cfg.k, &mut contact_buf);
-                contact_buf.sort_unstable_by_key(|&(k, p)| (k ^ tkey, p));
-                for &(_, c) in contact_buf.iter().take(self.cfg.k) {
+                // v returns the k closest contacts it knows. The order
+                // `(key ^ tkey, peer)` is strict, so selection yields the
+                // k-set a full sort would.
+                self.ring.contacts(peer_key(v), k, &mut contact_buf);
+                if contact_buf.len() > k {
+                    contact_buf.select_nth_unstable_by_key(k - 1, |&(key, p)| (key ^ tkey, p));
+                    contact_buf.truncate(k);
+                }
+                for &(key, c) in &contact_buf {
                     if c != target.id() {
-                        shortlist.insert((dist(c), c));
+                        admit(&mut frontier, k, (key ^ tkey, c));
                     }
                 }
             }
@@ -200,6 +217,19 @@ impl NearestPeerAlgo for KademliaLookup {
             hops,
         }
     }
+}
+
+/// Insert `(distance, peer)` into the sorted k-bounded frontier unless
+/// it is already there or ranks below the k-th entry.
+fn admit(frontier: &mut Vec<(u64, PeerId, bool)>, k: usize, (d, c): (u64, PeerId)) {
+    let pos = frontier.partition_point(|&(fd, fp, _)| (fd, fp) < (d, c));
+    if pos == k || frontier.get(pos).is_some_and(|&(_, fp, _)| fp == c) {
+        return;
+    }
+    if frontier.len() == k {
+        frontier.pop();
+    }
+    frontier.insert(pos, (d, c, false));
 }
 
 /// [`np_core::experiment::AlgoFactory`] for the Kademlia lookup. The
@@ -267,13 +297,167 @@ impl np_core::experiment::AlgoFactory for KademliaFactory {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use np_metric::LatencyMatrix;
-    use np_util::rng::rng_from;
+    use np_metric::{FaultPlan, LatencyMatrix};
+    use np_util::rng::{rng_from, splitmix64};
+    use std::collections::BTreeSet;
 
     fn line_matrix(n: usize) -> LatencyMatrix {
         LatencyMatrix::build(n, |a, b| {
             Micros::from_ms_u64((a.0 as i64 - b.0 as i64).unsigned_abs())
         })
+    }
+
+    /// The bucket scan the descent replaced: bucket `b` is two binary
+    /// searches over the whole ring, for each of the 64 buckets.
+    fn contacts_reference(
+        ring: &KademliaRing,
+        v_key: u64,
+        per_bucket: usize,
+    ) -> Vec<(u64, PeerId)> {
+        let mut out = Vec::new();
+        for b in 0..64u32 {
+            let low_mask = (1u64 << b) - 1;
+            let base = (v_key & !(low_mask | (1 << b))) | (!v_key & (1 << b));
+            let start = ring.ring.partition_point(|&(k, _)| k < base);
+            let end = ring.ring.partition_point(|&(k, _)| k <= base | low_mask);
+            out.extend(ring.ring[start..end].iter().take(per_bucket));
+        }
+        out
+    }
+
+    /// The lookup the bounded frontier replaced: a full sort of every
+    /// contact list, the whole shortlist in one `BTreeSet` and the
+    /// queried members in another.
+    fn find_nearest_reference(
+        algo: &KademliaLookup,
+        target: &Target<'_>,
+        rng: &mut StdRng,
+    ) -> QueryOutcome {
+        let tkey = peer_key(target.id());
+        let dist = |p: PeerId| peer_key(p) ^ tkey;
+        let start = loop {
+            let &m = algo.members.choose(rng).expect("non-empty overlay");
+            if m != target.id() {
+                break m;
+            }
+        };
+        let mut shortlist: BTreeSet<(u64, PeerId)> = BTreeSet::new();
+        shortlist.insert((dist(start), start));
+        let mut queried: BTreeSet<PeerId> = BTreeSet::new();
+        let mut best: Option<(Micros, PeerId)> = None;
+        let mut fallback: Option<PeerId> = None;
+        let mut hops = 0u32;
+        while hops < 64 {
+            let batch: Vec<PeerId> = shortlist
+                .iter()
+                .take(algo.cfg.k)
+                .map(|&(_, p)| p)
+                .filter(|p| !queried.contains(p))
+                .take(algo.cfg.alpha)
+                .collect();
+            if batch.is_empty() {
+                break;
+            }
+            hops += 1;
+            for v in batch {
+                queried.insert(v);
+                fallback.get_or_insert(v);
+                if let Some(d) = target.try_probe_from(v) {
+                    if best.map(|(bd, bp)| (d, v) < (bd, bp)).unwrap_or(true) {
+                        best = Some((d, v));
+                    }
+                }
+                let mut contacts = contacts_reference(&algo.ring, peer_key(v), algo.cfg.k);
+                contacts.sort_unstable_by_key(|&(k, p)| (k ^ tkey, p));
+                for &(_, c) in contacts.iter().take(algo.cfg.k) {
+                    if c != target.id() {
+                        shortlist.insert((dist(c), c));
+                    }
+                }
+            }
+        }
+        let (rtt, found) =
+            best.unwrap_or_else(|| (Micros::INFINITY, fallback.expect("at least one round ran")));
+        QueryOutcome {
+            found,
+            rtt_to_target: rtt,
+            probes: target.probes(),
+            hops,
+        }
+    }
+
+    /// A symmetric world whose RTTs are a hash of the pair, drawn from
+    /// 40 whole-millisecond values so that ties are common.
+    fn hash_matrix(n: usize, seed: u64) -> LatencyMatrix {
+        LatencyMatrix::build(n, |a, b| {
+            let pair = (u64::from(a.0) << 32) | u64::from(b.0);
+            Micros::from_ms_u64(1 + splitmix64(seed ^ pair) % 40)
+        })
+    }
+
+    proptest::proptest! {
+        /// The descent returns the set the 64-bucket scan returns, for
+        /// member keys and for keys off the ring, bounded buckets and
+        /// unbounded ones.
+        #[test]
+        fn prop_contacts_match_reference(
+            n in 1usize..600,
+            per_bucket in 0usize..24,
+            seed in 0u64..1_000_000_000,
+        ) {
+            let per_bucket = if per_bucket == 0 { usize::MAX } else { per_bucket };
+            let members: Vec<PeerId> = (0..n as u64)
+                .map(|i| PeerId((splitmix64(seed ^ i) % 1_000_000) as u32))
+                .collect::<BTreeSet<_>>()
+                .into_iter()
+                .collect();
+            let ring = KademliaRing::build(&members);
+            let mut keys: Vec<u64> = members.iter().take(16).map(|&p| peer_key(p)).collect();
+            keys.extend((0..4).map(|i| splitmix64(seed.wrapping_add(i))));
+            let mut out = Vec::new();
+            for v_key in keys {
+                ring.contacts(v_key, per_bucket, &mut out);
+                let mut fast = out.clone();
+                let mut reference = contacts_reference(&ring, v_key, per_bucket);
+                fast.sort_unstable();
+                reference.sort_unstable();
+                proptest::prop_assert_eq!(fast, reference, "contacts of key {:#x}", v_key);
+            }
+        }
+
+        /// The lookup gives the reference lookup's outcome (answer,
+        /// RTT, probes and hops) on random overlays, with and without
+        /// the target among the members, with and without probe loss.
+        #[test]
+        fn prop_lookup_matches_reference(
+            (n, with_target) in (1usize..600, 0usize..2),
+            (k, alpha) in (1usize..24, 1usize..8),
+            lossy in 0usize..2,
+            seed in 0u64..1_000_000_000,
+        ) {
+            let world = hash_matrix(n + 1, seed);
+            let target = PeerId((seed % (n as u64 + 1)) as u32);
+            let members: Vec<PeerId> = (0..=n as u32)
+                .map(PeerId)
+                .filter(|&p| with_target == 1 || p != target)
+                .collect();
+            let ring = Arc::new(KademliaRing::build(&members));
+            let algo = KademliaLookup::new(ring, members, KademliaConfig { k, alpha });
+            let plan = FaultPlan {
+                loss: 0.5,
+                attempts: 2,
+                seed,
+            };
+            let make = || match lossy {
+                0 => Target::new(target, &world),
+                _ => Target::with_faults(target, &world, plan),
+            };
+            for q in 0..4 {
+                let fast = algo.find_nearest(&make(), &mut rng_from(seed ^ q));
+                let reference = find_nearest_reference(&algo, &make(), &mut rng_from(seed ^ q));
+                proptest::prop_assert_eq!(fast, reference, "query {}", q);
+            }
+        }
     }
 
     fn lookup(n: u32, cfg: KademliaConfig) -> KademliaLookup {

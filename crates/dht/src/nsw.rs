@@ -29,11 +29,39 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 /// Seed tag isolating the NSW insertion-order shuffle from every other
 /// stream in the workspace.
 const NSW_TAG: u64 = 0x4E53_57; // "NSW"
+
+/// Hashes the member indices that key the build's `seen` map and the
+/// walk's probe memo, both hit on every neighbour evaluation. The keys
+/// are internal indices, never outside input, so one multiply (as in
+/// FxHash) does, and SipHash's flood resistance would buy nothing. No
+/// result depends on map order: `seen` is sorted before use and the
+/// memo is only looked up.
+#[derive(Default)]
+struct IndexHasher(u64);
+
+impl Hasher for IndexHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u32(u32::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, i: u32) {
+        self.0 = (self.0.rotate_left(5) ^ u64::from(i)).wrapping_mul(0x517C_C1B7_2722_0A95);
+    }
+}
+
+type IndexHash = BuildHasherDefault<IndexHasher>;
 
 /// Graph-construction and walk parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,7 +107,7 @@ impl NswGraph {
             if let Some(&entry) = placed.first() {
                 // Greedy walk towards u from the first-inserted node,
                 // recording the RTT of every node evaluated.
-                let mut seen: HashMap<u32, Micros> = HashMap::new();
+                let mut seen: HashMap<u32, Micros, IndexHash> = HashMap::default();
                 let mut cur = entry;
                 let mut cur_d = store.rtt(members[u as usize], members[entry as usize]);
                 seen.insert(entry, cur_d);
@@ -160,14 +188,14 @@ impl NearestPeerAlgo for NswWalk {
         // Per-query measurement memory: the coordinator caches each
         // member's probed RTT, so revisits across walks cost nothing
         // and dead peers are not re-tried.
-        let mut probed: HashMap<u32, Option<Micros>> = HashMap::new();
+        let mut probed: HashMap<u32, Option<Micros>, IndexHash> = HashMap::default();
         let mut best: Option<(Micros, PeerId)> = None;
         let mut fallback: Option<PeerId> = None;
         let mut hops = 0u32;
         let probe = |i: u32,
-                         probed: &mut HashMap<u32, Option<Micros>>,
-                         best: &mut Option<(Micros, PeerId)>,
-                         fallback: &mut Option<PeerId>| {
+                     probed: &mut HashMap<u32, Option<Micros>, IndexHash>,
+                     best: &mut Option<(Micros, PeerId)>,
+                     fallback: &mut Option<PeerId>| {
             *probed.entry(i).or_insert_with(|| {
                 let p = members[i as usize];
                 fallback.get_or_insert(p);

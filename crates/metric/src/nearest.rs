@@ -133,16 +133,27 @@ impl<'a> Target<'a> {
     }
 
     /// Measure the RTT from `prober` to the target. Counted.
+    ///
+    /// Reads the target's row, `rtt(target, prober)`, so every probe
+    /// of one query touches one contiguous row of the dense matrix (or
+    /// of the target's shard block) instead of a different row per
+    /// prober. That is the same value as `rtt(prober, target)`: the
+    /// [`WorldStore`] contract makes `rtt` symmetric, and every store
+    /// keeps it by construction (the matrix and the shard blocks
+    /// mirror their upper triangles, the hub summaries are mirrored,
+    /// and hub offsets and drift offsets add commutatively in `u64`).
     pub fn probe_from(&self, prober: PeerId) -> Micros {
         self.counter.bump();
-        self.world.rtt(prober, self.id)
+        self.world.rtt(self.id, prober)
     }
 
     /// Measure the RTT from `prober` to the target through the fault
     /// plan, retrying up to the plan's attempt budget. Every attempt —
     /// lost or not — bumps the probe counter. `None` when all attempts
     /// were dropped (the prober sees a dead peer); without a fault
-    /// plan this is exactly one [`Target::probe_from`].
+    /// plan this is exactly one [`Target::probe_from`]. A delivered
+    /// attempt reads the target's row, exactly as `probe_from` does;
+    /// the drop decision still hashes `(prober, target)` in that order.
     pub fn try_probe_from(&self, prober: PeerId) -> Option<Micros> {
         match self.faults {
             None => Some(self.probe_from(prober)),
@@ -150,7 +161,7 @@ impl<'a> Target<'a> {
                 for attempt in 0..plan.attempts.max(1) {
                     self.counter.bump();
                     if !plan.dropped(prober, self.id, attempt) {
-                        return Some(self.world.rtt(prober, self.id));
+                        return Some(self.world.rtt(self.id, prober));
                     }
                 }
                 None
@@ -445,6 +456,40 @@ mod tests {
         let out = algo.find_nearest(&t, &mut rng);
         assert!(members.contains(&out.found));
         assert_eq!(out.probes, 1);
+    }
+
+    #[test]
+    fn probes_equal_the_probers_rtt_on_dense_and_hierarchical_stores() {
+        use crate::HierarchicalWorld;
+        use std::sync::Arc;
+        // A structureless symmetric world: each unordered pair's RTT
+        // is a hash of the pair, so no two rows agree by accident.
+        let n = 48u32;
+        let dense = Arc::new(LatencyMatrix::build(n as usize, |a, b| {
+            Micros::from_us(1 + splitmix64((u64::from(a.0) << 32) | u64::from(b.0)) % 50_000)
+        }));
+        let shard_of: Vec<u32> = (0..n).map(|i| i % 5).collect();
+        let hier = HierarchicalWorld::compress(&dense, &shard_of, 2, usize::MAX);
+        let stores: [&dyn WorldStore; 2] = [&*dense, &hier];
+        for world in stores {
+            for t in (0..n).map(PeerId) {
+                let plain = Target::new(t, world);
+                let plan = FaultPlan {
+                    loss: 0.5,
+                    attempts: 2,
+                    seed: u64::from(t.0),
+                };
+                let lossy = Target::with_faults(t, world, plan);
+                for p in (0..n).map(PeerId) {
+                    let want = world.rtt(p, t);
+                    assert_eq!(plain.probe_from(p), want, "probe_from({p}) to {t}");
+                    assert_eq!(plain.try_probe_from(p), Some(want));
+                    if let Some(d) = lossy.try_probe_from(p) {
+                        assert_eq!(d, want, "lossy try_probe_from({p}) to {t}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
