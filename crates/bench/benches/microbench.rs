@@ -346,20 +346,6 @@ fn bench_nearest_scan_naive(c: &mut Criterion) {
     });
 }
 
-// The shard-local Meridian ring fill at 10k peers (200 shards) — the
-// build that makes fig8-style curves affordable past the dense wall —
-// against its omniscient twin over the same store (ring-identical
-// results, per tests/shard_local_fill.rs; only the cost differs). CI
-// records `meridian_shard_fill`; the `_omniscient` twin is the
-// committed local baseline (it is what the fast path replaces, and at
-// 10k it is already painfully quadratic). The store is the exact
-// one-super-shard configuration with every block allowed to stay
-// resident.
-fn shard_fill_fixture() -> (np_metric::HierarchicalWorld, Vec<PeerId>) {
-    let w = world_10k();
-    (w.to_hierarchical(1, usize::MAX), w.peers().collect())
-}
-
 /// 200 clusters × 25 ENs × 2 peers = 10k peers.
 fn world_10k() -> ClusterWorld {
     ClusterWorld::generate(
@@ -376,27 +362,18 @@ fn world_10k() -> ClusterWorld {
     )
 }
 
-fn bench_meridian_shard_fill(c: &mut Criterion) {
-    let (store, members) = shard_fill_fixture();
+// The Meridian ring fill at 10k peers (200 shards) over the exact
+// one-super-shard configuration of the hierarchical store, with every
+// block allowed to stay resident: the build that makes fig8-style
+// curves affordable past the dense wall, and the size at which the
+// O(n²) fill (every member offered to every node) is already the
+// dominant cost. CI records it.
+fn bench_meridian_fill_10k_hier(c: &mut Criterion) {
+    let w = world_10k();
+    let store = w.to_hierarchical(1, usize::MAX);
+    let members: Vec<PeerId> = w.peers().collect();
     let threads = np_util::parallel::available_threads();
-    c.bench_function("meridian_shard_fill", |b| {
-        b.iter(|| {
-            let o = Overlay::build_shard_local_threads(
-                &store,
-                members.clone(),
-                MeridianConfig::default(),
-                1,
-                threads,
-            );
-            criterion::black_box(o.total_ring_entries())
-        })
-    });
-}
-
-fn bench_meridian_omniscient_fill_10k(c: &mut Criterion) {
-    let (store, members) = shard_fill_fixture();
-    let threads = np_util::parallel::available_threads();
-    c.bench_function("meridian_omniscient_fill_10k", |b| {
+    c.bench_function("meridian_fill_10k_hier", |b| {
         b.iter(|| {
             let o = Overlay::build_threads(
                 &store,
@@ -643,7 +620,6 @@ criterion_group! {
 criterion_group! {
     name = heavy_benches;
     config = heavy_config();
-    targets = bench_meridian_shard_fill, bench_meridian_omniscient_fill_10k,
-              bench_hierarchical_build_200k
+    targets = bench_meridian_fill_10k_hier, bench_hierarchical_build_200k
 }
 criterion_main!(benches, heavy_benches);

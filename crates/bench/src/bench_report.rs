@@ -101,7 +101,7 @@ mod tests {
   "latency_matrix_build_2500_serial": {"mean_ns": 31000000.0, "median_ns": 30000000.0, "min_ns": 29000000.0, "samples": 10, "iters_per_sample": 9},
   "latency_matrix_build_2500_par": {"mean_ns": 11000000.0, "median_ns": 10000000.0, "min_ns": 9000000.0, "samples": 10, "iters_per_sample": 9},
   "run_queries_1000_serial": {"mean_ns": 2352348.1, "median_ns": 2368512.0, "min_ns": 2157025.7, "samples": 10, "iters_per_sample": 119},
-  "meridian_shard_fill": {"mean_ns": 1503.1, "median_ns": 1501.5, "min_ns": 1459.7, "samples": 10, "rejected": 0, "iters_per_sample": 192609}
+  "meridian_fill_10k_hier": {"mean_ns": 1503.1, "median_ns": 1501.5, "min_ns": 1459.7, "samples": 10, "rejected": 0, "iters_per_sample": 192609}
 }
 "#;
 
@@ -111,7 +111,7 @@ mod tests {
         assert_eq!(entries.len(), 4);
         assert_eq!(entries[0].name, "latency_matrix_build_2500_serial");
         assert_eq!(entries[0].median_ns, 30_000_000.0);
-        assert_eq!(entries[3].name, "meridian_shard_fill");
+        assert_eq!(entries[3].name, "meridian_fill_10k_hier");
         assert_eq!(entries[3].min_ns, 1459.7);
     }
 

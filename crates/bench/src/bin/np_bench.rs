@@ -21,7 +21,7 @@
 //! * `np-bench speedup [--min X] [--json PATH]` — read
 //!   `BENCH_parallel.json`, report every `_serial`/`_par` engine pair's
 //!   measured speedup (plus notable single benches like
-//!   `meridian_shard_fill`), and — with `--min` — fail unless the best
+//!   `meridian_fill_10k_hier`), and — with `--min` — fail unless the best
 //!   pair reaches the threshold. CI runs `speedup --min 2.0` after the
 //!   microbenches, turning the ROADMAP's "verify ≥2x on 4 cores" item
 //!   into an enforced gate.
@@ -121,9 +121,9 @@ fn speedup(args: &[String]) {
         ]);
     }
     println!("{}", table.render());
-    if let Some(fill) = entries.iter().find(|e| e.name == "meridian_shard_fill") {
+    if let Some(fill) = entries.iter().find(|e| e.name == "meridian_fill_10k_hier") {
         println!(
-            "meridian_shard_fill (10k-peer shard-local overlay fill): median {:.1} ms",
+            "meridian_fill_10k_hier (10k-peer overlay fill, hierarchical store): median {:.1} ms",
             fill.median_ns / 1e6
         );
     }

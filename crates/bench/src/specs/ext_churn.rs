@@ -4,7 +4,7 @@
 //! snapshot; real deployments churn. This extension sweeps a seeded
 //! event-clocked [`np_core::ChurnConfig`] rate (joins, leaves and RTT
 //! drift over 60 simulated seconds, plus probe loss with deterministic
-//! retry-with-backoff) over the paper's 500-peer cluster world and
+//! immediate retries) over the paper's 500-peer cluster world and
 //! reports accuracy *and* repair cost per rate: full overlay rebuilds
 //! vs rings replayed by the incremental leave repair.
 //!

@@ -1,10 +1,10 @@
 //! **Extension — scale**: cluster worlds past the dense matrix's
 //! ~2.5 k-peer wall, up to a million peers on the two-level
 //! hierarchical backend, with a brute-force reference column, a
-//! Kademlia column (cheap at any size), and a Meridian column built
-//! through the shard-local ring fill. `experiments/ext_scale.toml`
+//! Kademlia column (cheap at any size), and a Meridian column whose
+//! rings are filled from the store's RTTs. `experiments/ext_scale.toml`
 //! names Meridian only in the cells up to 50k peers, where its O(n²)
-//! shard-local fill is affordable. [`check`] adds the exactness
+//! fill is affordable. [`check`] adds the exactness
 //! self-checks and, at the sizes where the dense matrix still fits,
 //! the dense cross-check ([`dense_cross_check`] picks its cells).
 
@@ -73,13 +73,13 @@ pub fn dense_cross_check(spec: &ExperimentSpec) -> (Vec<CellSpec>, Vec<String>) 
 
 /// The ext_scale self-check, matched by registry name (the sweep's
 /// algorithm set varies with size and with `--algos`): brute force must
-/// be exact, the shard-locally built Meridian overlay must stay a
-/// working query structure (members answer, probes are spent), and the
-/// Kademlia walk must converge in bounded rounds. On a hierarchical run
-/// the [`dense_cross_check`] cells then re-run on the dense backend and
-/// every row must agree bit for bit — including Meridian, whose
-/// compressed-backend overlay came from the shard-local fill while the
-/// dense one used the omniscient fill.
+/// be exact, the Meridian overlay must stay a working query structure
+/// (members answer, probes are spent), and the Kademlia walk must
+/// converge in bounded rounds. On a hierarchical run the
+/// [`dense_cross_check`] cells then re-run on the dense backend and
+/// every row must agree bit for bit — including Meridian, whose rings
+/// are filled from the compressed store's RTTs in one run and the
+/// dense matrix's in the other.
 pub fn check(spec: &ExperimentSpec, report: &ExperimentReport, args: &Args) -> Result<(), String> {
     let cells = report.query_cells().unwrap_or_default();
     for cell in cells {

@@ -14,13 +14,13 @@
 //! match — which proves the API redesign is behaviour-preserving, not
 //! merely similar.
 //!
-//! The same fixture pins the **shard-local Meridian fill**: with
+//! The same fixture pins the **one-super-shard store**: with
 //! `--world hierarchical --super-shards 1` the run uses the exact
-//! one-super-shard store, where the `MeridianFactory` routes the
-//! omniscient fill through `Overlay::build_shard_local`, and its stdout
-//! must equal the dense fixture modulo the backend chrome — the
-//! compressed store and the shard-local fill change nothing but the
-//! build cost.
+//! one-level configuration of the compressed store, where the
+//! `MeridianFactory` fills rings through the same
+//! `Overlay::build_threads` from the store's RTTs, and its stdout must
+//! equal the dense fixture modulo the backend chrome — the compressed
+//! store changes nothing but the build cost.
 
 use std::process::Command;
 
@@ -79,7 +79,7 @@ fn np_bench_run_fig8_toml_matches_the_fixture() {
 }
 
 #[test]
-fn fig8_one_super_shard_pins_the_shard_local_fill() {
+fn fig8_one_super_shard_matches_the_dense_fixture() {
     let fixture = include_str!("fixtures/fig8_quick.txt");
     let args = ["--world", "hierarchical", "--super-shards", "1"];
     let stdout = run_fig8(&args);
@@ -87,9 +87,9 @@ fn fig8_one_super_shard_pins_the_shard_local_fill() {
         stdout.contains("\nbackend: hierarchical"),
         "fig8 {args:?} did not run on the hierarchical backend"
     );
-    // On §4 worlds the one-super-shard store is exact and the
-    // shard-local fill is ring-identical to the omniscient one, so
-    // every metric digit equals the dense run's.
+    // On §4 worlds the one-super-shard store is exact, so the fill
+    // reads the dense RTTs and every metric digit equals the dense
+    // run's.
     assert_eq!(
         normalize_backend(&stdout),
         normalize_backend(fixture),

@@ -17,7 +17,7 @@
 //! and keeps resident blocks under a byte budget.
 
 use crate::azureus::AzureusStudy;
-use np_metric::{HierarchicalWorld, LatencyMatrix, PeerId};
+use np_metric::{HierarchicalWorld, LatencyMatrix};
 use np_topology::HostId;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -84,15 +84,6 @@ impl MeasuredShards {
         self.peers.is_empty()
     }
 
-    /// The [`PeerId`] of a host in the compressed stores, if it was
-    /// responsive.
-    pub fn peer_of(&self, host: HostId) -> Option<PeerId> {
-        self.peers
-            .iter()
-            .position(|&h| h == host)
-            .map(|i| PeerId(i as u32))
-    }
-
     /// Compress `matrix` (measured latencies, indexed like `peers`)
     /// under the measured assignment: measured shards grouped under
     /// `super_shards` super-hubs, lazily materialised blocks bounded by
@@ -116,7 +107,7 @@ impl MeasuredShards {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use np_metric::WorldStore;
+    use np_metric::{PeerId, WorldStore};
     use np_topology::{InternetModel, WorldParams};
 
     fn tiny_study() -> (InternetModel, AzureusStudy) {

@@ -28,14 +28,12 @@
 //! the static runner's output.
 
 use crate::experiment::{AlgoContext, AlgoFactory, BuildCache};
-use crate::runner::{query_record, reduce_records, PaperMetrics, QUERY_TAG, RUN_TAG};
+use crate::runner::{draw_target_schedule, reduce_records, run_one_query, PaperMetrics};
 use crate::scenario::ClusterScenario;
-use np_metric::{
-    DriftedWorld, FaultPlan, NearestCache, NearestPeerAlgo, PeerId, Target, WorldStore,
-};
+use np_metric::{DriftedWorld, FaultPlan, NearestCache, NearestPeerAlgo, PeerId, WorldStore};
 use np_topology::ClusterWorld;
 use np_util::parallel::{item_seed, par_map};
-use np_util::rng::{rng_for, rng_from};
+use np_util::rng::rng_for;
 use rand::seq::SliceRandom;
 use rand::Rng;
 use std::ops::AddAssign;
@@ -279,8 +277,6 @@ pub struct RepairCost {
     pub rings_replayed: u64,
     /// Ring insertions performed during those replays.
     pub ring_inserts: u64,
-    /// Departures handled by the non-replay fallback path.
-    pub fallback_leaves: u64,
 }
 
 impl AddAssign for RepairCost {
@@ -288,7 +284,6 @@ impl AddAssign for RepairCost {
         self.full_rebuilds += o.full_rebuilds;
         self.rings_replayed += o.rings_replayed;
         self.ring_inserts += o.ring_inserts;
-        self.fallback_leaves += o.fallback_leaves;
     }
 }
 
@@ -429,12 +424,13 @@ pub fn dynamic_algo<'a>(
 /// [`DriftedWorld`], (3) maintains the ground-truth [`NearestCache`]
 /// incrementally — departures evict, joins admit, drifts do both; each
 /// step is bit-identical to a fresh build over the epoch's live set —
-/// and (4) fans the epoch's queries over `threads` workers, each query
-/// on its own `item_seed` RNG stream with its own deterministic
-/// [`FaultPlan`] when `cfg.loss > 0`.
+/// and (4) fans the epoch's queries over `threads` workers through the
+/// batch runner's own per-query path
+/// ([`crate::runner::run_one_query`]) against the drifted world, each
+/// query with its own deterministic [`FaultPlan`] when `cfg.loss > 0`.
 ///
-/// The target schedule is drawn exactly like the static runner's
-/// (`RUN_TAG` over the scenario's targets), queries keep their global
+/// The target schedule is the static runner's
+/// ([`crate::runner::draw_target_schedule`]), queries keep their global
 /// index for seeding and reduction, and records reduce in global query
 /// order — so same seed + same schedule ⇒ bit-identical
 /// [`PaperMetrics`] at any thread count, and a null schedule
@@ -453,7 +449,6 @@ pub fn run_dynamic_threads<'a, W: WorldStore>(
     seed: u64,
     threads: usize,
 ) -> (PaperMetrics, ChurnStats) {
-    assert!(!scenario.targets.is_empty(), "no targets");
     assert_eq!(
         caches.len(),
         schedule.epochs.len(),
@@ -464,11 +459,7 @@ pub fn run_dynamic_threads<'a, W: WorldStore>(
         n_queries,
         "schedule clocks every query exactly once"
     );
-    // The target schedule: same stream as the static runner.
-    let mut master = rng_for(seed, RUN_TAG);
-    let targets: Vec<PeerId> = (0..n_queries)
-        .map(|_| *scenario.targets.choose(&mut master).expect("non-empty"))
-        .collect();
+    let targets = draw_target_schedule(&scenario.targets, n_queries, seed);
     let mut stats = ChurnStats {
         epochs: schedule.epochs.len() as u64,
         events: schedule.events(),
@@ -512,38 +503,23 @@ pub fn run_dynamic_threads<'a, W: WorldStore>(
         let current = algo.algo();
         let slice = &targets[gidx..gidx + ep.queries];
         let epoch_records = par_map(threads, slice, |i, &t| {
-            let g = (gidx + i) as u64;
-            let mut rng = rng_from(item_seed(seed, QUERY_TAG, g));
-            let target = if cfg.loss > 0.0 {
-                Target::with_faults(
-                    t,
-                    &drifted,
-                    FaultPlan {
-                        loss: cfg.loss,
-                        attempts: cfg.retries.max(1),
-                        seed: item_seed(seed, LOSS_TAG, g),
-                    },
-                )
-            } else {
-                Target::new(t, &drifted)
-            };
-            let out = current.find_nearest(&target, &mut rng);
-            let nearest = cache.nearest(t).expect("target is cached");
-            // Correctness reads the (drifted) world directly — a lossy
-            // outcome's ∞ RTT never leaks into the verdict.
-            let found_rtt = drifted.rtt(out.found, t);
-            let true_rtt = drifted.rtt(nearest, t);
-            let exact = out.found == nearest || found_rtt == true_rtt;
-            query_record(
+            let g = gidx + i;
+            let faults = (cfg.loss > 0.0).then(|| FaultPlan {
+                loss: cfg.loss,
+                attempts: cfg.retries.max(1),
+                seed: item_seed(seed, LOSS_TAG, g as u64),
+            });
+            run_one_query(
+                current,
+                &drifted,
                 &scenario.world,
-                out.found,
+                cache,
+                g,
                 t,
-                exact,
-                found_rtt,
-                true_rtt,
-                out.probes,
-                out.hops,
+                seed,
+                faults,
             )
+            .record
         });
         records.extend(epoch_records);
         gidx += ep.queries;

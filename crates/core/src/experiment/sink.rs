@@ -108,7 +108,7 @@ pub fn render_json_lines(report: &ExperimentReport) -> String {
                             line,
                             ",\"churn_epochs\":{},\"churn_events\":{},\"churn_joins\":{},\
                              \"churn_leaves\":{},\"churn_drifts\":{},\"full_rebuilds\":{},\
-                             \"rings_replayed\":{},\"ring_inserts\":{},\"fallback_leaves\":{}",
+                             \"rings_replayed\":{},\"ring_inserts\":{}",
                             churn.epochs,
                             churn.events,
                             churn.joins,
@@ -117,7 +117,6 @@ pub fn render_json_lines(report: &ExperimentReport) -> String {
                             churn.repair.full_rebuilds,
                             churn.repair.rings_replayed,
                             churn.repair.ring_inserts,
-                            churn.repair.fallback_leaves,
                         );
                     }
                     let _ = write!(
@@ -287,7 +286,6 @@ mod tests {
                     full_rebuilds: 5,
                     rings_replayed: 17,
                     ring_inserts: 230,
-                    fallback_leaves: 0,
                 },
             });
         }

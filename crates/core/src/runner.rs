@@ -19,7 +19,7 @@
 //! `tests/parallel_determinism.rs`).
 
 use crate::scenario::ClusterScenario;
-use np_metric::{NearestCache, NearestPeerAlgo, PeerId, Target, WorldStore};
+use np_metric::{FaultPlan, NearestCache, NearestPeerAlgo, PeerId, Target, WorldStore};
 use np_util::parallel::{item_seed, par_map, resolve_threads};
 use np_util::rng::{rng_for, rng_from, sub_seed, three_runs};
 use np_util::stats::{median_micros, RunBand};
@@ -29,9 +29,9 @@ use rand::seq::SliceRandom;
 /// Seed tag of the master RNG drawing the target schedule. The
 /// schedule depends only on `(seed, this tag, n_queries)` — never on
 /// the algorithm under test or the thread count.
-pub(crate) const RUN_TAG: u64 = 0x52_554E; // "RUN"
+const RUN_TAG: u64 = 0x52_554E; // "RUN"
 /// Seed tag for per-query RNG streams (start-peer choice, tie breaks).
-pub(crate) const QUERY_TAG: u64 = 0x51_5259; // "QRY"
+const QUERY_TAG: u64 = 0x51_5259; // "QRY"
 
 /// The metrics the paper reports for a batch of queries (Figures 8, 9).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -64,10 +64,10 @@ pub struct PaperMetrics {
 }
 
 /// What one query contributes to the reduction. Kept tiny so the
-/// parallel map's per-item traffic is a few words. Shared with the
-/// churn runner (`crate::churn`) and the serving pipeline (`np-serve`)
-/// so batch, dynamic, and served queries all reduce through the exact
-/// same code.
+/// parallel map's per-item traffic is a few words. Built only by
+/// [`run_one_query`], so batch, dynamic (`crate::churn`) and served
+/// (`np-serve`) queries all grade and reduce through the exact same
+/// code.
 #[derive(Debug, Clone, Copy)]
 pub struct QueryRecord {
     pub exact: bool,
@@ -83,11 +83,10 @@ pub struct QueryRecord {
 }
 
 /// Build one query's record from its outcome. `exact` is the caller's
-/// correctness verdict (it depends on which world — static or drifted —
-/// the query ran against); the topology verdicts come from the cluster
+/// correctness verdict; the topology verdicts come from the cluster
 /// world's metadata.
 #[allow(clippy::too_many_arguments)]
-pub fn query_record(
+fn query_record(
     world: &np_topology::ClusterWorld,
     found: PeerId,
     target: PeerId,
@@ -190,9 +189,14 @@ pub struct AnsweredQuery {
 /// Answer the `idx`-th query of a batch: run `algo` for `target` under
 /// the query's own RNG stream (`(seed, QUERY_TAG, idx)`) and grade the
 /// outcome against `truth`. This is the one query path shared by the
-/// batch runner and the `np-serve` pipeline — a served query is
-/// bit-identical to a batch query because it *is* the same code, keyed
-/// only by `(idx, target, seed)`.
+/// batch runner, the churn runner and the `np-serve` pipeline — a
+/// served or dynamic query is bit-identical to a batch query because
+/// it *is* the same code, keyed only by `(idx, target, seed)`.
+///
+/// `faults` injects probe loss (the churn runner's per-query
+/// [`FaultPlan`]); the batch runner and the serving pipeline pass
+/// `None`.
+#[allow(clippy::too_many_arguments)]
 pub fn run_one_query(
     algo: &dyn NearestPeerAlgo,
     store: &dyn WorldStore,
@@ -201,13 +205,19 @@ pub fn run_one_query(
     idx: usize,
     target: PeerId,
     seed: u64,
+    faults: Option<FaultPlan>,
 ) -> AnsweredQuery {
     let mut rng = rng_from(item_seed(seed, QUERY_TAG, idx as u64));
-    let t = Target::new(target, store);
+    let t = match faults {
+        Some(plan) => Target::with_faults(target, store, plan),
+        None => Target::new(target, store),
+    };
     let out = algo.find_nearest(&t, &mut rng);
     let nearest = truth.nearest(target).expect("target is cached");
     // "Correct" = found the true closest member, or at least a member
     // at exactly the true-closest RTT (equidistant ties are as good).
+    // It reads the store directly, so a lossy outcome's ∞ RTT never
+    // leaks into the verdict.
     let found_rtt = store.rtt(out.found, target);
     let true_rtt = store.rtt(nearest, target);
     let exact = out.found == nearest || found_rtt == true_rtt;
@@ -255,7 +265,17 @@ pub fn run_queries_threads<W: WorldStore>(
     // Phase 3: the queries themselves — the hot loop, one call to the
     // shared per-query path per schedule slot.
     let records = par_map(threads, &schedule, |idx, &t| {
-        run_one_query(algo, &scenario.matrix, &scenario.world, truth, idx, t, seed).record
+        run_one_query(
+            algo,
+            &scenario.matrix,
+            &scenario.world,
+            truth,
+            idx,
+            t,
+            seed,
+            None,
+        )
+        .record
     });
     // Phase 4: ordered associative reduction.
     reduce_records(&records, n_queries)

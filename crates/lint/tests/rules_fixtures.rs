@@ -206,17 +206,14 @@ fn workspace_lints_clean() {
         names,
         [
             "ARRIVAL_TAG",
-            "BACKOFF_TAG",
             "CHURN_TAG",
             "EVT_TAG",
             "FAULT_TAG",
             "FILL_TAG",
             "LOSS_TAG",
             "NSW_TAG",
-            "PING_RETRY_TAG",
             "QUERY_TAG",
             "RUN_TAG",
-            "TCP_RETRY_TAG",
         ],
         "stream-tag registry changed\n{}",
         r.render_tags()

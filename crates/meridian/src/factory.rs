@@ -54,16 +54,11 @@ impl MeridianFactory {
     /// rounds, mode, seed); the context's build cache already scopes
     /// world and seed, and β and the hop budget only steer queries. So
     /// every factory that fills alike — the hybrid coverage sweep, the
-    /// β ablations — shares one fill and clones the rings out. The fill
-    /// flavour is part of the key so the direct and shard-local paths
-    /// never alias a slot, even though their contents agree.
-    fn fill_key(&self, shard_local: bool) -> String {
+    /// β ablations — shares one fill and clones the rings out.
+    fn fill_key(&self) -> String {
         format!(
-            "meridian-rings|{:?}|manage={}|{:?}|fill={}",
-            self.cfg.rings,
-            self.cfg.manage_rounds,
-            self.mode,
-            if shard_local { "shard-local" } else { "direct" }
+            "meridian-rings|{:?}|manage={}|{:?}",
+            self.cfg.rings, self.cfg.manage_rounds, self.mode
         )
     }
 }
@@ -87,33 +82,16 @@ impl AlgoFactory for MeridianFactory {
     }
 
     fn build<'a>(&self, ctx: &AlgoContext<'a>) -> Box<dyn NearestPeerAlgo + 'a> {
-        // When the backend exposes shard structure (the compressed
-        // hierarchical store) the omniscient fill runs through the
-        // shard-local fast path — identical rings, with each distance
-        // to another shard read from flat hub-summary tables instead of
-        // the store.
-        let shard_local =
-            self.mode == BuildMode::Omniscient && ctx.store.shard_view().is_some();
-        let parts = ctx.shared.get_or_build(&self.fill_key(shard_local), || {
-            let overlay = if shard_local {
-                Overlay::build_shard_local_threads(
-                    ctx.store,
-                    ctx.overlay.to_vec(),
-                    self.cfg,
-                    ctx.seed,
-                    ctx.threads,
-                )
-            } else {
-                Overlay::build_threads(
-                    ctx.store,
-                    ctx.overlay.to_vec(),
-                    self.cfg,
-                    self.mode,
-                    ctx.seed,
-                    ctx.threads,
-                )
-            };
-            overlay.into_parts()
+        let parts = ctx.shared.get_or_build(&self.fill_key(), || {
+            Overlay::build_threads(
+                ctx.store,
+                ctx.overlay.to_vec(),
+                self.cfg,
+                self.mode,
+                ctx.seed,
+                ctx.threads,
+            )
+            .into_parts()
         });
         // The cached parts may come from a factory with another β or
         // hop budget: the overlay queries with this factory's own cfg.
@@ -148,8 +126,8 @@ impl AlgoFactory for MeridianFactory {
 ///
 /// Epoch policy:
 /// * **epoch 0** — full omniscient fill over the live set at the run
-///   seed (shard-local fast path when the backend offers it), so a
-///   null churn schedule is bit-identical to the static pipeline;
+///   seed, so a null churn schedule is bit-identical to the static
+///   pipeline;
 /// * **join epochs** — full rebuild at `item_seed(seed, EVT_TAG,
 ///   epoch)`: a joiner changes every node's offer stream, so there is
 ///   nothing incremental to salvage (and the paper-faithful simulator
@@ -172,24 +150,14 @@ struct MeridianDynamic<'a> {
 
 impl<'a> MeridianDynamic<'a> {
     fn full_build(&self, seed: u64, live: &[PeerId]) -> Overlay<'a, dyn WorldStore + 'a> {
-        if self.store.shard_view().is_some() {
-            Overlay::build_shard_local_threads(
-                self.store,
-                live.to_vec(),
-                self.cfg,
-                seed,
-                self.threads,
-            )
-        } else {
-            Overlay::build_threads(
-                self.store,
-                live.to_vec(),
-                self.cfg,
-                BuildMode::Omniscient,
-                seed,
-                self.threads,
-            )
-        }
+        Overlay::build_threads(
+            self.store,
+            live.to_vec(),
+            self.cfg,
+            BuildMode::Omniscient,
+            seed,
+            self.threads,
+        )
     }
 }
 
@@ -218,7 +186,6 @@ impl<'a> DynamicAlgo<'a> for MeridianDynamic<'a> {
                 full_rebuilds: 0,
                 rings_replayed: stats.rings_replayed,
                 ring_inserts: stats.ring_inserts,
-                fallback_leaves: stats.fallback_leaves,
             }
         } else {
             RepairCost::default() // drift-only: rings stay as measured
@@ -361,9 +328,8 @@ mod tests {
             manage_rounds: 0,
             ..MeridianConfig::default()
         });
-        assert_eq!(b25.fill_key(false), base.fill_key(false));
-        assert_ne!(unmanaged.fill_key(false), base.fill_key(false));
-        assert_ne!(base.fill_key(true), base.fill_key(false));
+        assert_eq!(b25.fill_key(), base.fill_key());
+        assert_ne!(unmanaged.fill_key(), base.fill_key());
         let shared = BuildCache::new();
         let fresh = BuildCache::new();
         let baseline = base.build(&ctx_for(&shared));
@@ -391,10 +357,10 @@ mod tests {
     }
 
     #[test]
-    fn sharded_store_auto_picks_shard_local_and_matches_dense() {
+    fn hierarchical_store_fill_matches_dense() {
         // On a §4 world the one-super-shard hub summary is exact, so
-        // the factory's shard-local fast path (compressed store) must
-        // answer exactly like the omniscient fill over the dense store.
+        // the factory's fill over the compressed store must answer
+        // exactly like the same fill over the dense store.
         let spec = ClusterWorldSpec {
             clusters: 4,
             en_per_cluster: 8,
@@ -430,7 +396,7 @@ mod tests {
         assert_eq!(
             build_on(&matrix),
             build_on(&compressed),
-            "shard-local fast path diverged from the dense omniscient fill"
+            "hierarchical-store fill diverged from the dense one"
         );
     }
 
@@ -518,7 +484,6 @@ mod tests {
             stats.repair.full_rebuilds <= 1 + sched.joins,
             "only epoch 0 and join epochs may rebuild: {stats:?}"
         );
-        assert_eq!(stats.repair.fallback_leaves, 0);
         assert_eq!(metrics.queries, 60);
         assert!(metrics.p_correct_closest > 0.0);
         for threads in [2, 4] {

@@ -42,7 +42,7 @@ const FILL_TAG: u64 = 0x4D46_494C; // "MFIL"
 /// (`ring_of` is monotone in latency — property-tested in `rings.rs`).
 /// Classification then becomes a partition-point search over at most
 /// `n_rings - 1` `u64`s — pointwise equal to `ring_of`, with no
-/// logarithm per candidate. The shard-local fill's hot loop
+/// logarithm per candidate. The fill kernel (`fill_survivors`)
 /// `debug_assert`s that equality on every classified pair.
 fn ring_bounds(cfg: &RingConfig) -> Vec<u64> {
     // Far beyond any generated latency; ring_of saturates at the
@@ -82,21 +82,20 @@ fn offer_order(roster: &[PeerId], seed: u64, stream: u64) -> Vec<PeerId> {
 /// primaries, in arrival order) plus the **last ≤ `l`** arrivals after
 /// them (the secondaries — the FIFO recycle keeps exactly the trailing
 /// window). So per ring only those `k + l` survivors are kept, and
-/// replayed in arrival order. Each offer costs one `dist_us` call and a
-/// partition-point search of `bounds` ([`ring_bounds`]), with no `ln`
-/// and no per-offer ring bookkeeping.
+/// replayed in arrival order. Each offer costs one
+/// `world.rtt(owner, q)` read and a partition-point search of `bounds`
+/// ([`ring_bounds`]), with no `ln` and no per-offer ring bookkeeping.
 ///
-/// `dist_us(q)` is the owner's whole-µs RTT to `q`; offers to the owner
-/// itself and those `removed` rejects are skipped. With `dirty`, only
+/// Offers to the owner itself and those `removed` rejects are skipped. With `dirty`, only
 /// offers classified into a ring `r` with `dirty[r]` are kept (repair
 /// replays cleared rings; the rest of `rs` must not hold any of their
 /// offers). Returns the number of offers kept — the inserts a plain
 /// replay would make. `order` must not repeat a peer.
-fn fill_survivors(
+fn fill_survivors<W: WorldStore + ?Sized>(
     rs: &mut RingSet,
     order: &[PeerId],
     bounds: &[u64],
-    mut dist_us: impl FnMut(PeerId) -> u64,
+    world: &W,
     removed: impl Fn(PeerId) -> bool,
     dirty: Option<&[bool]>,
 ) -> u64 {
@@ -113,7 +112,7 @@ fn fill_survivors(
         if q == owner || removed(q) {
             continue;
         }
-        let d = dist_us(q);
+        let d = world.rtt(owner, q).as_us();
         let r = bounds.partition_point(|&b| d >= b);
         debug_assert_eq!(
             r,
@@ -173,21 +172,19 @@ impl Default for MeridianConfig {
 /// Provenance of an omniscient ring fill, recorded so churn repair can
 /// replay exactly the offer streams that built the rings.
 ///
-/// The omniscient fill (dense or shard-local) offers every roster
-/// member to every node once, in an order drawn from
-/// `item_seed(seed, FILL_TAG, roster index)`. Ring state is therefore
-/// a pure function of `(seed, roster, removed-so-far)` — and after a
-/// departure, only the rings whose arrival subsequence contained the
-/// departed peer can change. [`Overlay::repair_after_leaves_threads`]
+/// The omniscient fill offers every roster member to every node once,
+/// in an order drawn from `item_seed(seed, FILL_TAG, roster index)`.
+/// Ring state is therefore a pure function of `(seed, roster,
+/// removed-so-far)` — and after a departure, only the rings whose
+/// arrival subsequence contained the departed peer can change. [`Overlay::repair_after_leaves_threads`]
 /// exploits that: it replays *only the dirty rings* from these
 /// streams, with a bit-identical-to-full-rebuild contract (see
 /// [`Overlay::rebuild_surviving`] and `tests/overlay_repair.rs`).
 ///
 /// `removed` accumulates every peer repaired away since the fill, so
 /// repeated repairs keep replaying over the correct survivor set.
-/// Gossip builds and post-hoc `join`/`leave` mutations have no replay
-/// stream; they carry no origin and repair falls back to plain
-/// [`Overlay::leave`].
+/// Gossip builds have no replay stream, so they carry no origin and
+/// cannot be repaired.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FillOrigin {
     /// Seed of the omniscient fill that produced the rings.
@@ -210,9 +207,6 @@ pub struct RepairStats {
     /// the insertions a plain replay makes (the fill kernel inserts only
     /// each ring's survivors of them).
     pub ring_inserts: u64,
-    /// Departures handled by plain [`Overlay::leave`] because no fill
-    /// origin was recorded (gossip builds, post-join overlays).
-    pub fallback_leaves: u64,
 }
 
 /// How ring members are discovered at build time.
@@ -258,10 +252,13 @@ impl<'m, W: WorldStore + ?Sized> Overlay<'m, W> {
     /// [`Overlay::build`] with an explicit worker count.
     ///
     /// In [`BuildMode::Omniscient`] each node's ring membership is a
-    /// pure function of the matrix and its own offer-order RNG stream
-    /// (`item_seed(seed, FILL_TAG, index)`), so per-node fill + ring
-    /// management run in parallel via [`par_map`] and the rings come
-    /// out bit-identical at any `threads`, including 1. The fill keeps
+    /// pure function of the store's RTTs and its own offer-order RNG
+    /// stream (`item_seed(seed, FILL_TAG, index)`), so per-node fill +
+    /// ring management run in parallel via [`par_map`] and the rings
+    /// come out bit-identical at any `threads`, including 1. This is
+    /// the one omniscient fill for every store — dense, hierarchical at
+    /// any super-shard count or block budget, and compressed — since
+    /// it reads only [`WorldStore::rtt`]. The fill keeps
     /// only each ring's survivors of the offer stream (see
     /// `fill_survivors`), so `members` must not contain duplicates
     /// (scenario overlays are sorted and unique). The gossip warm-up is
@@ -293,8 +290,7 @@ impl<'m, W: WorldStore + ?Sized> Overlay<'m, W> {
                 let filled = par_map(threads, &members, |i, &p| {
                     let order = offer_order(&members, seed, i as u64);
                     let mut rs = RingSet::new(p, cfg.rings);
-                    let rtt_us = |q| world.rtt(p, q).as_us();
-                    fill_survivors(&mut rs, &order, &bounds, rtt_us, |_| false, None);
+                    fill_survivors(&mut rs, &order, &bounds, world, |_| false, None);
                     for _ in 0..cfg.manage_rounds {
                         rs.manage(|a, b| world.rtt(a, b));
                     }
@@ -371,115 +367,10 @@ impl<'m, W: WorldStore + ?Sized> Overlay<'m, W> {
         }
     }
 
-    /// [`Overlay::build_shard_local`] on the ambient thread count.
-    pub fn build_shard_local(
-        world: &'m W,
-        members: Vec<PeerId>,
-        cfg: MeridianConfig,
-        seed: u64,
-    ) -> Overlay<'m, W> {
-        Overlay::build_shard_local_threads(world, members, cfg, seed, resolve_threads(None))
-    }
-
-    /// The shard-local omniscient ring fill, for backends with shard
-    /// structure (the compressed `HierarchicalWorld`, through
-    /// [`WorldStore::shard_view`]). Produces
-    /// rings **bit-identical** to [`BuildMode::Omniscient`] under the
-    /// same seed — it is a fast path, not an approximation — while
-    /// reading only (a) the node's own shard's dense block and (b) the
-    /// hub summary for every other shard's members.
-    ///
-    /// Both fills run the same survivor-window kernel over the *same*
-    /// `item_seed(seed, FILL_TAG, index)` offer streams; only the
-    /// distance source differs. Here it is one `u64` add of hub-summary
-    /// offsets for another shard's member and the dense block for the
-    /// node's own shard, which reassembles exactly the `rtt` the
-    /// omniscient fill reads. So the two paths agree member for member,
-    /// ring for ring (enforced by `tests/shard_local_fill.rs`), and
-    /// results are bit-identical at any `threads` (enforced by
-    /// `tests/parallel_determinism.rs`).
-    ///
-    /// `members` must not contain duplicates (scenario overlays are
-    /// sorted and unique).
-    ///
-    /// # Panics
-    /// Panics when the backend has no shard structure
-    /// ([`WorldStore::shard_view`] returns `None`), when `members` is
-    /// empty, or when `cfg.beta` is out of range.
-    pub fn build_shard_local_threads(
-        world: &'m W,
-        members: Vec<PeerId>,
-        cfg: MeridianConfig,
-        seed: u64,
-        threads: usize,
-    ) -> Overlay<'m, W> {
-        let view = world
-            .shard_view()
-            .expect("build_shard_local needs a backend with shard structure (WorldStore::shard_view)");
-        assert!(!members.is_empty(), "empty overlay");
-        assert!(
-            (0.0..1.0).contains(&cfg.beta) && cfg.beta > 0.0,
-            "beta must be in (0,1)"
-        );
-        let n_world = world.len();
-        let n_shards = view.n_shards();
-        // Flat per-peer shard/offset tables: one pass of lookups, then
-        // the per-pair hot loop is pure array reads.
-        let shard_of: Vec<u32> = (0..n_world as u32)
-            .map(|i| view.shard_of(PeerId(i)) as u32)
-            .collect();
-        let off_us: Vec<u64> = (0..n_world as u32)
-            .map(|i| view.hub_offset_us(PeerId(i)))
-            .collect();
-        let bounds = ring_bounds(&cfg.rings);
-        let filled = par_map(threads, &members, |i, &p| {
-            let sp = shard_of[p.idx()] as usize;
-            // base[s] = offset(p) + hub(s_p, s): the inter-shard prefix
-            // of the exact u64 microsecond sum `rtt` reassembles.
-            let base: Vec<u64> = (0..n_shards)
-                .map(|s| {
-                    if s == sp {
-                        0
-                    } else {
-                        off_us[p.idx()] + view.hub_rtt_us(sp, s)
-                    }
-                })
-                .collect();
-            let rtt_us = |q: PeerId| {
-                let sq = shard_of[q.idx()] as usize;
-                if sq == sp {
-                    world.rtt(p, q).as_us() // own shard: the dense block
-                } else {
-                    base[sq] + off_us[q.idx()] // hub-summary neighbour
-                }
-            };
-            let order = offer_order(&members, seed, i as u64);
-            let mut rs = RingSet::new(p, cfg.rings);
-            fill_survivors(&mut rs, &order, &bounds, rtt_us, |_| false, None);
-            for _ in 0..cfg.manage_rounds {
-                rs.manage(|a, b| world.rtt(a, b));
-            }
-            rs
-        });
-        let rings = members.iter().copied().zip(filled).collect();
-        let origin = Some(FillOrigin {
-            seed,
-            roster: members.clone(),
-            removed: Vec::new(),
-        });
-        Overlay {
-            cfg,
-            world,
-            members,
-            rings,
-            origin,
-        }
-    }
-
     /// Reassemble an overlay from previously built parts (see
     /// [`Overlay::into_parts`]). `world` must be the same latency
-    /// space the parts were built over — `join`/`leave`/`manage` read
-    /// it — but the query path itself only consults the rings and the
+    /// space the parts were built over — repair reads it — but the
+    /// query path itself only consults the rings and the
     /// probe-counted target, which is what makes the parts cacheable.
     pub fn from_parts(
         world: &'m W,
@@ -517,9 +408,8 @@ impl<'m, W: WorldStore + ?Sized> Overlay<'m, W> {
         (self.cfg, self.members, self.rings, self.origin)
     }
 
-    /// Replay provenance of the ring fill, if this overlay still has
-    /// one (omniscient fills record it; gossip builds and overlays
-    /// mutated by [`Overlay::join`]/[`Overlay::leave`] do not).
+    /// Replay provenance of the ring fill (omniscient fills record it;
+    /// gossip builds do not).
     pub fn origin(&self) -> Option<&FillOrigin> {
         self.origin.as_ref()
     }
@@ -616,62 +506,6 @@ impl<'m, W: WorldStore + ?Sized> Overlay<'m, W> {
         }
     }
 
-    /// A new member joins (the deployment path the §4 simulations skip):
-    /// it exchanges ring contents with `bootstrap` random members, as the
-    /// gossip build does continuously.
-    pub fn join(&mut self, p: PeerId, bootstrap: usize, rng: &mut StdRng) {
-        if self.rings.contains_key(&p) {
-            return;
-        }
-        let mut rs = RingSet::new(p, self.cfg.rings);
-        for _ in 0..bootstrap.max(1) {
-            let &q = self.members.choose(rng).expect("non-empty overlay");
-            if q == p {
-                continue;
-            }
-            // Bidirectional learning: p fills its rings from q's view and
-            // announces itself to q.
-            let offers: Vec<PeerId> = self.rings[&q].primaries().map(|m| m.peer).collect();
-            for r in offers {
-                if r != p {
-                    rs.insert(r, self.world.rtt(p, r));
-                }
-            }
-            rs.insert(q, self.world.rtt(p, q));
-            self.rings
-                .get_mut(&q)
-                .expect("member ring set")
-                .insert(p, self.world.rtt(q, p));
-        }
-        rs.manage(|a, b| self.world.rtt(a, b));
-        self.rings.insert(p, rs);
-        let pos = self.members.binary_search(&p).unwrap_or_else(|e| e);
-        self.members.insert(pos, p);
-        // Ring state is no longer a pure replay of the fill streams.
-        self.origin = None;
-    }
-
-    /// A member departs gracefully: every ring set purges it.
-    ///
-    /// This is the *online* departure path (a removed primary promotes
-    /// a cached secondary), which intentionally differs from replaying
-    /// the fill without the departed peer — so it forfeits the replay
-    /// provenance. Use [`Overlay::repair_after_leaves_threads`] when
-    /// the rebuild-equivalence contract matters.
-    pub fn leave(&mut self, p: PeerId) {
-        if self.rings.remove(&p).is_none() {
-            return;
-        }
-        if let Ok(pos) = self.members.binary_search(&p) {
-            self.members.remove(pos);
-        }
-        // np-lint: allow(D1) — independent per-ring removal of one peer; visit order cannot reach results
-        for rs in self.rings.values_mut() {
-            rs.remove(p);
-        }
-        self.origin = None;
-    }
-
     /// Incremental overlay repair after a batch of departures, with a
     /// **bit-identical-to-full-rebuild** contract: afterwards the
     /// rings equal those of [`Overlay::rebuild_surviving`] — a from-
@@ -697,18 +531,23 @@ impl<'m, W: WorldStore + ?Sized> Overlay<'m, W> {
     /// cumulative removed set, so it fans out across `threads` workers
     /// and the result is bit-identical at any worker count.
     ///
-    /// Overlays without replay provenance (gossip builds, overlays
-    /// mutated by `join`/`leave`) fall back to plain
-    /// [`Overlay::leave`] per departure, counted in
-    /// [`RepairStats::fallback_leaves`].
-    ///
     /// Departures not currently in the overlay are ignored.
+    ///
+    /// # Panics
+    /// Panics when the overlay has no replay provenance (a gossip
+    /// build: [`Overlay::origin`] is `None`), as
+    /// [`Overlay::rebuild_surviving`] does, and when the departures
+    /// would empty the overlay.
     pub fn repair_after_leaves_threads(
         &mut self,
         departed: &[PeerId],
         threads: usize,
     ) -> RepairStats {
         let mut stats = RepairStats::default();
+        let origin = self
+            .origin
+            .as_mut()
+            .expect("repair_after_leaves_threads needs a recorded fill origin");
         let going: Vec<PeerId> = {
             let mut seen = HashSet::new();
             departed
@@ -720,20 +559,13 @@ impl<'m, W: WorldStore + ?Sized> Overlay<'m, W> {
         if going.is_empty() {
             return stats;
         }
-        let Some(origin) = self.origin.as_mut() else {
-            for &p in &going {
-                self.leave(p);
-                stats.fallback_leaves += 1;
-            }
-            return stats;
-        };
         assert!(
             going.len() < self.members.len(),
             "repair would empty the overlay"
         );
         origin.removed.extend_from_slice(&going);
+        let origin = origin.clone();
         let removed_set: HashSet<PeerId> = origin.removed.iter().copied().collect();
-        let origin = self.origin.clone().expect("origin checked above");
         // Drop the departed themselves.
         for &p in &going {
             self.rings.remove(&p);
@@ -771,7 +603,7 @@ impl<'m, W: WorldStore + ?Sized> Overlay<'m, W> {
                 &mut rs,
                 &order,
                 &bounds,
-                |q| world.rtt(p, q).as_us(),
+                world,
                 |q| removed_set.contains(&q),
                 Some(&dirty),
             );
@@ -1061,53 +893,6 @@ mod tests {
     }
 
     #[test]
-    fn churn_joins_are_discoverable_and_leaves_are_forgotten() {
-        let m = line_world(64);
-        // Sparse overlay (every 4th peer) so a joined peer at 31 becomes
-        // the unique nearest member of the held-out target 30 (1 ms vs
-        // 2 ms for members 28/32).
-        let members: Vec<PeerId> = (0..64).step_by(4).map(|i| PeerId(i as u32)).collect();
-        let mut overlay = Overlay::build(
-            &m,
-            members,
-            MeridianConfig::default(),
-            BuildMode::Omniscient,
-            41,
-        );
-        let mut rng = rng_from(43);
-        overlay.join(PeerId(31), 8, &mut rng);
-        assert!(overlay.members().contains(&PeerId(31)));
-        let mut found31 = false;
-        for _ in 0..10 {
-            let target = Target::new(PeerId(30), &m);
-            let out = overlay.find_nearest(&target, &mut rng);
-            if out.found == PeerId(31) {
-                found31 = true;
-                break;
-            }
-        }
-        assert!(found31, "joined peer never discovered");
-        // Leave: the peer disappears from every ring and from answers.
-        overlay.leave(PeerId(31));
-        assert!(!overlay.members().contains(&PeerId(31)));
-        for &p in overlay.members() {
-            assert!(
-                !overlay.rings_of(p).primaries().any(|mm| mm.peer == PeerId(31)),
-                "departed peer still in {p}'s rings"
-            );
-        }
-        for _ in 0..10 {
-            let target = Target::new(PeerId(30), &m);
-            let out = overlay.find_nearest(&target, &mut rng);
-            assert_ne!(out.found, PeerId(31), "departed peer returned");
-        }
-        // Queries still work end to end after churn.
-        let target = Target::new(PeerId(1), &m);
-        let out = overlay.find_nearest(&target, &mut rng);
-        assert!(m.rtt(out.found, PeerId(1)) <= Micros::from_ms_u64(3));
-    }
-
-    #[test]
     fn ring_bounds_classify_exactly_like_ring_of() {
         for cfg in [
             RingConfig::default(),
@@ -1142,72 +927,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    /// The tentpole contract in miniature: the shard-local fill is a
-    /// fast path, not an approximation — identical rings to the
-    /// omniscient fill over the same compressed store and seed.
-    #[test]
-    fn shard_local_fill_matches_omniscient_rings() {
-        use np_topology::{ClusterWorld, ClusterWorldSpec};
-        let world = ClusterWorld::generate(
-            ClusterWorldSpec {
-                clusters: 5,
-                en_per_cluster: 12,
-                peers_per_en: 2,
-                delta: 0.3,
-                mean_hub_ms: (4.0, 6.0),
-                intra_en: Micros::from_us(100),
-                hub_pool: 7,
-            },
-            31,
-        );
-        let store = world.to_hierarchical(1, usize::MAX);
-        let members: Vec<PeerId> = world.peers().skip(8).collect();
-        let omniscient = Overlay::build_threads(
-            &store,
-            members.clone(),
-            MeridianConfig::default(),
-            BuildMode::Omniscient,
-            31,
-            2,
-        );
-        let local = Overlay::build_shard_local_threads(
-            &store,
-            members.clone(),
-            MeridianConfig::default(),
-            31,
-            2,
-        );
-        assert_eq!(omniscient.total_ring_entries(), local.total_ring_entries());
-        for &p in &members {
-            let a: Vec<(PeerId, Micros)> = omniscient
-                .rings_of(p)
-                .primaries()
-                .map(|m| (m.peer, m.rtt))
-                .collect();
-            let b: Vec<(PeerId, Micros)> = local
-                .rings_of(p)
-                .primaries()
-                .map(|m| (m.peer, m.rtt))
-                .collect();
-            assert_eq!(a, b, "rings of {p} diverged");
-        }
-        // And the query path sees no difference either.
-        let t1 = Target::new(PeerId(0), &store);
-        let t2 = Target::new(PeerId(0), &store);
-        assert_eq!(
-            omniscient.find_nearest(&t1, &mut rng_from(5)),
-            local.find_nearest(&t2, &mut rng_from(5))
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "shard structure")]
-    fn shard_local_fill_rejects_flat_backends() {
-        let m = line_world(8);
-        let members: Vec<PeerId> = (0..8).map(PeerId).collect();
-        Overlay::build_shard_local(&m, members, MeridianConfig::default(), 1);
     }
 
     /// Exhaustive ring-state comparison (primaries AND secondaries, in
@@ -1267,17 +986,18 @@ mod tests {
         let members: Vec<PeerId> = world.peers().skip(6).collect();
         for super_shards in [1, 4] {
             let store = world.to_hierarchical(super_shards, usize::MAX);
-            let local = Overlay::build_shard_local_threads(
+            let hier = Overlay::build_threads(
                 &store,
                 members.clone(),
                 MeridianConfig::default(),
+                BuildMode::Omniscient,
                 13,
                 2,
             );
             assert_eq!(
-                ring_state(&local),
-                ring_state(&local.rebuild_surviving(2)),
-                "shard-local at {super_shards} super-shards"
+                ring_state(&hier),
+                ring_state(&hier.rebuild_surviving(2)),
+                "hierarchical at {super_shards} super-shards"
             );
         }
     }
@@ -1294,6 +1014,9 @@ mod tests {
             77,
             2,
         );
+        let origin = overlay.origin().expect("omniscient fill records origin");
+        assert_eq!((origin.seed, &origin.roster), (77, &members));
+        assert!(origin.removed.is_empty());
         let rings = RingConfig::default();
         let mut removed: Vec<PeerId> = Vec::new();
         // Three rounds of batched departures, repaired incrementally;
@@ -1321,7 +1044,6 @@ mod tests {
                 .sum();
             let stats = overlay.repair_after_leaves_threads(&departed, 2);
             assert_eq!(stats.ring_inserts, expected_inserts as u64, "ring_inserts");
-            assert_eq!(stats.fallback_leaves, 0);
             assert!(stats.rings_replayed > 0, "dirty rings must be found");
             assert!(
                 (stats.rings_replayed as usize)
@@ -1338,6 +1060,7 @@ mod tests {
             for &p in &departed {
                 assert!(!overlay.members().contains(&p));
             }
+            assert_eq!(overlay.origin().expect("repair keeps the origin").removed, removed);
         }
     }
 
@@ -1370,7 +1093,8 @@ mod tests {
     }
 
     #[test]
-    fn repair_without_origin_falls_back_to_plain_leave() {
+    #[should_panic(expected = "needs a recorded fill origin")]
+    fn repair_without_origin_panics() {
         let m = line_world(48);
         let members: Vec<PeerId> = (0..48).step_by(2).map(|i| PeerId(i as u32)).collect();
         let mut overlay = Overlay::build(
@@ -1384,38 +1108,7 @@ mod tests {
             9,
         );
         assert!(overlay.origin().is_none(), "gossip records no origin");
-        let stats = overlay.repair_after_leaves_threads(&[PeerId(4), PeerId(10)], 2);
-        assert_eq!(stats.fallback_leaves, 2);
-        assert_eq!(stats.rings_replayed, 0);
-        assert!(!overlay.members().contains(&PeerId(4)));
-        for &p in overlay.members() {
-            assert!(!overlay
-                .rings_of(p)
-                .primaries()
-                .any(|mm| mm.peer == PeerId(4)));
-        }
-    }
-
-    #[test]
-    fn join_and_leave_forfeit_the_replay_origin() {
-        let m = line_world(32);
-        let members: Vec<PeerId> = (0..32).step_by(2).map(|i| PeerId(i as u32)).collect();
-        let mut overlay = Overlay::build(
-            &m,
-            members,
-            MeridianConfig::default(),
-            BuildMode::Omniscient,
-            23,
-        );
-        let origin = overlay.origin().expect("omniscient fill records origin");
-        assert_eq!(origin.seed, 23);
-        assert_eq!(origin.roster.len(), 16);
-        assert!(origin.removed.is_empty());
-        let mut rng = rng_from(2);
-        overlay.join(PeerId(5), 4, &mut rng);
-        assert!(overlay.origin().is_none(), "join invalidates the origin");
-        let stats = overlay.repair_after_leaves_threads(&[PeerId(5)], 2);
-        assert_eq!(stats.fallback_leaves, 1);
+        overlay.repair_after_leaves_threads(&[PeerId(4), PeerId(10)], 2);
     }
 
     #[test]

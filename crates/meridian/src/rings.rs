@@ -166,25 +166,6 @@ impl RingSet {
         self.index.insert(peer, target as u8);
     }
 
-    /// Forget a peer entirely (graceful departure). Returns whether it
-    /// was known.
-    pub fn remove(&mut self, peer: PeerId) -> bool {
-        let Some(ring_idx) = self.index.remove(&peer) else {
-            return false;
-        };
-        let ring = &mut self.rings[ring_idx as usize];
-        if let Some(pos) = ring.primary.iter().position(|m| m.peer == peer) {
-            ring.primary.remove(pos);
-            // Promote a secondary to keep the ring populated.
-            if let Some(promoted) = ring.secondary.pop() {
-                ring.primary.push(promoted);
-            }
-        } else if let Some(pos) = ring.secondary.iter().position(|m| m.peer == peer) {
-            ring.secondary.remove(pos);
-        }
-        true
-    }
-
     /// All primary members across rings.
     pub fn primaries(&self) -> impl Iterator<Item = Member> + '_ {
         self.rings.iter().flat_map(|r| r.primary.iter().copied())

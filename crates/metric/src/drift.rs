@@ -47,11 +47,6 @@ impl<'w> DriftedWorld<'w> {
     pub fn inner(&self) -> &'w dyn WorldStore {
         self.inner
     }
-
-    /// Peer `p`'s current additive offset in µs.
-    pub fn offset_us(&self, p: PeerId) -> u64 {
-        self.offsets_us[p.0 as usize]
-    }
 }
 
 impl WorldStore for DriftedWorld<'_> {
@@ -72,9 +67,9 @@ impl WorldStore for DriftedWorld<'_> {
     }
 
     // Deliberately no `shard_view` override: drifted distances violate
-    // the shard store's hub-sum reconstruction, so shard-local fast
-    // paths must not engage through this wrapper (the default `None`
-    // keeps them off).
+    // the shard store's hub-sum reconstruction, so its consumer
+    // (`NearestIndex`) must not engage through this wrapper (the
+    // default `None` keeps it off).
 }
 
 #[cfg(test)]

@@ -561,8 +561,7 @@ impl HierarchicalWorld {
     }
 }
 
-/// The shard structure, as shard-local consumers (the Meridian
-/// shard-local fill, [`crate::NearestIndex`]) read it through
+/// The shard structure, as [`crate::NearestIndex`] reads it through
 /// [`WorldStore::shard_view`]. Every inter-shard pair satisfies
 ///
 /// ```text
@@ -570,9 +569,9 @@ impl HierarchicalWorld {
 /// ```
 ///
 /// **exactly**, as the `u64` microsecond sum [`WorldStore::rtt`]
-/// computes, so shard-local reconstruction is bit-identical, not
-/// approximate. For shards in different super-shards the hub distance
-/// itself is the level-2 sum
+/// computes, so an RTT reassembled from the summary is bit-identical,
+/// not approximate. For shards in different super-shards the hub
+/// distance itself is the level-2 sum
 /// `super_offset_us(a) + super_rtt_us(super_of(a), super_of(b)) + super_offset_us(b)`.
 impl HierarchicalWorld {
     /// The shard a peer belongs to.
@@ -596,8 +595,8 @@ impl HierarchicalWorld {
     /// intra-group pairs read the group's dense hub matrix; cross-group
     /// pairs reassemble the super-hub detour in `u64` µs. Composing
     /// here keeps `rtt = offset + hub_rtt_us + offset` true for every
-    /// inter-shard pair, so level-1 consumers (the shard-local Meridian
-    /// fill) never need to know a second level exists.
+    /// inter-shard pair, so level-1 readers of the summary never need
+    /// to know a second level exists.
     #[inline]
     pub fn hub_rtt_us(&self, a: usize, b: usize) -> u64 {
         let (ga, gb) = (self.super_of[a] as usize, self.super_of[b] as usize);

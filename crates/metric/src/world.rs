@@ -102,10 +102,10 @@ pub trait WorldStore: Sync {
     /// The backend's shard structure, when it has one. The dense matrix
     /// (and any other flat backend) returns `None`; the compressed
     /// [`HierarchicalWorld`] returns itself. This is the bridge that
-    /// lets consumers holding a `&dyn WorldStore` (the experiment
-    /// factories) discover shard locality — e.g. the Meridian
-    /// shard-local overlay fill and [`crate::NearestIndex`] — without
-    /// the algorithm stack going generic over the backend.
+    /// lets a consumer holding a `&dyn WorldStore` discover shard
+    /// locality — [`crate::NearestIndex`], behind truth caches and
+    /// brute force — without the algorithm stack going generic over
+    /// the backend.
     fn shard_view(&self) -> Option<&HierarchicalWorld> {
         None
     }

@@ -17,11 +17,7 @@
 //! * [`vantage`] — the Table 1 vantage-point presentation names.
 //!
 //! All tools draw noise from their own seeded RNG stream, so campaigns
-//! are reproducible. Lossy links are handled with deterministic
-//! retry-with-backoff ([`Pinger::ping_host_retry`],
-//! [`TcpPing::measure_retry`]): the wait schedule is a pure function of
-//! `(policy, tool seed, destination)` — identical on any thread, in any
-//! probe order — via [`np_util::backoff::RetryPolicy`].
+//! are reproducible.
 
 pub mod king;
 pub mod ping;
@@ -37,22 +33,6 @@ pub use trace::{ObservedHop, Trace, Tracer};
 use np_util::Micros;
 use rand::rngs::StdRng;
 use rand::Rng;
-
-pub use np_util::backoff::RetryPolicy;
-
-/// The result of a retried probe: the measurement (if any attempt
-/// answered), how many attempts ran, and the simulated microseconds
-/// spent waiting between them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryOutcome {
-    /// The first successful measurement, `None` when every attempt
-    /// failed.
-    pub value: Option<Micros>,
-    /// Attempts actually issued (1 ≤ attempts ≤ `policy.max_attempts`).
-    pub attempts: u32,
-    /// Total simulated backoff wait, in µs.
-    pub waited_us: u64,
-}
 
 /// Common noise parameters.
 ///

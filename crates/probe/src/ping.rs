@@ -1,21 +1,16 @@
 //! ICMP ping.
 
-use crate::{NoiseConfig, RetryOutcome, RetryPolicy};
+use crate::NoiseConfig;
 use np_topology::{HostId, InternetModel, RouterId};
-use np_util::parallel::item_seed;
 use np_util::rng::rng_for;
 use np_util::Micros;
 use rand::rngs::StdRng;
-
-/// Seed tag isolating ping retry jitter from the noise stream.
-const PING_RETRY_TAG: u64 = 0x5049_5254; // "PIRT"
 
 /// A ping tool bound to a source host (usually a vantage point).
 pub struct Pinger<'w> {
     world: &'w InternetModel,
     src: HostId,
     noise: NoiseConfig,
-    seed: u64,
     rng: StdRng,
 }
 
@@ -26,7 +21,6 @@ impl<'w> Pinger<'w> {
             world,
             src,
             noise,
-            seed,
             rng: rng_for(seed, 0x5049_4E47), // "PING"
         }
     }
@@ -73,41 +67,6 @@ impl<'w> Pinger<'w> {
             best = Some(best.map(|b| b.min(s)).unwrap_or(s));
         }
         best
-    }
-
-    /// Ping a host, retrying with deterministic exponential backoff.
-    ///
-    /// The wait before each retry is a pure function of `(policy, tool
-    /// seed, destination, attempt)` — see [`Pinger::retry_schedule_us`]
-    /// — so identical campaigns wait identically no matter which
-    /// worker thread issues the probe or how many probes ran before it.
-    /// ICMP filtering is a static host property, so an unresponsive
-    /// target burns the full schedule and returns `None`.
-    pub fn ping_host_retry(&mut self, dst: HostId, policy: &RetryPolicy) -> RetryOutcome {
-        let stream = item_seed(self.seed, PING_RETRY_TAG, u64::from(dst.0));
-        let mut waited_us = 0u64;
-        for attempt in 0..policy.max_attempts.max(1) {
-            waited_us += policy.delay_us(stream, attempt);
-            if let Some(value) = self.ping_host(dst) {
-                return RetryOutcome {
-                    value: Some(value),
-                    attempts: attempt + 1,
-                    waited_us,
-                };
-            }
-        }
-        RetryOutcome {
-            value: None,
-            attempts: policy.max_attempts.max(1),
-            waited_us,
-        }
-    }
-
-    /// The exact backoff schedule [`Pinger::ping_host_retry`] would
-    /// wait against `dst` — one entry per attempt, entry 0 always 0.
-    /// Pure: needs no `&mut`, safe to pre-compute on any thread.
-    pub fn retry_schedule_us(&self, dst: HostId, policy: &RetryPolicy) -> Vec<u64> {
-        policy.schedule_us(item_seed(self.seed, PING_RETRY_TAG, u64::from(dst.0)))
     }
 }
 
@@ -171,64 +130,6 @@ mod tests {
         // min-of-5 biases low but its |error| spread is not larger than a
         // single sample's on average.
         assert!(min_err <= single_err * 1.5, "min {min_err} vs single {single_err}");
-    }
-
-    #[test]
-    fn retry_on_a_responsive_host_succeeds_first_try() {
-        let w = world();
-        let vp = w.vantage_points[0];
-        let dst = w.dns_servers().find(|&h| w.host(h).icmp_responsive).expect("responsive");
-        let expect = Pinger::new(&w, vp, NoiseConfig::default(), 5).ping_host(dst);
-        let mut p = Pinger::new(&w, vp, NoiseConfig::default(), 5);
-        let out = p.ping_host_retry(dst, &RetryPolicy::default());
-        assert_eq!(out.value, expect, "first attempt draws the same noise sample");
-        assert_eq!(out.attempts, 1);
-        assert_eq!(out.waited_us, 0);
-    }
-
-    #[test]
-    fn retry_burns_the_full_schedule_on_filtered_hosts() {
-        let w = world();
-        let vp = w.vantage_points[0];
-        let Some(dead) = w.azureus_peers().find(|&h| !w.host(h).icmp_responsive) else {
-            return;
-        };
-        let policy = RetryPolicy::default();
-        let mut p = Pinger::new(&w, vp, NoiseConfig::default(), 6);
-        let sched = p.retry_schedule_us(dead, &policy);
-        let out = p.ping_host_retry(dead, &policy);
-        assert_eq!(out.value, None);
-        assert_eq!(out.attempts, policy.max_attempts);
-        assert_eq!(out.waited_us, sched.iter().sum::<u64>());
-        assert!(out.waited_us > 0, "retries must actually back off");
-    }
-
-    #[test]
-    fn retry_schedule_is_identical_on_every_thread() {
-        let w = std::sync::Arc::new(world());
-        let vp = w.vantage_points[0];
-        let dst = w.dns_servers().next().expect("dns");
-        let policy = RetryPolicy::default();
-        let expect = Pinger::new(&w, vp, NoiseConfig::default(), 7).retry_schedule_us(dst, &policy);
-        let handles: Vec<_> = (0..4)
-            .map(|_| {
-                let w = w.clone();
-                let expect = expect.clone();
-                std::thread::spawn(move || {
-                    for _ in 0..50 {
-                        let p = Pinger::new(&w, vp, NoiseConfig::default(), 7);
-                        assert_eq!(p.retry_schedule_us(dst, &policy), expect);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().expect("no panics");
-        }
-        // Distinct destinations draw distinct jitter streams.
-        let other = w.dns_servers().nth(1).expect("second dns");
-        let p = Pinger::new(&w, vp, NoiseConfig::default(), 7);
-        assert_ne!(p.retry_schedule_us(other, &policy), expect);
     }
 
     #[test]

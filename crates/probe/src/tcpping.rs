@@ -5,23 +5,18 @@
 //! latency to a peer as the time it takes to complete a TCP 'connect' to
 //! the port at the peer."
 
-use crate::{NoiseConfig, RetryOutcome, RetryPolicy};
+use crate::NoiseConfig;
 use np_topology::{HostId, InternetModel};
 use np_util::dist;
-use np_util::parallel::item_seed;
 use np_util::rng::rng_for;
 use np_util::Micros;
 use rand::rngs::StdRng;
-
-/// Seed tag isolating TCP-connect retry jitter from the noise stream.
-const TCP_RETRY_TAG: u64 = 0x5443_5254; // "TCRT"
 
 /// The TCP-ping tool bound to a source host.
 pub struct TcpPing<'w> {
     world: &'w InternetModel,
     src: HostId,
     noise: NoiseConfig,
-    seed: u64,
     rng: StdRng,
 }
 
@@ -32,7 +27,6 @@ impl<'w> TcpPing<'w> {
             world,
             src,
             noise,
-            seed,
             rng: rng_for(seed, 0x54_43_50), // "TCP"
         }
     }
@@ -46,37 +40,6 @@ impl<'w> TcpPing<'w> {
         let truth = self.world.rtt(self.src, dst);
         let accept_lag = dist::exponential(&mut self.rng, self.noise.tcp_lag_mean_us);
         Some(self.noise.sample_rtt(truth, &mut self.rng) + Micros::from_us(accept_lag as u64))
-    }
-
-    /// TCP-connect with deterministic retry-with-backoff: the wait
-    /// schedule is a pure function of `(policy, tool seed, dst)` — see
-    /// [`TcpPing::retry_schedule_us`]. A non-accepting peer (NAT,
-    /// firewall, client gone) burns the whole schedule and yields
-    /// `None`.
-    pub fn measure_retry(&mut self, dst: HostId, policy: &RetryPolicy) -> RetryOutcome {
-        let stream = item_seed(self.seed, TCP_RETRY_TAG, u64::from(dst.0));
-        let mut waited_us = 0u64;
-        for attempt in 0..policy.max_attempts.max(1) {
-            waited_us += policy.delay_us(stream, attempt);
-            if let Some(value) = self.measure(dst) {
-                return RetryOutcome {
-                    value: Some(value),
-                    attempts: attempt + 1,
-                    waited_us,
-                };
-            }
-        }
-        RetryOutcome {
-            value: None,
-            attempts: policy.max_attempts.max(1),
-            waited_us,
-        }
-    }
-
-    /// The exact backoff schedule [`TcpPing::measure_retry`] would wait
-    /// against `dst`. Pure: needs no `&mut`, identical on any thread.
-    pub fn retry_schedule_us(&self, dst: HostId, policy: &RetryPolicy) -> Vec<u64> {
-        policy.schedule_us(item_seed(self.seed, TCP_RETRY_TAG, u64::from(dst.0)))
     }
 }
 
@@ -98,48 +61,6 @@ mod tests {
         let down = w.azureus_peers().find(|&p| !w.host(p).tcp_responsive).expect("most do not");
         assert!(t.measure(up).is_some());
         assert_eq!(t.measure(down), None);
-    }
-
-    #[test]
-    fn retry_exhausts_on_unresponsive_peers_and_is_thread_invariant() {
-        let w = std::sync::Arc::new(world());
-        let vp = w.vantage_points[1];
-        let down = w.azureus_peers().find(|&p| !w.host(p).tcp_responsive).expect("most do not");
-        let policy = RetryPolicy::default();
-        let mut t = TcpPing::new(&w, vp, NoiseConfig::default(), 8);
-        let sched = t.retry_schedule_us(down, &policy);
-        let out = t.measure_retry(down, &policy);
-        assert_eq!(out.value, None);
-        assert_eq!(out.attempts, policy.max_attempts);
-        assert_eq!(out.waited_us, sched.iter().sum::<u64>());
-        let handles: Vec<_> = (0..4)
-            .map(|_| {
-                let w = w.clone();
-                let expected = out;
-                std::thread::spawn(move || {
-                    let mut t = TcpPing::new(&w, vp, NoiseConfig::default(), 8);
-                    assert_eq!(t.measure_retry(down, &RetryPolicy::default()), expected);
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().expect("no panics");
-        }
-        // The TCP retry stream is distinct from the ping retry stream
-        // for the same (seed, destination).
-        let p = crate::Pinger::new(&w, vp, NoiseConfig::default(), 8);
-        assert_ne!(p.retry_schedule_us(down, &policy), sched);
-    }
-
-    #[test]
-    fn retry_on_a_live_peer_answers_immediately() {
-        let w = world();
-        let vp = w.vantage_points[0];
-        let up = w.azureus_peers().find(|&p| w.host(p).tcp_responsive).expect("some respond");
-        let expect = TcpPing::new(&w, vp, NoiseConfig::default(), 9).measure(up);
-        let mut t = TcpPing::new(&w, vp, NoiseConfig::default(), 9);
-        let out = t.measure_retry(up, &RetryPolicy::default());
-        assert_eq!(out, RetryOutcome { value: expect, attempts: 1, waited_us: 0 });
     }
 
     #[test]

@@ -54,11 +54,6 @@ impl Trace {
     pub fn last_valid_rtt(&self) -> Option<Micros> {
         self.hops.iter().rev().find(|h| h.router.is_some()).map(|h| h.rtt)
     }
-
-    /// Position (hop index) of a router on the trace.
-    pub fn position_of(&self, r: RouterId) -> Option<usize> {
-        self.hops.iter().position(|h| h.router == Some(r))
-    }
 }
 
 /// The traceroute campaign tool.

@@ -292,7 +292,7 @@ pub fn serve<'a, R>(
                             let t0 = Instant::now();
                             let ans = run_one_query(
                                 algo, ctx.store, ctx.world, ctx.truth, job.idx, job.target,
-                                ctx.seed,
+                                ctx.seed, None,
                             );
                             let t1 = Instant::now();
                             service.record((t1 - t0).as_nanos() as u64);

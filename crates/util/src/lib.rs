@@ -13,8 +13,6 @@
 //! * [`rng`] — deterministic seed derivation ([`rng::splitmix64`],
 //!   [`rng::sub_seed`]) and RNG construction, so every experiment in the
 //!   paper harness is exactly reproducible from one `u64`,
-//! * [`backoff`] — pure-function retry/backoff schedules (exponential
-//!   with seeded jitter) so probe retries reproduce on any thread,
 //! * [`dist`] — the handful of distributions the topology generators need
 //!   (normal, log-normal, exponential, Zipf/power-law), hand-rolled on top
 //!   of `rand` so the workspace keeps the minimal allowed dependency set,
@@ -36,7 +34,6 @@
 //!   binaries listed in README's `EXPERIMENTS` section.
 
 pub mod ascii;
-pub mod backoff;
 pub mod binned;
 pub mod cdf;
 pub mod dist;

@@ -294,60 +294,43 @@ fn omniscient_ring_fill_identical_at_any_thread_count() {
     }
 }
 
-/// Tentpole of the shard-local-fill PR: `Overlay::build_shard_local`
-/// draws per-node offer orders from `item_seed(seed, "MFIL", index)`
-/// exactly like the omniscient fill, so its rings must be bit-identical
-/// at 1, 2, 4 and 8 threads — and equal to the omniscient fill over the
-/// same compressed store.
+/// The omniscient fill over a two-level hierarchical store (two
+/// super-shards, a block cache small enough to evict mid-fill) reads
+/// every RTT through `WorldStore::rtt` and draws per-node offer orders
+/// from `item_seed(seed, "MFIL", index)`, so its rings must be
+/// bit-identical at 1, 2, 4 and 8 threads.
 #[test]
-fn shard_local_fill_identical_at_any_thread_count() {
-    let s = hierarchical_scenario(808, 1, usize::MAX);
-    let serial = Overlay::build_shard_local_threads(
-        &s.matrix,
-        s.overlay.clone(),
-        MeridianConfig::default(),
-        808,
-        1,
-    );
-    let rings_of = |o: &Overlay<'_, HierarchicalWorld>, p| -> Vec<(np_metric::PeerId, Micros)> {
-        o.rings_of(p).primaries().map(|m| (m.peer, m.rtt)).collect()
-    };
-    for threads in THREAD_COUNTS {
-        let par = Overlay::build_shard_local_threads(
+fn hierarchical_fill_identical_at_any_thread_count() {
+    let s = hierarchical_scenario(808, 2, 1 << 12);
+    assert_eq!(s.matrix.n_super_shards(), 2);
+    let build = |threads| {
+        Overlay::build_threads(
             &s.matrix,
             s.overlay.clone(),
             MeridianConfig::default(),
+            BuildMode::Omniscient,
             808,
             threads,
-        );
+        )
+    };
+    let rings_of = |o: &Overlay<'_, HierarchicalWorld>, p| -> Vec<(np_metric::PeerId, Micros)> {
+        o.rings_of(p).primaries().map(|m| (m.peer, m.rtt)).collect()
+    };
+    let serial = build(1);
+    for threads in THREAD_COUNTS {
+        let par = build(threads);
         for &p in serial.members() {
             assert_eq!(
                 rings_of(&serial, p),
                 rings_of(&par, p),
-                "shard-local rings of {p} diverged at {threads} threads"
+                "hierarchical rings of {p} diverged at {threads} threads"
             );
         }
     }
-    // And the fast path agrees with the omniscient fill it replaces.
-    let omniscient = Overlay::build_threads(
-        &s.matrix,
-        s.overlay.clone(),
-        MeridianConfig::default(),
-        BuildMode::Omniscient,
-        808,
-        4,
+    assert!(
+        s.matrix.cache_stats().evictions > 0,
+        "blocks must evict mid-fill"
     );
-    for &p in serial.members() {
-        assert_eq!(
-            rings_of(&serial, p),
-            omniscient
-                .rings_of(p)
-                .primaries()
-                .map(|m| (m.peer, m.rtt))
-                .collect::<Vec<_>>(),
-            "shard-local fill diverged from omniscient for {p}"
-        );
-    }
 }
 
 /// The declarative pipeline end to end: an `ExperimentSpec` with a

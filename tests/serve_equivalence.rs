@@ -198,7 +198,7 @@ fn served_answers_are_per_query_identical() {
     let targets = draw_target_schedule(&s.targets, n, seed);
     let report = serve_batch(&s, &algo, &truth, n, seed, 4, 8);
     for (idx, &target) in targets.iter().enumerate() {
-        let direct = run_one_query(&algo, &s.matrix, &s.world, &truth, idx, target, seed);
+        let direct = run_one_query(&algo, &s.matrix, &s.world, &truth, idx, target, seed, None);
         assert_eq!(
             report.answers[idx],
             Some(direct.found),

@@ -19,15 +19,14 @@
 //!
 //! 4. **One super-shard** makes the store bit-identical to the dense
 //!    matrix end to end — RTTs, `nearest_within`, `NearestCache`, and
-//!    the Meridian shard-local rings against the omniscient rings over
-//!    the dense matrix.
+//!    the Meridian rings filled over it against those filled over the
+//!    dense matrix.
 //! 5. **All-singleton shards** (every peer its own shard, zero
 //!    offsets, the dense matrix as the hub summary) make it
 //!    bit-identical to the dense matrix.
-//! 6. The shard-local Meridian fill stays a fast path, not an
-//!    approximation, at two levels: identical rings to the omniscient
-//!    fill over the same hierarchical store, even under a starved
-//!    block cache.
+//! 6. **Cache temperature** is not a result at two levels: a block
+//!    cache starved enough to evict mid-fill fills the same Meridian
+//!    rings as one that keeps every block resident.
 //!
 //! The shard-grouped [`NearestIndex`] the truth cache and brute force
 //! answer through earns its place the same way:
@@ -205,8 +204,7 @@ proptest::proptest! {
 }
 
 /// Ring-for-ring, member-for-member equality of two overlays over
-/// possibly different store types (the `tests/shard_local_fill.rs`
-/// idiom, generalised across backends).
+/// possibly different store types.
 fn assert_identical_rings<W: WorldStore + ?Sized, V: WorldStore + ?Sized>(
     a: &Overlay<'_, W>,
     b: &Overlay<'_, V>,
@@ -223,8 +221,7 @@ fn assert_identical_rings<W: WorldStore + ?Sized, V: WorldStore + ?Sized>(
 /// Collapse law 4: one super-shard makes the hierarchical store
 /// bit-identical to the dense matrix on cluster worlds — every RTT,
 /// every `nearest_within` over arbitrary member subsets, every
-/// `NearestCache` answer, and the Meridian shard-local rings against
-/// the omniscient rings over the dense matrix.
+/// `NearestCache` answer, and the Meridian rings filled over each.
 #[test]
 fn one_super_shard_collapses_to_the_dense_matrix() {
     for seed in [3u64, 41] {
@@ -272,10 +269,11 @@ fn one_super_shard_collapses_to_the_dense_matrix() {
             seed,
             2,
         );
-        let oh = Overlay::build_shard_local_threads(
+        let oh = Overlay::build_threads(
             &hier,
             overlay.to_vec(),
             MeridianConfig::default(),
+            BuildMode::Omniscient,
             seed,
             2,
         );
@@ -328,30 +326,33 @@ fn all_singleton_shards_collapse_to_the_dense_matrix() {
     }
 }
 
-/// Collapse law 6: the shard-local Meridian fill is a fast path at two
-/// levels too — bit-identical rings to the omniscient fill over the
-/// same hierarchical store, with a deliberately starved block cache so
-/// blocks evict and re-materialise mid-fill.
+/// Collapse law 6: over a two-level store, a block cache starved
+/// enough that blocks evict and re-materialise mid-fill fills the same
+/// Meridian rings as one that keeps every block resident.
 #[test]
-fn shard_local_fill_matches_omniscient_at_two_levels() {
-    let w = world(6, 4, 20, 11); // 48 peers, 6 shards
-    let hier = w.to_hierarchical(3, 1 << 12);
-    assert_eq!(hier.n_super_shards(), 3);
+fn starved_block_cache_fills_the_same_rings_at_two_levels() {
+    let w = world(6, 4, 20, 11); // 48 peers, 6 shards of 256-byte blocks
+    let starved = w.to_hierarchical(3, 1); // one resident block at a time
+    let resident = w.to_hierarchical(3, usize::MAX);
+    assert_eq!(starved.n_super_shards(), 3);
     let members: Vec<PeerId> = (0..w.len() as u32)
         .filter(|i| i % 7 != 0)
         .map(PeerId)
         .collect();
-    let omniscient = Overlay::build_threads(
-        &hier,
-        members.clone(),
-        MeridianConfig::default(),
-        BuildMode::Omniscient,
-        13,
-        2,
+    fn fill<'m>(
+        store: &'m HierarchicalWorld,
+        members: &[PeerId],
+    ) -> Overlay<'m, HierarchicalWorld> {
+        let cfg = MeridianConfig::default();
+        Overlay::build_threads(store, members.to_vec(), cfg, BuildMode::Omniscient, 13, 2)
+    }
+    let (cold, warm) = (fill(&starved, &members), fill(&resident, &members));
+    assert!(
+        starved.cache_stats().evictions > 0,
+        "the starved cache must evict"
     );
-    let local =
-        Overlay::build_shard_local_threads(&hier, members, MeridianConfig::default(), 13, 2);
-    assert_identical_rings(&omniscient, &local);
+    assert_eq!(resident.cache_stats().evictions, 0);
+    assert_identical_rings(&cold, &warm);
 }
 
 /// Forwards `len`, `rtt` and `approx_bytes` only, so its
