@@ -78,17 +78,6 @@ fn bench_meridian_query(c: &mut Criterion) {
     });
 }
 
-fn bench_chord_lookup(c: &mut Criterion) {
-    let ring = np_dht::ChordRing::build(1024, 3);
-    let mut rng = rng_from(4);
-    c.bench_function("chord_lookup_1024", |b| {
-        b.iter(|| {
-            let key = np_dht::Key(rng.gen());
-            criterion::black_box(ring.lookup(key, &mut rng).hops)
-        })
-    });
-}
-
 // The Ext F structured-overlay searchers: `kademlia_lookup_500` costs
 // one iterative XOR-frontier lookup (k=8, alpha=3) over a 500-peer key
 // ring — the per-query price of the `kademlia` registry entry —
@@ -96,7 +85,7 @@ fn bench_chord_lookup(c: &mut Criterion) {
 // (M=5) that the `nsw` factory amortises across a cell via the shared
 // BuildCache, and `nsw_walk_500` costs one default multi-start query
 // (3 walks) over that graph, the per-query price of the `nsw` entry.
-// All three land in BENCH_parallel.json next to `chord_lookup`.
+// All three land in BENCH_parallel.json.
 
 fn bench_kademlia_lookup(c: &mut Criterion) {
     use std::sync::Arc;
@@ -607,7 +596,7 @@ criterion_group! {
     name = benches;
     config = config();
     targets = bench_matrix_build, bench_meridian_build, bench_meridian_query,
-              bench_chord_lookup, bench_kademlia_lookup, bench_nsw_build, bench_nsw_walk,
+              bench_kademlia_lookup, bench_nsw_build, bench_nsw_walk,
               bench_dijkstra_local, bench_vivaldi, bench_hypervolume, bench_hypervolume_clustered,
               bench_matrix_build_2500_serial, bench_matrix_build_2500_par,
               bench_run_queries_1000_serial, bench_run_queries_1000_par,

@@ -3,8 +3,8 @@
 //! A figure is defined by its checked-in `experiments/<spec>.toml`
 //! (cells, worlds, algorithms, seeds, budgets). This table adds the
 //! code the file names: `np-bench list` prints it, and `np-bench run`
-//! resolves a loaded spec's renderer, study stage, study flags, clamp
-//! and self-check here by the spec's name. `all_figures.toml` lists
+//! resolves a loaded spec's renderer, study stage, clamp and
+//! self-check here by the spec's name. `all_figures.toml` lists
 //! exactly these entries, in this order.
 
 use crate::cli::{Args, Rendered};
@@ -60,9 +60,6 @@ pub struct FigureInfo {
     /// The self-check `np-bench run` applies to a report with no failed
     /// cell (rows matched by algorithm name, so `--algos` still works).
     pub check: Option<Check>,
-    /// The study flags the figure's stage reads (e.g. `--show-tree`);
-    /// `np-bench run` rejects any flag no figure lists.
-    pub flags: &'static [&'static str],
 }
 
 /// Every figure/extension, in `all_figures.toml` order.
@@ -75,7 +72,6 @@ pub const FIGURES: &[FigureInfo] = &[
         render: None,
         clamp: None,
         check: None,
-        flags: &["--show-tree"],
         study: Some(specs::fig3_4::study),
     },
     FigureInfo {
@@ -86,7 +82,6 @@ pub const FIGURES: &[FigureInfo] = &[
         render: None,
         clamp: None,
         check: None,
-        flags: &[],
         study: Some(specs::fig5::study),
     },
     FigureInfo {
@@ -97,7 +92,6 @@ pub const FIGURES: &[FigureInfo] = &[
         render: None,
         clamp: None,
         check: None,
-        flags: &[],
         study: Some(specs::fig6_7::study),
     },
     FigureInfo {
@@ -109,7 +103,6 @@ pub const FIGURES: &[FigureInfo] = &[
         study: None,
         clamp: None,
         check: None,
-        flags: &[],
     },
     FigureInfo {
         spec: "fig9",
@@ -120,7 +113,6 @@ pub const FIGURES: &[FigureInfo] = &[
         study: None,
         clamp: None,
         check: None,
-        flags: &[],
     },
     FigureInfo {
         spec: "fig10",
@@ -130,7 +122,6 @@ pub const FIGURES: &[FigureInfo] = &[
         render: None,
         clamp: None,
         check: None,
-        flags: &[],
         study: Some(specs::fig10::study),
     },
     FigureInfo {
@@ -141,7 +132,6 @@ pub const FIGURES: &[FigureInfo] = &[
         render: None,
         clamp: None,
         check: None,
-        flags: &[],
         study: Some(specs::fig11::study),
     },
     FigureInfo {
@@ -152,7 +142,6 @@ pub const FIGURES: &[FigureInfo] = &[
         render: None,
         clamp: None,
         check: None,
-        flags: &["--chord"],
         study: Some(specs::ucl_discovery::study),
     },
     FigureInfo {
@@ -164,7 +153,6 @@ pub const FIGURES: &[FigureInfo] = &[
         study: None,
         clamp: None,
         check: None,
-        flags: &[],
     },
     FigureInfo {
         spec: "ext_assumptions",
@@ -174,7 +162,6 @@ pub const FIGURES: &[FigureInfo] = &[
         render: None,
         clamp: None,
         check: None,
-        flags: &[],
         study: Some(specs::ext_assumptions::study),
     },
     FigureInfo {
@@ -186,7 +173,6 @@ pub const FIGURES: &[FigureInfo] = &[
         study: None,
         clamp: None,
         check: None,
-        flags: &[],
     },
     FigureInfo {
         spec: "ext_ablation",
@@ -197,7 +183,6 @@ pub const FIGURES: &[FigureInfo] = &[
         study: None,
         clamp: None,
         check: None,
-        flags: &[],
     },
     FigureInfo {
         spec: "ext_scale",
@@ -208,7 +193,6 @@ pub const FIGURES: &[FigureInfo] = &[
         study: None,
         clamp: Some(specs::ext_scale::drop_oversized_dense_cells),
         check: Some(specs::ext_scale::check),
-        flags: &[],
     },
     FigureInfo {
         spec: "ext_churn",
@@ -219,7 +203,6 @@ pub const FIGURES: &[FigureInfo] = &[
         study: None,
         clamp: None,
         check: Some(specs::ext_churn::check),
-        flags: &[],
     },
     FigureInfo {
         spec: "ext_dht",
@@ -230,7 +213,6 @@ pub const FIGURES: &[FigureInfo] = &[
         study: None,
         clamp: None,
         check: Some(specs::ext_dht::check),
-        flags: &[],
     },
     FigureInfo {
         spec: "ext_serve",
@@ -241,7 +223,6 @@ pub const FIGURES: &[FigureInfo] = &[
         study: None,
         clamp: None,
         check: None,
-        flags: &[],
     },
 ];
 
@@ -275,12 +256,6 @@ mod tests {
         assert_eq!(names.len(), FIGURES.len(), "duplicate spec names");
         for f in FIGURES {
             assert!(!f.title.is_empty());
-            // Only study stages read passthrough flags.
-            assert!(
-                f.flags.is_empty() || f.kind == FigureKind::Study,
-                "{}",
-                f.spec
-            );
         }
     }
 

@@ -17,7 +17,7 @@
 //! one process.
 
 use crate::cli::{self, Args, Rendered};
-use crate::figures::{figure, study_stage, FIGURES};
+use crate::figures::{figure, study_stage};
 use crate::registry::full_registry;
 use np_core::experiment::{AlgoSpec, Experiment, ExperimentSpec, Workload};
 use std::path::{Path, PathBuf};
@@ -59,11 +59,10 @@ pub fn load_spec(text: &str, path: &Path, args: &mut Args) -> Result<ExperimentS
 
 const RUN_USAGE: &str = "usage: np-bench run <spec.toml> [--quick] [--seed N] [--threads N] \
 [--world dense|hierarchical] [--super-shards N] [--block-cache-mb N] [--seeds N] \
-[--out table|json] [--csv] [--algos a,b,c] [--max-rss-mb N] [--show-tree] [--chord]";
+[--out table|json] [--csv] [--algos a,b,c] [--max-rss-mb N]";
 
-/// The run subcommand's parsed inputs: shared flags (with the study
-/// flags left in [`Args::rest`]), the spec path and the optional
-/// `--algos` override.
+/// The run subcommand's parsed inputs: shared flags, the spec path and
+/// the optional `--algos` override.
 #[derive(Debug)]
 pub struct RunInputs {
     pub args: Args,
@@ -72,8 +71,8 @@ pub struct RunInputs {
 }
 
 /// Parse `np-bench run`'s argv (pure; errors are returned, not
-/// printed). A flag no catalogue entry reads is an error, so a typo
-/// never runs a figure with the flag silently dropped.
+/// printed). A flag outside the shared set and `--algos` is an error,
+/// so a typo never runs a figure with the flag silently dropped.
 pub fn parse_run_args(argv: &[String]) -> Result<RunInputs, String> {
     let mut args = Args::try_from_iter(argv.iter().cloned())?;
     let rest = std::mem::take(&mut args.rest);
@@ -104,8 +103,6 @@ pub fn parse_run_args(argv: &[String]) -> Result<RunInputs, String> {
                 ));
             }
             path = Some(PathBuf::from(a));
-        } else if FIGURES.iter().any(|f| f.flags.contains(&a.as_str())) {
-            args.rest.push(a);
         } else {
             return Err(format!("unknown flag {a:?}"));
         }
@@ -268,6 +265,7 @@ fn run_one(text: &str, path: &Path, inputs: &RunInputs) -> Result<bool, String> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figures::FIGURES;
 
     #[test]
     fn rebase_preserves_per_cell_offsets() {
@@ -299,14 +297,13 @@ mod tests {
     }
 
     #[test]
-    fn run_args_parse_path_algos_and_passthrough() {
+    fn run_args_parse_path_and_algos_and_reject_any_other_flag() {
         let argv = |args: &[&str]| args.iter().map(|s| s.to_string()).collect::<Vec<_>>();
         let inputs = parse_run_args(&argv(&[
             "experiments/fig8.toml",
             "--quick",
             "--algos",
             "meridian, random",
-            "--show-tree",
         ]))
         .expect("parses");
         assert_eq!(inputs.path, PathBuf::from("experiments/fig8.toml"));
@@ -315,16 +312,17 @@ mod tests {
             inputs.algos.as_deref(),
             Some(&["meridian".to_string(), "random".to_string()][..])
         );
-        assert_eq!(inputs.args.rest, vec!["--show-tree".to_string()]);
+        assert!(inputs.args.rest.is_empty());
         // Errors: no path, dangling --algos, a second spec path, and
-        // any flag no figure reads — a typo or the retired --shards.
+        // any other flag — a typo, the retired --shards, or the retired
+        // study flags --show-tree and --chord.
         assert!(parse_run_args(&argv(&["--quick"])).is_err());
         assert!(parse_run_args(&argv(&["x.toml", "--algos"])).is_err());
         let err = parse_run_args(&argv(&["a.toml", "b.toml"])).unwrap_err();
         assert!(err.contains("one spec file"), "{err}");
-        let err = parse_run_args(&argv(&["a.toml", "--qiuck"])).unwrap_err();
-        assert_eq!(err, "unknown flag \"--qiuck\"");
-        let err = parse_run_args(&argv(&["a.toml", "--shards", "8"])).unwrap_err();
-        assert_eq!(err, "unknown flag \"--shards\"");
+        for flag in ["--qiuck", "--shards", "--show-tree", "--chord"] {
+            let err = parse_run_args(&argv(&["a.toml", flag])).unwrap_err();
+            assert_eq!(err, format!("unknown flag {flag:?}"));
+        }
     }
 }

@@ -5,13 +5,10 @@
 //! ≈65 % of them within [0.5, 2]; Fig 4 is the per-bin
 //! 5/25/50/75/95-percentiles of the measure vs. predicted latency (log
 //! x), rising with predicted latency, plus bin populations.
-//!
-//! `--show-tree` (a passthrough flag) additionally renders a Figure
-//! 2-style sample traceroute tree.
 
 use np_cluster::dns::{run, DnsStudyConfig};
 use np_core::experiment::{StudyCtx, StudyOutput};
-use np_topology::{HostId, InternetModel, WorldParams};
+use np_topology::{InternetModel, WorldParams};
 use np_util::ascii::{Axis, Chart};
 use np_util::binned::{BinScale, BinnedScatter};
 use np_util::table::{fmt_f, Table};
@@ -31,12 +28,6 @@ pub fn study(ctx: &StudyCtx) -> StudyOutput {
         world.n_pops(),
         world.n_dns()
     );
-    if ctx.flags.iter().any(|a| a == "--show-tree") {
-        let mut tracer = np_probe::Tracer::new(&world, np_probe::NoiseConfig::default(), ctx.seed);
-        let targets: Vec<HostId> = world.dns_servers().take(8).collect();
-        let _ = writeln!(out, "--- Figure 2-style sample trace tree ---");
-        let _ = writeln!(out, "{}", tracer.trace_tree(0, &targets));
-    }
     let study = run(&world, DnsStudyConfig::default(), ctx.seed);
     let _ = writeln!(
         out,

@@ -36,8 +36,7 @@ use np_core::experiment::{ExperimentSpec, Workload};
 /// Apply the shared CLI overrides to a figure's dual-budget spec:
 /// `--world` picks the backend, `--super-shards`/`--block-cache-mb`
 /// pin the hierarchical knobs on every cell, `--seeds` the sweep
-/// width, leftover flags pass through to study stages, and `--quick`
-/// resolves the quick/paper budget pair.
+/// width, and `--quick` resolves the quick/paper budget pair.
 pub fn with_args(mut spec: ExperimentSpec, args: &Args) -> ExperimentSpec {
     spec.backend = args.backend(spec.backend);
     if args.super_shards.is_some() || args.block_cache_mb.is_some() {
@@ -49,7 +48,6 @@ pub fn with_args(mut spec: ExperimentSpec, args: &Args) -> ExperimentSpec {
         }
     }
     spec.seeds = args.seed_plan(spec.seeds);
-    spec.flags.extend(args.rest.iter().cloned());
     spec.resolve_quick(args.quick)
 }
 

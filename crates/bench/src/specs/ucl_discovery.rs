@@ -1,11 +1,10 @@
 //! **§5 claim** spec: UCL discovery rates vs. tracked-router count,
 //! over the live registry. Paper: "To discover peers closer than 5 ms,
 //! peers need to track 3 upstream routers each for a 50% success rate
-//! (the median case) and about 6 routers each for a 75% success rate." The `--chord` passthrough flag backs the
-//! registry with the real Chord ring instead of the perfect map.
+//! (the median case) and about 6 routers each for a 75% success rate."
+//! Like the paper, the registry runs over a perfect key-value map.
 
 use np_core::experiment::{StudyCtx, StudyOutput};
-use np_dht::{ChordMap, PerfectMap};
 use np_remedies::ucl::discovery_study;
 use np_topology::{HostId, InternetModel, WorldParams};
 use np_util::table::{fmt_f, fmt_prob, Table};
@@ -31,15 +30,9 @@ pub fn study(ctx: &StudyCtx) -> StudyOutput {
         .step_by(step)
         .collect();
     let _ = writeln!(out, "evaluated peers: {}", peers.len());
-    let use_chord = ctx.flags.iter().any(|a| a == "--chord");
     let target = Micros::from_ms_u64(5);
     let mut t = Table::new(&["tracked routers", "success", "mean candidates", "after filter"]);
-    let rows = if use_chord {
-        discovery_study(&world, &peers, target, 8, || ChordMap::new(128, ctx.seed))
-    } else {
-        discovery_study(&world, &peers, target, 8, PerfectMap::new)
-    };
-    for r in &rows {
+    for r in &discovery_study(&world, &peers, target, 8) {
         t.row(&[
             r.track.to_string(),
             fmt_prob(r.success),
@@ -47,11 +40,7 @@ pub fn study(ctx: &StudyCtx) -> StudyOutput {
             fmt_f(r.mean_filtered),
         ]);
     }
-    if use_chord {
-        let _ = writeln!(out, "backend: chord (128 nodes)");
-    } else {
-        let _ = writeln!(out, "backend: perfect map (the paper's assumption)");
-    }
+    let _ = writeln!(out, "backend: perfect map (the paper's assumption)");
     let _ = write!(out, "{}", t.render());
     StudyOutput {
         text: out,

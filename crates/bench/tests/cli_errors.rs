@@ -61,12 +61,15 @@ fn fig8_malformed_flags_exit_2_with_usage() {
     assert_usage_error(bin, &sharded, "no world backend \"sharded\"");
     let (_, stderr) = run(bin, &sharded);
     assert_eq!(catalogue(&stderr), ["dense", "hierarchical"], "{stderr}");
-    // A misspelt flag, or the retired --shards, is an error naming the
-    // flag — not a silently ignored study-stage passthrough after a
-    // full paper-scale run.
+    // A misspelt flag, the retired --shards, or a retired study flag
+    // (--show-tree, --chord) is an error naming the flag — never
+    // silently ignored after a full paper-scale run.
     assert_usage_error(bin, &run_fig8(&["--qiuck"]), "unknown flag \"--qiuck\"");
     let shards = run_fig8(&["--shards", "8"]);
     assert_usage_error(bin, &shards, "unknown flag \"--shards\"");
+    for flag in ["--show-tree", "--chord"] {
+        assert_usage_error(bin, &run_fig8(&[flag]), &format!("unknown flag {flag:?}"));
+    }
 }
 
 #[test]
@@ -178,6 +181,12 @@ fn np_bench_run_rejects_malformed_specs_with_named_diagnostics() {
                  backend = \"dense\"\nseeds = \"single\"\nbase_seed = 1\nworkload = \"study\"\n";
     let bad = write_spec("study.toml", study);
     assert_input_error(bin, &["run", &bad], "no study named \"mystery\"");
+    // The retired study-flag key is an unknown key, not a passthrough.
+    let bad = write_spec(
+        "flags.toml",
+        &TINY_SPEC.replace("workload = \"query\"", "workload = \"query\"\nflags = [\"--x\"]"),
+    );
+    assert_input_error(bin, &["run", &bad], "unknown key `experiment.flags`");
 }
 
 #[test]

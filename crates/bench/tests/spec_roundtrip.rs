@@ -10,11 +10,16 @@
 //! 3. **Catalogue agreement** — each file's `name` is its stem and a
 //!    `np_bench::FIGURES` entry, every entry has a file, and
 //!    `all_figures.toml` lists exactly the entries, in order.
+//! 4. **Never panics** — every file under deterministic byte mutations
+//!    (delete, truncate, substitute) loads to `Ok` or a typed `Err`.
 
-use np_bench::spec_files::{rebase_seeds, spec_file_name};
+use np_bench::cli::Args;
+use np_bench::spec_files::{load_spec, rebase_seeds, spec_file_name};
 use np_bench::{study_stage, FIGURES};
 use np_core::experiment::ExperimentSpec;
-use std::path::PathBuf;
+use np_util::rng::splitmix64;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::{Path, PathBuf};
 
 fn experiments_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../experiments")
@@ -147,5 +152,54 @@ fn checked_in_specs_load_resolve_and_validate() {
         assert!(spec.resolve_quick(true).validate().is_ok(), "{}", f.spec);
         let spec = ExperimentSpec::from_toml_with(&text, study_stage).expect("reload");
         assert!(spec.resolve_quick(false).validate().is_ok(), "{}", f.spec);
+    }
+}
+
+/// Bytes a substitution writes: TOML structure, digits, signs and a
+/// byte that breaks UTF-8.
+const SUBSTITUTES: &[u8] = b"\"[]{}=,.#\n -+019aex_\xff";
+
+/// The `i`-th deterministic mutation of `bytes`: delete a span of one
+/// to eight bytes, truncate, or substitute one byte.
+fn mutate(bytes: &[u8], i: u64, salt: u64) -> Vec<u8> {
+    let r = splitmix64(salt ^ i);
+    let at = (r % bytes.len() as u64) as usize;
+    let mut out = bytes.to_vec();
+    match i % 3 {
+        0 => {
+            let end = (at + 1 + (r >> 32) as usize % 8).min(out.len());
+            out.drain(at..end);
+        }
+        1 => out.truncate(at),
+        _ => out[at] = SUBSTITUTES[(r >> 40) as usize % SUBSTITUTES.len()],
+    }
+    out
+}
+
+#[test]
+fn mutated_spec_files_load_or_fail_without_panicking() {
+    let mut files: Vec<PathBuf> = std::fs::read_dir(experiments_dir())
+        .expect("experiments/ is checked in")
+        .map(|entry| entry.expect("readable entry").path())
+        .filter(|p| p.extension().is_some_and(|e| e == "toml"))
+        .collect();
+    files.sort();
+    for (f, path) in files.iter().enumerate() {
+        let bytes = std::fs::read(path).expect("readable spec file");
+        for i in 0..2_000 {
+            let text = String::from_utf8_lossy(&mutate(&bytes, i, (f as u64) << 32)).into_owned();
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                let mut args = Args {
+                    quick: i % 2 == 0,
+                    ..Args::default()
+                };
+                load_spec(&text, Path::new("mutant.toml"), &mut args).map(|spec| spec.validate())
+            }));
+            assert!(
+                outcome.is_ok(),
+                "{} mutation {i} panicked; input:\n{text}",
+                path.display()
+            );
+        }
     }
 }

@@ -15,19 +15,13 @@
 //!   agreement, TCP-ping latencies, hub-latency subtraction with the
 //!   negative-discard rule, 1.5× cluster pruning (Figures 6 and 7),
 //! * [`trace_graph`] — the traceroute-derived adjacency graph over peers
-//!   and routers that §5's Dijkstra analysis (Figures 10, 11) runs on,
-//! * [`reshard`] — measured pruned clusters as the shard map of the
-//!   compressed latency store (unclustered peers spill through the
-//!   `HierarchicalWorld::NO_SHARD` sentinel into exact singleton
-//!   shards).
+//!   and routers that §5's Dijkstra analysis (Figures 10, 11) runs on.
 
 pub mod azureus;
 pub mod dns;
 pub mod domain;
-pub mod reshard;
 pub mod trace_graph;
 
 pub use azureus::{AzureusStudy, Cluster};
 pub use dns::{DnsStudy, PairSample};
-pub use reshard::MeasuredShards;
 pub use trace_graph::TraceGraph;

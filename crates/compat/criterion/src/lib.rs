@@ -72,7 +72,7 @@ pub fn reject_outliers_mad(samples: &[f64]) -> (Vec<f64>, usize) {
     }
     let median_of = |v: &mut Vec<f64>| -> f64 {
         v.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-        v[v.len() / 2]
+        median(v)
     };
     let median = median_of(&mut samples.to_vec());
     let mad = median_of(&mut samples.iter().map(|x| (x - median).abs()).collect());
@@ -87,6 +87,17 @@ pub fn reject_outliers_mad(samples: &[f64]) -> (Vec<f64>, usize) {
         .collect();
     let rejected = samples.len() - kept.len();
     (kept, rejected)
+}
+
+/// The median of ascending, non-empty `sorted`: the middle sample, or
+/// the mean of the two middle samples for an even count.
+fn median(sorted: &[f64]) -> f64 {
+    let mid = sorted.len() / 2;
+    if sorted.len().is_multiple_of(2) {
+        (sorted[mid - 1] + sorted[mid]) / 2.0
+    } else {
+        sorted[mid]
+    }
 }
 
 /// The benchmark driver. Construct with [`Criterion::default`], adjust
@@ -155,7 +166,7 @@ impl Criterion {
         let result = BenchResult {
             name: name.to_string(),
             mean_ns: mean,
-            median_ns: sorted[sorted.len() / 2],
+            median_ns: median(&sorted),
             min_ns: sorted[0],
             samples: sorted.len(),
             rejected,
@@ -391,6 +402,13 @@ mod tests {
         let (kept, rejected) = reject_outliers_mad(&[50.0, 50.0, 50.0, 50.0, 99.0]);
         assert_eq!(rejected, 0);
         assert_eq!(kept.len(), 5);
+    }
+
+    #[test]
+    fn median_averages_the_two_middle_samples_of_an_even_count() {
+        assert_eq!(median(&[9.28, 9.74]), 9.51);
+        assert_eq!(median(&[1.0, 2.0, 7.0]), 2.0);
+        assert_eq!(median(&[1.0, 2.0, 4.0, 7.0]), 3.0);
     }
 
     #[test]

@@ -11,14 +11,10 @@
 //!
 //! * [`vivaldi`] — Vivaldi (Dabek et al., SIGCOMM'04) with height
 //!   vectors and the adaptive timestep of the paper's §2.3,
-//! * [`pic`] — a PIC-style embedding: landmark-seeded coordinates
-//!   refined by downhill simplex-free gradient steps against measured
-//!   RTTs,
 //! * [`walk`] — the greedy closest-peer walk over coordinates with final
 //!   probing, implementing [`np_metric::NearestPeerAlgo`].
 
 pub mod factory;
-pub mod pic;
 pub mod vivaldi;
 pub mod walk;
 

@@ -1,4 +1,4 @@
-//! The coordinate greedy walk (PIC/Vivaldi-style nearest-peer search).
+//! The coordinate greedy walk (Vivaldi-style nearest-peer search).
 //!
 //! Paper §2.3: *"In order for a peer to find its closest peer, it first
 //! computes its (rough) coordinates, and then launches multiple greedy

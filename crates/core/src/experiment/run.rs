@@ -296,7 +296,6 @@ impl<'r> Experiment<'r> {
                     quick: self.spec.quick,
                     threads,
                     backend: self.spec.backend,
-                    flags: self.spec.flags.clone(),
                 };
                 ReportBody::Study(stage(&ctx))
             }
@@ -761,11 +760,9 @@ mod tests {
             Backend::Dense,
             77,
             true,
-            vec!["--flag".into()],
             |ctx: &StudyCtx| {
                 assert_eq!(ctx.seed, 77);
                 assert!(ctx.quick);
-                assert_eq!(ctx.flags, vec!["--flag".to_string()]);
                 crate::experiment::StudyOutput {
                     text: format!("threads={}", ctx.threads),
                     tables: Vec::new(),

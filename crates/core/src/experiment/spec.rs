@@ -310,8 +310,6 @@ pub struct StudyCtx {
     /// The spec's backend selection — cluster-world studies honour it,
     /// Internet-model studies note it as inert.
     pub backend: Backend,
-    /// Binary-specific passthrough flags (`--show-tree`, `--chord`).
-    pub flags: Vec<String>,
 }
 
 /// What a measurement-stack stage returns: the rendered human output
@@ -379,8 +377,6 @@ pub struct ExperimentSpec {
     pub base_seed: u64,
     /// Quick-mode flag handed to study stages.
     pub quick: bool,
-    /// Binary-specific passthrough flags for study stages.
-    pub flags: Vec<String>,
     /// The work itself.
     pub workload: Workload,
 }
@@ -403,7 +399,6 @@ impl ExperimentSpec {
             seeds,
             base_seed: 0,
             quick: false,
-            flags: Vec::new(),
             workload: Workload::QueryMatrix(cells),
         }
     }
@@ -416,7 +411,6 @@ impl ExperimentSpec {
         backend: Backend,
         base_seed: u64,
         quick: bool,
-        flags: Vec<String>,
         stage: impl Fn(&StudyCtx) -> StudyOutput + Sync + 'static,
     ) -> ExperimentSpec {
         ExperimentSpec {
@@ -427,7 +421,6 @@ impl ExperimentSpec {
             seeds: SeedPlan::Single,
             base_seed,
             quick,
-            flags,
             workload: Workload::Study(Box::new(stage)),
         }
     }

@@ -322,7 +322,7 @@ fn cell_table(c: &CellSpec) -> toml::Table {
 // ------------------------------------------------------------ spec ⇄ toml
 
 const EXPERIMENT_KEYS: &[&str] = &[
-    "name", "title", "paper_shape", "backend", "seeds", "base_seed", "workload", "flags",
+    "name", "title", "paper_shape", "backend", "seeds", "base_seed", "workload",
 ];
 const CELL_KEYS: &[&str] = &[
     "label",
@@ -365,14 +365,6 @@ impl ExperimentSpec {
             },
         );
         exp.insert("base_seed", seed_value(self.base_seed));
-        if !self.flags.is_empty() {
-            exp.insert(
-                "flags",
-                toml::Value::Array(
-                    self.flags.iter().map(|f| toml::Value::Str(f.clone())).collect(),
-                ),
-            );
-        }
         let mut root = toml::Table::new();
         match &self.workload {
             Workload::QueryMatrix(cells) => {
@@ -443,19 +435,6 @@ impl ExperimentSpec {
             }
         };
         let base_seed = exp.seed("base_seed")?;
-        let flags: Vec<String> = match exp_table.get("flags") {
-            None => Vec::new(),
-            Some(v) => v
-                .as_array()
-                .ok_or_else(|| invalid("experiment.flags", "an array of strings", v.type_name()))?
-                .iter()
-                .map(|e| {
-                    e.as_str()
-                        .map(str::to_string)
-                        .ok_or_else(|| invalid("experiment.flags", "an array of strings", e.type_name()))
-                })
-                .collect::<Result<_, _>>()?,
-        };
         let workload = match exp.str("workload")? {
             "query" => {
                 let mut cells = Vec::new();
@@ -488,7 +467,6 @@ impl ExperimentSpec {
             seeds,
             base_seed,
             quick: false,
-            flags,
             workload,
         };
         spec.validate()?;
@@ -748,7 +726,6 @@ mod tests {
             ],
         );
         spec.base_seed = 100;
-        spec.flags = vec!["--extra".into()];
         spec
     }
 
@@ -775,7 +752,6 @@ mod tests {
             Backend::Dense,
             77,
             false,
-            vec!["--show-tree".into()],
             stage,
         );
         let text = spec.to_toml();

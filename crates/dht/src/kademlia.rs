@@ -11,20 +11,20 @@
 //! random-sample baseline — exactly the paper's "cheap search cannot
 //! find the nearest peer" claim restated in DHT form.
 //!
-//! Mechanics: every overlay member is mapped onto the [`crate::hash::Key`]
-//! ring. A query seeds a shortlist at a random member, then repeatedly
-//! queries the α XOR-closest unqueried candidates of its k-closest
-//! frontier; each queried member returns the k closest contacts it
-//! knows (its Kademlia buckets, derived deterministically from the
-//! sorted ring by one descent of its key's binary subtree) and
+//! Mechanics: every overlay member is hashed onto a 2⁶⁴ identifier ring
+//! ([`peer_key`]). A query seeds a shortlist at a random member, then
+//! repeatedly queries the α XOR-closest unqueried candidates of its
+//! k-closest frontier; each queried member returns the k closest
+//! contacts it knows (its Kademlia buckets, derived deterministically
+//! from the sorted ring by one descent of its key's binary subtree) and
 //! measures its own RTT to the target — one counted probe via
-//! [`Target::try_probe_from`], so probe faults are observed. The
-//! lookup terminates when the frontier stops improving (every frontier
-//! member has been queried and no closer candidate appeared); the
-//! answer is the latency-best responder seen along the way.
+//! [`Target::try_probe_from`], so probe faults are observed. The lookup
+//! terminates when the frontier stops improving (every frontier member
+//! has been queried and no closer candidate appeared); the answer is
+//! the latency-best responder seen along the way.
 
-use crate::hash::Key;
 use np_metric::{NearestPeerAlgo, PeerId, QueryOutcome, Target};
+use np_util::rng::splitmix64;
 use np_util::Micros;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -62,10 +62,11 @@ pub struct KademliaRing {
     ring: Vec<(u64, PeerId)>,
 }
 
-/// The identifier a peer hashes to on the ring.
+/// The identifier a peer hashes to on the ring: its id through
+/// SplitMix64 under a fixed salt, so sequential ids spread uniformly.
 #[inline]
 pub fn peer_key(p: PeerId) -> u64 {
-    Key::of_u64(u64::from(p.0)).0
+    splitmix64(u64::from(p.0) ^ 0x6b65_795f_7536_3434)
 }
 
 impl KademliaRing {
@@ -298,7 +299,7 @@ impl np_core::experiment::AlgoFactory for KademliaFactory {
 mod tests {
     use super::*;
     use np_metric::{FaultPlan, LatencyMatrix};
-    use np_util::rng::{rng_from, splitmix64};
+    use np_util::rng::rng_from;
     use std::collections::BTreeSet;
 
     fn line_matrix(n: usize) -> LatencyMatrix {
@@ -463,6 +464,20 @@ mod tests {
     fn lookup(n: u32, cfg: KademliaConfig) -> KademliaLookup {
         let members: Vec<PeerId> = (1..n).map(PeerId).collect();
         KademliaLookup::new(Arc::new(KademliaRing::build(&members)), members, cfg)
+    }
+
+    #[test]
+    fn sequential_peer_ids_spread_over_the_ring() {
+        // Peer ids are dense and sequential; their keys must not be:
+        // 1000 consecutive ids cover all 16 top-level ring sectors, and
+        // neighbouring ids land far apart.
+        let mut sectors = [false; 16];
+        for id in 0..1000u32 {
+            sectors[(peer_key(PeerId(0x0A00_0000 + id)) >> 60) as usize] = true;
+        }
+        assert!(sectors.iter().all(|&s| s), "sectors uncovered");
+        let (a, b) = (peer_key(PeerId(1)), peer_key(PeerId(2)));
+        assert!(a.abs_diff(b) > 1 << 32, "keys too close: {a:x} {b:x}");
     }
 
     #[test]

@@ -226,7 +226,7 @@ pub enum BuildMode {
 /// Generic over [`WorldStore`] (defaulting to the dense matrix): the
 /// omniscient fill and gossip warm-up read inter-member RTTs through
 /// the trait, so overlays build identically over a [`LatencyMatrix`]
-/// or a compressed `HierarchicalWorld`.
+/// or a `HierarchicalWorld`.
 pub struct Overlay<'m, W: WorldStore + ?Sized = LatencyMatrix> {
     cfg: MeridianConfig,
     world: &'m W,
@@ -256,8 +256,8 @@ impl<'m, W: WorldStore + ?Sized> Overlay<'m, W> {
     /// stream (`item_seed(seed, FILL_TAG, index)`), so per-node fill +
     /// ring management run in parallel via [`par_map`] and the rings
     /// come out bit-identical at any `threads`, including 1. This is
-    /// the one omniscient fill for every store — dense, hierarchical at
-    /// any super-shard count or block budget, and compressed — since
+    /// the one omniscient fill for every store — dense, and
+    /// hierarchical at any super-shard count or block budget — since
     /// it reads only [`WorldStore::rtt`]. The fill keeps
     /// only each ring's survivors of the offer stream (see
     /// `fill_survivors`), so `members` must not contain duplicates

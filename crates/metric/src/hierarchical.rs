@@ -54,7 +54,7 @@
 //! # Exact vs approximate
 //!
 //! * **One shard** — the world is one dense block; every query is
-//!   bit-identical to [`LatencyMatrix`].
+//!   bit-identical to [`crate::LatencyMatrix`].
 //! * **Intra-shard queries** — always exact, any shard count: they
 //!   read the dense block.
 //! * **One super-shard** — the group's hub matrix holds the whole
@@ -63,23 +63,15 @@
 //!   with one super-shard) that sum *is* the generator's inter-cluster
 //!   rule, so the store is exact everywhere — bit-identical to the
 //!   dense matrix, property-tested in `tests/world_equivalence.rs`.
-//! * **Arbitrary matrices** ([`HierarchicalWorld::compress`]) — each
-//!   shard's hub is its medoid, so inter-shard distances are
-//!   `d(a,b) ≈ d(a,hₐ) + d(hₐ,h_b) + d(b,h_b)`. In a metric space this
-//!   overestimates by at most `2·(d(a,hₐ) + d(b,h_b))` (two triangle
-//!   detours); on hub-and-spoke worlds the error is exactly
-//!   `2·(offset(hₐ) + offset(h_b))` — the medoids' own spoke
-//!   latencies, counted twice.
 //! * **Cross-group queries** (more than one super-shard) detour
 //!   through the two super-hub shards: in a metric hub space the
 //!   estimate overestimates by at most
-//!   `2·(H(s(a), σ(a)) + H(s(b), σ(b)))` — the same detour bound, one
-//!   level up (`H` = hub distance, `σ` = the endpoint's super-hub
-//!   shard). On §4 generated worlds the level-1 summary is the
-//!   generator's own rule, so this is the *only* approximation the
-//!   second level adds.
+//!   `2·(H(s(a), σ(a)) + H(s(b), σ(b)))` — two triangle detours
+//!   (`H` = hub distance, `σ` = the endpoint's super-hub shard). On
+//!   §4 generated worlds the level-1 summary is the generator's own
+//!   rule, so this is the *only* approximation the store makes.
 
-use crate::matrix::{LatencyMatrix, PeerId};
+use crate::matrix::PeerId;
 use crate::world::WorldStore;
 use np_util::Micros;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -237,21 +229,13 @@ impl std::fmt::Debug for HierarchicalWorld {
 }
 
 impl HierarchicalWorld {
-    /// Sentinel shard id for peers that match **no** cluster (spills):
-    /// [`HierarchicalWorld::compress`] routes each such peer into its
-    /// own singleton overflow shard instead of producing out-of-bounds
-    /// shard indices. [`HierarchicalWorld::build_lazy`] rejects the
-    /// sentinel outright — it has no matrix to derive an overflow hub
-    /// from.
-    pub const NO_SHARD: u32 = u32::MAX;
-
     /// Build from a shard assignment, the level-1 hub summary (as a
     /// function — it is *not* stored densely), and an exact pairwise
     /// latency function retained for lazy block fills.
     ///
-    /// `shard_of[p]` is peer `p`'s shard; ids must cover `0..S`
-    /// (the [`HierarchicalWorld::NO_SHARD`] sentinel is rejected —
-    /// resolve spills before building, as `compress` does).
+    /// `shard_of[p]` is peer `p`'s shard; ids must cover `0..S` and lie
+    /// below the peer count (an id at or past it cannot name a
+    /// non-empty shard, and would size the shard tables by the id).
     /// `super_shards` is clamped to `[1, S]`; shards are grouped into
     /// that many contiguous, balanced runs (shard id order), so the
     /// grouping is a pure function of `(S, super_shards)`.
@@ -271,8 +255,8 @@ impl HierarchicalWorld {
         let n = shard_of.len();
         assert_eq!(offset.len(), n, "one hub offset per peer");
         assert!(
-            shard_of.iter().all(|&s| s != HierarchicalWorld::NO_SHARD),
-            "NO_SHARD spills must be resolved before build_lazy"
+            shard_of.iter().all(|&s| (s as usize) < n),
+            "shard ids must lie below the peer count"
         );
         let n_shards = shard_of.iter().map(|&s| s as usize + 1).max().unwrap_or(1);
         let mut members: Vec<Vec<PeerId>> = vec![Vec::new(); n_shards];
@@ -362,94 +346,6 @@ impl HierarchicalWorld {
         }
     }
 
-    /// Compress an existing dense matrix under a shard assignment,
-    /// deriving the level-1 hub summary from the matrix itself: each
-    /// shard's hub is its **medoid** (the member minimising total
-    /// intra-shard RTT, ties by lowest id), `offset[p] = rtt(p, hub)`,
-    /// and hub-to-hub RTTs are read straight from the matrix. The
-    /// second level is grouped and elected on top by
-    /// [`HierarchicalWorld::build_lazy`]. Intra-shard queries stay
-    /// exact; inter-shard distances carry the triangle detour error
-    /// bounded in the module docs.
-    ///
-    /// # Spills
-    ///
-    /// A peer assigned [`HierarchicalWorld::NO_SHARD`] (it matched no
-    /// cluster — e.g. an np-cluster assignment that left it
-    /// unclassified) is routed into its own **singleton overflow
-    /// shard**: the peer is its own hub with offset 0, and its hub
-    /// distances are read from the matrix like any other. Overflow
-    /// shards are appended after the real clusters in ascending
-    /// peer-id order.
-    ///
-    /// **Error bound:** a spill's distances are *better* approximated
-    /// than a regular inter-shard pair's — `d(spill, b) = d(spill, h_b) +
-    /// d(b, h_b)`, a **single** triangle detour, overestimating by at
-    /// most `2·d(b, h_b)` (the other endpoint's detour only; the
-    /// spill's own detour term is zero). At one super-shard,
-    /// spill-to-spill distances are exact. The price is summary size:
-    /// each spill adds one hub row.
-    pub fn compress(
-        matrix: &Arc<LatencyMatrix>,
-        shard_of: &[u32],
-        super_shards: usize,
-        cache_budget_bytes: usize,
-    ) -> HierarchicalWorld {
-        let n = matrix.len();
-        assert_eq!(shard_of.len(), n, "one shard id per peer");
-        let real_shards = shard_of
-            .iter()
-            .filter(|&&s| s != HierarchicalWorld::NO_SHARD)
-            .map(|&s| s as usize + 1)
-            .max()
-            .unwrap_or(0);
-        let mut next_overflow = real_shards as u32;
-        let dense_assignment: Vec<u32> = shard_of
-            .iter()
-            .map(|&s| {
-                if s == HierarchicalWorld::NO_SHARD {
-                    let id = next_overflow;
-                    next_overflow += 1;
-                    id
-                } else {
-                    s
-                }
-            })
-            .collect();
-        let n_shards = (next_overflow as usize).max(real_shards).max(1);
-        let mut membership: Vec<Vec<PeerId>> = vec![Vec::new(); n_shards];
-        for i in 0..n {
-            membership[dense_assignment[i] as usize].push(PeerId(i as u32));
-        }
-        let hubs: Vec<Option<PeerId>> = membership
-            .iter()
-            .map(|ms| {
-                ms.iter().copied().min_by_key(|&c| {
-                    let total: u64 = ms.iter().map(|&m| matrix.rtt(c, m).as_us()).sum();
-                    (total, c)
-                })
-            })
-            .collect();
-        let offset: Vec<f32> = (0..n)
-            .map(|i| {
-                let hub = hubs[dense_assignment[i] as usize].expect("own shard non-empty");
-                matrix.rtt(PeerId(i as u32), hub).as_us() as f32
-            })
-            .collect();
-        let m = Arc::clone(matrix);
-        HierarchicalWorld::build_lazy(
-            &dense_assignment,
-            super_shards,
-            offset,
-            |a, b| match (hubs[a], hubs[b]) {
-                (Some(ha), Some(hb)) => matrix.rtt(ha, hb).as_us(),
-                _ => 0,
-            },
-            cache_budget_bytes,
-            move |a, b| m.rtt(a, b),
-        )
-    }
-
     /// Number of shards.
     pub fn n_shards(&self) -> usize {
         self.members.len()
@@ -495,8 +391,8 @@ impl HierarchicalWorld {
     }
 
     /// Serial upper-triangle fill + mirror — the same values
-    /// [`LatencyMatrix::build_par`] stores for these pairs, computed on
-    /// demand.
+    /// [`crate::LatencyMatrix::build_par`] stores for these pairs,
+    /// computed on demand.
     fn materialise(&self, s: usize) -> Vec<f32> {
         let ms = &self.members[s];
         let m = ms.len();
@@ -610,17 +506,6 @@ impl HierarchicalWorld {
         }
     }
 
-    /// The shard's hub id: the member closest to its hub (minimum
-    /// offset, ties by lowest id). For worlds built by
-    /// [`HierarchicalWorld::compress`] this is the medoid itself
-    /// (offset 0); `None` for an empty shard.
-    pub fn hub_peer(&self, shard: usize) -> Option<PeerId> {
-        self.members[shard]
-            .iter()
-            .copied()
-            .min_by_key(|&m| (self.offset[m.idx()] as u64, m))
-    }
-
     /// The super-shard a shard belongs to.
     pub fn super_of(&self, shard: usize) -> usize {
         self.super_of[shard] as usize
@@ -689,6 +574,7 @@ impl WorldStore for HierarchicalWorld {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::LatencyMatrix;
 
     /// A two-level synthetic hub world: shard = id / 4, offset
     /// `1 + id%4` ms, hub-to-hub `10·|sa−sb|` ms, intra-shard exact
@@ -769,31 +655,6 @@ mod tests {
     }
 
     #[test]
-    fn compress_keeps_intra_shard_exact_and_overestimates_inter() {
-        let n = 16usize;
-        let dense = Arc::new(LatencyMatrix::build(n, star_rtt));
-        let shard_of: Vec<u32> = (0..n as u32).map(|i| i / 4).collect();
-        let w = HierarchicalWorld::compress(&dense, &shard_of, 1, usize::MAX);
-        w.validate().expect("valid");
-        for a in dense.peers() {
-            for b in dense.peers() {
-                if w.shard_of(a) == w.shard_of(b) {
-                    assert_eq!(w.rtt(a, b), dense.rtt(a, b), "intra-shard must be exact");
-                } else {
-                    // Medoid-detour estimate: never an underestimate in
-                    // a metric space, off by exactly the medoids'
-                    // doubled spoke latencies in this star world.
-                    assert!(w.rtt(a, b) >= dense.rtt(a, b), "underestimated {a}->{b}");
-                    assert!(
-                        w.rtt(a, b) <= dense.rtt(a, b) + Micros::from_ms_u64(4),
-                        "error beyond the 2·(1 ms + 1 ms) medoid bound for {a}->{b}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn memory_is_subquadratic() {
         let compressed = star_hier(16, 1, usize::MAX); // 64 peers in 16 shards
         let dense_bytes = 64 * 64 * 4;
@@ -814,7 +675,7 @@ mod tests {
     }
 
     #[test]
-    fn shard_view_reassembles_rtt_and_names_hub_peers() {
+    fn shard_view_reassembles_rtt() {
         let w = star_hier(3, 1, usize::MAX);
         let view = w.shard_view().expect("the compressed store has shards");
         assert_eq!(view.n_shards(), 3);
@@ -837,69 +698,9 @@ mod tests {
                 }
             }
         }
-        // Hub peer: minimum offset (1 ms for id % 4 == 0), ties by id.
-        assert_eq!(view.hub_peer(0), Some(PeerId(0)));
-        assert_eq!(view.hub_peer(2), Some(PeerId(8)));
         // The dense matrix has no shard structure.
         let dense = LatencyMatrix::build(8, star_rtt);
         assert!(WorldStore::shard_view(&dense).is_none());
-    }
-
-    #[test]
-    fn compress_routes_spills_into_singleton_overflow_shards() {
-        // 16-peer star world: shards 0..2 assigned normally, the last
-        // four peers match no cluster (NO_SHARD).
-        let n = 16usize;
-        let dense = Arc::new(LatencyMatrix::build(n, star_rtt));
-        let shard_of: Vec<u32> = (0..n as u32)
-            .map(|i| {
-                if i < 12 {
-                    i / 4
-                } else {
-                    HierarchicalWorld::NO_SHARD
-                }
-            })
-            .collect();
-        let w = HierarchicalWorld::compress(&dense, &shard_of, 1, usize::MAX);
-        w.validate().expect("valid");
-        // 3 real shards + one singleton per spill, in peer-id order.
-        assert_eq!(w.n_shards(), 7);
-        for (k, spill) in (12u32..16).enumerate() {
-            let s = 3 + k;
-            assert_eq!(w.shard_of(PeerId(spill)), s);
-            assert_eq!(w.shard_members(s), &[PeerId(spill)]);
-            // A singleton's hub is the peer itself, offset zero.
-            assert_eq!(w.hub_peer(s), Some(PeerId(spill)));
-            assert_eq!(w.hub_offset_us(PeerId(spill)), 0);
-        }
-        for a in dense.peers() {
-            for b in dense.peers() {
-                if w.shard_of(a) == w.shard_of(b) {
-                    assert_eq!(w.rtt(a, b), dense.rtt(a, b), "intra-shard must stay exact");
-                } else {
-                    // One detour per non-spill endpoint: never an
-                    // underestimate, and bounded by the endpoints' hub
-                    // detours (zero for spills).
-                    let hub_detour = |p: PeerId| {
-                        let hub = w.hub_peer(w.shard_of(p)).expect("non-empty");
-                        dense.rtt(p, hub)
-                    };
-                    let bound =
-                        dense.rtt(a, b) + hub_detour(a).scale(2.0) + hub_detour(b).scale(2.0);
-                    assert!(w.rtt(a, b) >= dense.rtt(a, b), "underestimated {a}->{b}");
-                    assert!(
-                        w.rtt(a, b) <= bound,
-                        "error beyond the detour bound for {a}->{b}"
-                    );
-                }
-            }
-        }
-        // Spill-to-spill pairs are hub-to-hub reads: exact.
-        for a in 12u32..16 {
-            for b in 12u32..16 {
-                assert_eq!(w.rtt(PeerId(a), PeerId(b)), dense.rtt(PeerId(a), PeerId(b)));
-            }
-        }
     }
 
     #[test]
@@ -1017,10 +818,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "NO_SHARD")]
-    fn build_lazy_rejects_the_spill_sentinel() {
+    #[should_panic(expected = "below the peer count")]
+    fn build_lazy_rejects_an_out_of_range_shard_id() {
         HierarchicalWorld::build_lazy(
-            &[0, HierarchicalWorld::NO_SHARD],
+            &[0, u32::MAX],
             1,
             vec![0.0, 0.0],
             |_, _| 0,

@@ -231,7 +231,7 @@ pub struct QueryOutcome {
 
 /// A nearest-peer search algorithm over a fixed overlay.
 ///
-/// Implementations: Meridian (`np-meridian`), the Vivaldi/PIC greedy walk
+/// Implementations: Meridian (`np-meridian`), the Vivaldi greedy walk
 /// (`np-coords`), Karger–Ruhl, Tapestry, Tiers and Beaconing
 /// (`np-baselines`), and the remedy-augmented hybrid (`np-core`).
 ///
@@ -461,16 +461,23 @@ mod tests {
     #[test]
     fn probes_equal_the_probers_rtt_on_dense_and_hierarchical_stores() {
         use crate::HierarchicalWorld;
-        use std::sync::Arc;
-        // A structureless symmetric world: each unordered pair's RTT
-        // is a hash of the pair, so no two rows agree by accident.
+        // A structureless world: each pair's RTT is a hash of the pair,
+        // so no two rows agree by accident (both stores mirror the
+        // upper triangle). The hierarchical store groups its five
+        // shards under two super-shards, with hashed hub offsets.
         let n = 48u32;
-        let dense = Arc::new(LatencyMatrix::build(n as usize, |a, b| {
+        let hashed = |a: PeerId, b: PeerId| {
             Micros::from_us(1 + splitmix64((u64::from(a.0) << 32) | u64::from(b.0)) % 50_000)
-        }));
+        };
+        let dense = LatencyMatrix::build(n as usize, hashed);
         let shard_of: Vec<u32> = (0..n).map(|i| i % 5).collect();
-        let hier = HierarchicalWorld::compress(&dense, &shard_of, 2, usize::MAX);
-        let stores: [&dyn WorldStore; 2] = [&*dense, &hier];
+        let offset: Vec<f32> = (0..n)
+            .map(|i| (splitmix64(u64::from(i)) % 5_000) as f32)
+            .collect();
+        let hub_us = |a: usize, b: usize| 10_000 * a.abs_diff(b) as u64;
+        let hier = HierarchicalWorld::build_lazy(&shard_of, 2, offset, hub_us, usize::MAX, hashed);
+        assert_eq!(hier.n_super_shards(), 2);
+        let stores: [&dyn WorldStore; 2] = [&dense, &hier];
         for world in stores {
             for t in (0..n).map(PeerId) {
                 let plain = Target::new(t, world);

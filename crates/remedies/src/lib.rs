@@ -10,22 +10,17 @@
 //!   router find each other directly, and latency annotations let them
 //!   discard far candidates without probing. Includes the Figure 10 hop
 //!   study and the §5 discovery-rate evaluation.
-//! * [`prefix`] — the **IP-prefix** heuristic and its Figure 11
+//! * [`prefix`] — the **IP-prefix** heuristic's Figure 11
 //!   false-positive/false-negative study (no sweet spot exists).
-//! * [`multicast`] — approach 1: expanding-ring IP-multicast search
-//!   within the end-network (works only where multicast is enabled and
-//!   the network is a single multicast domain).
-//! * [`central`] — approach 2: a per-end-network membership server.
+//! * [`cluster_hints`] — the §5 hybrid's end-network hint source.
 //!
-//! The registries run over any [`np_dht::KeyValueMap`] — the paper's
-//! "perfect map" for evaluation, the Chord ring for deployment realism.
+//! The paper evaluates the registries over "a perfect key-value map"
+//! and leaves hosting it on a DHT to deployment; the UCL registry keeps
+//! that map in process.
 
-pub mod central;
 pub mod cluster_hints;
-pub mod multicast;
 pub mod prefix;
 pub mod ucl;
 
 pub use cluster_hints::{EnRegistry, HybridHintFactory};
-pub use prefix::PrefixRegistry;
 pub use ucl::UclRegistry;

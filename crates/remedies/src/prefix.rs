@@ -1,51 +1,16 @@
 //! The IP-prefix remedy and its error study (paper §5, Figure 11).
 //!
-//! The registry keys peers by a fixed-length prefix of their IP address.
-//! The evaluation measures, per peer and prefix length, the
+//! The heuristic keys peers by a fixed-length prefix of their IP
+//! address. The evaluation measures, per peer and prefix length, the
 //! false-positive rate (peers sharing the prefix but farther than 10 ms)
 //! and false-negative rate (peers within 10 ms but with a different
 //! prefix) — the paper finds no sweet spot, and multihomed
 //! (provider-independent) networks keep the false-negative floor up.
 
 use np_cluster::TraceGraph;
-use np_dht::KeyValueMap;
 use np_topology::{HostId, InternetModel};
 use np_util::Micros;
 use std::collections::{HashMap, HashSet};
-
-/// The registry mechanism itself.
-pub struct PrefixRegistry<'w, M: KeyValueMap> {
-    world: &'w InternetModel,
-    map: M,
-    /// Prefix length in bits.
-    pub len: u8,
-}
-
-impl<'w, M: KeyValueMap> PrefixRegistry<'w, M> {
-    pub fn new(world: &'w InternetModel, map: M, len: u8) -> Self {
-        assert!((1..=32).contains(&len));
-        PrefixRegistry { world, map, len }
-    }
-
-    fn key(&self, peer: HostId) -> u64 {
-        u64::from(self.world.host(peer).ip.prefix_bits(self.len))
-    }
-
-    /// Register a peer under its prefix.
-    pub fn insert(&mut self, peer: HostId) {
-        self.map.insert(self.key(peer), u64::from(peer.0));
-    }
-
-    /// Peers sharing the prefix (excluding the querier).
-    pub fn candidates(&mut self, peer: HostId) -> Vec<HostId> {
-        self.map
-            .get(self.key(peer))
-            .into_iter()
-            .map(|v| HostId(v as u32))
-            .filter(|&h| h != peer)
-            .collect()
-    }
-}
 
 /// Per-length error rates (medians across peers).
 #[derive(Debug, Clone, Copy)]
@@ -121,7 +86,6 @@ pub fn error_study(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use np_dht::PerfectMap;
     use np_topology::WorldParams;
 
     fn setup() -> (InternetModel, Vec<HostId>, TraceGraph) {
@@ -132,20 +96,6 @@ mod tests {
             .collect();
         let tg = TraceGraph::build(&world, &peers, 53);
         (world, peers, tg)
-    }
-
-    #[test]
-    fn registry_returns_prefix_mates() {
-        let (world, peers, _) = setup();
-        let mut reg = PrefixRegistry::new(&world, PerfectMap::new(), 24);
-        for &p in peers.iter().take(500) {
-            reg.insert(p);
-        }
-        let p = peers[0];
-        for cand in reg.candidates(p) {
-            assert!(world.host(cand).ip.shares_prefix(world.host(p).ip, 24));
-            assert_ne!(cand, p);
-        }
     }
 
     #[test]

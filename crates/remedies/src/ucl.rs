@@ -11,10 +11,10 @@
 //! be too far away."*
 
 use np_cluster::TraceGraph;
-use np_dht::KeyValueMap;
 use np_topology::{HostId, InternetModel, RouterId};
 use np_util::binned::{BinScale, BinnedScatter};
 use np_util::Micros;
+use std::collections::HashMap;
 
 /// Pack a `(peer, latency)` record into a map value.
 fn pack(peer: HostId, lat: Micros) -> u64 {
@@ -43,43 +43,51 @@ pub fn ucl_of(world: &InternetModel, peer: HostId, n: usize) -> Vec<(RouterId, M
         .collect()
 }
 
-/// The UCL registry over a key-value map.
-pub struct UclRegistry<'w, M: KeyValueMap> {
+/// The UCL registry over the paper's perfect key-value map: a
+/// multimap from router IP to packed `(peer, latency)` records, because
+/// one upstream router maps to *all* the peers that track it.
+pub struct UclRegistry<'w> {
     world: &'w InternetModel,
-    map: M,
+    map: HashMap<u32, Vec<u64>>,
     /// How many upstream routers each peer tracks.
     pub track: usize,
 }
 
-impl<'w, M: KeyValueMap> UclRegistry<'w, M> {
-    pub fn new(world: &'w InternetModel, map: M, track: usize) -> Self {
+impl<'w> UclRegistry<'w> {
+    pub fn new(world: &'w InternetModel, track: usize) -> Self {
         assert!(track >= 1);
-        UclRegistry { world, map, track }
+        UclRegistry {
+            world,
+            map: HashMap::new(),
+            track,
+        }
     }
 
     /// Register a peer: one mapping per tracked router.
     pub fn insert(&mut self, peer: HostId) {
         for (r, lat) in ucl_of(self.world, peer, self.track) {
-            self.map.insert(u64::from(self.world.router(r).ip.0), pack(peer, lat));
+            let key = self.world.router(r).ip.0;
+            self.map.entry(key).or_default().push(pack(peer, lat));
         }
     }
 
     /// Remove a peer's mappings (departure).
     pub fn remove(&mut self, peer: HostId) {
         for (r, _) in ucl_of(self.world, peer, self.track) {
-            self.map.remove_if(u64::from(self.world.router(r).ip.0), &mut |v| {
-                unpack(v).0 == peer
-            });
+            if let Some(values) = self.map.get_mut(&self.world.router(r).ip.0) {
+                values.retain(|&v| unpack(v).0 != peer);
+            }
         }
     }
 
     /// Candidate peers for `peer`: everyone sharing a tracked router,
     /// with the latency *estimate* (sum of the two router latencies),
     /// deduplicated to the best estimate and sorted ascending.
-    pub fn candidates(&mut self, peer: HostId) -> Vec<(HostId, Micros)> {
-        let mut best: std::collections::HashMap<HostId, Micros> = std::collections::HashMap::new();
+    pub fn candidates(&self, peer: HostId) -> Vec<(HostId, Micros)> {
+        let mut best: HashMap<HostId, Micros> = HashMap::new();
         for (r, my_lat) in ucl_of(self.world, peer, self.track) {
-            for v in self.map.get(u64::from(self.world.router(r).ip.0)) {
+            let records = self.map.get(&self.world.router(r).ip.0);
+            for &v in records.into_iter().flatten() {
                 let (other, their_lat) = unpack(v);
                 if other == peer {
                     continue;
@@ -98,15 +106,10 @@ impl<'w, M: KeyValueMap> UclRegistry<'w, M> {
 
     /// Candidates estimated closer than `cap` (the discard-without-
     /// probing rule).
-    pub fn candidates_within(&mut self, peer: HostId, cap: Micros) -> Vec<(HostId, Micros)> {
+    pub fn candidates_within(&self, peer: HostId, cap: Micros) -> Vec<(HostId, Micros)> {
         let mut v = self.candidates(peer);
         v.retain(|&(_, est)| est <= cap);
         v
-    }
-
-    /// The underlying map (telemetry).
-    pub fn map(&self) -> &M {
-        &self.map
     }
 }
 
@@ -150,12 +153,11 @@ pub struct DiscoveryRow {
 ///
 /// Ground truth ("peer X has a neighbour closer than target") is decided
 /// with the world's RTTs over the same `peers` population.
-pub fn discovery_study<M: KeyValueMap>(
+pub fn discovery_study(
     world: &InternetModel,
     peers: &[HostId],
     target: Micros,
     max_track: usize,
-    mut make_map: impl FnMut() -> M,
 ) -> Vec<DiscoveryRow> {
     // Ground truth neighbour sets (true RTT within target).
     let mut has_close: Vec<(HostId, Vec<HostId>)> = Vec::new();
@@ -172,7 +174,7 @@ pub fn discovery_study<M: KeyValueMap>(
     }
     let mut rows = Vec::new();
     for track in 1..=max_track {
-        let mut reg = UclRegistry::new(world, make_map(), track);
+        let mut reg = UclRegistry::new(world, track);
         for &p in peers {
             reg.insert(p);
         }
@@ -202,7 +204,6 @@ pub fn discovery_study<M: KeyValueMap>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use np_dht::{ChordMap, PerfectMap};
     use np_topology::WorldParams;
 
     fn world() -> InternetModel {
@@ -247,7 +248,7 @@ mod tests {
         }
         let pair = by_en.values().find(|v| v.len() >= 2).expect("shared EN");
         let (a, b) = (pair[0], pair[1]);
-        let mut reg = UclRegistry::new(&w, PerfectMap::new(), 3);
+        let mut reg = UclRegistry::new(&w, 3);
         reg.insert(a);
         reg.insert(b);
         let cands = reg.candidates(a);
@@ -260,7 +261,7 @@ mod tests {
     fn estimates_discard_far_candidates() {
         let w = world();
         let peers: Vec<HostId> = w.azureus_peers().take(400).collect();
-        let mut reg = UclRegistry::new(&w, PerfectMap::new(), 3);
+        let mut reg = UclRegistry::new(&w, 3);
         for &p in &peers {
             reg.insert(p);
         }
@@ -280,7 +281,7 @@ mod tests {
     fn removal_retracts_mappings() {
         let w = world();
         let peers: Vec<HostId> = w.azureus_peers().take(50).collect();
-        let mut reg = UclRegistry::new(&w, PerfectMap::new(), 3);
+        let mut reg = UclRegistry::new(&w, 3);
         for &p in &peers {
             reg.insert(p);
         }
@@ -300,7 +301,7 @@ mod tests {
     fn discovery_improves_with_track_depth() {
         let w = world();
         let peers: Vec<HostId> = w.azureus_peers().step_by(7).take(300).collect();
-        let rows = discovery_study(&w, &peers, Micros::from_ms_u64(5), 4, PerfectMap::new);
+        let rows = discovery_study(&w, &peers, Micros::from_ms_u64(5), 4);
         assert_eq!(rows.len(), 4);
         // Success is monotone non-decreasing in tracked routers.
         for pair in rows.windows(2) {
@@ -309,21 +310,5 @@ mod tests {
                 "success dropped: {pair:?}"
             );
         }
-    }
-
-    #[test]
-    fn chord_backed_registry_agrees_with_perfect() {
-        let w = world();
-        let peers: Vec<HostId> = w.azureus_peers().take(60).collect();
-        let mut perfect = UclRegistry::new(&w, PerfectMap::new(), 3);
-        let mut chord = UclRegistry::new(&w, ChordMap::new(32, 5), 3);
-        for &p in &peers {
-            perfect.insert(p);
-            chord.insert(p);
-        }
-        for &p in peers.iter().take(10) {
-            assert_eq!(perfect.candidates(p), chord.candidates(p));
-        }
-        assert!(chord.map().mean_hops() >= 1.0);
     }
 }

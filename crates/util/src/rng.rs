@@ -16,8 +16,8 @@ pub const DEFAULT_SEED: u64 = 0x1_EC_2008; // IMC 2008
 
 /// SplitMix64 — the standard 64-bit mixing function (Steele et al., 2014).
 ///
-/// Used both as a seed deriver and as the (non-cryptographic, documented in
-/// DESIGN.md) stand-in for SHA-1 when hashing keys onto the Chord ring.
+/// Used both as a seed deriver and as the (non-cryptographic) hash that
+/// puts peers onto the Kademlia identifier ring.
 #[inline]
 pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);

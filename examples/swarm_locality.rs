@@ -13,7 +13,6 @@
 //! ```
 
 use nearest_peer::prelude::*;
-use np_dht::PerfectMap;
 use np_util::rng::rng_from;
 use rand::seq::SliceRandom;
 
@@ -38,9 +37,9 @@ fn main() {
         }
     }
 
-    // Strategy B: UCL registry over a perfect map; pick the best
-    // estimated candidate, else fall back to random.
-    let mut reg = UclRegistry::new(&world, PerfectMap::new(), 3);
+    // Strategy B: the UCL registry (the paper's perfect key-value map);
+    // pick the best estimated candidate, else fall back to random.
+    let mut reg = UclRegistry::new(&world, 3);
     for &p in &swarm {
         reg.insert(p);
     }

@@ -19,10 +19,10 @@
 //! | [`probe`] | ping / traceroute / King / TCP-ping simulators |
 //! | [`cluster`] | the §3 measurement pipelines (Figures 3–7) |
 //! | [`meridian`] | the Meridian overlay and β-routing queries |
-//! | [`coords`] | Vivaldi / PIC coordinates and the greedy walk |
+//! | [`coords`] | Vivaldi coordinates and the greedy walk |
 //! | [`baselines`] | Karger–Ruhl, Tapestry, Tiers, Beaconing |
-//! | [`dht`] | Chord and the key-value map facade, plus the Kademlia and NSW searchers |
-//! | [`remedies`] | §5: UCL, IP-prefix, multicast, central registries |
+//! | [`dht`] | the Kademlia and NSW structured-overlay searchers |
+//! | [`remedies`] | §5: the UCL registry, the IP-prefix study and the hybrid's hints |
 //! | [`core`] | scenarios, the experiment runner, the hybrid algorithm, and the declarative `ExperimentSpec` → `AlgoFactory` registry → `Experiment` pipeline behind every figure |
 //!
 //! ## Quickstart
@@ -81,13 +81,12 @@ pub mod prelude {
         ExperimentReport, ExperimentSpec, SeedPlan,
     };
     pub use np_core::{run_queries, sweep_three_runs, ClusterScenario, PaperMetrics};
-    pub use np_dht::{ChordMap, ChordRing, KeyValueMap, PerfectMap};
     pub use np_meridian::{BuildMode, MeridianConfig, Overlay};
     pub use np_metric::{
         HierarchicalWorld, LatencyMatrix, NearestPeerAlgo, PeerId, QueryOutcome, Target, WorldStore,
     };
     pub use np_probe::{King, NoiseConfig, Pinger, TcpPing, Tracer};
-    pub use np_remedies::{PrefixRegistry, UclRegistry};
+    pub use np_remedies::UclRegistry;
     pub use np_topology::{ClusterWorld, ClusterWorldSpec, HostId, InternetModel, WorldParams};
     pub use np_util::{Micros, Summary};
 }

@@ -43,8 +43,8 @@
 //!
 //! 8. Every store is symmetric with a zero diagonal: dense `build` and
 //!    `build_par`, hierarchical at one and four super-shards (built
-//!    from the generator and compressed from a matrix) with their
-//!    blocks materialised, and a `DriftedWorld` over it. A `Target`
+//!    from the generator, and at four from a skewed block generator)
+//!    with their blocks materialised, and a `DriftedWorld` over it. A `Target`
 //!    reads `rtt(target, prober)`, the target's row, and reports it as
 //!    the prober's RTT to the target.
 //!
@@ -474,9 +474,9 @@ fn assert_symmetric(label: &str, store: &dyn WorldStore) -> Result<(), proptest:
 
 proptest::proptest! {
     /// Property 8: `rtt(a, b) == rtt(b, a)` with a zero diagonal on
-    /// every store. The dense constructors get a skewed generator, so
-    /// the test holds them to their mirroring, not to the generator's
-    /// own symmetry.
+    /// every store. The dense constructors and one hierarchical
+    /// store's blocks get a skewed generator, so the test holds them to
+    /// their mirroring, not to the generator's own symmetry.
     #[test]
     fn every_store_is_symmetric_with_a_zero_diagonal(
         seed in 0u64..1_000,
@@ -488,20 +488,29 @@ proptest::proptest! {
         let n = w.len();
         let skewed = |a: PeerId, b: PeerId| w.rtt(a, b) + Micros::from_us(u64::from(a.0));
         let serial = LatencyMatrix::build(n, skewed);
-        let par = Arc::new(LatencyMatrix::build_par(n, 2, skewed));
+        let par = LatencyMatrix::build_par(n, 2, skewed);
         proptest::prop_assert!(serial.validate().is_ok());
         let one = w.to_hierarchical(1, usize::MAX);
         let four = w.to_hierarchical(4, usize::MAX);
         proptest::prop_assert_eq!(four.n_super_shards(), 4);
         let clusters_of: Vec<u32> = w.peers().map(|p| w.cluster_of(p) as u32).collect();
-        let compressed = HierarchicalWorld::compress(&par, &clusters_of, 4, usize::MAX);
+        let gen = w.clone();
+        let skewed_blocks = HierarchicalWorld::build_lazy(
+            &clusters_of,
+            4,
+            vec![0.0; n],
+            |a, b| 1_000 * a.abs_diff(b) as u64,
+            usize::MAX,
+            move |a, b| gen.rtt(a, b) + Micros::from_us(u64::from(a.0)),
+        );
+        proptest::prop_assert_eq!(skewed_blocks.n_super_shards(), 4);
         let offsets: Vec<u64> = (0..n as u64).map(|i| splitmix64(seed ^ i) % 5_000).collect();
         let drifted = DriftedWorld::new(&four, &offsets);
         assert_symmetric("dense build", &serial)?;
-        assert_symmetric("dense build_par", &*par)?;
+        assert_symmetric("dense build_par", &par)?;
         assert_symmetric("hierarchical, one super-shard", &one)?;
         assert_symmetric("hierarchical, four super-shards", &four)?;
-        assert_symmetric("compressed, four super-shards", &compressed)?;
+        assert_symmetric("hierarchical, skewed blocks, four super-shards", &skewed_blocks)?;
         assert_symmetric("drifted", &drifted)?;
         proptest::prop_assert_eq!(four.cache_stats().resident_blocks, four.n_shards());
     }
