@@ -513,13 +513,13 @@ fn bench_experiment_pipeline(c: &mut Criterion) {
 
 // --- serving-pipeline microbench ---------------------------------------
 //
-// The np-serve actor pipeline end to end: 10,000 pre-drawn queries
-// replayed flat-out through ingest → batcher → 4 workers → collector
-// over a 500-peer world (Meridian routing). Records what the daemon's
-// machinery — two bounded-queue hops per query, batching, per-worker
-// latency histograms, ordered reduction — costs on top of the raw
-// query work, so queue/batching regressions show up in
-// BENCH_parallel.json as `serve_pipeline_10k`.
+// The np-serve pipeline end to end: 10,000 pre-drawn queries replayed
+// flat-out through one ingest queue into 4 workers over a 500-peer
+// world (Meridian routing). Records what the daemon's machinery — one
+// bounded-queue hop per query, per-worker latency histograms, the slot
+// fill and the ordered reduction — costs on top of the raw query work,
+// so queue regressions show up in BENCH_parallel.json as
+// `serve_pipeline_10k`.
 
 fn bench_serve_pipeline_10k(c: &mut Criterion) {
     use np_metric::NearestCache;

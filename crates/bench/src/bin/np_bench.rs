@@ -13,7 +13,7 @@
 //!   This is how every figure runs. New scenario = a config file, not a
 //!   recompile.
 //! * `np-bench serve <spec.toml> [flags]` — stand a query-matrix spec
-//!   up as the `np-serve` actor pipeline and offer seeded Poisson load
+//!   up as the `np-serve` pipeline and offer seeded Poisson load
 //!   (`--rate`/`--duration`), reporting throughput and
 //!   queued/service/total latency quantiles; under the default
 //!   lossless admission every row is cross-checked bit-identical

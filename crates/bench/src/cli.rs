@@ -18,7 +18,6 @@
 //! * `--seeds N` — sweep width override (N runs per cell instead of
 //!   the figure's default seed plan);
 //! * `--out table|json` — human tables (default) or JSON lines;
-//! * `--csv` — additionally emit the table as CSV (table mode);
 //! * `--max-rss-mb N` — fail if peak RSS exceeds the budget.
 //!
 //! [`run_experiment`] is the one batch driver: it prints the header,
@@ -49,7 +48,6 @@ pub struct Args {
     /// Was `--seed` given explicitly? (`np-bench run` and `serve` only
     /// rebase a spec file's committed seeds on an explicit override.)
     pub seed_explicit: bool,
-    pub csv: bool,
     /// Explicit `--threads N`, if given. Use [`Args::threads`] for the
     /// resolved count.
     pub threads: Option<usize>,
@@ -81,7 +79,6 @@ impl Default for Args {
             quick: false,
             seed: DEFAULT_SEED,
             seed_explicit: false,
-            csv: false,
             threads: None,
             world: None,
             super_shards: None,
@@ -97,7 +94,7 @@ impl Default for Args {
 /// The shared flag synopsis (`np-bench list` prints it).
 pub const USAGE: &str = "usage: [--quick] [--seed N] [--threads N] \
 [--world dense|hierarchical] [--super-shards N] [--block-cache-mb N] \
-[--seeds N] [--out table|json] [--csv] [--max-rss-mb N]";
+[--seeds N] [--out table|json] [--max-rss-mb N]";
 
 impl Args {
     /// Parse from an explicit iterator; malformed values become `Err`
@@ -125,7 +122,6 @@ impl Args {
         while let Some(a) = it.next() {
             match a.as_str() {
                 "--quick" => out.quick = true,
-                "--csv" => out.csv = true,
                 "--seed" => {
                     let v = value(&mut it, "--seed")?;
                     out.seed = v.parse().map_err(|_| "--seed must be a u64".to_string())?;
@@ -342,46 +338,12 @@ impl Report {
     }
 }
 
-/// What a figure's renderer returns: the human body (tables + charts)
-/// and, optionally, a CSV payload for `--csv`.
-pub struct Rendered {
-    pub body: String,
-    pub csv: Option<String>,
-}
-
-impl Rendered {
-    /// A body with no CSV attachment.
-    pub fn plain(body: impl Into<String>) -> Rendered {
-        Rendered {
-            body: body.into(),
-            csv: None,
-        }
-    }
-}
-
-/// The standard study renderer: the stage's human text as the body,
-/// every study table's CSV as the `--csv` payload. Handed a
-/// query-matrix report by mistake, it degrades to the generic table
-/// sink instead of aborting the run.
-pub fn study_rendered(report: &ExperimentReport, _args: &Args) -> Rendered {
-    let Some(study) = report.study_output() else {
-        return Rendered::plain(sink::render_table(report));
-    };
-    let csv = if study.tables.is_empty() {
-        None
-    } else {
-        Some(
-            study
-                .tables
-                .iter()
-                .map(|(_, t)| t.to_csv())
-                .collect::<Vec<_>>()
-                .join("\n"),
-        )
-    };
-    Rendered {
-        body: study.text.clone(),
-        csv,
+/// The renderer of a spec without a figure renderer: a study's human
+/// text, or the generic table sink for a query-matrix report.
+pub fn study_rendered(report: &ExperimentReport, _args: &Args) -> String {
+    match report.study_output() {
+        Some(study) => study.text.clone(),
+        None => sink::render_table(report),
     }
 }
 
@@ -393,7 +355,7 @@ pub fn study_rendered(report: &ExperimentReport, _args: &Args) -> Rendered {
 pub fn run_experiment(
     args: &Args,
     experiment: &Experiment,
-    render: impl FnOnce(&ExperimentReport, &Args) -> Rendered,
+    render: impl FnOnce(&ExperimentReport, &Args) -> String,
 ) -> ExperimentReport {
     // Under --out json the human chrome (header, backend note, timing
     // footer) moves to stderr, keeping stdout pure machine-diffable
@@ -404,18 +366,8 @@ pub fn run_experiment(
     let timer = Report::start(args);
     let report = experiment.run_threads(args.threads());
     match args.out {
-        OutFormat::Table => {
-            let rendered = render(&report, args);
-            println!("{}", rendered.body);
-            if args.csv {
-                if let Some(csv) = rendered.csv {
-                    println!("{csv}");
-                }
-            }
-        }
-        OutFormat::Json => {
-            print!("{}", sink::render_json_lines(&report));
-        }
+        OutFormat::Table => println!("{}", render(&report, args)),
+        OutFormat::Json => print!("{}", sink::render_json_lines(&report)),
     }
     chrome(args, "");
     chrome(args, &timer.footer_line());
@@ -434,8 +386,8 @@ mod tests {
 
     #[test]
     fn parse_flags() {
-        let a = parse(&["--quick", "--seed", "42", "--csv", "--threads", "3", "extra"]);
-        assert!(a.quick && a.csv);
+        let a = parse(&["--quick", "--seed", "42", "--threads", "3", "extra"]);
+        assert!(a.quick);
         assert_eq!(a.seed, 42);
         assert_eq!(a.threads, Some(3));
         assert_eq!(a.threads(), 3);
@@ -445,7 +397,7 @@ mod tests {
     #[test]
     fn defaults() {
         let a = parse(&[]);
-        assert!(!a.quick && !a.csv);
+        assert!(!a.quick);
         assert_eq!(a.seed, DEFAULT_SEED);
         assert_eq!(a.threads, None);
         assert!(a.threads() >= 1);
@@ -588,7 +540,6 @@ mod tests {
             "--block-cache-mb",
             "--seeds",
             "--out",
-            "--csv",
             "--max-rss-mb",
         ] {
             assert!(USAGE.contains(flag), "{flag} missing from USAGE");

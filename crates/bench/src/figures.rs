@@ -7,7 +7,7 @@
 //! self-check here by the spec's name. `all_figures.toml` lists
 //! exactly these entries, in this order.
 
-use crate::cli::{Args, Rendered};
+use crate::cli::Args;
 use crate::specs;
 use np_core::experiment::{ExperimentReport, ExperimentSpec, StudyCtx, StudyOutput, StudyStage};
 
@@ -48,7 +48,7 @@ pub struct FigureInfo {
     pub title: &'static str,
     /// The figure's bespoke renderer (query figures; `None` for
     /// studies, which render through `cli::study_rendered`).
-    pub render: Option<fn(&ExperimentReport, &Args) -> Rendered>,
+    pub render: Option<fn(&ExperimentReport, &Args) -> String>,
     /// The measurement stage (study figures only) — what a TOML-loaded
     /// study spec resolves by name.
     pub study: Option<fn(&StudyCtx) -> StudyOutput>,

@@ -6,7 +6,7 @@
 //!
 //! * [`cli`] — the one flag parser (`--quick`, `--seed`, `--threads`,
 //!   `--world`, `--super-shards`, `--block-cache-mb`, `--seeds`,
-//!   `--out`, `--csv`, `--max-rss-mb`) and [`cli::run_experiment`],
+//!   `--out`, `--max-rss-mb`) and [`cli::run_experiment`],
 //!   the header → pipeline → render → footer driver;
 //! * [`registry`] — [`registry::full_registry`], every `AlgoFactory`
 //!   in the workspace under its canonical name;

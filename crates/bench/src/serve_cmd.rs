@@ -3,7 +3,7 @@
 //!
 //! Where `np-bench run` answers a spec's query matrix as a batch and
 //! reports accuracy, `serve` stands the same cells up as a long-lived
-//! actor pipeline and offers seeded Poisson traffic at `--rate` for
+//! serving pipeline and offers seeded Poisson traffic at `--rate` for
 //! `--duration`, reporting what the batch path cannot: throughput and
 //! queued/service/total latency quantiles (p50/p99/p999/max) from the
 //! pipeline's mergeable log-bucketed histograms.
@@ -35,7 +35,7 @@ use std::path::PathBuf;
 
 /// The serve-specific flag synopsis (shared flags are in [`cli::USAGE`]).
 pub const SERVE_USAGE: &str = "usage: np-bench serve <spec.toml> [--rate QPS] [--duration S] \
-[--workers N] [--queue-cap N] [--batch N] [--admission block|shed] [--pacing realtime|replay] \
+[--workers N] [--queue-cap N] [--admission block|shed] [--pacing realtime|replay] \
 [--record PATH] [common flags]";
 
 /// Parsed serve-specific options (everything [`cli::Args`] does not
@@ -51,7 +51,6 @@ pub struct ServeOpts {
     /// count — answers are identical at any value).
     pub workers: Option<usize>,
     pub queue_cap: usize,
-    pub batch: usize,
     pub admission: Admission,
     pub pacing: Pacing,
     /// `--record PATH` — write/merge the BENCH-style JSON map.
@@ -67,7 +66,6 @@ impl ServeOpts {
             duration_s,
             workers: None,
             queue_cap: d.queue_cap,
-            batch: d.batch,
             admission: d.admission,
             pacing: Pacing::RealTime,
             record: None,
@@ -120,7 +118,6 @@ pub fn parse_serve_rest(
             "--queue-cap" => {
                 opts.queue_cap = positive(&value(&mut it, "--queue-cap")?, "--queue-cap")?
             }
-            "--batch" => opts.batch = positive(&value(&mut it, "--batch")?, "--batch")?,
             "--admission" => {
                 opts.admission = match value(&mut it, "--admission")?.as_str() {
                     "block" => Admission::Block,
@@ -233,7 +230,6 @@ pub fn serve_spec(
     let cfg = ServeConfig {
         workers,
         queue_cap: opts.queue_cap,
-        batch: opts.batch,
         admission: opts.admission,
         start_paused: false,
     };
@@ -520,8 +516,7 @@ mod tests {
         let (path, opts) = parse_serve_rest(
             &rest(&[
                 "s.toml", "--rate", "250", "--duration", "0.5", "--workers", "4", "--queue-cap",
-                "64", "--batch", "16", "--admission", "shed", "--pacing", "replay", "--record",
-                "out.json",
+                "64", "--admission", "shed", "--pacing", "replay", "--record", "out.json",
             ]),
             false,
         )
@@ -531,7 +526,6 @@ mod tests {
         assert_eq!(opts.duration_s, 0.5);
         assert_eq!(opts.workers, Some(4));
         assert_eq!(opts.queue_cap, 64);
-        assert_eq!(opts.batch, 16);
         assert_eq!(opts.admission, Admission::Shed);
         assert_eq!(opts.pacing, Pacing::Replay);
         assert_eq!(opts.record.as_deref(), Some(std::path::Path::new("out.json")));
@@ -547,14 +541,15 @@ mod tests {
         assert!(err(&["--admission", "drop"]).starts_with("--admission must be"));
         assert!(err(&["--pacing", "warp"]).starts_with("--pacing must be"));
         assert_eq!(err(&["--frobnicate"]), "unknown serve flag \"--frobnicate\"");
+        assert_eq!(err(&["--batch", "4"]), "unknown serve flag \"--batch\"");
         assert_eq!(err(&["a.toml", "b.toml"]), "serve takes exactly one spec file");
     }
 
     #[test]
     fn usage_names_every_serve_flag() {
         for flag in [
-            "--rate", "--duration", "--workers", "--queue-cap", "--batch", "--admission",
-            "--pacing", "--record",
+            "--rate", "--duration", "--workers", "--queue-cap", "--admission", "--pacing",
+            "--record",
         ] {
             assert!(SERVE_USAGE.contains(flag), "{flag} missing from SERVE_USAGE");
         }

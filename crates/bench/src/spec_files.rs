@@ -16,7 +16,7 @@
 //! `experiments/all_figures.toml`) runs every listed file in order, in
 //! one process.
 
-use crate::cli::{self, Args, Rendered};
+use crate::cli::{self, Args};
 use crate::figures::{figure, study_stage};
 use crate::registry::full_registry;
 use np_core::experiment::{AlgoSpec, Experiment, ExperimentSpec, Workload};
@@ -59,7 +59,7 @@ pub fn load_spec(text: &str, path: &Path, args: &mut Args) -> Result<ExperimentS
 
 const RUN_USAGE: &str = "usage: np-bench run <spec.toml> [--quick] [--seed N] [--threads N] \
 [--world dense|hierarchical] [--super-shards N] [--block-cache-mb N] [--seeds N] \
-[--out table|json] [--csv] [--algos a,b,c] [--max-rss-mb N]";
+[--out table|json] [--algos a,b,c] [--max-rss-mb N]";
 
 /// The run subcommand's parsed inputs: shared flags, the spec path and
 /// the optional `--algos` override.
@@ -236,15 +236,9 @@ fn run_one(text: &str, path: &Path, inputs: &RunInputs) -> Result<bool, String> 
             }
         }
     }
-    let renderer = figure.and_then(|f| f.render);
+    let render = figure.and_then(|f| f.render).unwrap_or(cli::study_rendered);
     let experiment = Experiment::new(spec, &registry);
-    let report = cli::run_experiment(&args, &experiment, move |report, args| match renderer {
-        Some(render) => render(report, args),
-        None => match report.study_output() {
-            Some(_) => cli::study_rendered(report, args),
-            None => Rendered::plain(np_core::experiment::sink::render_table(report)),
-        },
-    });
+    let report = cli::run_experiment(&args, &experiment, render);
     if report
         .query_cells()
         .unwrap_or_default()

@@ -3,12 +3,12 @@
 //! construction mode, one registry entry per variant (see
 //! [`crate::registry::full_registry`]).
 
-use crate::cli::{Args, Rendered};
+use crate::cli::Args;
 use np_core::experiment::ExperimentReport;
 use np_util::table::{fmt_f, fmt_prob, Table};
 
 /// The Ext D variants table renderer.
-pub fn render(report: &ExperimentReport, _args: &Args) -> Rendered {
+pub fn render(report: &ExperimentReport, _args: &Args) -> String {
     let mut table = Table::new(&[
         "variant",
         "P(correct closest)",
@@ -47,8 +47,5 @@ pub fn render(report: &ExperimentReport, _args: &Args) -> Rendered {
             ]);
         }
     }
-    Rendered {
-        body: table.render(),
-        csv: Some(table.to_csv()),
-    }
+    table.render()
 }

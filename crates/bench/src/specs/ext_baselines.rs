@@ -3,12 +3,12 @@
 //! Brute force runs at a fifth of the budget (each of its queries
 //! probes the whole overlay).
 
-use crate::cli::{Args, Rendered};
+use crate::cli::Args;
 use np_core::experiment::ExperimentReport;
 use np_util::table::{fmt_f, fmt_prob, Table};
 
 /// The Ext A all-algorithms table renderer.
-pub fn render(report: &ExperimentReport, _args: &Args) -> Rendered {
+pub fn render(report: &ExperimentReport, _args: &Args) -> String {
     let mut table = Table::new(&[
         "algorithm",
         "end-nets/cluster",
@@ -48,8 +48,5 @@ pub fn render(report: &ExperimentReport, _args: &Args) -> Rendered {
             ]);
         }
     }
-    Rendered {
-        body: table.render(),
-        csv: Some(table.to_csv()),
-    }
+    table.render()
 }

@@ -14,7 +14,7 @@
 //! dynamic-equals-static contract pins its metrics to the frozen-world
 //! figures.
 
-use crate::cli::{Args, Rendered};
+use crate::cli::Args;
 use np_core::experiment::{ExperimentReport, ExperimentSpec};
 use np_util::table::Table;
 
@@ -44,7 +44,7 @@ pub fn check(_: &ExperimentSpec, report: &ExperimentReport, _: &Args) -> Result<
 /// The churn sweep renderer: accuracy per algorithm plus the dynamic
 /// runner's event and repair accounting (meridian row — brute force
 /// and random rebuild trivially and have no rings to repair).
-pub fn render(report: &ExperimentReport, _args: &Args) -> Rendered {
+pub fn render(report: &ExperimentReport, _args: &Args) -> String {
     let cells = report.query_cells().unwrap_or_default();
     let mut table = Table::new(&[
         "rate/min",
@@ -106,10 +106,7 @@ pub fn render(report: &ExperimentReport, _args: &Args) -> Rendered {
             count(|s| s.repair.ring_inserts),
         ]);
     }
-    Rendered {
-        body: table.render(),
-        csv: Some(table.to_csv()),
-    }
+    table.render()
 }
 
 #[cfg(test)]

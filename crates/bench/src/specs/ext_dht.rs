@@ -11,7 +11,7 @@
 //! column (mean RTT(found)/RTT(true nearest)) quantifies how far from
 //! optimal each answer lands even when it is not the literal nearest.
 
-use crate::cli::{Args, Rendered};
+use crate::cli::Args;
 use np_core::experiment::{ExperimentReport, ExperimentSpec};
 use np_util::table::{fmt_f, fmt_prob, Table};
 
@@ -43,7 +43,7 @@ pub fn check(_: &ExperimentSpec, report: &ExperimentReport, _: &Args) -> Result<
 }
 
 /// The Ext F table renderer: accuracy, stretch, hop and probe columns.
-pub fn render(report: &ExperimentReport, _args: &Args) -> Rendered {
+pub fn render(report: &ExperimentReport, _args: &Args) -> String {
     let mut table = Table::new(&[
         "algorithm",
         "P(correct closest)",
@@ -78,10 +78,7 @@ pub fn render(report: &ExperimentReport, _args: &Args) -> Rendered {
             ]);
         }
     }
-    Rendered {
-        body: table.render(),
-        csv: Some(table.to_csv()),
-    }
+    table.render()
 }
 
 #[cfg(test)]

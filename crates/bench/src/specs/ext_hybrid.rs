@@ -4,12 +4,12 @@
 //! [`crate::registry::full_registry`]; all rows share one scenario and
 //! one Meridian ring fill through the pipeline's caches.
 
-use crate::cli::{Args, Rendered};
+use crate::cli::Args;
 use np_core::experiment::ExperimentReport;
 use np_util::table::{fmt_f, fmt_prob, Table};
 
 /// The Ext C coverage table renderer.
-pub fn render(report: &ExperimentReport, _args: &Args) -> Rendered {
+pub fn render(report: &ExperimentReport, _args: &Args) -> String {
     let mut table = Table::new(&[
         "registry coverage",
         "P(correct closest)",
@@ -40,8 +40,5 @@ pub fn render(report: &ExperimentReport, _args: &Args) -> Rendered {
             ]);
         }
     }
-    Rendered {
-        body: table.render(),
-        csv: Some(table.to_csv()),
-    }
+    table.render()
 }

@@ -8,7 +8,7 @@
 //! self-checks and, at the sizes where the dense matrix still fits,
 //! the dense cross-check ([`dense_cross_check`] picks its cells).
 
-use crate::cli::{self, Args, Rendered};
+use crate::cli::{self, Args};
 use crate::registry::full_registry;
 use np_core::experiment::{
     hierarchical_knobs, Backend, CellSpec, Experiment, ExperimentReport, ExperimentSpec, Workload,
@@ -156,7 +156,7 @@ pub fn check(spec: &ExperimentSpec, report: &ExperimentReport, args: &Args) -> R
 /// columns. Rows are matched by registry name, never by position, so
 /// the cells without a Meridian row (and any `--algos` override)
 /// simply render `-` in the columns they skip.
-pub fn render(report: &ExperimentReport, _args: &Args) -> Rendered {
+pub fn render(report: &ExperimentReport, _args: &Args) -> String {
     let cells = report.query_cells().unwrap_or_default();
     let n_queries = cells
         .iter()
@@ -243,10 +243,7 @@ pub fn render(report: &ExperimentReport, _args: &Args) -> Rendered {
             kad_cols[2].clone(),
         ]);
     }
-    Rendered {
-        body: table.render(),
-        csv: Some(table.to_csv()),
-    }
+    table.render()
 }
 
 #[cfg(test)]

@@ -4,7 +4,7 @@
 //! Everything else in the harness answers a pre-drawn batch and exits;
 //! this figure asks the operational question the paper's probe-budget
 //! finding implies: when the same algorithms serve seeded Poisson
-//! traffic through the `np-serve` actor pipeline, what throughput and
+//! traffic through the `np-serve` pipeline, what throughput and
 //! tail latency (p50/p99/p999) do their probe costs buy? The spec
 //! itself is an ordinary query-matrix cell — `np-bench run
 //! experiments/ext_serve.toml` drives it through the *batch* pipeline
@@ -14,7 +14,7 @@
 //! answers and `PaperMetrics` are contractually bit-identical to the
 //! batch path under lossless admission.
 
-use crate::cli::{Args, Rendered};
+use crate::cli::Args;
 use np_core::experiment::ExperimentReport;
 use np_util::table::{fmt_f, fmt_prob, Table};
 
@@ -33,7 +33,7 @@ pub fn default_load(quick: bool) -> (f64, f64) {
 /// the accuracy/probe table of the same cell the serving pipeline
 /// drives. Serve timing (throughput, latency quantiles) comes from
 /// `np-bench serve`, which renders its own table.
-pub fn render(report: &ExperimentReport, _args: &Args) -> Rendered {
+pub fn render(report: &ExperimentReport, _args: &Args) -> String {
     let mut table = Table::new(&[
         "algorithm",
         "P(correct closest)",
@@ -66,10 +66,7 @@ pub fn render(report: &ExperimentReport, _args: &Args) -> Rendered {
             ]);
         }
     }
-    Rendered {
-        body: table.render(),
-        csv: Some(table.to_csv()),
-    }
+    table.render()
 }
 
 #[cfg(test)]

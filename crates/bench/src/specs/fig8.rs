@@ -11,15 +11,15 @@
 //! * P(correct cluster): increases monotonically towards ≈1.
 //!
 //! `np-bench run experiments/fig8.toml` output is pinned byte-for-byte
-//! by `crates/bench/tests/golden_fig8.rs`.
+//! by `crates/bench/tests/golden.rs`.
 
-use crate::cli::{band, Args, Rendered};
+use crate::cli::{band, Args};
 use np_core::experiment::ExperimentReport;
 use np_util::ascii::{Axis, Chart};
 use np_util::table::Table;
 
 /// The Figure 8 table + chart renderer.
-pub fn render(report: &ExperimentReport, _args: &Args) -> Rendered {
+pub fn render(report: &ExperimentReport, _args: &Args) -> String {
     let mut table = Table::new(&[
         "end-nets/cluster",
         "P(correct closest) med [min,max]",
@@ -62,8 +62,5 @@ pub fn render(report: &ExperimentReport, _args: &Args) -> Rendered {
     .labels("#end-networks in cluster", "prob")
     .series('c', &closest_pts)
     .series('K', &cluster_pts);
-    Rendered {
-        body: format!("{}\n{}", table.render(), chart.render()),
-        csv: Some(table.to_csv()),
-    }
+    format!("{}\n{}", table.render(), chart.render())
 }

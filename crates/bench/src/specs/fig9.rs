@@ -8,13 +8,13 @@
 //! near the cluster-hub, the load-concentration effect the paper
 //! discusses.
 
-use crate::cli::{band, Args, Rendered};
+use crate::cli::{band, Args};
 use np_core::experiment::ExperimentReport;
 use np_util::ascii::{Axis, Chart};
 use np_util::table::Table;
 
 /// The Figure 9 table + two-chart renderer.
-pub fn render(report: &ExperimentReport, _args: &Args) -> Rendered {
+pub fn render(report: &ExperimentReport, _args: &Args) -> String {
     let mut table = Table::new(&[
         "delta",
         "P(correct closest) med [min,max]",
@@ -58,13 +58,10 @@ pub fn render(report: &ExperimentReport, _args: &Args) -> Rendered {
         .axes(Axis::Linear, Axis::Linear)
         .labels("delta", "ms")
         .series('h', &hub_pts);
-    Rendered {
-        body: format!(
-            "{}\n{}\n{}",
-            table.render(),
-            acc_chart.render(),
-            hub_chart.render()
-        ),
-        csv: Some(table.to_csv()),
-    }
+    format!(
+        "{}\n{}\n{}",
+        table.render(),
+        acc_chart.render(),
+        hub_chart.render()
+    )
 }

@@ -5,7 +5,7 @@
 //! loads that file and resolves, by the spec's name, what a file cannot
 //! hold. Each figure lives here as a module with:
 //!
-//! * `render(report, args) -> Rendered` for query figures, or
+//! * `render(report, args) -> String` for query figures, or
 //!   `study(ctx) -> StudyOutput` for measurement figures;
 //! * for ext_scale, ext_churn and ext_dht, a `check` the runner applies
 //!   to the finished report, and for ext_scale a backend clamp.

@@ -61,13 +61,13 @@ fn fig8_malformed_flags_exit_2_with_usage() {
     assert_usage_error(bin, &sharded, "no world backend \"sharded\"");
     let (_, stderr) = run(bin, &sharded);
     assert_eq!(catalogue(&stderr), ["dense", "hierarchical"], "{stderr}");
-    // A misspelt flag, the retired --shards, or a retired study flag
-    // (--show-tree, --chord) is an error naming the flag — never
-    // silently ignored after a full paper-scale run.
+    // A misspelt flag, the retired --shards, a retired study flag
+    // (--show-tree, --chord) or the retired --csv is an error naming
+    // the flag — never silently ignored after a full paper-scale run.
     assert_usage_error(bin, &run_fig8(&["--qiuck"]), "unknown flag \"--qiuck\"");
     let shards = run_fig8(&["--shards", "8"]);
     assert_usage_error(bin, &shards, "unknown flag \"--shards\"");
-    for flag in ["--show-tree", "--chord"] {
+    for flag in ["--show-tree", "--chord", "--csv"] {
         assert_usage_error(bin, &run_fig8(&[flag]), &format!("unknown flag {flag:?}"));
     }
 }

@@ -1,17 +1,17 @@
 //! # np-serve
 //!
-//! The query-serving daemon: a long-lived, in-process actor pipeline
-//! over the batch engine in `np-core`. Everything else in the workspace
+//! The query-serving daemon: a long-lived, in-process pipeline over
+//! the batch engine in `np-core`. Everything else in the workspace
 //! answers a pre-drawn schedule and exits; this crate serves the same
 //! queries as sustained traffic — the "heavy traffic from millions of
 //! users" half of the paper's operational story, where per-query probe
 //! budgets become tail latency.
 //!
-//! * [`pipeline`] — the four actor stages (ingest → admission batcher →
-//!   router workers → answer/stats collector) wired with the bounded
-//!   queues from [`np_util::queue`]; [`pipeline::serve`] stands them up
-//!   as scoped threads, drives them with a caller closure, and drains
-//!   gracefully (every admitted query answered exactly once),
+//! * [`pipeline`] — one bounded ingest queue from [`np_util::queue`]
+//!   and a pool of workers popping it; [`pipeline::serve`] stands the
+//!   workers up as scoped threads, drives the queue with a caller
+//!   closure, and drains gracefully (every admitted query answered
+//!   exactly once),
 //! * [`schedule`] — seeded open-loop Poisson arrival schedules and
 //!   [`schedule::run_schedule`], the load harness that paces them in
 //!   real time (or replays them flat-out for tests).
@@ -20,8 +20,8 @@
 //!
 //! A served query runs [`np_core::run_one_query`] — the batch runner's
 //! own per-query path — keyed only by `(idx, target, seed)`. Arrival
-//! times, batch boundaries, worker identity, and queue depth never
-//! reach the RNG streams or the answer, so under lossless admission
+//! times, worker identity, and queue depth never reach the RNG streams
+//! or the answer, so under lossless admission
 //! ([`Admission::Block`]) the answers and [`np_core::PaperMetrics`] of
 //! a served schedule are **bit-identical** to
 //! `run_queries(…, n, seed)` at any worker count; only the timing

@@ -1,22 +1,23 @@
-//! The actor pipeline: ingest → admission batcher → router workers →
-//! collector.
+//! The serving pipeline: one bounded ingest queue and a pool of
+//! workers.
 //!
-//! [`serve`] stands the four stages up as scoped threads wired with
-//! [`BoundedQueue`]s and hands the caller's *driver* closure a
-//! [`ServeHandle`] — the ingest side of the daemon. The driver submits
-//! queries (by schedule index + target); when it returns, the drain
-//! signal propagates stage by stage: the ingest queue closes, the
-//! batcher flushes its remaining batches and closes the batch queue,
-//! the last worker to exit closes the answer queue, and the collector
-//! finishes with every admitted query accounted for exactly once (the
-//! collector asserts on double-delivery; the equivalence tests assert
-//! on loss).
+//! [`serve`] builds the ingest [`BoundedQueue`], stands up
+//! `cfg.workers` workers as scoped threads and hands the caller's
+//! *driver* closure a [`ServeHandle`] — the ingest side of the daemon.
+//! The driver submits queries (by schedule index + target); each worker
+//! pops one job, waiting if the queue is empty, takes up to seven more
+//! that are already queued, and answers them. When the driver returns,
+//! the ingest queue closes, the workers drain what is left and exit,
+//! and `serve` joins them and fills one slot per schedule index (it
+//! asserts on double-delivery; the equivalence tests assert on loss).
+//! A worker that panics closes the queue on its way out, so a blocked
+//! driver wakes and `serve` re-raises the panic with its own payload.
 //!
 //! # Determinism
 //!
 //! A served query is answered by [`np_core::run_one_query`] — literally
 //! the batch runner's per-query path — keyed only by
-//! `(idx, target, seed)`. Which worker runs it, in which batch, after
+//! `(idx, target, seed)`. Which worker runs it, in which pop, after
 //! how long in the queue: none of that reaches the RNG or the answer.
 //! So with [`Admission::Block`] (lossless ingest) the answers and
 //! [`PaperMetrics`] are bit-identical to `run_queries_threads` at any
@@ -27,11 +28,11 @@ use np_metric::{NearestCache, NearestPeerAlgo, PeerId, WorldStore};
 use np_topology::ClusterWorld;
 use np_util::queue::BoundedQueue;
 use np_util::LatencyHist;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// What the ingest stage does when the admission queue is full.
+/// What the ingest side does when the admission queue is full.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Admission {
     /// Block the submitter until space frees (lossless — the
@@ -55,15 +56,12 @@ impl Admission {
 /// Pipeline shape and admission policy.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Router workers (each owns a slice of the traffic).
+    /// Workers popping the ingest queue.
     pub workers: usize,
     /// Ingest (admission) queue capacity.
     pub queue_cap: usize,
-    /// Max queries the batcher coalesces per batch (it never waits for
-    /// a full batch — a partial batch flushes rather than stall).
-    pub batch: usize,
     pub admission: Admission,
-    /// Start with admission paused: the batcher holds off draining the
+    /// Start with admission paused: the workers hold off draining the
     /// ingest queue until [`ServeHandle::resume_admission`]. With
     /// [`Admission::Shed`] this makes overload deterministic — the
     /// queue fills to exactly `queue_cap` and every further submission
@@ -76,7 +74,6 @@ impl Default for ServeConfig {
         ServeConfig {
             workers: 1,
             queue_cap: 1024,
-            batch: 8,
             admission: Admission::Block,
             start_paused: false,
         }
@@ -91,7 +88,7 @@ pub struct ServeStats {
     pub admitted: u64,
     pub completed: u64,
     pub shed: u64,
-    /// Batches the admission batcher formed.
+    /// Pops the workers made (each takes up to eight queued jobs).
     pub batches: u64,
     /// The admission policy the run was under ("block" | "shed").
     pub policy: &'static str,
@@ -127,23 +124,14 @@ pub struct ServeCtx<'a> {
     pub seed: u64,
 }
 
-/// One admitted query in flight between stages.
+/// One admitted query waiting in the ingest queue.
 struct Job {
     idx: usize,
     target: PeerId,
     arrival: Instant,
 }
 
-/// One answered query on its way to the collector.
-struct Done {
-    idx: usize,
-    found: PeerId,
-    record: QueryRecord,
-    queued_ns: u64,
-    total_ns: u64,
-}
-
-/// The pause gate in front of the batcher (see
+/// The pause gate in front of the workers (see
 /// [`ServeConfig::start_paused`]).
 struct Gate {
     open: Mutex<bool>,
@@ -185,7 +173,8 @@ pub struct ServeHandle<'q> {
 impl ServeHandle<'_> {
     /// Submit the `idx`-th query of the schedule, arriving now. Returns
     /// whether it was admitted (under [`Admission::Block`] this blocks
-    /// instead of refusing).
+    /// instead of refusing, unless a panicking worker closed the
+    /// queue).
     pub fn submit(&self, idx: usize, target: PeerId) -> bool {
         self.submit_at(idx, target, Instant::now())
     }
@@ -212,8 +201,8 @@ impl ServeHandle<'_> {
         admitted
     }
 
-    /// Release a [`ServeConfig::start_paused`] pipeline: the batcher
-    /// starts draining the ingest queue. Idempotent.
+    /// Release a [`ServeConfig::start_paused`] pipeline: the workers
+    /// start draining the ingest queue. Idempotent.
     pub fn resume_admission(&self) {
         self.gate.open();
     }
@@ -225,23 +214,39 @@ impl ServeHandle<'_> {
     }
 }
 
-/// Closes the ingest queue even if the driver panics, so the pipeline
-/// drains and the scope's joins finish instead of deadlocking.
+/// Closes the ingest queue when the driver returns or panics, or when
+/// a worker panics, so the other threads drain and the scope's joins
+/// finish instead of deadlocking.
 struct DrainOnDrop<'q>(&'q BoundedQueue<Job>, &'q Gate);
 
 impl Drop for DrainOnDrop<'_> {
     fn drop(&mut self) {
         self.0.close();
-        // A still-paused batcher must wake to flush buffered queries.
+        // Still-paused workers must wake to drain buffered queries.
         self.1.open();
     }
 }
 
-/// Run an actor pipeline over `ctx`, drive it with `driver`, drain, and
-/// account. The driver runs on the calling thread while the stages run
-/// on scoped threads; when it returns, the pipeline drains (graceful
-/// shutdown — every admitted query is answered) and `serve` returns the
-/// report plus the driver's own result.
+/// Jobs a worker takes per pop: the first waits, the rest only if
+/// already queued, so a lone query is answered at once.
+const BATCH: usize = 8;
+
+/// One worker's share of a run: `(idx, found, record)` per answered
+/// query, its latency histograms and its pop count.
+#[derive(Default)]
+struct Answered {
+    rows: Vec<(usize, PeerId, QueryRecord)>,
+    queued: LatencyHist,
+    service: LatencyHist,
+    total: LatencyHist,
+    batches: u64,
+}
+
+/// Run a pipeline over `ctx`, drive it with `driver`, drain, and
+/// account. The driver runs on the calling thread while the workers
+/// run on scoped threads; when it returns, the pipeline drains
+/// (graceful shutdown — every admitted query is answered) and `serve`
+/// returns the report plus the driver's own result.
 pub fn serve<'a, R>(
     ctx: &ServeCtx<'a>,
     algo: &dyn NearestPeerAlgo,
@@ -249,98 +254,50 @@ pub fn serve<'a, R>(
     driver: impl FnOnce(&ServeHandle<'_>) -> R,
 ) -> (ServeReport, R) {
     assert!(cfg.workers >= 1, "a pipeline needs at least one worker");
-    assert!(cfg.batch >= 1, "zero batch size");
     let q_in = BoundedQueue::<Job>::new(cfg.queue_cap);
-    let q_batch = BoundedQueue::<Vec<Job>>::new(cfg.workers.max(2));
-    let q_out = BoundedQueue::<Done>::new(cfg.queue_cap.max(cfg.workers * cfg.batch));
     let gate = Gate::new(!cfg.start_paused);
     let submitted = AtomicU64::new(0);
     let admitted = AtomicU64::new(0);
     let shed = AtomicU64::new(0);
-    let live_workers = AtomicUsize::new(cfg.workers);
     let wall_start = Instant::now();
 
-    let (slots, queued, service, total, completed, batches, out) = std::thread::scope(|s| {
-        // Stage 2: the admission batcher. Greedy coalescing — it never
-        // waits for a full batch, so a lone query is dispatched at once.
-        let batcher = s.spawn(|| {
-            gate.wait_open();
-            let mut batches = 0u64;
-            while let Some(first) = q_in.pop() {
-                let mut batch = vec![first];
-                while batch.len() < cfg.batch {
-                    match q_in.try_pop() {
-                        Some(job) => batch.push(job),
-                        None => break,
-                    }
-                }
-                batches += 1;
-                if q_batch.push(batch).is_err() {
-                    break; // unreachable: only this stage closes q_batch
-                }
-            }
-            q_batch.close();
-            batches
-        });
-        // Stage 3: the router workers — a pool popping one shared queue.
+    let (answered, out) = std::thread::scope(|s| {
         let workers: Vec<_> = (0..cfg.workers)
             .map(|_| {
                 s.spawn(|| {
-                    let mut service = LatencyHist::new();
-                    'pool: while let Some(batch) = q_batch.pop() {
-                        for job in batch {
+                    let _drain = DrainOnDrop(&q_in, &gate);
+                    gate.wait_open();
+                    let mut mine = Answered::default();
+                    let mut batch = Vec::with_capacity(BATCH);
+                    while let Some(first) = q_in.pop() {
+                        batch.push(first);
+                        while batch.len() < BATCH {
+                            match q_in.try_pop() {
+                                Some(job) => batch.push(job),
+                                None => break,
+                            }
+                        }
+                        mine.batches += 1;
+                        for job in batch.drain(..) {
                             let t0 = Instant::now();
                             let ans = run_one_query(
                                 algo, ctx.store, ctx.world, ctx.truth, job.idx, job.target,
                                 ctx.seed, None,
                             );
                             let t1 = Instant::now();
-                            service.record((t1 - t0).as_nanos() as u64);
-                            let done = Done {
-                                idx: job.idx,
-                                found: ans.found,
-                                record: ans.record,
-                                queued_ns: t0.saturating_duration_since(job.arrival).as_nanos()
-                                    as u64,
-                                total_ns: t1.saturating_duration_since(job.arrival).as_nanos()
-                                    as u64,
-                            };
-                            if q_out.push(done).is_err() {
-                                break 'pool; // unreachable: q_out outlives the pool
-                            }
+                            let since_arrival =
+                                |t: Instant| t.saturating_duration_since(job.arrival).as_nanos();
+                            mine.queued.record(since_arrival(t0) as u64);
+                            mine.service.record((t1 - t0).as_nanos() as u64);
+                            mine.total.record(since_arrival(t1) as u64);
+                            mine.rows.push((job.idx, ans.found, ans.record));
                         }
                     }
-                    if live_workers.fetch_sub(1, Ordering::AcqRel) == 1 {
-                        q_out.close(); // last worker out signals the collector
-                    }
-                    service
+                    mine
                 })
             })
             .collect();
-        // Stage 4: the collector — one slot per schedule index, filled
-        // exactly once.
-        let collector = s.spawn(|| {
-            let mut slots: Vec<Option<(PeerId, QueryRecord)>> = Vec::new();
-            let mut queued = LatencyHist::new();
-            let mut total = LatencyHist::new();
-            let mut completed = 0u64;
-            while let Some(done) = q_out.pop() {
-                if done.idx >= slots.len() {
-                    slots.resize_with(done.idx + 1, || None);
-                }
-                assert!(
-                    slots[done.idx].is_none(),
-                    "query {} answered twice",
-                    done.idx
-                );
-                slots[done.idx] = Some((done.found, done.record));
-                queued.record(done.queued_ns);
-                total.record(done.total_ns);
-                completed += 1;
-            }
-            (slots, queued, total, completed)
-        });
-        // Stage 1: ingest — the driver, on the calling thread.
+        // Ingest: the driver, on the calling thread.
         let out = {
             let _drain = DrainOnDrop(&q_in, &gate);
             let handle = ServeHandle {
@@ -352,16 +309,41 @@ pub fn serve<'a, R>(
                 shed: &shed,
             };
             driver(&handle)
-            // _drain drops here: q_in closes, the drain cascades.
+            // _drain drops here: q_in closes and the workers drain it.
         };
-        let batches = batcher.join().expect("batcher thread panicked");
-        let mut service = LatencyHist::new();
-        for w in workers {
-            service.merge(&w.join().expect("worker thread panicked"));
-        }
-        let (slots, queued, total, completed) = collector.join().expect("collector panicked");
-        (slots, queued, service, total, completed, batches, out)
+        // Re-raise a worker panic with its original payload, as
+        // `np_util::parallel::par_map` does.
+        let answered: Vec<Answered> = workers
+            .into_iter()
+            .map(|w| {
+                w.join()
+                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+            })
+            .collect();
+        (answered, out)
     });
+
+    // One slot per schedule index, filled exactly once.
+    let mut slots: Vec<Option<(PeerId, QueryRecord)>> = Vec::new();
+    let mut queued = LatencyHist::new();
+    let mut service = LatencyHist::new();
+    let mut total = LatencyHist::new();
+    let mut completed = 0u64;
+    let mut batches = 0u64;
+    for mine in answered {
+        for (idx, found, record) in mine.rows {
+            if idx >= slots.len() {
+                slots.resize_with(idx + 1, || None);
+            }
+            assert!(slots[idx].is_none(), "query {idx} answered twice");
+            slots[idx] = Some((found, record));
+            completed += 1;
+        }
+        queued.merge(&mine.queued);
+        service.merge(&mine.service);
+        total.merge(&mine.total);
+        batches += mine.batches;
+    }
 
     // Reduce in schedule order — same ordered reduction as the batch
     // runner, over whichever slots were admitted and answered.

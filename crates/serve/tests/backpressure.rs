@@ -3,7 +3,7 @@
 //! lossless, and both record their policy in the stats — asserted at
 //! 1, 2, 4 and 8 workers.
 //!
-//! Determinism leans on [`ServeConfig::start_paused`]: with the batcher
+//! Determinism leans on [`ServeConfig::start_paused`]: with the workers
 //! gated shut, the ingest queue fills to exactly `queue_cap` before
 //! anything drains, so which submissions shed is a pure function of
 //! submission order — independent of worker count and scheduling.
@@ -78,7 +78,6 @@ fn shed_is_deterministic_at_the_queue_capacity() {
             queue_cap: cap,
             admission: Admission::Shed,
             start_paused: true,
-            ..ServeConfig::default()
         };
         let (report, admitted_flags) = serve(&f.ctx(seed), &algo, &cfg, |handle| {
             let flags: Vec<bool> = schedule

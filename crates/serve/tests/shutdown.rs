@@ -1,15 +1,19 @@
 //! Graceful-shutdown drain: start a pipeline, inject traffic, let the
 //! driver return, and account for every query — none lost, none
-//! double-counted (the collector asserts on double-delivery; these
-//! tests assert on loss), at every worker count and even when the
-//! driver panics or submits from many threads at once.
+//! double-counted (`serve` asserts on double-delivery; these tests
+//! assert on loss), at every worker count and even when the driver
+//! panics or submits from many threads at once. A panicking algorithm
+//! must surface as that panic, not as a hang.
 
 use np_core::draw_target_schedule;
 use np_metric::nearest::BruteForce;
-use np_metric::{NearestCache, PeerId};
-use np_serve::{serve, ServeConfig, ServeCtx};
+use np_metric::{NearestCache, NearestPeerAlgo, PeerId, QueryOutcome, Target};
+use np_serve::{serve, Admission, ServeConfig, ServeCtx};
 use np_topology::{ClusterWorld, ClusterWorldSpec};
 use np_util::Micros;
+use rand::rngs::StdRng;
+use std::sync::mpsc;
+use std::time::Duration;
 
 struct Fixture {
     world: ClusterWorld,
@@ -139,7 +143,7 @@ fn empty_run_drains_to_zero() {
     assert_eq!(report.metrics.queries, 0);
 }
 
-/// A panicking driver must still drain the pipeline — the stages join
+/// A panicking driver must still drain the pipeline — the workers join
 /// and the panic propagates, instead of deadlocking the scope. (A
 /// regression here shows up as this test hanging, not as an assert.)
 #[test]
@@ -180,4 +184,68 @@ fn driver_result_passes_through() {
     });
     assert_eq!(submitted, "seven");
     assert_eq!(report.stats.completed, 7);
+}
+
+/// An algorithm whose every query panics with a fixed message.
+struct Exploding;
+
+const EXPLODING: &str = "find_nearest exploded";
+
+impl NearestPeerAlgo for Exploding {
+    fn name(&self) -> &str {
+        "exploding"
+    }
+
+    fn members(&self) -> &[PeerId] {
+        &[]
+    }
+
+    fn find_nearest(&self, _: &Target<'_>, _: &mut StdRng) -> QueryOutcome {
+        panic!("{EXPLODING}");
+    }
+}
+
+/// A worker whose algorithm panics must not hang `serve`: the panic
+/// closes ingest, so a driver blocked on the full queue wakes, and the
+/// caller receives the algorithm's own panic message. `serve` runs on a
+/// helper thread so a regression fails after 30 s instead of hanging
+/// the suite.
+#[test]
+fn panicking_algorithm_propagates_instead_of_hanging() {
+    for workers in [1, 4] {
+        let (tx, rx) = mpsc::channel();
+        let helper = std::thread::spawn(move || {
+            let f = fixture(99);
+            let schedule = draw_target_schedule(&f.targets, 64, 4);
+            let cfg = ServeConfig {
+                workers,
+                queue_cap: 2,
+                admission: Admission::Block,
+                ..ServeConfig::default()
+            };
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                serve(&f.ctx(4), &Exploding, &cfg, |handle| {
+                    for (idx, &target) in schedule.iter().enumerate() {
+                        handle.submit(idx, target);
+                    }
+                })
+            }));
+            let message = outcome.err().map(|payload| {
+                payload
+                    .downcast_ref::<String>()
+                    .cloned()
+                    .unwrap_or_default()
+            });
+            let _ = tx.send(message);
+        });
+        let message = rx
+            .recv_timeout(Duration::from_secs(30))
+            .unwrap_or_else(|_| panic!("serve hung after a worker panic ({workers} workers)"));
+        helper.join().expect("the helper caught the panic");
+        assert_eq!(
+            message.as_deref(),
+            Some(EXPLODING),
+            "{workers} workers: the caller must see the algorithm's own panic"
+        );
+    }
 }

@@ -24,8 +24,8 @@
 //!   resolution) used by the matrix builders and the query runner,
 //! * [`hist`] — mergeable log-bucketed latency histograms (p50/p99/p999
 //!   accounting for the serving pipeline's tail-latency reports),
-//! * [`queue`] — hand-rolled bounded MPMC queues (block or shed on
-//!   overload, drain-on-close) wiring the `np-serve` actor stages,
+//! * [`queue`] — a hand-rolled bounded MPMC queue (block or shed on
+//!   overload, drain-on-close) feeding the `np-serve` worker pool,
 //! * [`binned`] — "binned scatter plots": per-bin percentile summaries as
 //!   used by Figures 4 and 10 of the paper,
 //! * [`ascii`] — terminal rendering of CDFs/series so the experiment

@@ -1,15 +1,14 @@
-//! Hand-rolled bounded queues for the actor pipeline.
+//! A hand-rolled bounded queue for the serving pipeline.
 //!
-//! The serving daemon (`np-serve`) wires its stages — ingest, admission
-//! batcher, router workers, collector — with bounded multi-producer
-//! queues. The container has no registry access, so this is the
-//! workspace's own primitive: a `Mutex<VecDeque>` + two condvars, the
-//! textbook bounded channel. Multiple producers and multiple consumers
-//! are both allowed (the router-worker pool pops one shared queue), and
-//! closing is explicit: [`BoundedQueue::close`] wakes every waiter,
-//! after which pushes fail and pops drain the remaining items before
-//! reporting exhaustion — the drain guarantee the daemon's graceful
-//! shutdown is built on (no query is lost between stages).
+//! The serving daemon (`np-serve`) feeds its worker pool through one
+//! bounded ingest queue. The workspace builds without a package
+//! registry, so this is its own primitive: a `Mutex<VecDeque>` + two
+//! condvars, the textbook bounded channel. Multiple producers and
+//! multiple consumers are both allowed (the worker pool pops one shared
+//! queue), and closing is explicit: [`BoundedQueue::close`] wakes every
+//! waiter, after which pushes fail and pops drain the remaining items
+//! before reporting exhaustion — the drain guarantee the daemon's
+//! graceful shutdown is built on (no admitted query is lost).
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
@@ -55,7 +54,7 @@ impl<T> BoundedQueue<T> {
     fn lock(&self) -> std::sync::MutexGuard<'_, Inner<T>> {
         // A panicking pipeline thread poisons the mutex; the queue's
         // state is a plain VecDeque that is consistent at every unlock,
-        // so recover rather than cascade the panic across stages.
+        // so recover rather than cascade the panic across threads.
         self.inner.lock().unwrap_or_else(|p| p.into_inner())
     }
 
@@ -112,8 +111,8 @@ impl<T> BoundedQueue<T> {
     }
 
     /// Non-blocking pop: `None` when currently empty (closed or not) —
-    /// the batcher uses this to flush a partial batch instead of
-    /// stalling a query behind an incomplete one.
+    /// a serving worker uses this to take what is already queued after
+    /// its first job, instead of waiting to fill a batch.
     pub fn try_pop(&self) -> Option<T> {
         let mut g = self.lock();
         let item = g.items.pop_front();

@@ -1,8 +1,9 @@
-//! Aligned text tables and CSV emission.
+//! Aligned text tables.
 //!
-//! The experiment binaries print, for every paper figure, the series the
-//! paper reports — as an aligned table for eyes and optionally as CSV for
-//! further processing. README's `EXPERIMENTS` section lists the binaries.
+//! `np-bench run` prints, for every paper figure, the series the paper
+//! reports as an aligned table (`--out json` carries the same rows for
+//! further processing). README's `EXPERIMENTS` section lists the
+//! figures.
 
 use std::fmt::Write as _;
 
@@ -90,37 +91,6 @@ impl Table {
         }
         out
     }
-
-    /// Render as RFC-4180-ish CSV (quotes only where needed).
-    pub fn to_csv(&self) -> String {
-        fn field(s: &str) -> String {
-            if s.contains(',') || s.contains('"') || s.contains('\n') {
-                format!("\"{}\"", s.replace('"', "\"\""))
-            } else {
-                s.to_string()
-            }
-        }
-        let mut out = String::new();
-        out.push_str(
-            &self
-                .header
-                .iter()
-                .map(|h| field(h))
-                .collect::<Vec<_>>()
-                .join(","),
-        );
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(
-                &row.iter()
-                    .map(|c| field(c))
-                    .collect::<Vec<_>>()
-                    .join(","),
-            );
-            out.push('\n');
-        }
-        out
-    }
 }
 
 /// Format a probability as the paper prints them (two decimals, e.g. `0.35`).
@@ -163,15 +133,6 @@ mod tests {
     fn arity_mismatch_panics() {
         let mut t = Table::new(&["a", "b"]);
         t.row(&["only-one".into()]);
-    }
-
-    #[test]
-    fn csv_escapes() {
-        let mut t = Table::new(&["name", "note"]);
-        t.row(&["a,b".into(), "say \"hi\"".into()]);
-        let csv = t.to_csv();
-        assert!(csv.contains("\"a,b\""));
-        assert!(csv.contains("\"say \"\"hi\"\"\""));
     }
 
     #[test]

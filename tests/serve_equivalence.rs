@@ -1,13 +1,13 @@
 //! The service≡batch contract, end-to-end: a schedule served through
-//! the `np-serve` actor pipeline must produce **bit-identical** answers
+//! the `np-serve` pipeline must produce **bit-identical** answers
 //! and `PaperMetrics` to the batch runner — at 1, 2, 4 and 8 workers,
 //! on both latency backends.
 //!
 //! Exact equality is deliberate, exactly as in
 //! `tests/parallel_determinism.rs`: a served query runs
 //! `np_core::run_one_query` keyed only by `(idx, target, seed)`, so
-//! which worker ran it, in which admission batch, after how long in a
-//! queue must be unobservable in the results. Any regression — a seed
+//! which worker ran it, after how long in the queue, must be
+//! unobservable in the results. Any regression — a seed
 //! derived from worker identity, a reduction in completion order, a
 //! query lost or duplicated in the drain — shows up as a hard failure
 //! here.
@@ -48,7 +48,6 @@ fn serve_batch<S: WorldStore + Sync>(
     n: usize,
     seed: u64,
     workers: usize,
-    batch: usize,
 ) -> ServeReport {
     let ctx = ServeCtx {
         store: &scenario.matrix,
@@ -58,7 +57,6 @@ fn serve_batch<S: WorldStore + Sync>(
     };
     let cfg = ServeConfig {
         workers,
-        batch,
         ..ServeConfig::default()
     };
     let schedule = ArrivalSchedule {
@@ -113,7 +111,7 @@ fn meridian_service_equals_batch_dense() {
     let truth = NearestCache::build(&s.matrix, &s.overlay, &s.targets, 1);
     let mut answers: Option<Vec<_>> = None;
     for workers in WORKER_COUNTS {
-        let report = serve_batch(&s, &overlay, &truth, n, 7, workers, 8);
+        let report = serve_batch(&s, &overlay, &truth, n, 7, workers);
         assert_report_matches_batch(&report, &batch, n, &format!("meridian @{workers}w"));
         // Answers are identical across worker counts, peer for peer.
         match &answers {
@@ -139,7 +137,7 @@ fn brute_force_service_equals_batch_hierarchical() {
     let dense_answers = {
         let algo = BruteForce::new(&s.matrix, s.overlay.clone());
         let truth = NearestCache::build(&s.matrix, &s.overlay, &s.targets, 1);
-        serve_batch(&s, &algo, &truth, n, 11, 1, 8).answers
+        serve_batch(&s, &algo, &truth, n, 11, 1).answers
     };
     for (super_shards, budget) in [(1, usize::MAX), (2, 1)] {
         let h = np_core::ClusterScenario::build_hierarchical(
@@ -153,7 +151,7 @@ fn brute_force_service_equals_batch_hierarchical() {
         let batch = run_queries_threads(&algo, &h, n, 11, 1);
         let truth = NearestCache::build(&h.matrix, &h.overlay, &h.targets, 1);
         for workers in WORKER_COUNTS {
-            let report = serve_batch(&h, &algo, &truth, n, 11, workers, 8);
+            let report = serve_batch(&h, &algo, &truth, n, 11, workers);
             assert_report_matches_batch(
                 &report,
                 &batch,
@@ -170,21 +168,6 @@ fn brute_force_service_equals_batch_hierarchical() {
     }
 }
 
-/// The contract is batch-size independent too: coalescing 1, 3 or 64
-/// queries per admission batch must be unobservable in the results.
-#[test]
-fn admission_batch_size_is_unobservable() {
-    let s = dense_scenario(303);
-    let algo = BruteForce::new(&s.matrix, s.overlay.clone());
-    let n = 90;
-    let batch = run_queries_threads(&algo, &s, n, 13, 1);
-    let truth = NearestCache::build(&s.matrix, &s.overlay, &s.targets, 1);
-    for batch_size in [1, 3, 64] {
-        let report = serve_batch(&s, &algo, &truth, n, 13, 4, batch_size);
-        assert_report_matches_batch(&report, &batch, n, &format!("batch={batch_size}"));
-    }
-}
-
 /// The served answer per slot is exactly `run_one_query`'s answer for
 /// that `(idx, target, seed)` — the per-query identity underneath the
 /// aggregate equality above.
@@ -196,7 +179,7 @@ fn served_answers_are_per_query_identical() {
     let seed = 17;
     let truth = NearestCache::build(&s.matrix, &s.overlay, &s.targets, 1);
     let targets = draw_target_schedule(&s.targets, n, seed);
-    let report = serve_batch(&s, &algo, &truth, n, seed, 4, 8);
+    let report = serve_batch(&s, &algo, &truth, n, seed, 4);
     for (idx, &target) in targets.iter().enumerate() {
         let direct = run_one_query(&algo, &s.matrix, &s.world, &truth, idx, target, seed, None);
         assert_eq!(
