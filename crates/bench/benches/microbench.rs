@@ -8,7 +8,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use np_meridian::{BuildMode, MeridianConfig, Overlay};
 use np_metric::graph::{Graph, NodeId};
 use np_metric::{PeerId, Target};
-use np_topology::{ClusterWorld, ClusterWorldSpec};
+use np_topology::{ClusterWorld, ClusterWorldSpec, HubMatrix};
 use np_util::rng::rng_from;
 use np_util::Micros;
 use rand::Rng;
@@ -417,6 +417,15 @@ fn bench_hierarchical_build_200k(c: &mut Criterion) {
     });
 }
 
+/// The 2,500-hub matrix of the `scale_hier` world and ext_scale's
+/// 200k/1M-peer cells, on the ambient thread count: sites and the
+/// median are serial, the row fill splits across workers.
+fn bench_hub_matrix_2500(c: &mut Criterion) {
+    c.bench_function("hub_matrix_2500", |b| {
+        b.iter(|| criterion::black_box(HubMatrix::synthetic_meridian_like(2_500, 7).len()))
+    });
+}
+
 fn bench_brute_force_hier_200k(c: &mut Criterion) {
     let threads = np_util::parallel::available_threads();
     c.bench_function("brute_force_hier_200k", |b| {
@@ -609,6 +618,7 @@ criterion_group! {
 criterion_group! {
     name = heavy_benches;
     config = heavy_config();
-    targets = bench_meridian_fill_10k_hier, bench_hierarchical_build_200k
+    targets = bench_meridian_fill_10k_hier, bench_hierarchical_build_200k,
+              bench_hub_matrix_2500
 }
 criterion_main!(benches, heavy_benches);

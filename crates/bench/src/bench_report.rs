@@ -41,7 +41,7 @@ fn field(line: &str, key: &str) -> Option<f64> {
     let start = line.find(&tag)? + tag.len();
     let rest = &line[start..];
     let end = rest
-        .find(|c: char| c == ',' || c == '}')
+        .find([',', '}'])
         .unwrap_or(rest.len());
     rest[..end].trim().parse().ok()
 }

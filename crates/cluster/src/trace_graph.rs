@@ -58,9 +58,9 @@ impl TraceGraph {
         // Collect min-weight edges first, then materialise.
         let mut edges: HashMap<(NodeId, NodeId), Micros> = HashMap::new();
         for &peer in peers {
-            for v in 0..n_vps {
+            for (v, ping) in tcp.iter_mut().enumerate() {
                 let trace = tracer.trace(v, peer);
-                let peer_lat = tcp[v].measure(peer).or(trace.dest_rtt);
+                let peer_lat = ping.measure(peer).or(trace.dest_rtt);
                 tg.ingest(&trace, peer, peer_lat, &mut edges);
             }
         }

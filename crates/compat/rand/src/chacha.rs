@@ -35,6 +35,13 @@ impl ChaCha12Core {
         ChaCha12Core { key, counter: 0 }
     }
 
+    /// Make block `block` the next one [`ChaCha12Core::next_block`]
+    /// produces. The counter is the cipher's only state besides the key,
+    /// so any block is reachable without generating the ones before it.
+    pub fn set_block_pos(&mut self, block: u64) {
+        self.counter = block;
+    }
+
     /// Produce the next 16-word block and advance the counter.
     pub fn next_block(&mut self) -> [u32; 16] {
         let mut state = [0u32; 16];

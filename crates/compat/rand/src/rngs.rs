@@ -23,6 +23,19 @@ impl StdRng {
         self.buf = self.core.next_block();
         self.idx = 0;
     }
+
+    /// Seek the word stream: the next `u32` drawn is word `word_offset`
+    /// of this generator's stream, as if that many words had been drawn
+    /// and discarded since seeding (a `u64` is two words). Mirrors the
+    /// real `rand_chacha`'s method of the same name.
+    ///
+    /// ChaCha is counter-based, so word `w` is word `w % 16` of block
+    /// `w / 16`, and seeking costs one block whatever the offset.
+    pub fn set_word_pos(&mut self, word_offset: u128) {
+        self.core.set_block_pos((word_offset / 16) as u64);
+        self.refill();
+        self.idx = (word_offset % 16) as usize;
+    }
 }
 
 impl RngCore for StdRng {
@@ -70,6 +83,22 @@ mod tests {
         let mut r2 = StdRng::seed_from_u64(11);
         let b: Vec<u32> = (0..40).map(|_| r2.next_u32()).collect();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn set_word_pos_matches_draw_and_discard() {
+        for pos in [0u64, 1, 15, 16, 17, 4_000_003] {
+            let mut drawn = StdRng::seed_from_u64(23);
+            for _ in 0..pos {
+                drawn.next_u32();
+            }
+            let mut seeked = StdRng::seed_from_u64(23);
+            seeked.set_word_pos(u128::from(pos));
+            // 40 words run past the next block boundary from any offset.
+            for k in 0..40 {
+                assert_eq!(seeked.next_u32(), drawn.next_u32(), "word {pos} + {k}");
+            }
+        }
     }
 
     #[test]

@@ -216,7 +216,7 @@ impl VivaldiSystem {
         samples: usize,
         seed: u64,
     ) -> f64 {
-        let mut rng = rng_for(seed, 0x4552_52);
+        let mut rng = rng_for(seed, 0x45_5252);
         let n = self.members.len();
         let mut errs = Vec::with_capacity(samples);
         for _ in 0..samples {

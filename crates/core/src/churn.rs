@@ -562,6 +562,7 @@ mod tests {
         }
     }
 
+    #[allow(clippy::too_many_arguments)]
     fn run_with<'a>(
         factory: &'a dyn AlgoFactory,
         s: &'a ClusterScenario,

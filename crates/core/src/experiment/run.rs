@@ -36,6 +36,9 @@ use std::time::{Duration, Instant};
 
 /// A built scenario on either backend, dispatching the generic runner
 /// statically per variant.
+// One handle per built scenario, held for a whole cell and never stored
+// in bulk, so the variants' size gap costs nothing a `Box` would save.
+#[allow(clippy::large_enum_variant)]
 pub enum ScenarioHandle {
     Dense(ClusterScenario<LatencyMatrix>),
     Hierarchical(ClusterScenario<HierarchicalWorld>),

@@ -34,7 +34,7 @@ use std::sync::Arc;
 
 /// Seed tag isolating the NSW insertion-order shuffle from every other
 /// stream in the workspace.
-const NSW_TAG: u64 = 0x4E53_57; // "NSW"
+const NSW_TAG: u64 = 0x4E_5357; // "NSW"
 
 /// Hashes the member indices that key the build's `seen` map and the
 /// walk's probe memo, both hit on every neighbour evaluation. The keys

@@ -553,8 +553,7 @@ fn for_over_map(code: &[&Token], for_idx: usize, map_names: &BTreeSet<String>) -
     // Find the top-level `in` before the loop body's `{`.
     let mut depth = 0isize;
     let mut in_idx = None;
-    for i in for_idx + 1..code.len() {
-        let t = code[i];
+    for (i, &t) in code.iter().enumerate().skip(for_idx + 1) {
         if t.is_punct('(') || t.is_punct('[') {
             depth += 1;
         } else if t.is_punct(')') || t.is_punct(']') {
@@ -573,8 +572,7 @@ fn for_over_map(code: &[&Token], for_idx: usize, map_names: &BTreeSet<String>) -
     let mut last_ident: Option<&Token> = None;
     let mut indexed_after = false;
     let mut depth = 0isize;
-    for i in in_idx + 1..code.len() {
-        let t = code[i];
+    for &t in &code[in_idx + 1..] {
         if t.is_punct('(') {
             return None; // a call — not a bare map binding
         }

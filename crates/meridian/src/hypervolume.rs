@@ -303,6 +303,9 @@ pub fn select_max_dispersion(n: usize, k: usize, mut dist: impl FnMut(usize, usi
         return keep;
     }
     let mut d = vec![vec![0.0f64; n]; n];
+    // `dist` runs once per pair, in this order, and its value goes to both
+    // `d[i][j]` and `d[j][i]`; an iterator over `d` borrows one row.
+    #[allow(clippy::needless_range_loop)]
     for i in 0..n {
         for j in (i + 1)..n {
             let v = dist(i, j);
@@ -603,9 +606,9 @@ mod tests {
             let d2 = d2_from_points(&pts);
             let n = pts.len();
             let mut mean_d2 = 0.0;
-            for i in 0..n {
-                for j in (i + 1)..n {
-                    mean_d2 += d2[i][j];
+            for (i, row) in d2.iter().enumerate() {
+                for v in &row[i + 1..] {
+                    mean_d2 += v;
                 }
             }
             mean_d2 /= (n * (n - 1) / 2).max(1) as f64;

@@ -929,11 +929,12 @@ mod tests {
         }
     }
 
+    /// One ring set's members and RTTs, in stored order.
+    type Ring = Vec<(PeerId, Micros)>;
+
     /// Exhaustive ring-state comparison (primaries AND secondaries, in
     /// stored order) — the currency of the repair contract.
-    fn ring_state<W: WorldStore + ?Sized>(
-        o: &Overlay<'_, W>,
-    ) -> Vec<(PeerId, Vec<(PeerId, Micros)>, Vec<(PeerId, Micros)>)> {
+    fn ring_state<W: WorldStore + ?Sized>(o: &Overlay<'_, W>) -> Vec<(PeerId, Ring, Ring)> {
         let mut out: Vec<_> = o
             .members()
             .iter()

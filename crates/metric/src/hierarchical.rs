@@ -757,7 +757,7 @@ mod tests {
         let before = starved.cache_stats().hits;
         let _ = starved.rtt(PeerId(0), PeerId(1));
         let _ = starved.rtt(PeerId(0), PeerId(2));
-        assert!(starved.cache_stats().hits >= before + 1);
+        assert!(starved.cache_stats().hits > before);
     }
 
     #[test]

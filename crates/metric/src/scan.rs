@@ -100,7 +100,7 @@ pub fn nearest_in(dists: &[f32], members: &[PeerId]) -> Option<PeerId> {
     }
     let mut best: Option<PeerId> = None;
     for (&d, &p) in dists.iter().zip(members) {
-        if d == min && best.map_or(true, |b| p < b) {
+        if d == min && best.is_none_or(|b| p < b) {
             best = Some(p);
         }
     }

@@ -13,6 +13,7 @@
 //! a test pins the calibration.
 
 use crate::geo;
+use np_util::parallel::{par_for_rows, resolve_threads};
 use np_util::rng::rng_for;
 use np_util::{Micros, Summary};
 use rand::Rng;
@@ -20,62 +21,84 @@ use rand::Rng;
 /// The Meridian dataset's documented median inter-pair latency.
 pub const MERIDIAN_MEDIAN_MS: f64 = 65.0;
 
+/// Words of the hub stream one [`geo::sample_site`] call draws: three
+/// `f64`s of two words each.
+const SITE_WORDS: u128 = 6;
+
+/// Words of the hub stream one [`geo::rtt_between`] call draws: two
+/// `f64`s (one Box–Muller normal) of two words each.
+const PAIR_WORDS: u128 = 4;
+
+/// Pairs per synthesis worker. Below 2^16 pairs (about 360 hubs) the
+/// whole fill takes a few milliseconds, so it stays on the calling
+/// thread: the paper's 10-hub worlds never spawn a worker, and so never
+/// pay for thread start-up or for the per-thread glibc malloc arenas
+/// that raise a process's peak RSS.
+const PAIRS_PER_WORKER: usize = 1 << 16;
+
 /// A symmetric matrix of inter-hub RTTs.
 #[derive(Debug, Clone)]
 pub struct HubMatrix {
     n: usize,
-    /// Upper-triangle-inclusive full storage in µs.
-    rtt_us: Vec<u64>,
+    /// Full row-major storage in whole µs, symmetric, zero diagonal.
+    rtt_us: Vec<u32>,
 }
 
 impl HubMatrix {
-    /// Synthesise `n` hubs calibrated to `median_ms`.
+    /// Synthesise `n` hubs calibrated to `median_ms`, on the ambient
+    /// thread count (`$NP_THREADS`, else all cores).
     ///
-    /// Tag discipline: RNG stream is `sub_seed(seed, 0x4855_42)` ("HUB").
+    /// Tag discipline: RNG stream is `sub_seed(seed, 0x48_5542)` ("HUB").
     pub fn synthetic(n: usize, median_ms: f64, seed: u64) -> HubMatrix {
+        HubMatrix::synthetic_threads(n, median_ms, seed, resolve_threads(None))
+    }
+
+    /// [`HubMatrix::synthetic`] with an explicit worker count.
+    ///
+    /// The matrix is that of one stream drawn in order — the `n` sites,
+    /// then each pair `(i, j)` with `i < j`, row by row — floored at
+    /// 2 ms and rescaled so the median pair is `median_ms`. Each row
+    /// seeks its own generator to where that stream reaches it, so rows
+    /// fill on any worker in any order and the result is the same, bit
+    /// for bit, at every worker count. At most one worker runs per
+    /// [`PAIRS_PER_WORKER`] pairs.
+    pub fn synthetic_threads(n: usize, median_ms: f64, seed: u64, threads: usize) -> HubMatrix {
         assert!(n >= 2, "need at least two hubs");
-        let mut rng = rng_for(seed, 0x4855_42);
+        let stream = rng_for(seed, 0x48_5542);
+        let mut rng = stream.clone();
         let continents = geo::default_continents();
         let sites: Vec<geo::GeoPoint> = (0..n)
             .map(|_| geo::sample_site(&continents, &mut rng).0)
             .collect();
-        let mut rtt_us = vec![0u64; n * n];
-        for i in 0..n {
-            for j in (i + 1)..n {
+        let workers = threads.min(n * (n - 1) / 2 / PAIRS_PER_WORKER).max(1);
+        let mut rtt_us = vec![0u32; n * n];
+        par_for_rows(workers, &mut rtt_us, n, |i, row| {
+            let pairs_before = (i * (2 * n - i - 1) / 2) as u128;
+            let mut rng = stream.clone();
+            rng.set_word_pos(SITE_WORDS * n as u128 + PAIR_WORDS * pairs_before);
+            for (j, cell) in row.iter_mut().enumerate().skip(i + 1) {
                 let r = geo::rtt_between(&sites[i], &sites[j], &mut rng);
                 // Floor: two distinct hubs are never closer than 2 ms —
                 // they are, by construction, distinct PoP sites.
-                let r = r.max(Micros::from_ms(2.0)).as_us();
-                rtt_us[i * n + j] = r;
-                rtt_us[j * n + i] = r;
+                *cell = checked_us(r.max(Micros::from_ms(2.0)));
+            }
+        });
+        let mut m = HubMatrix { n, rtt_us };
+        // The floor keeps the median positive.
+        let f = Micros::from_ms(median_ms).as_us() as f64 / m.median_pair().as_us() as f64;
+        for i in 0..n {
+            for j in (i + 1)..n {
+                let v = checked_us(Micros(u64::from(m.rtt_us[i * n + j])).scale(f));
+                m.rtt_us[i * n + j] = v;
+                m.rtt_us[j * n + i] = v;
             }
         }
-        let mut m = HubMatrix { n, rtt_us };
-        m.rescale_to_median(Micros::from_ms(median_ms));
         m
     }
 
     /// The paper's configuration: calibrated to the Meridian dataset.
     pub fn synthetic_meridian_like(n: usize, seed: u64) -> HubMatrix {
         HubMatrix::synthetic(n, MERIDIAN_MEDIAN_MS, seed)
-    }
-
-    fn rescale_to_median(&mut self, target: Micros) {
-        let mut pairs: Vec<u64> = Vec::with_capacity(self.n * (self.n - 1) / 2);
-        for i in 0..self.n {
-            for j in (i + 1)..self.n {
-                pairs.push(self.rtt_us[i * self.n + j]);
-            }
-        }
-        pairs.sort_unstable();
-        let median = pairs[pairs.len() / 2];
-        if median == 0 {
-            return;
-        }
-        let f = target.as_us() as f64 / median as f64;
-        for v in &mut self.rtt_us {
-            *v = (*v as f64 * f).round() as u64;
-        }
     }
 
     /// Number of hubs.
@@ -92,29 +115,34 @@ impl HubMatrix {
     /// RTT between two hubs (zero on the diagonal).
     #[inline]
     pub fn rtt(&self, a: usize, b: usize) -> Micros {
-        Micros(self.rtt_us[a * self.n + b])
+        Micros(u64::from(self.rtt_us[a * self.n + b]))
     }
 
-    /// Median pair RTT (calibration check).
-    pub fn median_pair(&self) -> Micros {
-        let mut pairs: Vec<u64> = Vec::with_capacity(self.n * (self.n - 1) / 2);
-        for i in 0..self.n {
-            for j in (i + 1)..self.n {
-                pairs.push(self.rtt_us[i * self.n + j]);
-            }
+    /// The `n(n-1)/2` pair RTTs (the strict upper triangle) in µs.
+    fn pair_rtts_us(&self) -> Vec<u32> {
+        let n = self.n;
+        let mut pairs = Vec::with_capacity(n * (n - 1) / 2);
+        for i in 0..n {
+            pairs.extend_from_slice(&self.rtt_us[i * n + i + 1..(i + 1) * n]);
         }
-        pairs.sort_unstable();
-        Micros(pairs[pairs.len() / 2])
+        pairs
+    }
+
+    /// Median pair RTT (the upper middle one of an even count), by
+    /// selection instead of a full sort. Synthesis calibrates to it.
+    pub fn median_pair(&self) -> Micros {
+        let mut pairs = self.pair_rtts_us();
+        let mid = pairs.len() / 2;
+        Micros(u64::from(*pairs.select_nth_unstable(mid).1))
     }
 
     /// Summary of pair latencies in ms (for reports).
     pub fn pair_summary_ms(&self) -> Summary {
-        let mut v = Vec::with_capacity(self.n * (self.n - 1) / 2);
-        for i in 0..self.n {
-            for j in (i + 1)..self.n {
-                v.push(self.rtt_us[i * self.n + j] as f64 / 1_000.0);
-            }
-        }
+        let v: Vec<f64> = self
+            .pair_rtts_us()
+            .into_iter()
+            .map(|us| f64::from(us) / 1_000.0)
+            .collect();
         Summary::of(&v)
     }
 
@@ -130,10 +158,33 @@ impl HubMatrix {
     }
 }
 
+/// A hub RTT as stored: whole µs in a `u32`, which holds 71 minutes.
+fn checked_us(rtt: Micros) -> u32 {
+    u32::try_from(rtt.as_us()).expect("hub RTT exceeds u32 µs")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use np_util::rng::rng_from;
+
+    // The serial generator `synthetic_threads` must reproduce, shared
+    // with the workspace's `tests/parallel_determinism.rs`.
+    include!("hub_reference.rs");
+
+    #[test]
+    fn synthetic_threads_matches_the_serial_reference() {
+        // 2,500 hubs is the first size here at which two workers split
+        // the rows.
+        for n in [2, 3, 17, 250, 2_500] {
+            let reference = serial_hub_matrix(n, MERIDIAN_MEDIAN_MS, 13);
+            for threads in [1, 2] {
+                let m = HubMatrix::synthetic_threads(n, MERIDIAN_MEDIAN_MS, 13, threads);
+                let got: Vec<u64> = m.rtt_us.iter().map(|&v| u64::from(v)).collect();
+                assert!(got == reference, "{n} hubs diverged at {threads} workers");
+            }
+        }
+    }
 
     #[test]
     fn median_is_calibrated() {

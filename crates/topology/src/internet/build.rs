@@ -335,13 +335,13 @@ impl InternetModel {
             as_blocks.push(block);
             b.as_national.push((b.alloc.provider_block(13), 0));
         }
-        for p in 0..n_pops {
-            let as_idx = pop_as[p] as usize;
+        for (p, &as_id) in pop_as.iter().enumerate() {
+            let as_idx = as_id as usize;
             let k = as_pop_counter[as_idx];
             as_pop_counter[as_idx] += 1;
             let block = as_blocks[as_idx].subnet(15, k);
             b.pops.push(Pop {
-                as_id: pop_as[p],
+                as_id,
                 city_id: p as u16,
                 core: RouterId(u32::MAX), // set below
                 routers: Vec::new(),

@@ -153,10 +153,13 @@ impl Interleaver {
     }
 }
 
+/// The check run on each completed schedule's final state.
+type Check<'a, S> = dyn Fn(&S, &[usize]) -> Result<(), String> + 'a;
+
 struct Dfs<'a, S> {
     mk_state: &'a dyn Fn() -> S,
     threads: &'a [Vec<Op<S>>],
-    check: &'a dyn Fn(&S, &[usize]) -> Result<(), String>,
+    check: &'a Check<'a, S>,
     max_preemptions: Option<usize>,
     max_schedules: usize,
     schedules: usize,

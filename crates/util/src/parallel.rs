@@ -239,9 +239,10 @@ where
 /// # Panics
 /// Panics if `data.len()` is not a multiple of `row_len`, and
 /// propagates worker panics.
-pub fn par_for_rows<F>(threads: usize, data: &mut [f32], row_len: usize, f: F)
+pub fn par_for_rows<T, F>(threads: usize, data: &mut [T], row_len: usize, f: F)
 where
-    F: Fn(usize, &mut [f32]) + Sync,
+    T: Send,
+    F: Fn(usize, &mut [T]) + Sync,
 {
     if data.is_empty() {
         return;
@@ -262,13 +263,18 @@ where
 
     /// Raw base pointer of the row buffer, shared by reference across
     /// the scoped workers.
-    struct RowBase(*mut f32);
+    struct RowBase<T>(*mut T);
     // SAFETY: `RowBase` is only ever used inside `par_for_rows`'s
     // thread scope, where each worker derives row slices at indices it
     // exclusively claimed from the atomic counter; the pointed-to
     // buffer outlives the scope (it is a `&mut` argument of the
     // enclosing call). Sharing the *pointer value* is therefore sound.
-    unsafe impl Sync for RowBase {}
+    // Through it each worker gets a `&mut [T]` on its own thread (and
+    // drops there any value it overwrites), which is what moving a
+    // `&mut [T]` to that thread would allow: the elements need
+    // `T: Send`, the bound on `par_for_rows`, and not `Sync`, since no
+    // two threads ever reach the same element.
+    unsafe impl<T: Send> Sync for RowBase<T> {}
 
     region_span(|| {
         let next = AtomicUsize::new(0);

@@ -12,7 +12,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// The base seed used by the experiment binaries unless overridden.
-pub const DEFAULT_SEED: u64 = 0x1_EC_2008; // IMC 2008
+pub const DEFAULT_SEED: u64 = 0x1EC_2008; // IMC 2008
 
 /// SplitMix64 — the standard 64-bit mixing function (Steele et al., 2014).
 ///

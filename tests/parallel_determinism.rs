@@ -13,6 +13,7 @@ use nearest_peer::prelude::*;
 use np_core::{run_queries_threads, sweep_three_runs_threads, RunBandMetrics};
 use np_metric::nearest::BruteForce;
 use np_metric::{HierarchicalWorld, NearestCache};
+use np_topology::HubMatrix;
 
 const THREAD_COUNTS: [usize; 3] = [2, 4, 8];
 
@@ -133,6 +134,38 @@ fn world_matrix_identical_at_any_thread_count() {
                     par.rtt(a, b),
                     "rtt({a}, {b}) diverged at {threads} threads"
                 );
+            }
+        }
+    }
+}
+
+/// The serial hub generator, shared with np-topology's unit tests.
+mod hub_reference {
+    use np_topology::geo;
+    use np_util::rng::rng_for;
+    use np_util::Micros;
+
+    include!("../crates/topology/src/hub_reference.rs");
+}
+
+/// Hub synthesis: every worker count must reproduce the serial
+/// generator bit for bit. At 2,500 hubs (the `scale_hier` world)
+/// several workers split the rows; below 2^16 pairs the fill stays on
+/// the calling thread.
+#[test]
+fn hub_matrix_identical_at_any_thread_count() {
+    for n in [2, 3, 17, 250, 2_500] {
+        let reference = hub_reference::serial_hub_matrix(n, 65.0, 29);
+        for threads in [1, 2, 4, 8] {
+            let m = HubMatrix::synthetic_threads(n, 65.0, 29, threads);
+            for a in 0..n {
+                for b in 0..n {
+                    assert_eq!(
+                        m.rtt(a, b).as_us(),
+                        reference[a * n + b],
+                        "{n} hubs: rtt({a}, {b}) diverged at {threads} workers"
+                    );
+                }
             }
         }
     }
