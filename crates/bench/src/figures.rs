@@ -16,22 +16,26 @@ use np_core::experiment::{ExperimentReport, ExperimentSpec, StudyCtx, StudyOutpu
 /// `np-bench run` then exits 1.
 pub type Check = fn(&ExperimentSpec, &ExperimentReport, &Args) -> Result<(), String>;
 
-/// How a figure runs through the experiment pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// How a figure runs through the experiment pipeline, with the code
+/// that runs it.
+#[derive(Clone, Copy)]
 pub enum FigureKind {
     /// Declarative cells × algorithms × seeds over cluster worlds;
-    /// honours `--world dense|hierarchical`.
-    QueryMatrix,
+    /// honours `--world dense|hierarchical`. Holds the figure's bespoke
+    /// renderer.
+    QueryMatrix(fn(&ExperimentReport, &Args) -> String),
     /// Measurement-stack study over the Internet model (`--world` is
-    /// accepted but inert — there is no latency store to swap).
-    Study,
+    /// accepted but inert — there is no latency store to swap). Holds
+    /// the measurement stage a TOML-loaded study spec resolves by name;
+    /// it renders through `cli::study_rendered`.
+    Study(fn(&StudyCtx) -> StudyOutput),
 }
 
 impl FigureKind {
     pub fn name(self) -> &'static str {
         match self {
-            FigureKind::QueryMatrix => "query-matrix",
-            FigureKind::Study => "study",
+            FigureKind::QueryMatrix(_) => "query-matrix",
+            FigureKind::Study(_) => "study",
         }
     }
 }
@@ -46,12 +50,6 @@ pub struct FigureInfo {
     pub backends: &'static str,
     /// One-line description for `np-bench list`.
     pub title: &'static str,
-    /// The figure's bespoke renderer (query figures; `None` for
-    /// studies, which render through `cli::study_rendered`).
-    pub render: Option<fn(&ExperimentReport, &Args) -> String>,
-    /// The measurement stage (study figures only) — what a TOML-loaded
-    /// study spec resolves by name.
-    pub study: Option<fn(&StudyCtx) -> StudyOutput>,
     /// Figure-specific backend policy applied after the CLI overrides
     /// resolve (e.g. ext_scale drops cells whose dense matrix cannot
     /// fit the CI budget). Returns the labels of dropped cells; the
@@ -66,161 +64,129 @@ pub struct FigureInfo {
 pub const FIGURES: &[FigureInfo] = &[
     FigureInfo {
         spec: "fig3_4",
-        kind: FigureKind::Study,
+        kind: FigureKind::Study(specs::fig3_4::study),
         backends: "n/a (measurement pipeline)",
         title: "DNS-pair latency-prediction measure (Figures 3 & 4)",
-        render: None,
         clamp: None,
         check: None,
-        study: Some(specs::fig3_4::study),
     },
     FigureInfo {
         spec: "fig5",
-        kind: FigureKind::Study,
+        kind: FigureKind::Study(specs::fig5::study),
         backends: "n/a (measurement pipeline)",
         title: "intra- vs inter-domain latency distributions (Figure 5)",
-        render: None,
         clamp: None,
         check: None,
-        study: Some(specs::fig5::study),
     },
     FigureInfo {
         spec: "fig6_7",
-        kind: FigureKind::Study,
+        kind: FigureKind::Study(specs::fig6_7::study),
         backends: "n/a (measurement pipeline)",
         title: "Azureus cluster sizes and latencies (Figures 6 & 7)",
-        render: None,
         clamp: None,
         check: None,
-        study: Some(specs::fig6_7::study),
     },
     FigureInfo {
         spec: "fig8",
-        kind: FigureKind::QueryMatrix,
+        kind: FigureKind::QueryMatrix(specs::fig8::render),
         backends: "dense|hierarchical",
         title: "Meridian accuracy vs cluster size (Figure 8)",
-        render: Some(specs::fig8::render),
-        study: None,
         clamp: None,
         check: None,
     },
     FigureInfo {
         spec: "fig9",
-        kind: FigureKind::QueryMatrix,
+        kind: FigureKind::QueryMatrix(specs::fig9::render),
         backends: "dense|hierarchical",
         title: "Meridian accuracy and hub distance vs delta (Figure 9)",
-        render: Some(specs::fig9::render),
-        study: None,
         clamp: None,
         check: None,
     },
     FigureInfo {
         spec: "fig10",
-        kind: FigureKind::Study,
+        kind: FigureKind::Study(specs::fig10::study),
         backends: "n/a (measurement pipeline)",
         title: "inter-peer router hops vs latency (Figure 10)",
-        render: None,
         clamp: None,
         check: None,
-        study: Some(specs::fig10::study),
     },
     FigureInfo {
         spec: "fig11",
-        kind: FigureKind::Study,
+        kind: FigureKind::Study(specs::fig11::study),
         backends: "n/a (measurement pipeline)",
         title: "IP-prefix heuristic error rates (Figure 11)",
-        render: None,
         clamp: None,
         check: None,
-        study: Some(specs::fig11::study),
     },
     FigureInfo {
         spec: "ucl_discovery",
-        kind: FigureKind::Study,
+        kind: FigureKind::Study(specs::ucl_discovery::study),
         backends: "n/a (measurement pipeline)",
         title: "UCL discovery rates vs tracked routers (paper Section 5)",
-        render: None,
         clamp: None,
         check: None,
-        study: Some(specs::ucl_discovery::study),
     },
     FigureInfo {
         spec: "ext_baselines",
-        kind: FigureKind::QueryMatrix,
+        kind: FigureKind::QueryMatrix(specs::ext_baselines::render),
         backends: "dense|hierarchical",
         title: "all algorithms under the clustering condition (Ext A)",
-        render: Some(specs::ext_baselines::render),
-        study: None,
         clamp: None,
         check: None,
     },
     FigureInfo {
         spec: "ext_assumptions",
-        kind: FigureKind::Study,
+        kind: FigureKind::Study(specs::ext_assumptions::study),
         backends: "dense|hierarchical",
         title: "metric-space diagnostics under clustering (Ext B)",
-        render: None,
         clamp: None,
         check: None,
-        study: Some(specs::ext_assumptions::study),
     },
     FigureInfo {
         spec: "ext_hybrid",
-        kind: FigureKind::QueryMatrix,
+        kind: FigureKind::QueryMatrix(specs::ext_hybrid::render),
         backends: "dense|hierarchical",
         title: "hybrid UCL registry + Meridian fallback (Ext C)",
-        render: Some(specs::ext_hybrid::render),
-        study: None,
         clamp: None,
         check: None,
     },
     FigureInfo {
         spec: "ext_ablation",
-        kind: FigureKind::QueryMatrix,
+        kind: FigureKind::QueryMatrix(specs::ext_ablation::render),
         backends: "dense|hierarchical",
         title: "Meridian design-choice ablations (Ext D)",
-        render: Some(specs::ext_ablation::render),
-        study: None,
         clamp: None,
         check: None,
     },
     FigureInfo {
         spec: "ext_scale",
-        kind: FigureKind::QueryMatrix,
+        kind: FigureKind::QueryMatrix(specs::ext_scale::render),
         backends: "dense|hierarchical",
         title: "hierarchical worlds from the 2.5k-peer dense wall to a million peers",
-        render: Some(specs::ext_scale::render),
-        study: None,
         clamp: Some(specs::ext_scale::drop_oversized_dense_cells),
         check: Some(specs::ext_scale::check),
     },
     FigureInfo {
         spec: "ext_churn",
-        kind: FigureKind::QueryMatrix,
+        kind: FigureKind::QueryMatrix(specs::ext_churn::render),
         backends: "dense|hierarchical",
         title: "accuracy and repair cost under event-clocked churn (Ext E)",
-        render: Some(specs::ext_churn::render),
-        study: None,
         clamp: None,
         check: Some(specs::ext_churn::check),
     },
     FigureInfo {
         spec: "ext_dht",
-        kind: FigureKind::QueryMatrix,
+        kind: FigureKind::QueryMatrix(specs::ext_dht::render),
         backends: "dense|hierarchical",
         title: "structured-overlay searchers: Kademlia and NSW (Ext F)",
-        render: Some(specs::ext_dht::render),
-        study: None,
         clamp: None,
         check: Some(specs::ext_dht::check),
     },
     FigureInfo {
         spec: "ext_serve",
-        kind: FigureKind::QueryMatrix,
+        kind: FigureKind::QueryMatrix(specs::ext_serve::render),
         backends: "dense|hierarchical",
         title: "query-serving daemon under open-loop load (Ext G)",
-        render: Some(specs::ext_serve::render),
-        study: None,
         clamp: None,
         check: None,
     },
@@ -234,9 +200,10 @@ pub fn figure(name: &str) -> Option<&'static FigureInfo> {
 /// The boxed study stage registered under `name` — the resolver
 /// `ExperimentSpec::from_toml_with` wants.
 pub fn study_stage(name: &str) -> Option<StudyStage> {
-    figure(name)
-        .and_then(|f| f.study)
-        .map(|stage| Box::new(stage) as StudyStage)
+    match figure(name)?.kind {
+        FigureKind::Study(stage) => Some(Box::new(stage)),
+        FigureKind::QueryMatrix(_) => None,
+    }
 }
 
 #[cfg(test)]
@@ -265,17 +232,11 @@ mod tests {
             let spec = crate::specs::tests::checked_in(f.spec);
             assert_eq!(spec.name, f.spec, "{}: spec name drifted", f.spec);
             match f.kind {
-                FigureKind::QueryMatrix => {
-                    assert!(f.render.is_some(), "{}: query figures render", f.spec);
-                    assert!(f.study.is_none());
+                FigureKind::QueryMatrix(_) => {
                     assert!(spec.cell_count() >= 1);
                     assert!(study_stage(f.spec).is_none());
                 }
-                FigureKind::Study => {
-                    assert!(f.render.is_none());
-                    assert!(f.study.is_some(), "{}: study figures need a stage", f.spec);
-                    assert!(study_stage(f.spec).is_some());
-                }
+                FigureKind::Study(_) => assert!(study_stage(f.spec).is_some()),
             }
             // Every checked-in spec passes its own validation.
             spec.validate()

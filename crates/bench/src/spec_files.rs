@@ -17,7 +17,7 @@
 //! one process.
 
 use crate::cli::{self, Args};
-use crate::figures::{figure, study_stage};
+use crate::figures::{figure, study_stage, FigureKind};
 use crate::registry::full_registry;
 use np_core::experiment::{AlgoSpec, Experiment, ExperimentSpec, Workload};
 use std::path::{Path, PathBuf};
@@ -236,7 +236,10 @@ fn run_one(text: &str, path: &Path, inputs: &RunInputs) -> Result<bool, String> 
             }
         }
     }
-    let render = figure.and_then(|f| f.render).unwrap_or(cli::study_rendered);
+    let render = match figure.map(|f| f.kind) {
+        Some(FigureKind::QueryMatrix(render)) => render,
+        _ => cli::study_rendered,
+    };
     let experiment = Experiment::new(spec, &registry);
     let report = cli::run_experiment(&args, &experiment, render);
     if report

@@ -20,11 +20,16 @@
 //!   full-coverage hybrid: the β, management and build-mode variants
 //!   share one Meridian ring fill per fill configuration, and every
 //!   coverage level wraps the same fallback.
+//! * `fixtures/ext_churn_quick.txt` pins the Ext E churn rows, captured
+//!   while the churn rows of a cell still shared one event script and
+//!   one set of per-epoch build caches: each row's own schedule, caches
+//!   and dynamic wrapper must give the same accuracy, event counts and
+//!   repair costs.
 //!
-//! fig8 and ext_dht also run at `--world hierarchical --super-shards 1`:
-//! on §4 worlds that one-level store is exact, so the ring fill and the
-//! searchers read the dense RTTs and every metric digit must equal the
-//! dense fixture's, modulo the backend chrome.
+//! fig8, ext_dht and ext_churn also run at `--world hierarchical
+//! --super-shards 1`: on §4 worlds that one-level store is exact, so the
+//! ring fill and the searchers read the dense RTTs and every metric
+//! digit must equal the dense fixture's, modulo the backend chrome.
 
 use std::process::Command;
 
@@ -129,4 +134,17 @@ fn np_bench_run_ext_ablation_toml_matches_the_fixture() {
 #[test]
 fn np_bench_run_ext_hybrid_toml_matches_the_fixture() {
     assert_matches_fixture("ext_hybrid", include_str!("fixtures/ext_hybrid_quick.txt"));
+}
+
+#[test]
+fn np_bench_run_ext_churn_toml_matches_the_fixture() {
+    assert_matches_fixture("ext_churn", include_str!("fixtures/ext_churn_quick.txt"));
+}
+
+#[test]
+fn ext_churn_one_super_shard_matches_the_dense_fixture() {
+    assert_one_super_shard_matches_fixture(
+        "ext_churn",
+        include_str!("fixtures/ext_churn_quick.txt"),
+    );
 }

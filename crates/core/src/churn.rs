@@ -322,9 +322,9 @@ impl AddAssign for ChurnStats {
 /// and a fresh per-epoch [`BuildCache`]; queries then run against
 /// [`DynamicAlgo::algo`].
 ///
-/// The `'a` lifetime is the scenario's: epochs, caches and the built
-/// algorithm all borrow from the driver-owned schedule/cache storage,
-/// which outlives every epoch.
+/// The `'a` lifetime is the run's: epochs, caches and the built
+/// algorithm all borrow from the schedule and caches
+/// [`run_dynamic_threads`] owns, which outlive every epoch.
 pub trait DynamicAlgo<'a> {
     /// Bring the algorithm up to date with `epoch`'s membership.
     /// Returns what the update cost. Structural randomness must derive
@@ -403,62 +403,51 @@ impl<'a> DynamicAlgo<'a> for RebuildEachEpoch<'a> {
     }
 }
 
-/// Build the dynamic wrapper for `factory`: its own
-/// [`AlgoFactory::dynamic_override`] when it has one (Meridian's
-/// incremental ring repair), the [`RebuildEachEpoch`] default
-/// otherwise.
-pub fn dynamic_algo<'a>(
-    factory: &'a dyn AlgoFactory,
-    ctx: &AlgoContext<'a>,
-) -> Box<dyn DynamicAlgo<'a> + 'a> {
-    factory
-        .dynamic_override(ctx)
-        .unwrap_or_else(|| Box::new(RebuildEachEpoch::new(factory, ctx)))
-}
-
-/// The dynamic twin of [`crate::runner::run_queries_threads`]: run a
-/// scripted dynamic world end to end.
+/// The dynamic twin of [`crate::runner::run_queries_threads`]: run
+/// `factory` through a scripted dynamic world end to end.
 ///
-/// Per epoch the driver (1) advances `algo` (accumulating
-/// [`RepairCost`]), (2) wraps the backend in that epoch's
+/// The run owns its state: it scripts the [`ChurnSchedule`] from
+/// `(cfg, overlay, n_queries, seed)`, keeps one fresh [`BuildCache`]
+/// per epoch (so epoch artifacts outlive `advance`) and wraps `factory`
+/// over `ctx` in its [`AlgoFactory::dynamic_override`] when it has one
+/// (Meridian's incremental ring repair), the [`RebuildEachEpoch`]
+/// default otherwise. Per epoch it (1) advances the algorithm
+/// (accumulating [`RepairCost`]), (2) wraps the backend in that epoch's
 /// [`DriftedWorld`], (3) maintains the ground-truth [`NearestCache`]
 /// incrementally — departures evict, joins admit, drifts do both; each
 /// step is bit-identical to a fresh build over the epoch's live set —
 /// and (4) fans the epoch's queries over `threads` workers through the
-/// batch runner's own per-query path
-/// ([`crate::runner::run_one_query`]) against the drifted world, each
-/// query with its own deterministic [`FaultPlan`] when `cfg.loss > 0`.
+/// batch runner's own per-query path ([`crate::runner::run_one_query`])
+/// against the drifted world, each query with its own deterministic
+/// [`FaultPlan`] when `cfg.loss > 0`.
 ///
 /// The target schedule is the static runner's
 /// ([`crate::runner::draw_target_schedule`]), queries keep their global
 /// index for seeding and reduction, and records reduce in global query
-/// order — so same seed + same schedule ⇒ bit-identical
-/// [`PaperMetrics`] at any thread count, and a null schedule
-/// reproduces the static runner's metrics exactly.
-///
-/// `caches` must hold one fresh [`BuildCache`] per schedule epoch
-/// (driver-owned so epoch artifacts can outlive `advance`).
-#[allow(clippy::too_many_arguments)]
-pub fn run_dynamic_threads<'a, W: WorldStore>(
-    algo: &mut (dyn DynamicAlgo<'a> + 'a),
-    scenario: &'a ClusterScenario<W>,
-    schedule: &'a ChurnSchedule,
-    caches: &'a [BuildCache],
+/// order — so same seed ⇒ bit-identical [`PaperMetrics`] at any thread
+/// count, and a null schedule reproduces the static runner's metrics
+/// exactly.
+pub fn run_dynamic_threads<W: WorldStore>(
+    factory: &dyn AlgoFactory,
+    ctx: &AlgoContext<'_>,
+    scenario: &ClusterScenario<W>,
     cfg: &ChurnConfig,
     n_queries: usize,
     seed: u64,
     threads: usize,
 ) -> (PaperMetrics, ChurnStats) {
-    assert_eq!(
-        caches.len(),
-        schedule.epochs.len(),
-        "one fresh BuildCache per epoch"
-    );
-    assert_eq!(
-        schedule.epochs.iter().map(|e| e.queries).sum::<usize>(),
+    let schedule = ChurnSchedule::generate(
+        cfg,
+        &scenario.overlay,
+        scenario.world.len(),
         n_queries,
-        "schedule clocks every query exactly once"
+        seed,
     );
+    let caches: Vec<BuildCache> = schedule.epochs.iter().map(|_| BuildCache::new()).collect();
+    // Declared after the schedule and caches it borrows, so it drops first.
+    let mut algo = factory
+        .dynamic_override(ctx)
+        .unwrap_or_else(|| Box::new(RebuildEachEpoch::new(factory, ctx)));
     let targets = draw_target_schedule(&scenario.targets, n_queries, seed);
     let mut stats = ChurnStats {
         epochs: schedule.epochs.len() as u64,
@@ -562,37 +551,24 @@ mod tests {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn run_with<'a>(
-        factory: &'a dyn AlgoFactory,
-        s: &'a ClusterScenario,
-        schedule: &'a ChurnSchedule,
-        caches: &'a [BuildCache],
-        shared: &'a BuildCache,
+    fn run_with(
+        factory: &dyn AlgoFactory,
+        s: &ClusterScenario,
         cfg: &ChurnConfig,
         n_queries: usize,
         seed: u64,
         threads: usize,
     ) -> (PaperMetrics, ChurnStats) {
+        let shared = BuildCache::new();
         let ctx = AlgoContext {
             store: &s.matrix,
             world: &s.world,
             overlay: &s.overlay,
             seed,
             threads,
-            shared,
+            shared: &shared,
         };
-        let mut dyn_algo = dynamic_algo(factory, &ctx);
-        run_dynamic_threads(
-            dyn_algo.as_mut(),
-            s,
-            schedule,
-            caches,
-            cfg,
-            n_queries,
-            seed,
-            threads,
-        )
+        run_dynamic_threads(factory, &ctx, s, cfg, n_queries, seed, threads)
     }
 
     #[test]
@@ -648,15 +624,12 @@ mod tests {
     fn null_churn_run_is_bit_identical_to_the_static_runner() {
         let s = small_scenario(4);
         let cfg = ChurnConfig::null(60.0);
-        let sched = ChurnSchedule::generate(&cfg, &s.overlay, s.world.len(), 60, 11);
-        let caches = vec![BuildCache::new()];
         for factory in [
             &BruteForceFactory as &dyn AlgoFactory,
             &RandomChoiceFactory as &dyn AlgoFactory,
         ] {
+            let (dynamic, stats) = run_with(factory, &s, &cfg, 60, 11, 2);
             let shared = BuildCache::new();
-            let (dynamic, stats) =
-                run_with(factory, &s, &sched, &caches, &shared, &cfg, 60, 11, 2);
             let ctx = AlgoContext {
                 store: &s.matrix,
                 world: &s.world,
@@ -684,22 +657,8 @@ mod tests {
             loss: 0.0,
             ..churny()
         };
-        let sched = ChurnSchedule::generate(&cfg, &s.overlay, s.world.len(), 80, 13);
-        assert!(sched.events() > 0);
-        let caches: Vec<BuildCache> =
-            (0..sched.epochs.len()).map(|_| BuildCache::new()).collect();
-        let shared = BuildCache::new();
-        let (m, stats) = run_with(
-            &BruteForceFactory,
-            &s,
-            &sched,
-            &caches,
-            &shared,
-            &cfg,
-            80,
-            13,
-            2,
-        );
+        let (m, stats) = run_with(&BruteForceFactory, &s, &cfg, 80, 13, 2);
+        assert!(stats.events > 0);
         assert_eq!(m.p_correct_closest, 1.0, "{m:?}");
         assert_eq!(m.queries, 80);
         assert_eq!(stats.repair.full_rebuilds, stats.epochs);
@@ -709,23 +668,7 @@ mod tests {
     fn dynamic_run_is_thread_count_invariant() {
         let s = small_scenario(6);
         let cfg = churny();
-        let sched = ChurnSchedule::generate(&cfg, &s.overlay, s.world.len(), 70, 17);
-        let run_at = |threads: usize| {
-            let caches: Vec<BuildCache> =
-                (0..sched.epochs.len()).map(|_| BuildCache::new()).collect();
-            let shared = BuildCache::new();
-            run_with(
-                &BruteForceFactory,
-                &s,
-                &sched,
-                &caches,
-                &shared,
-                &cfg,
-                70,
-                17,
-                threads,
-            )
-        };
+        let run_at = |threads: usize| run_with(&BruteForceFactory, &s, &cfg, 70, 17, threads);
         let serial = run_at(1);
         for threads in [2, 4, 8] {
             assert_eq!(serial, run_at(threads), "diverged at {threads} threads");
@@ -744,24 +687,7 @@ mod tests {
             retries: 1,
             ..churny()
         };
-        let run_cfg = |cfg: &ChurnConfig| {
-            let sched = ChurnSchedule::generate(cfg, &s.overlay, s.world.len(), 80, 19);
-            let caches: Vec<BuildCache> =
-                (0..sched.epochs.len()).map(|_| BuildCache::new()).collect();
-            let shared = BuildCache::new();
-            run_with(
-                &BruteForceFactory,
-                &s,
-                &sched,
-                &caches,
-                &shared,
-                cfg,
-                80,
-                19,
-                2,
-            )
-            .0
-        };
+        let run_cfg = |cfg: &ChurnConfig| run_with(&BruteForceFactory, &s, cfg, 80, 19, 2).0;
         let clean = run_cfg(&lossless);
         let faulty = run_cfg(&lossy);
         assert_eq!(clean.p_correct_closest, 1.0);
@@ -770,26 +696,5 @@ mod tests {
             "40% loss with one attempt must cost brute force accuracy: {faulty:?}"
         );
         assert_eq!(faulty.queries, 80);
-    }
-
-    #[test]
-    #[should_panic(expected = "one fresh BuildCache per epoch")]
-    fn cache_storage_must_match_the_schedule() {
-        let s = small_scenario(8);
-        let cfg = churny();
-        let sched = ChurnSchedule::generate(&cfg, &s.overlay, s.world.len(), 10, 23);
-        let caches = vec![BuildCache::new()]; // wrong: one per epoch needed
-        let shared = BuildCache::new();
-        run_with(
-            &BruteForceFactory,
-            &s,
-            &sched,
-            &caches,
-            &shared,
-            &cfg,
-            10,
-            23,
-            1,
-        );
     }
 }

@@ -11,9 +11,9 @@
 //!   brute-force and random here; Meridian, the baselines, the
 //!   coordinate walk and the hybrid remedies register from their own
 //!   crates;
-//! * [`Experiment::run_threads`] executes the spec — scenario builds
-//!   memoised, seeds fanned over the worker pool, metrics reduced in
-//!   spec order — into a typed [`ExperimentReport`];
+//! * [`Experiment::run_threads`] executes the spec — seeds fanned over
+//!   the worker pool, each seed's scenario dropped when it finishes,
+//!   metrics reduced in spec order — into a typed [`ExperimentReport`];
 //! * [`sink`] renders reports as aligned tables, JSON lines or
 //!   BENCH-style records.
 //!

@@ -108,8 +108,8 @@ pub trait AlgoFactory: Sync {
     /// Optional churn-aware wrapper for dynamic (event-clocked) runs.
     ///
     /// The default `None` gives the factory the universal
-    /// rebuild-each-epoch behaviour (see [`crate::churn::dynamic_algo`],
-    /// which callers go through instead of calling this directly).
+    /// rebuild-each-epoch behaviour (see
+    /// [`crate::churn::run_dynamic_threads`], which calls this).
     /// Factories with cheaper-than-rebuild maintenance override it —
     /// Meridian returns its incremental ring-repair wrapper. The same
     /// determinism contract as [`AlgoFactory::build`] applies.

@@ -2,13 +2,13 @@
 //!
 //! [`Experiment`] executes an [`ExperimentSpec`] against an
 //! [`AlgoRegistry`]: cells run in spec order (progress is printed per
-//! cell), each cell's seeds fan out over the worker pool exactly like
-//! the historical `sweep_runs_threads`, and every (cell, seed) pair
-//! builds its scenario, instantiates its algorithms through the
-//! registry and drives the batch query runner. Scenario builds are
-//! memoised per `(world spec, targets, seed, backend)` within one run,
-//! so sweeps that revisit a configuration (e.g. the hybrid coverage
-//! sweep — same world, six registry configurations) pay for one build.
+//! cell), each cell's seeds fan out over the worker pool, and every
+//! (cell, seed) pair builds its scenario, instantiates its algorithms
+//! through the registry and drives the batch query runner. A seed's
+//! scenario lives only while that seed runs, so a run holds one cell's
+//! seeds at a time; rows over the same scenario (e.g. the hybrid
+//! coverage sweep — one world, six registry configurations) share its
+//! expensive artifacts through the per-(cell, seed) [`BuildCache`].
 //!
 //! # Determinism
 //!
@@ -19,7 +19,7 @@
 //! context seed, and all reductions run in spec/seed order
 //! (`tests/parallel_determinism.rs` covers the pipeline end to end).
 
-use crate::churn::{dynamic_algo, run_dynamic_threads, ChurnConfig, ChurnSchedule, ChurnStats};
+use crate::churn::{run_dynamic_threads, ChurnConfig, ChurnStats};
 use crate::experiment::registry::{AlgoContext, AlgoFactory, AlgoRegistry, BuildCache};
 use crate::experiment::report::{AlgoReport, CellReport, ExperimentReport, ReportBody};
 use crate::experiment::spec::{Backend, CellSpec, ExperimentSpec, StudyCtx, Workload};
@@ -30,14 +30,13 @@ use np_metric::{
 };
 use np_topology::ClusterWorld;
 use np_util::parallel::{par_map, resolve_threads};
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// A built scenario on either backend, dispatching the generic runner
 /// statically per variant.
-// One handle per built scenario, held for a whole cell and never stored
-// in bulk, so the variants' size gap costs nothing a `Box` would save.
+// One handle per built scenario, held while its seed runs and never
+// stored in bulk, so the variants' size gap costs nothing a `Box` would
+// save.
 #[allow(clippy::large_enum_variant)]
 pub enum ScenarioHandle {
     Dense(ClusterScenario<LatencyMatrix>),
@@ -154,48 +153,27 @@ impl ScenarioHandle {
     }
 
     /// Drive one algorithm's dynamic run through the backend-generic
-    /// churn runner (schedule and per-epoch caches prepared by the
-    /// caller so every row of the cell shares them).
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_dynamic<'a>(
-        &'a self,
-        factory: &'a dyn AlgoFactory,
-        ctx: &AlgoContext<'a>,
-        schedule: &'a ChurnSchedule,
-        caches: &'a [BuildCache],
+    /// churn runner, which scripts the schedule and owns the per-epoch
+    /// caches.
+    pub fn run_dynamic(
+        &self,
+        factory: &dyn AlgoFactory,
+        ctx: &AlgoContext<'_>,
         cfg: &ChurnConfig,
         n_queries: usize,
         seed: u64,
         threads: usize,
     ) -> (PaperMetrics, ChurnStats) {
-        let mut algo = dynamic_algo(factory, ctx);
         match self {
-            ScenarioHandle::Dense(s) => run_dynamic_threads(
-                algo.as_mut(),
-                s,
-                schedule,
-                caches,
-                cfg,
-                n_queries,
-                seed,
-                threads,
-            ),
-            ScenarioHandle::Hierarchical(s) => run_dynamic_threads(
-                algo.as_mut(),
-                s,
-                schedule,
-                caches,
-                cfg,
-                n_queries,
-                seed,
-                threads,
-            ),
+            ScenarioHandle::Dense(s) => {
+                run_dynamic_threads(factory, ctx, s, cfg, n_queries, seed, threads)
+            }
+            ScenarioHandle::Hierarchical(s) => {
+                run_dynamic_threads(factory, ctx, s, cfg, n_queries, seed, threads)
+            }
         }
     }
 }
-
-/// Per-run scenario memoisation (see module docs).
-type ScenarioCache = Mutex<HashMap<String, Arc<ScenarioHandle>>>;
 
 /// Extract the human message from a panic payload.
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -208,31 +186,13 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Lock a scenario-cache mutex, recovering from poisoning: a panicking
-/// cell unwinds through its guard, but complete entries are inserted
-/// only after construction, so the inner map is always consistent.
-fn lock_cache(cache: &ScenarioCache) -> std::sync::MutexGuard<'_, HashMap<String, Arc<ScenarioHandle>>> {
-    cache.lock().unwrap_or_else(|p| p.into_inner())
-}
-
-fn cache_key(cell: &CellSpec, backend: Backend, seed: u64) -> String {
-    // The hierarchical knobs are part of the key: two cells over the
-    // same world but different super-shard counts or cache budgets are
-    // different stores and must not share a memoised scenario.
-    format!(
-        "{:?}|targets={}|seed={seed}|{}|super={:?}|cache={:?}",
-        cell.world,
-        cell.n_targets,
-        backend.name(),
-        cell.super_shards,
-        cell.block_cache_mb
-    )
-}
-
-/// What one (cell, seed) pair contributes before aggregation.
+/// What one (cell, seed) pair contributes before aggregation: the
+/// scenario's shape and the rows, not the scenario itself, which drops
+/// when its seed finishes.
 struct SeedRun {
-    scenario: Arc<ScenarioHandle>,
-    /// Zero when the scenario came from the cache.
+    peers: usize,
+    clusters: usize,
+    store_bytes: usize,
     build_wall: Duration,
     /// `(metrics, batch wall, churn accounting)` per algorithm, in spec
     /// order; the stats are `Some` iff the cell ran under churn.
@@ -266,18 +226,16 @@ impl<'r> Experiment<'r> {
         let start = Instant::now(); // np-lint: allow(D2) — wall-clock telemetry only; never feeds PaperMetrics
         let body = match &self.spec.workload {
             Workload::QueryMatrix(cells) => {
-                let cache: ScenarioCache = Mutex::new(HashMap::new());
                 let reports = cells
                     .iter()
                     .map(|cell| {
                         // A cell whose run panics (a factory abort, a
                         // degenerate build) becomes a marked failure in
                         // the report instead of killing the remaining
-                        // cells; the caches recover their poisoned
-                        // locks, so completed artifacts stay usable.
-                        let report = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-                            || self.run_cell(cell, threads, &cache),
-                        ))
+                        // cells.
+                        let report = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                            self.run_cell(cell, threads)
+                        }))
                         .unwrap_or_else(|payload| {
                             let msg = panic_message(payload.as_ref());
                             eprintln!("cell {} FAILED: {msg}", cell.label);
@@ -314,7 +272,7 @@ impl<'r> Experiment<'r> {
     }
 
     /// One cell: fan seeds over workers, then reduce in seed order.
-    fn run_cell(&self, cell: &CellSpec, threads: usize, cache: &ScenarioCache) -> CellReport {
+    fn run_cell(&self, cell: &CellSpec, threads: usize) -> CellReport {
         // Resolve factories up front so a bad name fails before any
         // world is built.
         let factories: Vec<_> = cell
@@ -324,26 +282,13 @@ impl<'r> Experiment<'r> {
             .collect();
         let seeds = self.spec.seeds.seeds(cell.base_seed);
         let backend = self.spec.backend;
-        // Outer per-seed parallelism mirrors `sweep_runs_threads`; the
-        // inner query batches also receive `threads` (the engine
-        // tolerates the oversubscription, determinism is unaffected).
+        // One worker per seed; the inner query batches also receive
+        // `threads` (the engine tolerates the oversubscription,
+        // determinism is unaffected).
         let runs: Vec<SeedRun> = par_map(threads.min(seeds.len()), &seeds, |_, &seed| {
-            let key = cache_key(cell, backend, seed);
-            let cached = lock_cache(cache).get(&key).cloned();
-            let (scenario, build_wall) = match cached {
-                Some(s) => (s, Duration::ZERO),
-                None => {
-                    // np-lint: allow(D2) — build wall-clock telemetry only; never feeds PaperMetrics
-                    let t = Instant::now();
-                    let built = Arc::new(ScenarioHandle::build(cell, backend, seed, threads));
-                    let wall = t.elapsed();
-                    // First build wins on a race; losers' work is
-                    // discarded (identical contents either way).
-                    let mut map = lock_cache(cache);
-                    let entry = map.entry(key).or_insert_with(|| built).clone();
-                    (entry, wall)
-                }
-            };
+            let t = Instant::now(); // np-lint: allow(D2) — build wall-clock telemetry only; never feeds PaperMetrics
+            let scenario = ScenarioHandle::build(cell, backend, seed, threads);
+            let build_wall = t.elapsed();
             let shared = BuildCache::new();
             let ctx = AlgoContext {
                 store: scenario.store(),
@@ -353,61 +298,33 @@ impl<'r> Experiment<'r> {
                 threads,
                 shared: &shared,
             };
-            let per_algo = match cell.churn {
-                None => cell
-                    .algos
-                    .iter()
-                    .zip(&factories)
-                    .map(|(spec, factory)| {
-                        let algo = factory.build(&ctx);
-                        let n_queries = spec.queries.unwrap_or(cell.queries);
-                        let t = Instant::now(); // np-lint: allow(D2) — per-algo wall-clock telemetry only; never feeds PaperMetrics
-                        let metrics =
-                            scenario.run_queries(algo.as_ref(), n_queries, seed, threads);
-                        (metrics, t.elapsed(), None)
-                    })
-                    .collect(),
-                Some(churn) => {
-                    // Event scripts depend only on (config, overlay,
-                    // seed) — the query count just partitions queries
-                    // over epochs — so rows with different query
-                    // budgets share the same epochs and one set of
-                    // per-epoch build caches.
-                    let mut schedules: HashMap<usize, ChurnSchedule> = HashMap::new();
-                    for spec in &cell.algos {
-                        let n = spec.queries.unwrap_or(cell.queries);
-                        schedules.entry(n).or_insert_with(|| {
-                            ChurnSchedule::generate(
-                                &churn,
-                                scenario.overlay(),
-                                scenario.world().len(),
-                                n,
-                                seed,
-                            )
-                        });
-                    }
-                    // np-lint: allow(D1) — epoch count depends only on (churn, overlay, seed), so every value agrees; which one is read cannot reach results
-                    let n_epochs = schedules.values().next().expect("non-empty").epochs.len();
-                    let caches: Vec<BuildCache> =
-                        (0..n_epochs).map(|_| BuildCache::new()).collect();
-                    cell.algos
-                        .iter()
-                        .zip(&factories)
-                        .map(|(spec, factory)| {
-                            let n_queries = spec.queries.unwrap_or(cell.queries);
-                            let schedule = &schedules[&n_queries];
+            let per_algo = cell
+                .algos
+                .iter()
+                .zip(&factories)
+                .map(|(spec, factory)| {
+                    let n_queries = spec.queries.unwrap_or(cell.queries);
+                    match &cell.churn {
+                        None => {
+                            let algo = factory.build(&ctx);
                             let t = Instant::now(); // np-lint: allow(D2) — per-algo wall-clock telemetry only; never feeds PaperMetrics
-                            let (metrics, stats) = scenario.run_dynamic(
-                                *factory, &ctx, schedule, &caches, &churn, n_queries, seed,
-                                threads,
-                            );
+                            let metrics =
+                                scenario.run_queries(algo.as_ref(), n_queries, seed, threads);
+                            (metrics, t.elapsed(), None)
+                        }
+                        Some(churn) => {
+                            let t = Instant::now(); // np-lint: allow(D2) — per-algo wall-clock telemetry only; never feeds PaperMetrics
+                            let (metrics, stats) = scenario
+                                .run_dynamic(*factory, &ctx, churn, n_queries, seed, threads);
                             (metrics, t.elapsed(), Some(stats))
-                        })
-                        .collect()
-                }
-            };
+                        }
+                    }
+                })
+                .collect();
             SeedRun {
-                scenario,
+                peers: scenario.world().len(),
+                clusters: scenario.world().spec().clusters,
+                store_bytes: scenario.store_bytes(),
                 build_wall,
                 per_algo,
             }
@@ -449,9 +366,9 @@ impl<'r> Experiment<'r> {
         let first = runs.first().expect("seed plan is non-empty");
         CellReport {
             label: cell.label.clone(),
-            peers: first.scenario.world().len(),
-            clusters: first.scenario.world().spec().clusters,
-            store_bytes: first.scenario.store_bytes(),
+            peers: first.peers,
+            clusters: first.clusters,
+            store_bytes: first.store_bytes,
             build_wall: runs.iter().map(|r| r.build_wall).sum(),
             rows,
             error: None,
@@ -464,7 +381,6 @@ mod tests {
     use super::*;
     use crate::experiment::registry::{AlgoFactory, BruteForceFactory, RandomChoiceFactory};
     use crate::experiment::spec::{AlgoSpec, SeedPlan};
-    use crate::runner::sweep_three_runs_threads;
     use np_metric::nearest::RandomChoice;
     use np_topology::ClusterWorldSpec;
     use np_util::Micros;
@@ -516,20 +432,25 @@ mod tests {
 
     #[test]
     fn pipeline_reproduces_the_historical_sweep() {
-        // The pipeline's Sweep(3) cell must equal a hand-rolled
-        // sweep_three_runs over the same base seed and algorithm.
+        // The pipeline's Sweep(3) cell must equal a hand-rolled loop
+        // over the same seeds, scenarios and algorithm.
         let reg = registry();
         let report = Experiment::new(spec(SeedPlan::THREE_RUNS, Backend::Dense), &reg)
             .run_threads(2);
         let row = &report.query_cells().expect("query spec")[0].rows[1]; // "random"
-        let expect = sweep_three_runs_threads(11, 2, |seed| {
-            let s = ClusterScenario::build(small_world(), 8, seed);
-            let algo = RandomChoice::new(&s.matrix, s.overlay.clone());
-            run_queries_threads(&algo, &s, 60, seed, 2)
-        });
+        let runs: Vec<PaperMetrics> = SeedPlan::THREE_RUNS
+            .seeds(11)
+            .into_iter()
+            .map(|seed| {
+                let s = ClusterScenario::build(small_world(), 8, seed);
+                let algo = RandomChoice::new(&s.matrix, s.overlay.clone());
+                run_queries_threads(&algo, &s, 60, seed, 2)
+            })
+            .collect();
+        assert_eq!(row.runs, runs);
+        let expect = RunBandMetrics::of(&runs);
         assert_eq!(row.bands.p_correct_closest, expect.p_correct_closest);
         assert_eq!(row.bands.mean_probes, expect.mean_probes);
-        assert_eq!(row.runs.len(), 3);
     }
 
     #[test]
@@ -570,7 +491,7 @@ mod tests {
         }
         assert!(hier.query_cells().expect("query spec")[0].store_bytes > 0);
         // Knob resolution: auto G, default budget; pins honoured and
-        // clamped; distinct knobs get distinct scenario-cache keys.
+        // clamped.
         let cells = match &spec(SeedPlan::Single, Backend::Hierarchical).workload {
             Workload::QueryMatrix(cells) => cells.clone(),
             _ => unreachable!(),
@@ -579,10 +500,6 @@ mod tests {
         assert_eq!(hierarchical_knobs(auto), (1, DEFAULT_BLOCK_CACHE_MB << 20));
         let pinned = auto.clone().with_super_shards(64).with_block_cache_mb(8);
         assert_eq!(hierarchical_knobs(&pinned), (4, 8 << 20), "clamped to 4 shards");
-        assert_ne!(
-            cache_key(auto, Backend::Hierarchical, 1),
-            cache_key(&pinned, Backend::Hierarchical, 1)
-        );
         // A big shard count goes ~√S.
         let mut wide = auto.clone();
         wide.world.clusters = 400;
@@ -611,8 +528,8 @@ mod tests {
 
     #[test]
     fn scenario_cache_shares_identical_cells() {
-        // Two cells over the same (world, seed) must reuse one scenario
-        // build: the second cell's build_wall is zero.
+        // Two cells over the same (world, seed) each build their own
+        // scenario, and their rows must agree bit for bit.
         let reg = registry();
         let mut s = spec(SeedPlan::Single, Backend::Dense);
         if let Workload::QueryMatrix(cells) = &mut s.workload {
@@ -621,11 +538,10 @@ mod tests {
             cells.push(second);
         }
         let report = Experiment::new(s, &reg).run_threads(2);
-        assert_eq!(report.query_cells().expect("query spec").len(), 2);
-        assert_eq!(report.query_cells().expect("query spec")[1].build_wall, Duration::ZERO);
         let cells = report.query_cells().expect("query spec");
-        for (ra, rb) in cells[0].rows.iter().zip(&cells[1].rows)
-        {
+        assert_eq!(cells.len(), 2);
+        assert_eq!(cells[0].rows.len(), 2);
+        for (ra, rb) in cells[0].rows.iter().zip(&cells[1].rows) {
             assert_eq!(ra.runs, rb.runs);
         }
     }
@@ -663,7 +579,7 @@ mod tests {
         assert!(cells[0].rows.is_empty());
         let err = cells[0].error.as_deref().expect("failure is marked");
         assert!(err.contains("factory exploded"), "{err}");
-        // The healthy cell ran to completion after the poisoned locks.
+        // The healthy cell ran to completion after the failed one.
         assert!(cells[1].error.is_none());
         assert_eq!(cells[1].rows.len(), 2);
         assert_eq!(cells[1].rows[0].single().p_correct_closest, 1.0);

@@ -120,8 +120,8 @@ pub enum SeedPlan {
     Single,
     /// `n`-seed sweep with the workspace's historical derivation:
     /// run `i` uses `sub_seed(base + i, "RN")`. `Sweep(3)` is the
-    /// paper's three-run sweep, bit-compatible with
-    /// [`crate::runner::sweep_three_runs`].
+    /// paper's three-run sweep. This is the only place per-run seeds
+    /// are derived.
     Sweep(usize),
 }
 
@@ -468,7 +468,7 @@ impl ExperimentSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use np_util::rng::{sub_seed, three_runs};
+    use np_util::rng::sub_seed;
 
     #[test]
     fn seed_plan_single_is_identity() {
@@ -478,10 +478,11 @@ mod tests {
 
     #[test]
     fn seed_plan_three_matches_historical_sweep() {
-        // sweep_runs over three_runs(base) applies sub_seed(s, "RN") to
-        // each — Sweep(3) must reproduce those exact seeds.
+        // The historical three-run sweep applied sub_seed(s, "RN") to
+        // each of base, base + 1 and base + 2 — Sweep(3) must reproduce
+        // those exact seeds.
         let base = 21u64;
-        let expect: Vec<u64> = three_runs(base)
+        let expect: Vec<u64> = [base, base + 1, base + 2]
             .iter()
             .map(|&s| sub_seed(s, 0x52_4E))
             .collect();

@@ -12,8 +12,9 @@
 //!   map-reduce (deterministic at any thread count) and aggregates the
 //!   paper's metrics: P(correct closest peer), P(correct cluster), the
 //!   hub latency of wrongly-found peers (Figure 9's second axis), and
-//!   probe/hop costs; plus the parallel multi-seed median/min/max
-//!   sweeps the paper's error bars use,
+//!   probe/hop costs, and folds per-run metrics into the
+//!   median/min/max bands the paper's error bars use
+//!   ([`runner::RunBandMetrics`]),
 //! * [`hybrid`] — the paper's closing recommendation: use a §5 hint
 //!   registry (UCL/prefix) first and fall back to a latency-only
 //!   algorithm when the registry has no close candidate (wired to the
@@ -28,7 +29,8 @@
 //!   thread-count determinism contract,
 //! * [`experiment`] — the declarative layer over all of the above: an
 //!   [`experiment::ExperimentSpec`] (cells × algorithms × seeds ×
-//!   backend) runs through the object-safe
+//!   backend; [`experiment::SeedPlan`] derives every run's seed) runs
+//!   through the object-safe
 //!   [`experiment::AlgoFactory`] registry and the generic
 //!   [`experiment::Experiment`] pipeline into typed
 //!   [`experiment::ExperimentReport`]s with pluggable sinks — every
@@ -44,8 +46,8 @@ pub mod runner;
 pub mod scenario;
 
 pub use churn::{
-    dynamic_algo, run_dynamic_threads, ChurnConfig, ChurnSchedule, ChurnStats, DynamicAlgo,
-    EpochMembership, RebuildEachEpoch, RepairCost,
+    run_dynamic_threads, ChurnConfig, ChurnSchedule, ChurnStats, DynamicAlgo, EpochMembership,
+    RebuildEachEpoch, RepairCost,
 };
 pub use experiment::{
     AlgoFactory, AlgoRegistry, AlgoSpec, Backend, CellSpec, Experiment, ExperimentReport,
@@ -53,7 +55,6 @@ pub use experiment::{
 };
 pub use runner::{
     draw_target_schedule, reduce_records, run_one_query, run_queries, run_queries_threads,
-    sweep_runs, sweep_runs_threads, sweep_three_runs, sweep_three_runs_threads, AnsweredQuery,
-    PaperMetrics, QueryRecord, RunBandMetrics,
+    AnsweredQuery, PaperMetrics, QueryRecord, RunBandMetrics,
 };
 pub use scenario::ClusterScenario;

@@ -21,7 +21,7 @@
 use crate::scenario::ClusterScenario;
 use np_metric::{FaultPlan, NearestCache, NearestPeerAlgo, PeerId, Target, WorldStore};
 use np_util::parallel::{item_seed, par_map, resolve_threads};
-use np_util::rng::{rng_for, rng_from, sub_seed, three_runs};
+use np_util::rng::{rng_for, rng_from};
 use np_util::stats::{median_micros, RunBand};
 use np_util::Micros;
 use rand::seq::SliceRandom;
@@ -310,62 +310,6 @@ impl RunBandMetrics {
     }
 }
 
-/// Run the paper's three-seed sweep for one configuration.
-/// `build_and_run` maps a seed to that run's metrics; it builds its own
-/// world/overlay so the runs use "different inter-peer latency
-/// datasets" exactly as the paper does. Runs execute in parallel (one
-/// worker per seed, up to the ambient thread count).
-pub fn sweep_three_runs(
-    base_seed: u64,
-    build_and_run: impl Fn(u64) -> PaperMetrics + Sync,
-) -> RunBandMetrics {
-    sweep_runs(&three_runs(base_seed), build_and_run)
-}
-
-/// [`sweep_three_runs`] with an explicit worker count for the
-/// outer per-seed parallelism (figure runs pass `--threads`
-/// here as well as to the inner query batches).
-pub fn sweep_three_runs_threads(
-    base_seed: u64,
-    threads: usize,
-    build_and_run: impl Fn(u64) -> PaperMetrics + Sync,
-) -> RunBandMetrics {
-    sweep_runs_threads(&three_runs(base_seed), threads, build_and_run)
-}
-
-/// Multi-seed sweep: one run per seed, in parallel, aggregated into
-/// median/min/max bands. Generalises [`sweep_three_runs`] to arbitrary
-/// seed sets (confidence bands tighten with more seeds; the paper used
-/// three).
-///
-/// Each run's seed is derived with the historical `0x52_4E` ("RN") tag,
-/// so a sweep over `three_runs(base)` reproduces the same per-run seeds
-/// the workspace has always used.
-pub fn sweep_runs(
-    seeds: &[u64],
-    build_and_run: impl Fn(u64) -> PaperMetrics + Sync,
-) -> RunBandMetrics {
-    sweep_runs_threads(seeds, resolve_threads(None), build_and_run)
-}
-
-/// [`sweep_runs`] with an explicit worker count. Note the worst-case
-/// concurrency when `build_and_run` itself calls
-/// [`run_queries_threads`] is `threads * threads` (outer runs × inner
-/// query workers); the engine tolerates that oversubscription — workers
-/// are compute-bound and the OS time-slices fairly — and determinism is
-/// unaffected.
-pub fn sweep_runs_threads(
-    seeds: &[u64],
-    threads: usize,
-    build_and_run: impl Fn(u64) -> PaperMetrics + Sync,
-) -> RunBandMetrics {
-    assert!(!seeds.is_empty(), "empty seed sweep");
-    let runs = par_map(threads.min(seeds.len()), seeds, |_, &seed| {
-        build_and_run(sub_seed(seed, 0x52_4E))
-    });
-    RunBandMetrics::of(&runs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -504,29 +448,5 @@ mod tests {
         for threads in [2, 4, 8] {
             assert_eq!(serial, run_queries_threads(&algo, &s, 150, 9, threads));
         }
-    }
-
-    #[test]
-    fn three_run_sweep_bands() {
-        let bands = sweep_three_runs(11, |seed| {
-            let s = small_scenario(seed);
-            let algo = BruteForce::new(&s.matrix, s.overlay.clone());
-            run_queries(&algo, &s, 20, seed)
-        });
-        assert_eq!(bands.p_correct_closest.median, 1.0);
-        assert!(bands.p_correct_closest.min <= bands.p_correct_closest.max);
-    }
-
-    #[test]
-    fn sweep_runs_matches_three_runs_on_same_seeds() {
-        let f = |seed: u64| {
-            let s = small_scenario(seed);
-            let algo = RandomChoice::new(&s.matrix, s.overlay.clone());
-            run_queries(&algo, &s, 30, seed)
-        };
-        let a = sweep_three_runs(21, f);
-        let b = sweep_runs(&three_runs(21), f);
-        assert_eq!(a.p_correct_closest, b.p_correct_closest);
-        assert_eq!(a.mean_probes, b.mean_probes);
     }
 }

@@ -402,7 +402,7 @@ mod tests {
 
     #[test]
     fn dynamic_meridian_null_churn_matches_the_static_pipeline() {
-        use np_core::churn::{dynamic_algo, run_dynamic_threads, ChurnConfig, ChurnSchedule};
+        use np_core::churn::{run_dynamic_threads, ChurnConfig};
         use np_core::{run_queries_threads, ClusterScenario};
         let spec = ClusterWorldSpec {
             clusters: 4,
@@ -415,8 +415,6 @@ mod tests {
         };
         let s = ClusterScenario::build(spec, 8, 3);
         let cfg = ChurnConfig::null(60.0);
-        let sched = ChurnSchedule::generate(&cfg, &s.overlay, s.world.len(), 50, 7);
-        let caches = vec![BuildCache::new()];
         let shared = BuildCache::new();
         let ctx = AlgoContext {
             store: &s.matrix,
@@ -427,9 +425,7 @@ mod tests {
             shared: &shared,
         };
         let factory = MeridianFactory::omniscient();
-        let mut dynamic = dynamic_algo(&factory, &ctx);
-        let (dyn_metrics, stats) =
-            run_dynamic_threads(dynamic.as_mut(), &s, &sched, &caches, &cfg, 50, 7, 2);
+        let (dyn_metrics, stats) = run_dynamic_threads(&factory, &ctx, &s, &cfg, 50, 7, 2);
         let static_algo = factory.build(&ctx);
         let static_metrics = run_queries_threads(static_algo.as_ref(), &s, 50, 7, 2);
         assert_eq!(dyn_metrics, static_metrics, "null churn must be invisible");
@@ -439,7 +435,7 @@ mod tests {
 
     #[test]
     fn dynamic_meridian_repairs_under_churn_and_is_thread_invariant() {
-        use np_core::churn::{dynamic_algo, run_dynamic_threads, ChurnConfig, ChurnSchedule};
+        use np_core::churn::{run_dynamic_threads, ChurnConfig};
         use np_core::ClusterScenario;
         let spec = ClusterWorldSpec {
             clusters: 4,
@@ -459,12 +455,8 @@ mod tests {
             loss: 0.05,
             retries: 3,
         };
-        let sched = ChurnSchedule::generate(&cfg, &s.overlay, s.world.len(), 60, 9);
-        assert!(sched.leaves > 0, "schedule must exercise the repair path");
         let factory = MeridianFactory::omniscient();
         let run_at = |threads: usize| {
-            let caches: Vec<BuildCache> =
-                (0..sched.epochs.len()).map(|_| BuildCache::new()).collect();
             let shared = BuildCache::new();
             let ctx = AlgoContext {
                 store: &s.matrix,
@@ -474,14 +466,14 @@ mod tests {
                 threads,
                 shared: &shared,
             };
-            let mut dynamic = dynamic_algo(&factory, &ctx);
-            run_dynamic_threads(dynamic.as_mut(), &s, &sched, &caches, &cfg, 60, 9, threads)
+            run_dynamic_threads(&factory, &ctx, &s, &cfg, 60, 9, threads)
         };
         let (metrics, stats) = run_at(1);
+        assert!(stats.leaves > 0, "schedule must exercise the repair path");
         // Leave-only epochs went through incremental repair, not rebuild.
         assert!(stats.repair.rings_replayed > 0, "{stats:?}");
         assert!(
-            stats.repair.full_rebuilds <= 1 + sched.joins,
+            stats.repair.full_rebuilds <= 1 + stats.joins,
             "only epoch 0 and join epochs may rebuild: {stats:?}"
         );
         assert_eq!(metrics.queries, 60);

@@ -4,8 +4,8 @@
 //! assumptions — growth constraint (Karger–Ruhl, Tapestry), the doubling
 //! property (Meridian) and low dimensionality (PIC, Mithos, Vivaldi). This
 //! module measures all three on a concrete [`LatencyMatrix`], so the
-//! argument can be checked numerically (extension experiment **Ext B** in
-//! DESIGN.md):
+//! argument can be checked numerically (extension experiment **Ext B**,
+//! `experiments/ext_assumptions.toml`):
 //!
 //! * [`growth_constant`] — `max |B(p, 2l)| / |B(p, l)|` over sampled peers
 //!   and radii. A clustered world shows a spike when `l` sits inside the

@@ -9,8 +9,8 @@
 //! synthesises an equivalent: hubs are geographic sites (continent model
 //! from [`crate::geo`]) with detour-inflated propagation RTTs, then the
 //! whole matrix is rescaled so the median pair latency matches the
-//! dataset's documented 65 ms. The substitution is recorded in DESIGN.md;
-//! a test pins the calibration.
+//! dataset's documented 65 ms. This module doc is the record of that
+//! substitution; `median_is_calibrated` pins the calibration.
 
 use crate::geo;
 use np_util::parallel::{par_for_rows, resolve_threads};

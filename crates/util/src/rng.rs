@@ -5,8 +5,9 @@
 //! explicit `u64` seed. Sub-components derive their own seeds with
 //! [`sub_seed`] so that, e.g., changing the number of Meridian queries does
 //! not perturb the topology. The paper reports median/min/max over three
-//! simulation runs; the harness reproduces that by running seeds
-//! `{base, base+1, base+2}`.
+//! simulation runs; the experiment pipeline's three-run seed plan
+//! (`np_core::SeedPlan::THREE_RUNS`) reproduces that with one seed
+//! derived from each of `{base, base+1, base+2}`.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -53,11 +54,6 @@ pub fn rng_for(seed: u64, tag: u64) -> StdRng {
     rng_from(sub_seed(seed, tag))
 }
 
-/// The three-seed set the harness uses to mimic the paper's three runs.
-pub fn three_runs(base: u64) -> [u64; 3] {
-    [base, base.wrapping_add(1), base.wrapping_add(2)]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -98,12 +94,5 @@ mod tests {
         let va: Vec<u32> = (0..8).map(|_| a.gen()).collect();
         let vb: Vec<u32> = (0..8).map(|_| b.gen()).collect();
         assert_ne!(va, vb);
-    }
-
-    #[test]
-    fn three_runs_are_distinct() {
-        let r = three_runs(DEFAULT_SEED);
-        assert_ne!(r[0], r[1]);
-        assert_ne!(r[1], r[2]);
     }
 }

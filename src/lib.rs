@@ -80,7 +80,7 @@ pub mod prelude {
         AlgoContext, AlgoFactory, AlgoRegistry, AlgoSpec, Backend, CellSpec, Experiment,
         ExperimentReport, ExperimentSpec, SeedPlan,
     };
-    pub use np_core::{run_queries, sweep_three_runs, ClusterScenario, PaperMetrics};
+    pub use np_core::{run_queries, ClusterScenario, PaperMetrics};
     pub use np_meridian::{BuildMode, MeridianConfig, Overlay};
     pub use np_metric::{
         HierarchicalWorld, LatencyMatrix, NearestPeerAlgo, PeerId, QueryOutcome, Target, WorldStore,

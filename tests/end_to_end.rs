@@ -5,8 +5,9 @@ use nearest_peer::core::hybrid::HintSource;
 use nearest_peer::prelude::*;
 use std::collections::HashMap;
 
-fn scenario(en_per_cluster: usize, seed: u64) -> ClusterScenario {
-    let spec = ClusterWorldSpec {
+/// A 600-peer world of `en_per_cluster`-end-network clusters.
+fn world(en_per_cluster: usize) -> ClusterWorldSpec {
+    ClusterWorldSpec {
         clusters: (600 / (en_per_cluster * 2)).max(1),
         en_per_cluster,
         peers_per_en: 2,
@@ -14,8 +15,11 @@ fn scenario(en_per_cluster: usize, seed: u64) -> ClusterScenario {
         mean_hub_ms: (4.0, 6.0),
         intra_en: Micros::from_us(100),
         hub_pool: (600 / (en_per_cluster * 2)).max(2),
-    };
-    ClusterScenario::build(spec, 30, seed)
+    }
+}
+
+fn scenario(en_per_cluster: usize, seed: u64) -> ClusterScenario {
+    ClusterScenario::build(world(en_per_cluster), 30, seed)
 }
 
 /// The Figure 8 phase transition, in miniature: accuracy at huge
@@ -106,21 +110,30 @@ fn hybrid_restores_exactness() {
 /// Three-run sweeps are deterministic end to end.
 #[test]
 fn sweeps_are_reproducible() {
+    let mut registry = AlgoRegistry::new();
+    registry.register(Box::new(
+        nearest_peer::meridian::MeridianFactory::omniscient(),
+    ));
     let run = || {
-        sweep_three_runs(21, |seed| {
-            let s = scenario(25, seed);
-            let overlay = Overlay::build(
-                &s.matrix,
-                s.overlay.clone(),
-                MeridianConfig::default(),
-                BuildMode::Omniscient,
-                seed,
-            );
-            run_queries(&overlay, &s, 60, seed)
-        })
+        let cell = CellSpec {
+            world: world(25),
+            n_targets: 30,
+            ..CellSpec::paper("x=25", 25, 0.2, 21, 60, vec![AlgoSpec::new("meridian")])
+        };
+        let spec = ExperimentSpec::query(
+            "sweep",
+            "three-run sweep",
+            "n/a",
+            Backend::Dense,
+            SeedPlan::THREE_RUNS,
+            vec![cell],
+        );
+        Experiment::new(spec, &registry).run()
     };
-    let a = run();
-    let b = run();
-    assert_eq!(a.p_correct_closest.median, b.p_correct_closest.median);
-    assert_eq!(a.mean_probes.max, b.mean_probes.max);
+    let (a, b) = (run(), run());
+    let a = &a.query_cells().expect("query spec")[0].rows[0];
+    let b = &b.query_cells().expect("query spec")[0].rows[0];
+    assert_eq!(a.runs.len(), 3);
+    // The bands are taken from these runs.
+    assert_eq!(a.runs, b.runs);
 }

@@ -10,7 +10,9 @@
 //! identity) shows up as a hard failure here.
 
 use nearest_peer::prelude::*;
-use np_core::{run_queries_threads, sweep_three_runs_threads, RunBandMetrics};
+use np_core::experiment::BruteForceFactory;
+use np_core::run_queries_threads;
+use np_meridian::MeridianFactory;
 use np_metric::nearest::BruteForce;
 use np_metric::{HierarchicalWorld, NearestCache};
 use np_topology::HubMatrix;
@@ -33,17 +35,6 @@ fn world_spec() -> ClusterWorldSpec {
 
 fn scenario(seed: u64) -> ClusterScenario {
     ClusterScenario::build(world_spec(), 16, seed)
-}
-
-fn assert_bands_identical(a: &RunBandMetrics, b: &RunBandMetrics) {
-    assert_eq!(a.p_correct_closest, b.p_correct_closest);
-    assert_eq!(a.p_correct_cluster, b.p_correct_cluster);
-    assert_eq!(
-        a.median_hub_latency_wrong_ms,
-        b.median_hub_latency_wrong_ms
-    );
-    assert_eq!(a.mean_probes, b.mean_probes);
-    assert_eq!(a.mean_hops, b.mean_hops);
 }
 
 /// Algorithm 1 (Meridian): the paper's main subject, exercising hops,
@@ -82,26 +73,52 @@ fn brute_force_metrics_identical_at_any_thread_count() {
     }
 }
 
+/// One three-run sweep of `algo` over the 96-peer world (16 targets,
+/// 60 queries per run) through the pipeline: the per-run metrics its
+/// median/min/max bands are taken from.
+fn three_run_sweep(
+    backend: Backend,
+    algo: &str,
+    base_seed: u64,
+    tune: impl FnOnce(CellSpec) -> CellSpec,
+    threads: usize,
+) -> Vec<PaperMetrics> {
+    let mut registry = AlgoRegistry::new();
+    registry.register(Box::new(MeridianFactory::omniscient()));
+    registry.register(Box::new(BruteForceFactory));
+    let cell = CellSpec {
+        world: world_spec(),
+        n_targets: 16,
+        ..CellSpec::paper("sweep", 1, 0.2, base_seed, 60, vec![AlgoSpec::new(algo)])
+    };
+    let spec = ExperimentSpec::query(
+        "sweep",
+        "three-run sweep bands",
+        "n/a",
+        backend,
+        SeedPlan::THREE_RUNS,
+        vec![tune(cell)],
+    );
+    let report = Experiment::new(spec, &registry).run_threads(threads);
+    let cell = &report.query_cells().expect("query spec")[0];
+    assert!(cell.error.is_none(), "{:?}", cell.error);
+    let runs = cell.rows[0].runs.clone();
+    assert_eq!(runs.len(), 3);
+    runs
+}
+
 /// The multi-seed sweep bands must also be thread-count invariant
 /// (outer per-seed parallelism composed with inner query parallelism).
 #[test]
 fn sweep_bands_identical_at_any_thread_count() {
-    let run_with = |threads: usize| {
-        sweep_three_runs_threads(33, threads, |seed| {
-            let s = scenario(seed);
-            let overlay = Overlay::build(
-                &s.matrix,
-                s.overlay.clone(),
-                MeridianConfig::default(),
-                BuildMode::Omniscient,
-                seed,
-            );
-            run_queries_threads(&overlay, &s, 60, seed, threads)
-        })
-    };
+    let run_with = |threads| three_run_sweep(Backend::Dense, "meridian", 33, |c| c, threads);
     let serial = run_with(1);
     for threads in [2, 4] {
-        assert_bands_identical(&serial, &run_with(threads));
+        assert_eq!(
+            serial,
+            run_with(threads),
+            "meridian sweep diverged at {threads} threads"
+        );
     }
 }
 
@@ -225,19 +242,29 @@ fn hierarchical_batch_metrics_identical_at_any_thread_count() {
 
 /// Multi-seed sweep bands over hierarchical scenarios (outer per-seed
 /// parallelism composed with inner query parallelism and lazy block
-/// materialisation).
+/// materialisation under a zero-byte block cache).
 #[test]
 fn hierarchical_sweep_bands_identical_at_any_thread_count() {
-    let run_with = |threads: usize| {
-        sweep_three_runs_threads(55, threads, |seed| {
-            let s = hierarchical_scenario(seed, 2, 1 << 12);
-            let algo = BruteForce::new(&s.matrix, s.overlay.clone());
-            run_queries_threads(&algo, &s, 60, seed, threads)
-        })
+    let run_with = |threads| {
+        three_run_sweep(
+            Backend::Hierarchical,
+            "brute-force",
+            55,
+            |c| c.with_super_shards(2).with_block_cache_mb(0),
+            threads,
+        )
     };
     let serial = run_with(1);
+    assert!(
+        serial.iter().all(|m| m.p_correct_closest == 1.0),
+        "brute force is exact"
+    );
     for threads in [2, 4, 8] {
-        assert_bands_identical(&serial, &run_with(threads));
+        assert_eq!(
+            serial,
+            run_with(threads),
+            "hierarchical sweep diverged at {threads} threads"
+        );
     }
 }
 
