@@ -5,10 +5,13 @@
 //! suite completes in a few minutes on one core.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use np_core::ClusterScenario;
 use np_meridian::{BuildMode, MeridianConfig, Overlay};
 use np_metric::graph::{Graph, NodeId};
 use np_metric::{PeerId, Target};
+use np_topology::hub::MERIDIAN_MEDIAN_MS;
 use np_topology::{ClusterWorld, ClusterWorldSpec, HubMatrix};
+use np_util::parallel::available_threads;
 use np_util::rng::rng_from;
 use np_util::Micros;
 use rand::Rng;
@@ -25,14 +28,16 @@ fn world_500() -> ClusterWorld {
             hub_pool: 10,
         },
         7,
+        available_threads(),
     )
 }
 
 fn bench_matrix_build(c: &mut Criterion) {
     let w = world_500();
+    let threads = available_threads();
     c.bench_function("latency_matrix_build_500", |b| {
         b.iter(|| {
-            let m = w.to_matrix();
+            let m = w.to_matrix(threads);
             criterion::black_box(m.len())
         })
     });
@@ -40,7 +45,8 @@ fn bench_matrix_build(c: &mut Criterion) {
 
 fn bench_meridian_build(c: &mut Criterion) {
     let w = world_500();
-    let m = w.to_matrix();
+    let threads = available_threads();
+    let m = w.to_matrix(threads);
     let members: Vec<PeerId> = w.peers().collect();
     c.bench_function("meridian_build_500", |b| {
         b.iter(|| {
@@ -50,6 +56,7 @@ fn bench_meridian_build(c: &mut Criterion) {
                 MeridianConfig::default(),
                 BuildMode::Omniscient,
                 1,
+                threads,
             );
             criterion::black_box(o.total_ring_entries())
         })
@@ -58,7 +65,7 @@ fn bench_meridian_build(c: &mut Criterion) {
 
 fn bench_meridian_query(c: &mut Criterion) {
     let w = world_500();
-    let m = w.to_matrix();
+    let m = w.to_matrix(available_threads());
     let members: Vec<PeerId> = w.peers().skip(10).collect();
     let overlay = Overlay::build(
         &m,
@@ -66,6 +73,7 @@ fn bench_meridian_query(c: &mut Criterion) {
         MeridianConfig::default(),
         BuildMode::Omniscient,
         1,
+        available_threads(),
     );
     c.bench_function("meridian_query", |b| {
         let mut i = 0u32;
@@ -90,7 +98,7 @@ fn bench_meridian_query(c: &mut Criterion) {
 fn bench_kademlia_lookup(c: &mut Criterion) {
     use std::sync::Arc;
     let w = world_500();
-    let m = w.to_matrix();
+    let m = w.to_matrix(available_threads());
     let members: Vec<PeerId> = w.peers().skip(10).collect();
     let ring = Arc::new(np_dht::KademliaRing::build(&members));
     let lookup = np_dht::KademliaLookup::new(ring, members, np_dht::KademliaConfig::default());
@@ -108,7 +116,7 @@ fn bench_kademlia_lookup(c: &mut Criterion) {
 
 fn bench_nsw_build(c: &mut Criterion) {
     let w = world_500();
-    let m = w.to_matrix();
+    let m = w.to_matrix(available_threads());
     let members: Vec<PeerId> = w.peers().collect();
     c.bench_function("nsw_build_500", |b| {
         b.iter(|| {
@@ -121,7 +129,7 @@ fn bench_nsw_build(c: &mut Criterion) {
 fn bench_nsw_walk(c: &mut Criterion) {
     use std::sync::Arc;
     let w = world_500();
-    let m = w.to_matrix();
+    let m = w.to_matrix(available_threads());
     let members: Vec<PeerId> = w.peers().collect();
     let graph = Arc::new(np_dht::NswGraph::build(&m, &members, 5, 7));
     let walk = np_dht::NswWalk::new(graph, np_dht::NswConfig::default());
@@ -159,7 +167,7 @@ fn bench_dijkstra_local(c: &mut Criterion) {
 
 fn bench_vivaldi(c: &mut Criterion) {
     let w = world_500();
-    let m = w.to_matrix();
+    let m = w.to_matrix(available_threads());
     let members: Vec<PeerId> = w.peers().collect();
     c.bench_function("vivaldi_build_500_10rounds", |b| {
         b.iter(|| {
@@ -202,7 +210,7 @@ fn bench_hypervolume(c: &mut Criterion) {
 fn bench_hypervolume_clustered(c: &mut Criterion) {
     use np_meridian::rings::{RingConfig, RingSet};
     let w = world_2500();
-    let m = w.to_matrix();
+    let m = w.to_matrix(available_threads());
     let cfg = RingConfig::default();
     let mut rs = RingSet::new(PeerId(0), cfg);
     for q in w.peers() {
@@ -242,54 +250,56 @@ fn bench_hypervolume_clustered(c: &mut Criterion) {
 // document engine overhead instead (expected ≈1x).
 
 fn world_2500() -> ClusterWorld {
-    ClusterWorld::generate(ClusterWorldSpec::paper(125, 0.2), 7)
+    ClusterWorld::generate(ClusterWorldSpec::paper(125, 0.2), 7, available_threads())
 }
 
 fn bench_matrix_build_2500_serial(c: &mut Criterion) {
     let w = world_2500();
     c.bench_function("latency_matrix_build_2500_serial", |b| {
-        b.iter(|| criterion::black_box(w.to_matrix_threads(1).len()))
+        b.iter(|| criterion::black_box(w.to_matrix(1).len()))
     });
 }
 
 fn bench_matrix_build_2500_par(c: &mut Criterion) {
     let w = world_2500();
-    let threads = np_util::parallel::available_threads();
+    let threads = available_threads();
     c.bench_function("latency_matrix_build_2500_par", |b| {
-        b.iter(|| criterion::black_box(w.to_matrix_threads(threads).len()))
+        b.iter(|| criterion::black_box(w.to_matrix(threads).len()))
     });
 }
 
 fn bench_run_queries_1000_serial(c: &mut Criterion) {
-    let s = np_core::ClusterScenario::paper(125, 0.2, 7);
+    let s = ClusterScenario::paper(125, 0.2, 7, available_threads());
     let overlay = Overlay::build(
         &s.matrix,
         s.overlay.clone(),
         MeridianConfig::default(),
         BuildMode::Omniscient,
         7,
+        available_threads(),
     );
     c.bench_function("run_queries_1000_serial", |b| {
         b.iter(|| {
-            criterion::black_box(np_core::run_queries_threads(&overlay, &s, 1_000, 7, 1).mean_probes)
+            criterion::black_box(np_core::run_queries(&overlay, &s, 1_000, 7, 1).mean_probes)
         })
     });
 }
 
 fn bench_run_queries_1000_par(c: &mut Criterion) {
-    let s = np_core::ClusterScenario::paper(125, 0.2, 7);
+    let threads = available_threads();
+    let s = ClusterScenario::paper(125, 0.2, 7, threads);
     let overlay = Overlay::build(
         &s.matrix,
         s.overlay.clone(),
         MeridianConfig::default(),
         BuildMode::Omniscient,
         7,
+        threads,
     );
-    let threads = np_util::parallel::available_threads();
     c.bench_function("run_queries_1000_par", |b| {
         b.iter(|| {
             criterion::black_box(
-                np_core::run_queries_threads(&overlay, &s, 1_000, 7, threads).mean_probes,
+                np_core::run_queries(&overlay, &s, 1_000, 7, threads).mean_probes,
             )
         })
     });
@@ -348,6 +358,7 @@ fn world_10k() -> ClusterWorld {
             hub_pool: 200,
         },
         7,
+        available_threads(),
     )
 }
 
@@ -361,10 +372,10 @@ fn bench_meridian_fill_10k_hier(c: &mut Criterion) {
     let w = world_10k();
     let store = w.to_hierarchical(1, usize::MAX);
     let members: Vec<PeerId> = w.peers().collect();
-    let threads = np_util::parallel::available_threads();
+    let threads = available_threads();
     c.bench_function("meridian_fill_10k_hier", |b| {
         b.iter(|| {
-            let o = Overlay::build_threads(
+            let o = Overlay::build(
                 &store,
                 members.clone(),
                 MeridianConfig::default(),
@@ -408,7 +419,7 @@ fn spec_200k() -> ClusterWorldSpec {
 }
 
 fn bench_hierarchical_build_200k(c: &mut Criterion) {
-    let w = ClusterWorld::generate(spec_200k(), 7);
+    let w = ClusterWorld::generate(spec_200k(), 7, available_threads());
     c.bench_function("hierarchical_build_200k", |b| {
         b.iter(|| {
             use np_metric::WorldStore;
@@ -418,23 +429,26 @@ fn bench_hierarchical_build_200k(c: &mut Criterion) {
 }
 
 /// The 2,500-hub matrix of the `scale_hier` world and ext_scale's
-/// 200k/1M-peer cells, on the ambient thread count: sites and the
-/// median are serial, the row fill splits across workers.
+/// 200k/1M-peer cells, on all cores: sites and the median are serial,
+/// the row fill splits across workers.
 fn bench_hub_matrix_2500(c: &mut Criterion) {
+    let threads = available_threads();
     c.bench_function("hub_matrix_2500", |b| {
-        b.iter(|| criterion::black_box(HubMatrix::synthetic_meridian_like(2_500, 7).len()))
+        b.iter(|| {
+            criterion::black_box(HubMatrix::synthetic(2_500, MERIDIAN_MEDIAN_MS, 7, threads).len())
+        })
     });
 }
 
 fn bench_brute_force_hier_200k(c: &mut Criterion) {
-    let threads = np_util::parallel::available_threads();
+    let threads = available_threads();
     c.bench_function("brute_force_hier_200k", |b| {
         // Built inside the closure, so a filtered-out run skips it.
-        let s = np_core::ClusterScenario::build_hierarchical(spec_200k(), 100, 7, 45, 256 << 20);
+        let s = ClusterScenario::build_hierarchical(spec_200k(), 100, 7, 45, 256 << 20, threads);
         let algo = np_metric::nearest::BruteForce::new(&s.matrix, s.overlay.clone());
         b.iter(|| {
             criterion::black_box(
-                np_core::run_queries_threads(&algo, &s, 1_000, 7, threads).mean_probes,
+                np_core::run_queries(&algo, &s, 1_000, 7, threads).mean_probes,
             )
         })
     });
@@ -483,7 +497,7 @@ fn bench_hierarchical_block_cache_miss(c: &mut Criterion) {
 fn bench_experiment_pipeline(c: &mut Criterion) {
     use np_core::experiment::{AlgoSpec, Backend, CellSpec, Experiment, ExperimentSpec, SeedPlan};
     let registry = np_bench::full_registry();
-    let threads = np_util::parallel::available_threads();
+    let threads = available_threads();
     c.bench_function("experiment_pipeline_100q", |b| {
         b.iter(|| {
             let spec = ExperimentSpec::query(
@@ -514,7 +528,7 @@ fn bench_experiment_pipeline(c: &mut Criterion) {
                     algos: vec![AlgoSpec::new("meridian")],
                 }],
             );
-            let report = Experiment::new(spec, &registry).run_threads(threads);
+            let report = Experiment::new(spec, &registry).run(threads);
             criterion::black_box(report.query_cells().expect("query spec")[0].rows[0].single().mean_probes)
         })
     });
@@ -534,7 +548,7 @@ fn bench_serve_pipeline_10k(c: &mut Criterion) {
     use np_metric::NearestCache;
     use np_serve::{run_schedule, ArrivalSchedule, Pacing, ServeConfig, ServeCtx};
     let w = world_500();
-    let m = w.to_matrix();
+    let m = w.to_matrix(available_threads());
     let targets: Vec<PeerId> = w.peers().take(20).collect();
     let members: Vec<PeerId> = w.peers().skip(20).collect();
     let overlay = Overlay::build(
@@ -543,6 +557,7 @@ fn bench_serve_pipeline_10k(c: &mut Criterion) {
         MeridianConfig::default(),
         BuildMode::Omniscient,
         7,
+        available_threads(),
     );
     let truth = NearestCache::build(&m, &members, &targets, 1);
     let n = 10_000;

@@ -5,8 +5,8 @@
 //!
 //! * `--quick` — scaled-down smoke run (CI-sized);
 //! * `--seed N` — base seed (default [`DEFAULT_SEED`]);
-//! * `--threads N` — worker threads; precedence `--threads` >
-//!   `$NP_THREADS` > all cores (results identical at any value);
+//! * `--threads N` — worker threads for every library call; precedence
+//!   `--threads` > `$NP_THREADS` > all cores (results identical at any value);
 //! * `--world dense|hierarchical` — latency backend for cluster-world
 //!   experiments (measurement-pipeline figures accept and note it); an
 //!   unknown name prints the backend catalogue plus a nearest-name hint
@@ -173,6 +173,7 @@ impl Args {
     }
 
     /// The worker-thread count: `--threads` > `$NP_THREADS` > all cores.
+    /// The library takes it as an argument and never reads the variable.
     pub fn threads(&self) -> usize {
         resolve_threads(self.threads)
     }
@@ -364,7 +365,7 @@ pub fn run_experiment(
     chrome(args, &header_block(&spec.title, &spec.paper_shape, args));
     backend_note(args, spec.backend);
     let timer = Report::start(args);
-    let report = experiment.run_threads(args.threads());
+    let report = experiment.run(args.threads());
     match args.out {
         OutFormat::Table => println!("{}", render(&report, args)),
         OutFormat::Json => print!("{}", sink::render_json_lines(&report)),

@@ -120,7 +120,7 @@ pub fn check(spec: &ExperimentSpec, report: &ExperimentReport, args: &Args) -> R
         spec.seeds,
         cross_check_cells,
     );
-    let dense = Experiment::new(dense_spec, &full_registry()).run_threads(args.threads());
+    let dense = Experiment::new(dense_spec, &full_registry()).run(args.threads());
     for de in dense.query_cells().unwrap_or_default() {
         if let Some(error) = &de.error {
             return Err(format!("dense {:?} failed: {error}", de.label));

@@ -116,7 +116,7 @@ pub(crate) mod tests {
 
     /// Run `spec` through the full registry on two threads.
     pub(crate) fn run(spec: ExperimentSpec) -> ExperimentReport {
-        Experiment::new(spec, &full_registry()).run_threads(2)
+        Experiment::new(spec, &full_registry()).run(2)
     }
 
     #[test]

@@ -62,6 +62,7 @@ mod tests {
                 hub_pool: 2,
             },
             1,
+            1,
         );
         let shared = np_core::experiment::BuildCache::new();
         let ctx = AlgoContext {

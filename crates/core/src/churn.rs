@@ -13,8 +13,8 @@
 //!   implements to survive churn ([`RebuildEachEpoch`] is the
 //!   rebuild-from-scratch default every [`AlgoFactory`] gets for free;
 //!   Meridian overrides it with incremental ring repair);
-//! * [`run_dynamic_threads`] — the dynamic twin of
-//!   [`crate::runner::run_queries_threads`]: queries are clocked into
+//! * [`run_dynamic`] — the dynamic twin of
+//!   [`crate::runner::run_queries`]: queries are clocked into
 //!   epochs, the world is wrapped in [`DriftedWorld`] per epoch, the
 //!   ground-truth [`NearestCache`] is maintained *incrementally*
 //!   (evict/admit, bit-identical to a fresh build), and probe faults
@@ -324,7 +324,7 @@ impl AddAssign for ChurnStats {
 ///
 /// The `'a` lifetime is the run's: epochs, caches and the built
 /// algorithm all borrow from the schedule and caches
-/// [`run_dynamic_threads`] owns, which outlive every epoch.
+/// [`run_dynamic`] owns, which outlive every epoch.
 pub trait DynamicAlgo<'a> {
     /// Bring the algorithm up to date with `epoch`'s membership.
     /// Returns what the update cost. Structural randomness must derive
@@ -403,7 +403,7 @@ impl<'a> DynamicAlgo<'a> for RebuildEachEpoch<'a> {
     }
 }
 
-/// The dynamic twin of [`crate::runner::run_queries_threads`]: run
+/// The dynamic twin of [`crate::runner::run_queries`]: run
 /// `factory` through a scripted dynamic world end to end.
 ///
 /// The run owns its state: it scripts the [`ChurnSchedule`] from
@@ -427,7 +427,7 @@ impl<'a> DynamicAlgo<'a> for RebuildEachEpoch<'a> {
 /// order — so same seed ⇒ bit-identical [`PaperMetrics`] at any thread
 /// count, and a null schedule reproduces the static runner's metrics
 /// exactly.
-pub fn run_dynamic_threads<W: WorldStore>(
+pub fn run_dynamic<W: WorldStore>(
     factory: &dyn AlgoFactory,
     ctx: &AlgoContext<'_>,
     scenario: &ClusterScenario<W>,
@@ -520,7 +520,7 @@ pub fn run_dynamic_threads<W: WorldStore>(
 mod tests {
     use super::*;
     use crate::experiment::{BruteForceFactory, RandomChoiceFactory};
-    use crate::runner::run_queries_threads;
+    use crate::runner::run_queries;
     use np_topology::ClusterWorldSpec;
     use np_util::Micros;
 
@@ -537,6 +537,7 @@ mod tests {
             },
             8,
             seed,
+            1,
         )
     }
 
@@ -568,7 +569,7 @@ mod tests {
             threads,
             shared: &shared,
         };
-        run_dynamic_threads(factory, &ctx, s, cfg, n_queries, seed, threads)
+        run_dynamic(factory, &ctx, s, cfg, n_queries, seed, threads)
     }
 
     #[test]
@@ -639,7 +640,7 @@ mod tests {
                 shared: &shared,
             };
             let static_algo = factory.build(&ctx);
-            let static_metrics = run_queries_threads(static_algo.as_ref(), &s, 60, 11, 2);
+            let static_metrics = run_queries(static_algo.as_ref(), &s, 60, 11, 2);
             assert_eq!(dynamic, static_metrics, "{} diverged", factory.name());
             assert_eq!(stats.epochs, 1);
             assert_eq!(stats.repair.full_rebuilds, 1);

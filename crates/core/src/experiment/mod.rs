@@ -11,7 +11,7 @@
 //!   brute-force and random here; Meridian, the baselines, the
 //!   coordinate walk and the hybrid remedies register from their own
 //!   crates;
-//! * [`Experiment::run_threads`] executes the spec — seeds fanned over
+//! * [`Experiment::run`] executes the spec — seeds fanned over
 //!   the worker pool, each seed's scenario dropped when it finishes,
 //!   metrics reduced in spec order — into a typed [`ExperimentReport`];
 //! * [`sink`] renders reports as aligned tables, JSON lines or
@@ -63,7 +63,7 @@
 //!         algos: vec![AlgoSpec::new("brute-force"), AlgoSpec::new("random")],
 //!     }],
 //! );
-//! let report = Experiment::new(spec, &registry).run_threads(2);
+//! let report = Experiment::new(spec, &registry).run(2);
 //! let cell = &report.query_cells().expect("query spec")[0];
 //! assert_eq!(cell.rows[0].single().p_correct_closest, 1.0);
 //! assert!(cell.rows[1].single().p_correct_closest < 1.0);

@@ -109,7 +109,7 @@ pub trait AlgoFactory: Sync {
     ///
     /// The default `None` gives the factory the universal
     /// rebuild-each-epoch behaviour (see
-    /// [`crate::churn::run_dynamic_threads`], which calls this).
+    /// [`crate::churn::run_dynamic`], which calls this).
     /// Factories with cheaper-than-rebuild maintenance override it —
     /// Meridian returns its incremental ring-repair wrapper. The same
     /// determinism contract as [`AlgoFactory::build`] applies.
@@ -295,8 +295,8 @@ mod tests {
             intra_en: Micros::from_us(100),
             hub_pool: 4,
         };
-        let world = ClusterWorld::generate(spec, 5);
-        let matrix = world.to_matrix();
+        let world = ClusterWorld::generate(spec, 5, 1);
+        let matrix = world.to_matrix(1);
         let overlay: Vec<PeerId> = world.peers().skip(4).collect();
         (world, matrix, overlay)
     }

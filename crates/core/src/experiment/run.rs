@@ -19,17 +19,17 @@
 //! context seed, and all reductions run in spec/seed order
 //! (`tests/parallel_determinism.rs` covers the pipeline end to end).
 
-use crate::churn::{run_dynamic_threads, ChurnConfig, ChurnStats};
+use crate::churn::{run_dynamic, ChurnConfig, ChurnStats};
 use crate::experiment::registry::{AlgoContext, AlgoFactory, AlgoRegistry, BuildCache};
 use crate::experiment::report::{AlgoReport, CellReport, ExperimentReport, ReportBody};
 use crate::experiment::spec::{Backend, CellSpec, ExperimentSpec, StudyCtx, Workload};
-use crate::runner::{run_queries_threads, PaperMetrics, RunBandMetrics};
+use crate::runner::{run_queries, PaperMetrics, RunBandMetrics};
 use crate::scenario::ClusterScenario;
 use np_metric::{
     HierarchicalWorld, LatencyMatrix, NearestCache, NearestPeerAlgo, PeerId, WorldStore,
 };
 use np_topology::ClusterWorld;
-use np_util::parallel::{par_map, resolve_threads};
+use np_util::parallel::par_map;
 use std::time::{Duration, Instant};
 
 /// A built scenario on either backend, dispatching the generic runner
@@ -59,21 +59,23 @@ pub fn hierarchical_knobs(cell: &CellSpec) -> (usize, usize) {
         .super_shards
         .unwrap_or(if s <= 128 { 1 } else { (s as f64).sqrt().round() as usize })
         .clamp(1, s);
-    let budget = cell.block_cache_mb.unwrap_or(DEFAULT_BLOCK_CACHE_MB) << 20;
+    // A budget past the address space saturates to "never evict".
+    let budget = cell.block_cache_mb.unwrap_or(DEFAULT_BLOCK_CACHE_MB).saturating_mul(1 << 20);
     (groups, budget)
 }
 
 impl ScenarioHandle {
-    /// Build a cell's scenario on `backend`. Neither backend's build
-    /// takes a worker count — the dense matrix fills on the ambient
-    /// pool and the hierarchical store materialises blocks lazily — so
-    /// `_threads` only keeps call sites backend-agnostic.
-    pub fn build(cell: &CellSpec, backend: Backend, seed: u64, _threads: usize) -> ScenarioHandle {
+    /// Build a cell's scenario on `backend` with `threads` workers: both
+    /// backends synthesise the hub matrix on them, and the dense one
+    /// also fills its matrix on them. The hierarchical store
+    /// materialises blocks lazily.
+    pub fn build(cell: &CellSpec, backend: Backend, seed: u64, threads: usize) -> ScenarioHandle {
         match backend {
             Backend::Dense => ScenarioHandle::Dense(ClusterScenario::build(
                 cell.world.clone(),
                 cell.n_targets,
                 seed,
+                threads,
             )),
             Backend::Hierarchical => {
                 let (groups, budget) = hierarchical_knobs(cell);
@@ -83,6 +85,7 @@ impl ScenarioHandle {
                     seed,
                     groups,
                     budget,
+                    threads,
                 ))
             }
         }
@@ -145,10 +148,8 @@ impl ScenarioHandle {
         threads: usize,
     ) -> PaperMetrics {
         match self {
-            ScenarioHandle::Dense(s) => run_queries_threads(algo, s, n_queries, seed, threads),
-            ScenarioHandle::Hierarchical(s) => {
-                run_queries_threads(algo, s, n_queries, seed, threads)
-            }
+            ScenarioHandle::Dense(s) => run_queries(algo, s, n_queries, seed, threads),
+            ScenarioHandle::Hierarchical(s) => run_queries(algo, s, n_queries, seed, threads),
         }
     }
 
@@ -165,11 +166,9 @@ impl ScenarioHandle {
         threads: usize,
     ) -> (PaperMetrics, ChurnStats) {
         match self {
-            ScenarioHandle::Dense(s) => {
-                run_dynamic_threads(factory, ctx, s, cfg, n_queries, seed, threads)
-            }
+            ScenarioHandle::Dense(s) => run_dynamic(factory, ctx, s, cfg, n_queries, seed, threads),
             ScenarioHandle::Hierarchical(s) => {
-                run_dynamic_threads(factory, ctx, s, cfg, n_queries, seed, threads)
+                run_dynamic(factory, ctx, s, cfg, n_queries, seed, threads)
             }
         }
     }
@@ -215,14 +214,9 @@ impl<'r> Experiment<'r> {
         &self.spec
     }
 
-    /// Run on the ambient thread count (`$NP_THREADS`, else all cores).
-    pub fn run(&self) -> ExperimentReport {
-        self.run_threads(resolve_threads(None))
-    }
-
-    /// Run with an explicit worker count. Metrics are bit-identical at
-    /// any value (see module docs); only wall-clock changes.
-    pub fn run_threads(&self, threads: usize) -> ExperimentReport {
+    /// Run on `threads` workers. Metrics are bit-identical at any value
+    /// (see module docs); only wall-clock changes.
+    pub fn run(&self, threads: usize) -> ExperimentReport {
         let start = Instant::now(); // np-lint: allow(D2) — wall-clock telemetry only; never feeds PaperMetrics
         let body = match &self.spec.workload {
             Workload::QueryMatrix(cells) => {
@@ -282,9 +276,9 @@ impl<'r> Experiment<'r> {
             .collect();
         let seeds = self.spec.seeds.seeds(cell.base_seed);
         let backend = self.spec.backend;
-        // One worker per seed; the inner query batches also receive
-        // `threads` (the engine tolerates the oversubscription,
-        // determinism is unaffected).
+        // One worker per seed; the inner world builds and query batches
+        // also receive `threads` (the engine tolerates the
+        // oversubscription, determinism is unaffected).
         let runs: Vec<SeedRun> = par_map(threads.min(seeds.len()), &seeds, |_, &seed| {
             let t = Instant::now(); // np-lint: allow(D2) — build wall-clock telemetry only; never feeds PaperMetrics
             let scenario = ScenarioHandle::build(cell, backend, seed, threads);
@@ -436,15 +430,15 @@ mod tests {
         // over the same seeds, scenarios and algorithm.
         let reg = registry();
         let report = Experiment::new(spec(SeedPlan::THREE_RUNS, Backend::Dense), &reg)
-            .run_threads(2);
+            .run(2);
         let row = &report.query_cells().expect("query spec")[0].rows[1]; // "random"
         let runs: Vec<PaperMetrics> = SeedPlan::THREE_RUNS
             .seeds(11)
             .into_iter()
             .map(|seed| {
-                let s = ClusterScenario::build(small_world(), 8, seed);
+                let s = ClusterScenario::build(small_world(), 8, seed, 1);
                 let algo = RandomChoice::new(&s.matrix, s.overlay.clone());
-                run_queries_threads(&algo, &s, 60, seed, 2)
+                run_queries(&algo, &s, 60, seed, 2)
             })
             .collect();
         assert_eq!(row.runs, runs);
@@ -457,10 +451,10 @@ mod tests {
     fn pipeline_is_thread_count_invariant() {
         let reg = registry();
         let base = Experiment::new(spec(SeedPlan::THREE_RUNS, Backend::Dense), &reg)
-            .run_threads(1);
+            .run(1);
         for threads in [2, 4, 8] {
             let other = Experiment::new(spec(SeedPlan::THREE_RUNS, Backend::Dense), &reg)
-                .run_threads(threads);
+                .run(threads);
             for (a, b) in base.query_cells().expect("query spec").iter().zip(other.query_cells().expect("query spec")) {
                 for (ra, rb) in a.rows.iter().zip(&b.rows) {
                     assert_eq!(ra.runs, rb.runs, "divergence at {threads} threads");
@@ -476,9 +470,9 @@ mod tests {
         // the dense backend's through the whole pipeline.
         let reg = registry();
         let dense =
-            Experiment::new(spec(SeedPlan::Single, Backend::Dense), &reg).run_threads(2);
+            Experiment::new(spec(SeedPlan::Single, Backend::Dense), &reg).run(2);
         let hier =
-            Experiment::new(spec(SeedPlan::Single, Backend::Hierarchical), &reg).run_threads(2);
+            Experiment::new(spec(SeedPlan::Single, Backend::Hierarchical), &reg).run(2);
         for (a, b) in dense
             .query_cells()
             .expect("query spec")
@@ -500,6 +494,9 @@ mod tests {
         assert_eq!(hierarchical_knobs(auto), (1, DEFAULT_BLOCK_CACHE_MB << 20));
         let pinned = auto.clone().with_super_shards(64).with_block_cache_mb(8);
         assert_eq!(hierarchical_knobs(&pinned), (4, 8 << 20), "clamped to 4 shards");
+        // A budget whose byte count overflows `usize` saturates.
+        let huge = auto.clone().with_block_cache_mb(1 << 44);
+        assert_eq!(hierarchical_knobs(&huge), (1, usize::MAX));
         // A big shard count goes ~√S.
         let mut wide = auto.clone();
         wide.world.clusters = 400;
@@ -510,7 +507,7 @@ mod tests {
     fn per_algo_query_override_and_probe_accounting() {
         let reg = registry();
         let report =
-            Experiment::new(spec(SeedPlan::Single, Backend::Dense), &reg).run_threads(2);
+            Experiment::new(spec(SeedPlan::Single, Backend::Dense), &reg).run(2);
         let cell = &report.query_cells().expect("query spec")[0];
         let bf = &cell.rows[0];
         let rnd = &cell.rows[1];
@@ -537,7 +534,7 @@ mod tests {
             second.label = "cell-again".into();
             cells.push(second);
         }
-        let report = Experiment::new(s, &reg).run_threads(2);
+        let report = Experiment::new(s, &reg).run(2);
         let cells = report.query_cells().expect("query spec");
         assert_eq!(cells.len(), 2);
         assert_eq!(cells[0].rows.len(), 2);
@@ -572,7 +569,7 @@ mod tests {
             bad.algos = vec![AlgoSpec::new("exploding")];
             cells.insert(0, bad);
         }
-        let report = Experiment::new(s, &reg).run_threads(2);
+        let report = Experiment::new(s, &reg).run(2);
         let cells = report.query_cells().expect("query spec");
         assert_eq!(cells.len(), 2);
         assert_eq!(cells[0].label, "bad-cell");
@@ -592,7 +589,7 @@ mod tests {
         if let Workload::QueryMatrix(cells) = &mut s.workload {
             cells[0].algos = vec![AlgoSpec::new("exploding")];
         }
-        let report = Experiment::new(s, &reg).run_threads(2);
+        let report = Experiment::new(s, &reg).run(2);
         let cells = report.query_cells().expect("query spec");
         let err = cells[0].error.as_deref().expect("failure is marked");
         assert!(
@@ -626,7 +623,7 @@ mod tests {
             bad.algos = vec![AlgoSpec::new("exploding")];
             cells.insert(0, bad);
         }
-        let report = Experiment::new(s, &reg).run_threads(1);
+        let report = Experiment::new(s, &reg).run(1);
         let cells = report.query_cells().expect("query spec");
         assert_eq!(cells.len(), 2);
         let err = cells[0].error.as_deref().expect("failure is marked");
@@ -650,7 +647,7 @@ mod tests {
                 retries: 1,
             });
         }
-        let report = Experiment::new(s, &reg).run_threads(2);
+        let report = Experiment::new(s, &reg).run(2);
         let cell = &report.query_cells().expect("query spec")[0];
         for row in &cell.rows {
             let stats = row.churn.expect("dynamic rows carry churn stats");
@@ -662,7 +659,7 @@ mod tests {
         assert_eq!(cell.rows[0].bands.p_correct_closest.min, 1.0);
         // Static cells carry no churn accounting.
         let static_report =
-            Experiment::new(spec(SeedPlan::Single, Backend::Dense), &reg).run_threads(2);
+            Experiment::new(spec(SeedPlan::Single, Backend::Dense), &reg).run(2);
         assert!(static_report.query_cells().expect("query spec")[0]
             .rows
             .iter()
@@ -688,7 +685,7 @@ mod tests {
                 }
             },
         );
-        let report = Experiment::new(spec, &reg).run_threads(3);
+        let report = Experiment::new(spec, &reg).run(3);
         assert_eq!(report.study_output().expect("study spec").text, "threads=3");
         assert_eq!(report.total_probes(), 0);
     }

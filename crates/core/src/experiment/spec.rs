@@ -226,7 +226,7 @@ pub struct CellSpec {
     /// baseline sweeps drop their expensive cells there).
     pub in_quick: bool,
     /// Dynamic-world knobs: `Some` routes the cell through the
-    /// event-clocked churn runner ([`crate::churn::run_dynamic_threads`])
+    /// event-clocked churn runner ([`crate::churn::run_dynamic`])
     /// instead of the static one; `None` (the default everywhere) keeps
     /// the cell static.
     pub churn: Option<ChurnConfig>,

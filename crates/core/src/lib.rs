@@ -24,7 +24,7 @@
 //!   [`churn::ChurnSchedule`]s of join/leave/drift events, the
 //!   [`churn::DynamicAlgo`] per-epoch advancement contract (rebuild by
 //!   default, incremental repair where an algorithm offers it), probe
-//!   fault injection, and [`churn::run_dynamic_threads`] — the dynamic
+//!   fault injection, and [`churn::run_dynamic`] — the dynamic
 //!   twin of the static runner with the same bit-identical-at-any-
 //!   thread-count determinism contract,
 //! * [`experiment`] — the declarative layer over all of the above: an
@@ -46,7 +46,7 @@ pub mod runner;
 pub mod scenario;
 
 pub use churn::{
-    run_dynamic_threads, ChurnConfig, ChurnSchedule, ChurnStats, DynamicAlgo, EpochMembership,
+    run_dynamic, ChurnConfig, ChurnSchedule, ChurnStats, DynamicAlgo, EpochMembership,
     RebuildEachEpoch, RepairCost,
 };
 pub use experiment::{
@@ -54,7 +54,7 @@ pub use experiment::{
     ExperimentSpec, SeedPlan,
 };
 pub use runner::{
-    draw_target_schedule, reduce_records, run_one_query, run_queries, run_queries_threads,
-    AnsweredQuery, PaperMetrics, QueryRecord, RunBandMetrics,
+    draw_target_schedule, reduce_records, run_one_query, run_queries, AnsweredQuery, PaperMetrics,
+    QueryRecord, RunBandMetrics,
 };
 pub use scenario::ClusterScenario;

@@ -20,7 +20,7 @@
 
 use crate::scenario::ClusterScenario;
 use np_metric::{FaultPlan, NearestCache, NearestPeerAlgo, PeerId, Target, WorldStore};
-use np_util::parallel::{item_seed, par_map, resolve_threads};
+use np_util::parallel::{item_seed, par_map};
 use np_util::rng::{rng_for, rng_from};
 use np_util::stats::{median_micros, RunBand};
 use np_util::Micros;
@@ -230,25 +230,13 @@ pub fn run_one_query(
 }
 
 /// Run `n_queries` queries of `algo` against random targets of the
-/// scenario (targets are reused, as in the paper), on the ambient
-/// thread count ([`resolve_threads`] with no explicit override — i.e.
-/// `$NP_THREADS` or all cores).
+/// scenario (targets are reused, as in the paper) on `threads` workers.
 ///
 /// Results are independent of the thread count; see the module docs.
+/// Generic over the scenario's latency backend — the query loop reads
+/// RTTs only through [`WorldStore`], so dense and hierarchical
+/// scenarios share this one path.
 pub fn run_queries<W: WorldStore>(
-    algo: &dyn NearestPeerAlgo,
-    scenario: &ClusterScenario<W>,
-    n_queries: usize,
-    seed: u64,
-) -> PaperMetrics {
-    run_queries_threads(algo, scenario, n_queries, seed, resolve_threads(None))
-}
-
-/// [`run_queries`] with an explicit worker count. Generic over the
-/// scenario's latency backend — the query loop reads RTTs only through
-/// [`WorldStore`], so dense and hierarchical scenarios share this one
-/// path.
-pub fn run_queries_threads<W: WorldStore>(
     algo: &dyn NearestPeerAlgo,
     scenario: &ClusterScenario<W>,
     n_queries: usize,
@@ -330,6 +318,7 @@ mod tests {
             },
             8,
             seed,
+            1,
         )
     }
 
@@ -337,7 +326,7 @@ mod tests {
     fn brute_force_is_perfect() {
         let s = small_scenario(1);
         let algo = BruteForce::new(&s.matrix, s.overlay.clone());
-        let m = run_queries(&algo, &s, 50, 2);
+        let m = run_queries(&algo, &s, 50, 2, 2);
         assert_eq!(m.p_correct_closest, 1.0);
         assert_eq!(m.mean_stretch, 1.0, "exact answers have unit stretch");
         assert_eq!(m.queries, 50);
@@ -395,20 +384,20 @@ mod tests {
             intra_en: Micros::from_us(100),
             hub_pool: 9,
         };
-        let hier = ClusterScenario::build_hierarchical(spec.clone(), 12, 4, 3, 0);
-        let dense = ClusterScenario::build(spec, 12, 4);
+        let hier = ClusterScenario::build_hierarchical(spec.clone(), 12, 4, 3, 0, 1);
+        let dense = ClusterScenario::build(spec, 12, 4, 1);
         assert_eq!(hier.overlay, dense.overlay, "one split, two backends");
         let hier_store: &dyn WorldStore = &hier.matrix;
         let hier_bf = BruteForce::new(hier_store, hier.overlay.clone());
         let dense_bf = BruteForce::new(&dense.matrix, dense.overlay.clone());
         let runs = [
             (
-                run_queries_threads(&hier_bf, &hier, 400, 8, 2),
-                run_queries_threads(&ProbeEachMember(hier.overlay.clone()), &hier, 400, 8, 2),
+                run_queries(&hier_bf, &hier, 400, 8, 2),
+                run_queries(&ProbeEachMember(hier.overlay.clone()), &hier, 400, 8, 2),
             ),
             (
-                run_queries_threads(&dense_bf, &dense, 400, 8, 2),
-                run_queries_threads(&ProbeEachMember(dense.overlay.clone()), &dense, 400, 8, 2),
+                run_queries(&dense_bf, &dense, 400, 8, 2),
+                run_queries(&ProbeEachMember(dense.overlay.clone()), &dense, 400, 8, 2),
             ),
         ];
         for (indexed, looped) in runs {
@@ -423,7 +412,7 @@ mod tests {
     fn random_choice_is_poor_but_counted() {
         let s = small_scenario(3);
         let algo = RandomChoice::new(&s.matrix, s.overlay.clone());
-        let m = run_queries(&algo, &s, 200, 4);
+        let m = run_queries(&algo, &s, 200, 4, 2);
         assert!(m.p_correct_closest < 0.3, "random too lucky: {m:?}");
         assert!(m.p_correct_cluster > 0.05, "some cluster hits expected");
         assert!(m.median_hub_latency_wrong_ms > 0.0);
@@ -435,8 +424,8 @@ mod tests {
     fn metrics_are_deterministic() {
         let s = small_scenario(5);
         let algo = RandomChoice::new(&s.matrix, s.overlay.clone());
-        let a = run_queries(&algo, &s, 100, 7);
-        let b = run_queries(&algo, &s, 100, 7);
+        let a = run_queries(&algo, &s, 100, 7, 2);
+        let b = run_queries(&algo, &s, 100, 7, 2);
         assert_eq!(a, b);
     }
 
@@ -444,9 +433,9 @@ mod tests {
     fn thread_count_does_not_change_metrics() {
         let s = small_scenario(6);
         let algo = RandomChoice::new(&s.matrix, s.overlay.clone());
-        let serial = run_queries_threads(&algo, &s, 150, 9, 1);
+        let serial = run_queries(&algo, &s, 150, 9, 1);
         for threads in [2, 4, 8] {
-            assert_eq!(serial, run_queries_threads(&algo, &s, 150, 9, threads));
+            assert_eq!(serial, run_queries(&algo, &s, 150, 9, threads));
         }
     }
 }

@@ -39,50 +39,52 @@ pub struct ClusterScenario<W: WorldStore = LatencyMatrix> {
 }
 
 impl ClusterScenario<LatencyMatrix> {
-    /// Build from a world spec; `n_targets` peers are held out (the
-    /// paper uses 100).
-    pub fn build(spec: ClusterWorldSpec, n_targets: usize, seed: u64) -> ClusterScenario {
-        ClusterScenario::build_with(spec, n_targets, seed, |w| w.to_matrix())
+    /// Build from a world spec on `threads` workers; `n_targets` peers
+    /// are held out (the paper uses 100).
+    pub fn build(spec: ClusterWorldSpec, n_targets: usize, seed: u64, threads: usize) -> Self {
+        ClusterScenario::build_with(spec, n_targets, seed, threads, |w| w.to_matrix(threads))
     }
 
     /// The paper's configuration for a given cluster size and δ.
-    pub fn paper(en_per_cluster: usize, delta: f64, seed: u64) -> ClusterScenario {
-        ClusterScenario::build(ClusterWorldSpec::paper(en_per_cluster, delta), 100, seed)
+    pub fn paper(en_per_cluster: usize, delta: f64, seed: u64, threads: usize) -> ClusterScenario {
+        ClusterScenario::build(ClusterWorldSpec::paper(en_per_cluster, delta), 100, seed, threads)
     }
 }
 
 impl ClusterScenario<HierarchicalWorld> {
     /// [`ClusterScenario::build`] over the compressed backend
     /// (`ClusterWorld::to_hierarchical`): same seed ⇒ the same
-    /// overlay/target split as the dense build. There is
-    /// no thread parameter — blocks are materialised lazily and every
-    /// block is a pure function of the world, so the store is
-    /// bit-identical at any thread count and any cache temperature.
+    /// overlay/target split as the dense build. `threads` bounds the
+    /// hub synthesis; blocks are materialised lazily and every block is
+    /// a pure function of the world, so the store is bit-identical at
+    /// any thread count and any cache temperature.
     pub fn build_hierarchical(
         spec: ClusterWorldSpec,
         n_targets: usize,
         seed: u64,
         super_shards: usize,
         cache_budget_bytes: usize,
+        threads: usize,
     ) -> ClusterScenario<HierarchicalWorld> {
-        ClusterScenario::build_with(spec, n_targets, seed, |w| {
+        ClusterScenario::build_with(spec, n_targets, seed, threads, |w| {
             w.to_hierarchical(super_shards, cache_budget_bytes)
         })
     }
 }
 
 impl<W: WorldStore> ClusterScenario<W> {
-    /// Backend-agnostic core: generate the world, materialise the
-    /// latency store with `materialise`, and draw the overlay/target
-    /// split. The split's RNG stream (`"SCNR"`) depends only on the
-    /// seed, never on the backend.
+    /// Backend-agnostic core: generate the world on `threads` workers,
+    /// materialise the latency store with `materialise`, and draw the
+    /// overlay/target split. The split's RNG stream (`"SCNR"`) depends
+    /// only on the seed, never on the backend.
     fn build_with(
         spec: ClusterWorldSpec,
         n_targets: usize,
         seed: u64,
+        threads: usize,
         materialise: impl FnOnce(&ClusterWorld) -> W,
     ) -> ClusterScenario<W> {
-        let world = ClusterWorld::generate(spec, seed);
+        let world = ClusterWorld::generate(spec, seed, threads);
         assert!(
             n_targets < world.len(),
             "cannot hold out {n_targets} of {} peers",
@@ -146,7 +148,7 @@ mod tests {
             intra_en: np_util::Micros::from_us(100),
             hub_pool: 6,
         };
-        ClusterScenario::build(spec, 10, 1)
+        ClusterScenario::build(spec, 10, 1, 1)
     }
 
     #[test]
@@ -163,7 +165,7 @@ mod tests {
 
     #[test]
     fn paper_scenario_sizes() {
-        let s = ClusterScenario::paper(125, 0.2, 2);
+        let s = ClusterScenario::paper(125, 0.2, 2, 1);
         assert_eq!(s.world.len(), 2_500);
         assert_eq!(s.targets.len(), 100);
         assert_eq!(s.overlay.len(), 2_400);
@@ -193,8 +195,8 @@ mod tests {
             intra_en: np_util::Micros::from_us(100),
             hub_pool: 6,
         };
-        let dense = ClusterScenario::build(spec.clone(), 10, 1);
-        let hier = ClusterScenario::build_hierarchical(spec, 10, 1, 1, usize::MAX);
+        let dense = ClusterScenario::build(spec.clone(), 10, 1, 1);
+        let hier = ClusterScenario::build_hierarchical(spec, 10, 1, 1, usize::MAX, 1);
         // Same seed ⇒ same overlay/target split regardless of backend.
         assert_eq!(dense.overlay, hier.overlay);
         assert_eq!(dense.targets, hier.targets);
@@ -211,8 +213,8 @@ mod tests {
 
     #[test]
     fn deterministic_given_seed() {
-        let a = ClusterScenario::paper(25, 0.2, 9);
-        let b = ClusterScenario::paper(25, 0.2, 9);
+        let a = ClusterScenario::paper(25, 0.2, 9, 1);
+        let b = ClusterScenario::paper(25, 0.2, 9, 1);
         assert_eq!(a.targets, b.targets);
         assert_eq!(a.overlay[..50], b.overlay[..50]);
     }

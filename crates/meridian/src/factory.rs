@@ -83,7 +83,7 @@ impl AlgoFactory for MeridianFactory {
 
     fn build<'a>(&self, ctx: &AlgoContext<'a>) -> Box<dyn NearestPeerAlgo + 'a> {
         let parts = ctx.shared.get_or_build(&self.fill_key(), || {
-            Overlay::build_threads(
+            Overlay::build(
                 ctx.store,
                 ctx.overlay.to_vec(),
                 self.cfg,
@@ -132,7 +132,7 @@ impl AlgoFactory for MeridianFactory {
 ///   epoch)`: a joiner changes every node's offer stream, so there is
 ///   nothing incremental to salvage (and the paper-faithful simulator
 ///   fill is the reference structure);
-/// * **leave-only epochs** — [`Overlay::repair_after_leaves_threads`]:
+/// * **leave-only epochs** — [`Overlay::repair_after_leaves`]:
 ///   replay only the rings that lost a member, bit-identical to a
 ///   full rebuild over the survivors (the tentpole contract, pinned
 ///   in `tests/overlay_repair.rs`);
@@ -150,7 +150,7 @@ struct MeridianDynamic<'a> {
 
 impl<'a> MeridianDynamic<'a> {
     fn full_build(&self, seed: u64, live: &[PeerId]) -> Overlay<'a, dyn WorldStore + 'a> {
-        Overlay::build_threads(
+        Overlay::build(
             self.store,
             live.to_vec(),
             self.cfg,
@@ -181,7 +181,7 @@ impl<'a> DynamicAlgo<'a> for MeridianDynamic<'a> {
                 .overlay
                 .as_mut()
                 .expect("advance() runs epoch 0 first")
-                .repair_after_leaves_threads(&ep.departed, self.threads);
+                .repair_after_leaves(&ep.departed, self.threads);
             RepairCost {
                 full_rebuilds: 0,
                 rings_replayed: stats.rings_replayed,
@@ -221,8 +221,8 @@ mod tests {
             intra_en: Micros::from_us(100),
             hub_pool: 4,
         };
-        let world = ClusterWorld::generate(spec, 3);
-        let matrix = world.to_matrix();
+        let world = ClusterWorld::generate(spec, 3, 1);
+        let matrix = world.to_matrix(1);
         let overlay: Vec<PeerId> = world.peers().skip(2).collect();
         let shared = np_core::experiment::BuildCache::new();
         let ctx = AlgoContext {
@@ -262,6 +262,7 @@ mod tests {
                 intra_en: Micros::from_us(100),
                 hub_pool: 2,
             },
+            1,
             1,
         );
         let ctx_for = |shared| AlgoContext {
@@ -308,6 +309,7 @@ mod tests {
                 intra_en: Micros::from_us(100),
                 hub_pool: 2,
             },
+            1,
             1,
         );
         let ctx_for = |shared| AlgoContext {
@@ -370,8 +372,8 @@ mod tests {
             intra_en: Micros::from_us(100),
             hub_pool: 5,
         };
-        let world = ClusterWorld::generate(spec, 11);
-        let matrix = world.to_matrix();
+        let world = ClusterWorld::generate(spec, 11, 1);
+        let matrix = world.to_matrix(1);
         let compressed = world.to_hierarchical(1, usize::MAX);
         let overlay: Vec<PeerId> = world.peers().skip(4).collect();
         let factory = MeridianFactory::omniscient();
@@ -402,8 +404,8 @@ mod tests {
 
     #[test]
     fn dynamic_meridian_null_churn_matches_the_static_pipeline() {
-        use np_core::churn::{run_dynamic_threads, ChurnConfig};
-        use np_core::{run_queries_threads, ClusterScenario};
+        use np_core::churn::{run_dynamic, ChurnConfig};
+        use np_core::{run_queries, ClusterScenario};
         let spec = ClusterWorldSpec {
             clusters: 4,
             en_per_cluster: 8,
@@ -413,7 +415,7 @@ mod tests {
             intra_en: Micros::from_us(100),
             hub_pool: 5,
         };
-        let s = ClusterScenario::build(spec, 8, 3);
+        let s = ClusterScenario::build(spec, 8, 3, 1);
         let cfg = ChurnConfig::null(60.0);
         let shared = BuildCache::new();
         let ctx = AlgoContext {
@@ -425,9 +427,9 @@ mod tests {
             shared: &shared,
         };
         let factory = MeridianFactory::omniscient();
-        let (dyn_metrics, stats) = run_dynamic_threads(&factory, &ctx, &s, &cfg, 50, 7, 2);
+        let (dyn_metrics, stats) = run_dynamic(&factory, &ctx, &s, &cfg, 50, 7, 2);
         let static_algo = factory.build(&ctx);
-        let static_metrics = run_queries_threads(static_algo.as_ref(), &s, 50, 7, 2);
+        let static_metrics = run_queries(static_algo.as_ref(), &s, 50, 7, 2);
         assert_eq!(dyn_metrics, static_metrics, "null churn must be invisible");
         assert_eq!(stats.repair.full_rebuilds, 1);
         assert_eq!(stats.repair.rings_replayed, 0);
@@ -435,7 +437,7 @@ mod tests {
 
     #[test]
     fn dynamic_meridian_repairs_under_churn_and_is_thread_invariant() {
-        use np_core::churn::{run_dynamic_threads, ChurnConfig};
+        use np_core::churn::{run_dynamic, ChurnConfig};
         use np_core::ClusterScenario;
         let spec = ClusterWorldSpec {
             clusters: 4,
@@ -446,7 +448,7 @@ mod tests {
             intra_en: Micros::from_us(100),
             hub_pool: 5,
         };
-        let s = ClusterScenario::build(spec, 8, 5);
+        let s = ClusterScenario::build(spec, 8, 5, 1);
         let cfg = ChurnConfig {
             events_per_min: 20.0,
             duration_s: 60.0,
@@ -466,7 +468,7 @@ mod tests {
                 threads,
                 shared: &shared,
             };
-            run_dynamic_threads(&factory, &ctx, &s, &cfg, 60, 9, threads)
+            run_dynamic(&factory, &ctx, &s, &cfg, 60, 9, threads)
         };
         let (metrics, stats) = run_at(1);
         assert!(stats.leaves > 0, "schedule must exercise the repair path");
@@ -502,6 +504,7 @@ mod tests {
                 hub_pool: 2,
             },
             1,
+            1,
         );
         let shared = BuildCache::new();
         let ctx = AlgoContext {
@@ -528,6 +531,7 @@ mod tests {
             MeridianConfig::default(),
             BuildMode::Omniscient,
             21,
+            1,
         );
         let fake_world = ClusterWorld::generate(
             ClusterWorldSpec {
@@ -539,6 +543,7 @@ mod tests {
                 intra_en: Micros::from_us(100),
                 hub_pool: 2,
             },
+            1,
             1,
         );
         let store: &dyn WorldStore = &m;

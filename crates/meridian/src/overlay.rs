@@ -22,7 +22,7 @@
 
 use crate::rings::{RingConfig, RingSet};
 use np_metric::{LatencyMatrix, NearestPeerAlgo, PeerId, QueryOutcome, Target, WorldStore};
-use np_util::parallel::{item_seed, par_map, resolve_threads};
+use np_util::parallel::{item_seed, par_map};
 use np_util::rng::{rng_for, rng_from};
 use np_util::Micros;
 use rand::rngs::StdRng;
@@ -176,7 +176,7 @@ impl Default for MeridianConfig {
 /// in an order drawn from `item_seed(seed, FILL_TAG, roster index)`.
 /// Ring state is therefore a pure function of `(seed, roster,
 /// removed-so-far)` — and after a departure, only the rings whose
-/// arrival subsequence contained the departed peer can change. [`Overlay::repair_after_leaves_threads`]
+/// arrival subsequence contained the departed peer can change. [`Overlay::repair_after_leaves`]
 /// exploits that: it replays *only the dirty rings* from these
 /// streams, with a bit-identical-to-full-rebuild contract (see
 /// [`Overlay::rebuild_surviving`] and `tests/overlay_repair.rs`).
@@ -196,7 +196,7 @@ pub struct FillOrigin {
     pub removed: Vec<PeerId>,
 }
 
-/// Cost accounting for one [`Overlay::repair_after_leaves_threads`]
+/// Cost accounting for one [`Overlay::repair_after_leaves`]
 /// call: how much ring state had to be touched, versus the full
 /// rebuild the repair replaces.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -236,20 +236,8 @@ pub struct Overlay<'m, W: WorldStore + ?Sized = LatencyMatrix> {
 }
 
 impl<'m, W: WorldStore + ?Sized> Overlay<'m, W> {
-    /// Build an overlay over `members` (must be non-empty), on the
-    /// ambient thread count (`$NP_THREADS`, else all cores). Results
-    /// are identical at any worker count — see [`Overlay::build_threads`].
-    pub fn build(
-        world: &'m W,
-        members: Vec<PeerId>,
-        cfg: MeridianConfig,
-        mode: BuildMode,
-        seed: u64,
-    ) -> Overlay<'m, W> {
-        Overlay::build_threads(world, members, cfg, mode, seed, resolve_threads(None))
-    }
-
-    /// [`Overlay::build`] with an explicit worker count.
+    /// Build an overlay over `members` (must be non-empty) on `threads`
+    /// workers.
     ///
     /// In [`BuildMode::Omniscient`] each node's ring membership is a
     /// pure function of the store's RTTs and its own offer-order RNG
@@ -264,7 +252,7 @@ impl<'m, W: WorldStore + ?Sized> Overlay<'m, W> {
     /// (scenario overlays are sorted and unique). The gossip warm-up is
     /// inherently sequential (nodes exchange evolving ring contents)
     /// and stays serial regardless of `threads`.
-    pub fn build_threads(
+    pub fn build(
         world: &'m W,
         members: Vec<PeerId>,
         cfg: MeridianConfig,
@@ -538,7 +526,7 @@ impl<'m, W: WorldStore + ?Sized> Overlay<'m, W> {
     /// build: [`Overlay::origin`] is `None`), as
     /// [`Overlay::rebuild_surviving`] does, and when the departures
     /// would empty the overlay.
-    pub fn repair_after_leaves_threads(
+    pub fn repair_after_leaves(
         &mut self,
         departed: &[PeerId],
         threads: usize,
@@ -547,7 +535,7 @@ impl<'m, W: WorldStore + ?Sized> Overlay<'m, W> {
         let origin = self
             .origin
             .as_mut()
-            .expect("repair_after_leaves_threads needs a recorded fill origin");
+            .expect("repair_after_leaves needs a recorded fill origin");
         let going: Vec<PeerId> = {
             let mut seen = HashSet::new();
             departed
@@ -628,7 +616,7 @@ impl<'m, W: WorldStore + ?Sized> Overlay<'m, W> {
     /// replaying the recorded fill streams with every removed peer
     /// filtered out of every offer order. This is the reference
     /// implementation the incremental
-    /// [`Overlay::repair_after_leaves_threads`] is contractually
+    /// [`Overlay::repair_after_leaves`] is contractually
     /// bit-identical to; the equivalence is what `tests/overlay_repair.rs`
     /// pins.
     ///
@@ -752,6 +740,7 @@ mod tests {
             MeridianConfig::default(),
             BuildMode::Omniscient,
             1,
+            1,
         );
         let mut rng = rng_from(2);
         let mut hits = 0;
@@ -786,6 +775,7 @@ mod tests {
             MeridianConfig::default(),
             BuildMode::Omniscient,
             3,
+            1,
         );
         // Start far from the target: hop count must stay logarithmic-ish.
         let target = Target::new(PeerId(0), &m);
@@ -807,6 +797,7 @@ mod tests {
             MeridianConfig::default(),
             BuildMode::Omniscient,
             5,
+            1,
         );
         let mut rng = rng_from(7);
         let mut exact = 0;
@@ -837,6 +828,7 @@ mod tests {
                 fanout: 4,
             },
             9,
+            1,
         );
         assert!(
             overlay.total_ring_entries() >= members.len() * 4,
@@ -874,6 +866,7 @@ mod tests {
                 },
                 BuildMode::Omniscient,
                 13,
+                1,
             );
             let mut rng = rng_from(17);
             let mut total = 0u64;
@@ -959,7 +952,7 @@ mod tests {
     fn fresh_fill_equals_the_plain_insert_replay() {
         use np_topology::{ClusterWorld, ClusterWorldSpec};
         let m = cluster_matrix(40, 0.5);
-        let dense = Overlay::build_threads(
+        let dense = Overlay::build(
             &m,
             (0..80).map(PeerId).collect(),
             MeridianConfig::default(),
@@ -983,11 +976,12 @@ mod tests {
                 hub_pool: 11,
             },
             13,
+            1,
         );
         let members: Vec<PeerId> = world.peers().skip(6).collect();
         for super_shards in [1, 4] {
             let store = world.to_hierarchical(super_shards, usize::MAX);
-            let hier = Overlay::build_threads(
+            let hier = Overlay::build(
                 &store,
                 members.clone(),
                 MeridianConfig::default(),
@@ -1007,7 +1001,7 @@ mod tests {
     fn repair_is_bit_identical_to_full_rebuild() {
         let m = cluster_matrix(40, 0.5);
         let members: Vec<PeerId> = (0..80).map(PeerId).collect();
-        let mut overlay = Overlay::build_threads(
+        let mut overlay = Overlay::build(
             &m,
             members.clone(),
             MeridianConfig::default(),
@@ -1043,7 +1037,7 @@ mod tests {
                         .count()
                 })
                 .sum();
-            let stats = overlay.repair_after_leaves_threads(&departed, 2);
+            let stats = overlay.repair_after_leaves(&departed, 2);
             assert_eq!(stats.ring_inserts, expected_inserts as u64, "ring_inserts");
             assert!(stats.rings_replayed > 0, "dirty rings must be found");
             assert!(
@@ -1070,7 +1064,7 @@ mod tests {
         let m = line_world(60);
         let members: Vec<PeerId> = (0..60).map(PeerId).collect();
         let build = || {
-            Overlay::build_threads(
+            Overlay::build(
                 &m,
                 members.clone(),
                 MeridianConfig::default(),
@@ -1081,10 +1075,10 @@ mod tests {
         };
         let departed = [PeerId(3), PeerId(200), PeerId(44), PeerId(3)];
         let mut serial = build();
-        let s1 = serial.repair_after_leaves_threads(&departed, 1);
+        let s1 = serial.repair_after_leaves(&departed, 1);
         for threads in [2, 8] {
             let mut par = build();
-            let sn = par.repair_after_leaves_threads(&departed, threads);
+            let sn = par.repair_after_leaves(&departed, threads);
             assert_eq!(s1, sn, "repair stats diverged at {threads} threads");
             assert_eq!(ring_state(&serial), ring_state(&par));
         }
@@ -1107,9 +1101,10 @@ mod tests {
                 fanout: 4,
             },
             9,
+            1,
         );
         assert!(overlay.origin().is_none(), "gossip records no origin");
-        overlay.repair_after_leaves_threads(&[PeerId(4), PeerId(10)], 2);
+        overlay.repair_after_leaves(&[PeerId(4), PeerId(10)], 2);
     }
 
     #[test]
@@ -1123,6 +1118,7 @@ mod tests {
             MeridianConfig::default(),
             BuildMode::Omniscient,
             7,
+            1,
         );
         // Heavy loss, tight budget: every query must still terminate
         // with an overlay member (or the start node) as the answer.
@@ -1167,6 +1163,7 @@ mod tests {
             MeridianConfig::default(),
             BuildMode::Omniscient,
             21,
+            1,
         );
         let o2 = Overlay::build(
             &m,
@@ -1174,6 +1171,7 @@ mod tests {
             MeridianConfig::default(),
             BuildMode::Omniscient,
             21,
+            1,
         );
         let t1 = Target::new(PeerId(5), &m);
         let t2 = Target::new(PeerId(5), &m);

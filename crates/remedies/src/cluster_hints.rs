@@ -138,6 +138,7 @@ mod tests {
                 hub_pool: 5,
             },
             11,
+            1,
         )
     }
 
@@ -159,7 +160,7 @@ mod tests {
     #[test]
     fn hybrid_factory_finds_partner_at_full_coverage() {
         let w = world();
-        let matrix = w.to_matrix();
+        let matrix = w.to_matrix(1);
         // Hold the first peer out; its EN partner stays in the overlay.
         let overlay: Vec<PeerId> = w.peers().skip(1).collect();
         let target = w.peers().next().unwrap();

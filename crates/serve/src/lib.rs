@@ -24,7 +24,7 @@
 //! or the answer, so under lossless admission
 //! ([`Admission::Block`]) the answers and [`np_core::PaperMetrics`] of
 //! a served schedule are **bit-identical** to
-//! `run_queries(…, n, seed)` at any worker count; only the timing
+//! `run_queries(…, n, seed, _)` at any worker count; only the timing
 //! histograms ([`ServeReport::queued`]/[`ServeReport::service`]/
 //! [`ServeReport::total`]) vary run to run. `tests/serve_equivalence.rs`
 //! enforces this at 1/2/4/8 workers on both backends.

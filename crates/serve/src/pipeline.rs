@@ -20,7 +20,7 @@
 //! `(idx, target, seed)`. Which worker runs it, in which pop, after
 //! how long in the queue: none of that reaches the RNG or the answer.
 //! So with [`Admission::Block`] (lossless ingest) the answers and
-//! [`PaperMetrics`] are bit-identical to `run_queries_threads` at any
+//! [`PaperMetrics`] are bit-identical to `run_queries` at any
 //! worker count — only the timing histograms differ run to run.
 
 use np_core::{reduce_records, run_one_query, PaperMetrics, QueryRecord};

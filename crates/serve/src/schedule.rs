@@ -6,7 +6,7 @@
 //! loop would self-throttle and hide queueing collapse). The *targets*
 //! of the schedule come from [`np_core::draw_target_schedule`] under
 //! the same seed the batch runner uses, so a served schedule of `n`
-//! queries asks **exactly** the questions `run_queries(…, n, seed)`
+//! queries asks **exactly** the questions `run_queries(…, n, seed, _)`
 //! asks — that identity is what the service≡batch equivalence test
 //! leans on.
 

@@ -35,8 +35,9 @@ fn fixture(seed: u64) -> Fixture {
             hub_pool: 4,
         },
         seed,
+        1,
     );
-    let matrix = world.to_matrix();
+    let matrix = world.to_matrix(1);
     let targets: Vec<PeerId> = world.peers().take(6).collect();
     let overlay: Vec<PeerId> = world.peers().skip(6).collect();
     let truth = NearestCache::build(&matrix, &overlay, &targets, 1);

@@ -17,7 +17,7 @@
 //! [`ClusterWorld`] implements that construction exactly, with the
 //! synthetic [`HubMatrix`] standing in for the Meridian dataset.
 
-use crate::hub::HubMatrix;
+use crate::hub::{HubMatrix, MERIDIAN_MEDIAN_MS};
 use np_metric::{HierarchicalWorld, LatencyMatrix, PeerId};
 use np_util::dist;
 use np_util::rng::rng_for;
@@ -89,17 +89,19 @@ pub struct ClusterWorld {
 }
 
 impl ClusterWorld {
-    /// Generate deterministically from `seed`.
+    /// Generate deterministically from `seed`, synthesising the hub
+    /// matrix on up to `threads` workers (the world is the same at any
+    /// count).
     ///
     /// Sub-streams: hub matrix `0x485542`, world assignment `0x435754`.
-    pub fn generate(spec: ClusterWorldSpec, seed: u64) -> ClusterWorld {
+    pub fn generate(spec: ClusterWorldSpec, seed: u64, threads: usize) -> ClusterWorld {
         assert!(
             (0.0..=1.0).contains(&spec.delta),
             "delta must be in [0,1], got {}",
             spec.delta
         );
         assert!(spec.clusters >= 1 && spec.en_per_cluster >= 1 && spec.peers_per_en >= 1);
-        let hubs = HubMatrix::synthetic_meridian_like(spec.hub_pool.max(2), seed);
+        let hubs = HubMatrix::synthetic(spec.hub_pool.max(2), MERIDIAN_MEDIAN_MS, seed, threads);
         let mut rng = rng_for(seed, 0x43_57_54);
         let cluster_hub = hubs.pick_hubs(spec.clusters, &mut rng);
         let mut en_hub_lat = Vec::with_capacity(spec.clusters * spec.en_per_cluster);
@@ -192,18 +194,12 @@ impl ClusterWorld {
     }
 
     /// Materialise the dense latency matrix (the object the Meridian
-    /// simulator consumes), on the ambient thread count
-    /// (`$NP_THREADS`, else all cores).
+    /// simulator consumes) on `threads` workers.
     ///
     /// `rtt` is a pure function of the generated world, so the parallel
     /// row-blocked build is bit-identical to a serial one at any thread
     /// count.
-    pub fn to_matrix(&self) -> LatencyMatrix {
-        self.to_matrix_threads(np_util::parallel::resolve_threads(None))
-    }
-
-    /// [`ClusterWorld::to_matrix`] with an explicit worker count.
-    pub fn to_matrix_threads(&self, threads: usize) -> LatencyMatrix {
+    pub fn to_matrix(&self, threads: usize) -> LatencyMatrix {
         LatencyMatrix::build_par(self.len(), threads, |a, b| self.rtt(a, b))
     }
 
@@ -284,6 +280,7 @@ mod tests {
                 hub_pool: 8,
             },
             42,
+            1,
         )
     }
 
@@ -340,6 +337,7 @@ mod tests {
                     hub_pool: 6,
                 },
                 9,
+                1,
             );
             for p in w.peers() {
                 let h = w.hub_latency(p).as_ms();
@@ -364,6 +362,7 @@ mod tests {
                 hub_pool: 4,
             },
             5,
+            1,
         );
         for c in 0..3u32 {
             let first = w.hub_latency(PeerId(c * 20));
@@ -380,7 +379,7 @@ mod tests {
     #[test]
     fn matrix_matches_world() {
         let w = small();
-        let m = w.to_matrix();
+        let m = w.to_matrix(1);
         m.validate().expect("valid");
         for a in w.peers() {
             for b in w.peers() {
@@ -405,7 +404,7 @@ mod tests {
             }
         }
         // And it really is compressed relative to the dense bytes.
-        let dense = w.to_matrix();
+        let dense = w.to_matrix(1);
         assert!(one.approx_bytes() < WorldStore::approx_bytes(&dense));
     }
 
@@ -427,7 +426,7 @@ mod tests {
     #[test]
     fn ground_truth_nearest_is_en_partner() {
         let w = small();
-        let m = w.to_matrix();
+        let m = w.to_matrix(1);
         let members: Vec<PeerId> = w.peers().collect();
         for p in w.peers() {
             let nearest = m.nearest_within(p, &members).expect("others");
@@ -462,6 +461,7 @@ mod tests {
                     hub_pool: 4,
                 },
                 seed,
+                1,
             );
             let n = w.len() as u32;
             for a in 0..n {

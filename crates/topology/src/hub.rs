@@ -13,7 +13,7 @@
 //! substitution; `median_is_calibrated` pins the calibration.
 
 use crate::geo;
-use np_util::parallel::{par_for_rows, resolve_threads};
+use np_util::parallel::par_for_rows;
 use np_util::rng::rng_for;
 use np_util::{Micros, Summary};
 use rand::Rng;
@@ -45,15 +45,10 @@ pub struct HubMatrix {
 }
 
 impl HubMatrix {
-    /// Synthesise `n` hubs calibrated to `median_ms`, on the ambient
-    /// thread count (`$NP_THREADS`, else all cores).
+    /// Synthesise `n` hubs calibrated to `median_ms` on up to `threads`
+    /// workers.
     ///
     /// Tag discipline: RNG stream is `sub_seed(seed, 0x48_5542)` ("HUB").
-    pub fn synthetic(n: usize, median_ms: f64, seed: u64) -> HubMatrix {
-        HubMatrix::synthetic_threads(n, median_ms, seed, resolve_threads(None))
-    }
-
-    /// [`HubMatrix::synthetic`] with an explicit worker count.
     ///
     /// The matrix is that of one stream drawn in order — the `n` sites,
     /// then each pair `(i, j)` with `i < j`, row by row — floored at
@@ -62,7 +57,7 @@ impl HubMatrix {
     /// fill on any worker in any order and the result is the same, bit
     /// for bit, at every worker count. At most one worker runs per
     /// [`PAIRS_PER_WORKER`] pairs.
-    pub fn synthetic_threads(n: usize, median_ms: f64, seed: u64, threads: usize) -> HubMatrix {
+    pub fn synthetic(n: usize, median_ms: f64, seed: u64, threads: usize) -> HubMatrix {
         assert!(n >= 2, "need at least two hubs");
         let stream = rng_for(seed, 0x48_5542);
         let mut rng = stream.clone();
@@ -94,11 +89,6 @@ impl HubMatrix {
             }
         }
         m
-    }
-
-    /// The paper's configuration: calibrated to the Meridian dataset.
-    pub fn synthetic_meridian_like(n: usize, seed: u64) -> HubMatrix {
-        HubMatrix::synthetic(n, MERIDIAN_MEDIAN_MS, seed)
     }
 
     /// Number of hubs.
@@ -168,7 +158,7 @@ mod tests {
     use super::*;
     use np_util::rng::rng_from;
 
-    // The serial generator `synthetic_threads` must reproduce, shared
+    // The serial generator `synthetic` must reproduce, shared
     // with the workspace's `tests/parallel_determinism.rs`.
     include!("hub_reference.rs");
 
@@ -179,7 +169,7 @@ mod tests {
         for n in [2, 3, 17, 250, 2_500] {
             let reference = serial_hub_matrix(n, MERIDIAN_MEDIAN_MS, 13);
             for threads in [1, 2] {
-                let m = HubMatrix::synthetic_threads(n, MERIDIAN_MEDIAN_MS, 13, threads);
+                let m = HubMatrix::synthetic(n, MERIDIAN_MEDIAN_MS, 13, threads);
                 let got: Vec<u64> = m.rtt_us.iter().map(|&v| u64::from(v)).collect();
                 assert!(got == reference, "{n} hubs diverged at {threads} workers");
             }
@@ -188,7 +178,7 @@ mod tests {
 
     #[test]
     fn median_is_calibrated() {
-        let m = HubMatrix::synthetic_meridian_like(120, 7);
+        let m = HubMatrix::synthetic(120, MERIDIAN_MEDIAN_MS, 7, 1);
         let med = m.median_pair().as_ms();
         assert!(
             (med - MERIDIAN_MEDIAN_MS).abs() < 1.0,
@@ -198,7 +188,7 @@ mod tests {
 
     #[test]
     fn matrix_is_symmetric_zero_diagonal() {
-        let m = HubMatrix::synthetic(40, 65.0, 3);
+        let m = HubMatrix::synthetic(40, 65.0, 3, 1);
         for i in 0..m.len() {
             assert_eq!(m.rtt(i, i), Micros::ZERO);
             for j in 0..m.len() {
@@ -209,7 +199,7 @@ mod tests {
 
     #[test]
     fn hubs_are_never_too_close() {
-        let m = HubMatrix::synthetic(60, 65.0, 11);
+        let m = HubMatrix::synthetic(60, 65.0, 11, 1);
         let mut min = Micros::INFINITY;
         for i in 0..m.len() {
             for j in (i + 1)..m.len() {
@@ -223,7 +213,7 @@ mod tests {
 
     #[test]
     fn distribution_is_multimodal_spread() {
-        let m = HubMatrix::synthetic_meridian_like(100, 5);
+        let m = HubMatrix::synthetic(100, MERIDIAN_MEDIAN_MS, 5, 1);
         let s = m.pair_summary_ms();
         // Intra-continent pairs well below the median, inter-continent far
         // above: expect a wide spread.
@@ -233,9 +223,9 @@ mod tests {
 
     #[test]
     fn determinism_and_seed_sensitivity() {
-        let a = HubMatrix::synthetic(30, 65.0, 9);
-        let b = HubMatrix::synthetic(30, 65.0, 9);
-        let c = HubMatrix::synthetic(30, 65.0, 10);
+        let a = HubMatrix::synthetic(30, 65.0, 9, 1);
+        let b = HubMatrix::synthetic(30, 65.0, 9, 1);
+        let c = HubMatrix::synthetic(30, 65.0, 10, 1);
         assert_eq!(a.rtt(3, 17), b.rtt(3, 17));
         assert_ne!(
             (0..30).map(|i| a.rtt(0, i).as_us()).sum::<u64>(),
@@ -245,7 +235,7 @@ mod tests {
 
     #[test]
     fn pick_hubs_distinct() {
-        let m = HubMatrix::synthetic(25, 65.0, 2);
+        let m = HubMatrix::synthetic(25, 65.0, 2, 1);
         let mut rng = rng_from(1);
         let picked = m.pick_hubs(10, &mut rng);
         assert_eq!(picked.len(), 10);

@@ -1,4 +1,4 @@
-// The serial hub generator that `HubMatrix::synthetic_threads` must
+// The serial hub generator that `HubMatrix::synthetic` must
 // reproduce bit for bit. Test code only: it is `include!`d by the test
 // module of `hub.rs` and by `tests/parallel_determinism.rs`, each of
 // which brings `geo`, `rng_for` and `Micros` into scope.

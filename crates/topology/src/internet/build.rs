@@ -7,7 +7,7 @@
 //! general Internet-measurement) rationale.
 
 use super::*;
-use crate::hub::HubMatrix;
+use crate::hub::{HubMatrix, MERIDIAN_MEDIAN_MS};
 use crate::ip::IpAllocator;
 use crate::names::Annotation;
 use np_metric::graph::{Graph, NodeId};
@@ -236,7 +236,12 @@ impl InternetModel {
             }
         }
         let n_pops = pop_as.len();
-        let hubs = HubMatrix::synthetic_meridian_like(n_pops.max(2), sub_seed(seed, 1));
+        // One worker: a second joins only at 2 x 2^16 pairs, and the
+        // paper-scale world draws about 440 PoPs (96,580 pairs at the
+        // figures' seed; 419-463 at seeds 1, 7 and 42), the quick one
+        // 77. The bits are the same at any worker count
+        // (`synthetic_threads_matches_the_serial_reference`).
+        let hubs = HubMatrix::synthetic(n_pops.max(2), MERIDIAN_MEDIAN_MS, sub_seed(seed, 1), 1);
 
         // ---- backbone: PoP graph ----------------------------------------
         let mut pop_graph = Graph::with_nodes(n_pops);

@@ -20,8 +20,9 @@
 //! * [`cdf`] — empirical CDFs (Figures 3 and 5 of the paper are CDFs),
 //! * [`parallel`] — the scoped-thread parallel engine and its
 //!   determinism contract (ordered [`parallel::par_map`], per-item
-//!   seeding via [`parallel::item_seed`], `--threads`/`NP_THREADS`
-//!   resolution) used by the matrix builders and the query runner,
+//!   seeding via [`parallel::item_seed`], the `--threads`/`NP_THREADS`
+//!   rule a binary resolves once) used by the matrix builders and the
+//!   query runner, which take the worker count as an argument,
 //! * [`hist`] — mergeable log-bucketed latency histograms (p50/p99/p999
 //!   accounting for the serving pipeline's tail-latency reports),
 //! * [`queue`] — a hand-rolled bounded MPMC queue (block or shed on

@@ -27,10 +27,11 @@
 //!
 //! # Thread-count resolution
 //!
-//! [`resolve_threads`] implements the workspace-wide precedence:
-//! explicit value (a `--threads` flag) > the `NP_THREADS` environment
-//! variable > all available cores. Thread count never affects results,
-//! only wall-clock.
+//! Every library entry point that fans out takes its worker count as
+//! an argument and never reads the environment. A binary resolves the
+//! count once with [`resolve_threads`]: explicit value (a `--threads`
+//! flag) > the `NP_THREADS` environment variable > all available
+//! cores. Thread count never affects results, only wall-clock.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
@@ -46,8 +47,8 @@ pub fn resolve_threads(explicit: Option<usize>) -> usize {
     let env = std::env::var(THREADS_ENV).ok();
     let (n, invalid_env) = resolve_threads_from(explicit, env.as_deref(), available_threads());
     if let Some(v) = invalid_env {
-        // Resolution runs once per parallel entry point; warn once,
-        // not once per query batch.
+        // A binary may ask more than once (header, run, footer); warn
+        // once.
         static WARNED: std::sync::Once = std::sync::Once::new();
         WARNED.call_once(|| {
             eprintln!("warning: ignoring invalid {THREADS_ENV}={v:?} (want a positive integer)");

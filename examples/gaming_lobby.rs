@@ -42,13 +42,15 @@ fn main() {
         intra_en: Micros::from_us(100),
         hub_pool: 25,
     };
-    let scenario = ClusterScenario::build(spec, 50, 99);
+    let threads = nearest_peer::util::parallel::available_threads();
+    let scenario = ClusterScenario::build(spec, 50, 99, threads);
     let overlay = Overlay::build(
         &scenario.matrix,
         scenario.overlay.clone(),
         MeridianConfig::default(),
         BuildMode::Omniscient,
         99,
+        threads,
     );
     let mut by_en: HashMap<usize, Vec<PeerId>> = HashMap::new();
     for &p in &scenario.overlay {

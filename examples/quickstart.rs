@@ -9,10 +9,13 @@ use nearest_peer::prelude::*;
 
 fn main() {
     println!("== nearest-peer quickstart ==\n");
+    // Every call that can fan out takes its worker count; results are
+    // the same at any count.
+    let threads = nearest_peer::util::parallel::available_threads();
     // 1. Build the paper's Figure 8 world at its hardest point: 10
     //    clusters of 125 end-networks, 2 peers each (~2,500 peers), with
     //    tight intra-cluster latency variation (delta = 0.2).
-    let scenario = ClusterScenario::paper(125, 0.2, 7);
+    let scenario = ClusterScenario::paper(125, 0.2, 7, threads);
     println!(
         "world: {} peers, {} overlay members, {} held-out targets",
         scenario.world.len(),
@@ -35,8 +38,9 @@ fn main() {
         MeridianConfig::default(),
         BuildMode::Omniscient,
         7,
+        threads,
     );
-    let meridian = run_queries(&overlay, &scenario, 500, 7);
+    let meridian = run_queries(&overlay, &scenario, 500, 7, threads);
     println!("\nMeridian alone over 500 queries:");
     println!(
         "  P(correct closest peer) = {:.3}   <- the clustering condition at work",
@@ -77,7 +81,7 @@ fn main() {
         en_of: scenario.world.peers().map(|p| (p, scenario.world.en_of(p))).collect(),
     };
     let hybrid = Hybrid::new(&hints, &overlay);
-    let fixed = run_queries(&hybrid, &scenario, 500, 7);
+    let fixed = run_queries(&hybrid, &scenario, 500, 7, threads);
     println!("\nUCL hints + Meridian fallback:");
     println!("  P(correct closest peer) = {:.3}", fixed.p_correct_closest);
     println!("  mean probes/query       = {:.1}", fixed.mean_probes);

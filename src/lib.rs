@@ -41,15 +41,19 @@
 //!     intra_en: Micros::from_us(100),
 //!     hub_pool: 8,
 //! };
-//! let scenario = ClusterScenario::build(spec, 20, 42);
+//! // Every call that can fan out takes its worker count; the results
+//! // are the same at any count.
+//! let threads = 2;
+//! let scenario = ClusterScenario::build(spec, 20, 42, threads);
 //! let overlay = Overlay::build(
 //!     &scenario.matrix,
 //!     scenario.overlay.clone(),
 //!     MeridianConfig::default(),
 //!     BuildMode::Omniscient,
 //!     42,
+//!     threads,
 //! );
-//! let metrics = run_queries(&overlay, &scenario, 50, 42);
+//! let metrics = run_queries(&overlay, &scenario, 50, 42, threads);
 //! // Meridian lands in the right cluster almost always...
 //! assert!(metrics.p_correct_cluster > 0.8);
 //! // ...but the exact-closest peer is much harder (the paper's point).

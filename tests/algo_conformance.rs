@@ -26,7 +26,7 @@
 use nearest_peer::prelude::*;
 use np_bench::full_registry;
 use np_core::experiment::{AlgoContext, BuildCache};
-use np_core::{run_queries_threads, PaperMetrics};
+use np_core::{run_queries, PaperMetrics};
 use np_metric::{HierarchicalWorld, WorldStore};
 
 const THREAD_COUNTS: [usize; 3] = [2, 4, 8];
@@ -49,7 +49,7 @@ fn world_spec() -> ClusterWorldSpec {
 }
 
 fn dense(seed: u64) -> ClusterScenario {
-    ClusterScenario::build(world_spec(), 12, seed)
+    ClusterScenario::build(world_spec(), 12, seed, 2)
 }
 
 fn hierarchical(
@@ -57,7 +57,7 @@ fn hierarchical(
     super_shards: usize,
     cache_budget_bytes: usize,
 ) -> ClusterScenario<HierarchicalWorld> {
-    ClusterScenario::build_hierarchical(world_spec(), 12, seed, super_shards, cache_budget_bytes)
+    ClusterScenario::build_hierarchical(world_spec(), 12, seed, super_shards, cache_budget_bytes, 2)
 }
 
 /// Build `name` from the registry over `scenario` (fresh [`BuildCache`],
@@ -81,7 +81,7 @@ fn run_algo<W: WorldStore>(
         shared: &shared,
     };
     let algo = factory.build(&ctx);
-    run_queries_threads(algo.as_ref(), scenario, queries, seed, threads)
+    run_queries(algo.as_ref(), scenario, queries, seed, threads)
 }
 
 /// Contract 1: bit-identical metrics at any thread count, every name.
@@ -198,7 +198,7 @@ fn every_registry_algo_survives_degenerate_minimal_worlds() {
         ),
     ];
     for (spec, n_targets) in degenerate {
-        let scenario = ClusterScenario::build(spec, n_targets, 7);
+        let scenario = ClusterScenario::build(spec, n_targets, 7, 2);
         let members = scenario.overlay.len();
         for name in full_registry().names() {
             for threads in [1, 2] {

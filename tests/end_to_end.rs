@@ -19,7 +19,7 @@ fn world(en_per_cluster: usize) -> ClusterWorldSpec {
 }
 
 fn scenario(en_per_cluster: usize, seed: u64) -> ClusterScenario {
-    ClusterScenario::build(world(en_per_cluster), 30, seed)
+    ClusterScenario::build(world(en_per_cluster), 30, seed, 2)
 }
 
 /// The Figure 8 phase transition, in miniature: accuracy at huge
@@ -36,8 +36,9 @@ fn clustering_condition_defeats_meridian() {
             MeridianConfig::default(),
             BuildMode::Omniscient,
             1,
+            2,
         );
-        run_queries(&overlay, s, 300, 1)
+        run_queries(&overlay, s, 300, 1, 2)
     };
     let m_easy = run(&easy);
     let m_hard = run(&hard);
@@ -57,7 +58,7 @@ fn clustering_condition_defeats_meridian() {
 fn brute_force_is_immune_but_expensive() {
     let s = scenario(150, 3);
     let bf = nearest_peer::metric::nearest::BruteForce::new(&s.matrix, s.overlay.clone());
-    let m = run_queries(&bf, &s, 40, 3);
+    let m = run_queries(&bf, &s, 40, 3, 2);
     assert_eq!(m.p_correct_closest, 1.0);
     assert!(m.mean_probes > 500.0, "brute force must probe everyone");
 }
@@ -85,6 +86,7 @@ fn hybrid_restores_exactness() {
         MeridianConfig::default(),
         BuildMode::Omniscient,
         5,
+        2,
     );
     let mut by_en: HashMap<usize, Vec<PeerId>> = HashMap::new();
     for &p in &s.overlay {
@@ -95,8 +97,8 @@ fn hybrid_restores_exactness() {
         en_of: s.world.peers().map(|p| (p, s.world.en_of(p))).collect(),
     };
     let hybrid = Hybrid::new(&hints, &overlay);
-    let plain = run_queries(&overlay, &s, 300, 5);
-    let fixed = run_queries(&hybrid, &s, 300, 5);
+    let plain = run_queries(&overlay, &s, 300, 5, 2);
+    let fixed = run_queries(&hybrid, &s, 300, 5, 2);
     assert!(
         fixed.p_correct_closest > plain.p_correct_closest + 0.3,
         "hybrid {fixed:?} should beat meridian {plain:?} by a wide margin"
@@ -128,7 +130,7 @@ fn sweeps_are_reproducible() {
             SeedPlan::THREE_RUNS,
             vec![cell],
         );
-        Experiment::new(spec, &registry).run()
+        Experiment::new(spec, &registry).run(2)
     };
     let (a, b) = (run(), run());
     let a = &a.query_cells().expect("query spec")[0].rows[0];

@@ -1,6 +1,6 @@
 //! The incremental overlay repair's equivalence contract.
 //!
-//! `Overlay::repair_after_leaves_threads` claims to be a **fast
+//! `Overlay::repair_after_leaves` claims to be a **fast
 //! path**, not an approximation: after any sequence of departures it
 //! must leave the overlay bit-identical — primaries *and* secondaries,
 //! member for member, RTT for RTT — to a from-scratch
@@ -71,6 +71,7 @@ fn incremental_repair_is_bit_identical_to_rebuild_after_every_round() {
             },
             10,
             seed,
+            2,
         );
         let mut repaired = Overlay::build(
             &s.matrix,
@@ -78,6 +79,7 @@ fn incremental_repair_is_bit_identical_to_rebuild_after_every_round() {
             MeridianConfig::default(),
             BuildMode::Omniscient,
             seed,
+            2,
         );
         // 3 rounds of 1–6 random departures each; the cumulative
         // `FillOrigin::removed` provenance must keep later repairs
@@ -88,7 +90,7 @@ fn incremental_repair_is_bit_identical_to_rebuild_after_every_round() {
             pool.shuffle(&mut rng);
             let departed: Vec<PeerId> = pool.into_iter().take(k).collect();
             let threads = [1, 2, 4][round % 3];
-            repaired.repair_after_leaves_threads(&departed, threads);
+            repaired.repair_after_leaves(&departed, threads);
             let reference = repaired.rebuild_surviving(1);
             assert_identical_overlays(
                 &repaired,
@@ -107,8 +109,8 @@ fn incremental_repair_is_bit_identical_to_rebuild_after_every_round() {
 fn repair_matches_rebuild_at_paper_scale_on_the_hierarchical_backend() {
     let spec = ClusterWorldSpec::paper(25, 0.2); // 50 clusters, 2,500 peers
     let scenario =
-        nearest_peer::core::ClusterScenario::build_hierarchical(spec, 100, 31, 1, usize::MAX);
-    let mut repaired = Overlay::build_threads(
+        nearest_peer::core::ClusterScenario::build_hierarchical(spec, 100, 31, 1, usize::MAX, 4);
+    let mut repaired = Overlay::build(
         &scenario.matrix,
         scenario.overlay.clone(),
         MeridianConfig::default(),
@@ -120,7 +122,7 @@ fn repair_matches_rebuild_at_paper_scale_on_the_hierarchical_backend() {
     let mut pool = repaired.members().to_vec();
     pool.shuffle(&mut rng);
     let departed: Vec<PeerId> = pool.into_iter().take(40).collect();
-    let stats = repaired.repair_after_leaves_threads(&departed, 4);
+    let stats = repaired.repair_after_leaves(&departed, 4);
     assert!(stats.rings_replayed > 0, "40 leavers dirty some rings");
     assert_identical_overlays(&repaired, &repaired.rebuild_surviving(4), "paper scale");
 }
@@ -142,6 +144,7 @@ fn repair_replays_only_the_rings_the_leavers_occupied() {
         },
         10,
         404,
+        2,
     );
     let mut overlay = Overlay::build(
         &s.matrix,
@@ -149,10 +152,11 @@ fn repair_replays_only_the_rings_the_leavers_occupied() {
         MeridianConfig::default(),
         BuildMode::Omniscient,
         404,
+        2,
     );
     let survivors_before = overlay.members().len() as u64;
     let departed = [overlay.members()[3], overlay.members()[17]];
-    let stats = overlay.repair_after_leaves_threads(&departed, 2);
+    let stats = overlay.repair_after_leaves(&departed, 2);
     // ≤ |departed| dirty rings per survivor — strictly fewer ring
     // replays than survivors × departures only when some survivor
     // never ringed a leaver, but never more.

@@ -11,7 +11,7 @@
 
 use nearest_peer::prelude::*;
 use np_core::experiment::BruteForceFactory;
-use np_core::run_queries_threads;
+use np_core::run_queries;
 use np_meridian::MeridianFactory;
 use np_metric::nearest::BruteForce;
 use np_metric::{HierarchicalWorld, NearestCache};
@@ -34,7 +34,7 @@ fn world_spec() -> ClusterWorldSpec {
 }
 
 fn scenario(seed: u64) -> ClusterScenario {
-    ClusterScenario::build(world_spec(), 16, seed)
+    ClusterScenario::build(world_spec(), 16, seed, 1)
 }
 
 /// Algorithm 1 (Meridian): the paper's main subject, exercising hops,
@@ -48,11 +48,12 @@ fn meridian_metrics_identical_at_any_thread_count() {
         MeridianConfig::default(),
         BuildMode::Omniscient,
         101,
+        1,
     );
-    let serial = run_queries_threads(&overlay, &s, 200, 7, 1);
+    let serial = run_queries(&overlay, &s, 200, 7, 1);
     assert_eq!(serial.queries, 200);
     for threads in THREAD_COUNTS {
-        let par = run_queries_threads(&overlay, &s, 200, 7, threads);
+        let par = run_queries(&overlay, &s, 200, 7, threads);
         // PaperMetrics derives PartialEq over raw f64 fields — this is
         // exact equality of every metric, not a tolerance check.
         assert_eq!(serial, par, "meridian diverged at {threads} threads");
@@ -65,10 +66,10 @@ fn meridian_metrics_identical_at_any_thread_count() {
 fn brute_force_metrics_identical_at_any_thread_count() {
     let s = scenario(202);
     let algo = BruteForce::new(&s.matrix, s.overlay.clone());
-    let serial = run_queries_threads(&algo, &s, 120, 11, 1);
+    let serial = run_queries(&algo, &s, 120, 11, 1);
     assert_eq!(serial.p_correct_closest, 1.0, "brute force is exact");
     for threads in THREAD_COUNTS {
-        let par = run_queries_threads(&algo, &s, 120, 11, threads);
+        let par = run_queries(&algo, &s, 120, 11, threads);
         assert_eq!(serial, par, "brute force diverged at {threads} threads");
     }
 }
@@ -99,7 +100,7 @@ fn three_run_sweep(
         SeedPlan::THREE_RUNS,
         vec![tune(cell)],
     );
-    let report = Experiment::new(spec, &registry).run_threads(threads);
+    let report = Experiment::new(spec, &registry).run(threads);
     let cell = &report.query_cells().expect("query spec")[0];
     assert!(cell.error.is_none(), "{:?}", cell.error);
     let runs = cell.rows[0].runs.clone();
@@ -137,11 +138,12 @@ fn world_matrix_identical_at_any_thread_count() {
             hub_pool: 5,
         },
         77,
+        1,
     );
-    let serial = world.to_matrix_threads(1);
+    let serial = world.to_matrix(1);
     serial.validate().expect("serial matrix valid");
     for threads in THREAD_COUNTS {
-        let par = world.to_matrix_threads(threads);
+        let par = world.to_matrix(threads);
         par.validate().expect("parallel matrix valid");
         assert_eq!(par.len(), serial.len());
         for a in serial.peers() {
@@ -174,7 +176,7 @@ fn hub_matrix_identical_at_any_thread_count() {
     for n in [2, 3, 17, 250, 2_500] {
         let reference = hub_reference::serial_hub_matrix(n, 65.0, 29);
         for threads in [1, 2, 4, 8] {
-            let m = HubMatrix::synthetic_threads(n, 65.0, 29, threads);
+            let m = HubMatrix::synthetic(n, 65.0, 29, threads);
             for a in 0..n {
                 for b in 0..n {
                     assert_eq!(
@@ -202,6 +204,7 @@ fn hierarchical_scenario(
         seed,
         super_shards,
         cache_budget_bytes,
+        1,
     )
 }
 
@@ -216,23 +219,23 @@ fn hierarchical_scenario(
 fn hierarchical_batch_metrics_identical_at_any_thread_count() {
     let starved = hierarchical_scenario(404, 2, 1);
     let algo = BruteForce::new(&starved.matrix, starved.overlay.clone());
-    let cold = run_queries_threads(&algo, &starved, 120, 13, 1);
+    let cold = run_queries(&algo, &starved, 120, 13, 1);
     assert_eq!(cold.p_correct_closest, 1.0, "brute force is exact");
     assert!(
         starved.matrix.cache_stats().evictions > 0,
         "a 1-byte budget must actually evict blocks"
     );
     // Warm re-run over the very same (now partially resident) store.
-    let warm = run_queries_threads(&algo, &starved, 120, 13, 1);
+    let warm = run_queries(&algo, &starved, 120, 13, 1);
     assert_eq!(cold, warm, "cache temperature leaked into the metrics");
     for threads in THREAD_COUNTS {
         // Warm store, N threads.
-        let par = run_queries_threads(&algo, &starved, 120, 13, threads);
+        let par = run_queries(&algo, &starved, 120, 13, threads);
         assert_eq!(cold, par, "hierarchical batch diverged at {threads} threads");
         // Fresh store (cold cache), N threads.
         let fresh = hierarchical_scenario(404, 2, 1);
         let fresh_algo = BruteForce::new(&fresh.matrix, fresh.overlay.clone());
-        let fresh_par = run_queries_threads(&fresh_algo, &fresh, 120, 13, threads);
+        let fresh_par = run_queries(&fresh_algo, &fresh, 120, 13, threads);
         assert_eq!(
             cold, fresh_par,
             "cold-cache hierarchical batch diverged at {threads} threads"
@@ -283,8 +286,8 @@ fn hierarchical_scenario_metrics_match_dense_scenario() {
     let ha = BruteForce::new(&hier.matrix, hier.overlay.clone());
     for threads in [1, 4] {
         assert_eq!(
-            run_queries_threads(&da, &dense, 100, 17, threads),
-            run_queries_threads(&ha, &hier, 100, 17, threads),
+            run_queries(&da, &dense, 100, 17, threads),
+            run_queries(&ha, &hier, 100, 17, threads),
             "backends diverged at {threads} threads"
         );
     }
@@ -316,7 +319,7 @@ fn nearest_cache_identical_at_any_thread_count() {
 #[test]
 fn omniscient_ring_fill_identical_at_any_thread_count() {
     let s = scenario(707);
-    let serial = Overlay::build_threads(
+    let serial = Overlay::build(
         &s.matrix,
         s.overlay.clone(),
         MeridianConfig::default(),
@@ -325,7 +328,7 @@ fn omniscient_ring_fill_identical_at_any_thread_count() {
         1,
     );
     for threads in THREAD_COUNTS {
-        let par = Overlay::build_threads(
+        let par = Overlay::build(
             &s.matrix,
             s.overlay.clone(),
             MeridianConfig::default(),
@@ -364,7 +367,7 @@ fn hierarchical_fill_identical_at_any_thread_count() {
     let s = hierarchical_scenario(808, 2, 1 << 12);
     assert_eq!(s.matrix.n_super_shards(), 2);
     let build = |threads| {
-        Overlay::build_threads(
+        Overlay::build(
             &s.matrix,
             s.overlay.clone(),
             MeridianConfig::default(),
@@ -439,9 +442,9 @@ fn experiment_pipeline_identical_at_any_thread_count() {
         )
     };
     for backend in [Backend::Dense, Backend::Hierarchical] {
-        let serial = Experiment::new(spec(backend), &registry).run_threads(1);
+        let serial = Experiment::new(spec(backend), &registry).run(1);
         for threads in THREAD_COUNTS {
-            let par = Experiment::new(spec(backend), &registry).run_threads(threads);
+            let par = Experiment::new(spec(backend), &registry).run(threads);
             for (sc, pc) in serial
                 .query_cells()
                 .expect("query spec")
@@ -531,7 +534,7 @@ fn churn_pipeline_identical_at_any_thread_count() {
     for backend in [Backend::Dense, Backend::Hierarchical] {
         let serial =
             np_core::experiment::Experiment::new(churn_spec(backend, 30.0), &registry)
-                .run_threads(1);
+                .run(1);
         let serial_cell = &serial.query_cells().expect("query spec")[0];
         let stats = serial_cell.rows[1].churn.expect("churn cell carries stats");
         assert!(
@@ -541,7 +544,7 @@ fn churn_pipeline_identical_at_any_thread_count() {
         );
         for threads in THREAD_COUNTS {
             let par = np_core::experiment::Experiment::new(churn_spec(backend, 30.0), &registry)
-                .run_threads(threads);
+                .run(threads);
             let pc = &par.query_cells().expect("query spec")[0];
             for (sr, pr) in serial_cell.rows.iter().zip(&pc.rows) {
                 assert_eq!(
@@ -579,8 +582,8 @@ fn null_churn_matches_the_static_pipeline() {
         if let Workload::QueryMatrix(cells) = &mut static_.workload {
             cells[0].churn = None;
         }
-        let dyn_report = Experiment::new(dynamic, &registry).run_threads(4);
-        let static_report = Experiment::new(static_, &registry).run_threads(4);
+        let dyn_report = Experiment::new(dynamic, &registry).run(4);
+        let static_report = Experiment::new(static_, &registry).run(4);
         let dc = &dyn_report.query_cells().expect("query spec")[0];
         let sc = &static_report.query_cells().expect("query spec")[0];
         for (dr, sr) in dc.rows.iter().zip(&sc.rows) {

@@ -13,7 +13,7 @@
 //! here.
 
 use nearest_peer::prelude::*;
-use np_core::{draw_target_schedule, run_one_query, run_queries_threads, PaperMetrics};
+use np_core::{draw_target_schedule, run_one_query, run_queries, PaperMetrics};
 use np_metric::nearest::BruteForce;
 use np_metric::{NearestCache, WorldStore};
 use np_serve::{run_schedule, ArrivalSchedule, Pacing, ServeConfig, ServeCtx, ServeReport};
@@ -35,7 +35,7 @@ fn world_spec() -> ClusterWorldSpec {
 }
 
 fn dense_scenario(seed: u64) -> ClusterScenario {
-    ClusterScenario::build(world_spec(), 16, seed)
+    ClusterScenario::build(world_spec(), 16, seed, 2)
 }
 
 /// Serve `n` queries of the batch schedule through a pipeline with
@@ -105,9 +105,10 @@ fn meridian_service_equals_batch_dense() {
         MeridianConfig::default(),
         BuildMode::Omniscient,
         101,
+        2,
     );
     let n = 200;
-    let batch = run_queries_threads(&overlay, &s, n, 7, 1);
+    let batch = run_queries(&overlay, &s, n, 7, 1);
     let truth = NearestCache::build(&s.matrix, &s.overlay, &s.targets, 1);
     let mut answers: Option<Vec<_>> = None;
     for workers in WORKER_COUNTS {
@@ -146,9 +147,10 @@ fn brute_force_service_equals_batch_hierarchical() {
             202,
             super_shards,
             budget,
+            2,
         );
         let algo = BruteForce::new(&h.matrix, h.overlay.clone());
-        let batch = run_queries_threads(&algo, &h, n, 11, 1);
+        let batch = run_queries(&algo, &h, n, 11, 1);
         let truth = NearestCache::build(&h.matrix, &h.overlay, &h.targets, 1);
         for workers in WORKER_COUNTS {
             let report = serve_batch(&h, &algo, &truth, n, 11, workers);
@@ -203,7 +205,7 @@ fn poisson_realtime_schedule_equals_batch() {
     let schedule = ArrivalSchedule::poisson(&s.targets, 1000.0, 0.15, seed);
     assert!(!schedule.is_empty(), "a 1000 qps schedule has arrivals");
     let n = schedule.len();
-    let batch = run_queries_threads(&algo, &s, n, seed, 1);
+    let batch = run_queries(&algo, &s, n, seed, 1);
     let ctx = ServeCtx {
         store: &s.matrix,
         world: &s.world,

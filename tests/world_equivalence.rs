@@ -74,6 +74,7 @@ fn world(clusters: usize, en_per_cluster: usize, delta_pct: u64, seed: u64) -> C
             hub_pool: clusters.max(2),
         },
         seed,
+        2,
     )
 }
 
@@ -91,7 +92,7 @@ proptest::proptest! {
         let w = world(clusters, en, delta_pct, seed);
         let n = w.len();
         proptest::prop_assert!(n <= 512);
-        let dense = w.to_matrix_threads(1);
+        let dense = w.to_matrix(1);
         let gen = w.clone();
         let single = HierarchicalWorld::build_lazy(
             &vec![0; n],
@@ -147,7 +148,7 @@ proptest::proptest! {
         delta_pct in 0u64..=100,
     ) {
         let w = world(clusters, en, delta_pct, seed);
-        let dense = w.to_matrix_threads(1);
+        let dense = w.to_matrix(1);
         let one = w.to_hierarchical(1, usize::MAX);
         proptest::prop_assert_eq!(one.n_shards(), clusters);
         for t in dense.peers() {
@@ -182,7 +183,7 @@ proptest::proptest! {
         en in 1usize..=6,
     ) {
         let w = world(clusters, en, 20, seed);
-        let dense = w.to_matrix_threads(1);
+        let dense = w.to_matrix(1);
         let one = w.to_hierarchical(1, usize::MAX);
         for a in dense.peers() {
             for b in dense.peers() {
@@ -227,7 +228,7 @@ fn one_super_shard_collapses_to_the_dense_matrix() {
     for seed in [3u64, 41] {
         let w = world(5, 6, 20, seed); // 60 peers, 5 shards
         let n = w.len();
-        let dense = w.to_matrix_threads(2);
+        let dense = w.to_matrix(2);
         let hier = w.to_hierarchical(1, 1 << 20);
         hier.validate().expect("valid hierarchical store");
         assert_eq!(hier.n_super_shards(), 1);
@@ -261,7 +262,7 @@ fn one_super_shard_collapses_to_the_dense_matrix() {
         for &t in targets {
             assert_eq!(cd.nearest(t), ch.nearest(t), "cache diverged for {t}");
         }
-        let od = Overlay::build_threads(
+        let od = Overlay::build(
             &dense,
             overlay.to_vec(),
             MeridianConfig::default(),
@@ -269,7 +270,7 @@ fn one_super_shard_collapses_to_the_dense_matrix() {
             seed,
             2,
         );
-        let oh = Overlay::build_threads(
+        let oh = Overlay::build(
             &hier,
             overlay.to_vec(),
             MeridianConfig::default(),
@@ -289,7 +290,7 @@ fn one_super_shard_collapses_to_the_dense_matrix() {
 fn all_singleton_shards_collapse_to_the_dense_matrix() {
     let w = world(3, 6, 30, 7); // 36 peers
     let n = w.len();
-    let dense = Arc::new(w.to_matrix_threads(1));
+    let dense = Arc::new(w.to_matrix(1));
     let shard_of: Vec<u32> = (0..n as u32).collect();
     let hub = Arc::clone(&dense);
     let fill = Arc::clone(&dense);
@@ -344,7 +345,7 @@ fn starved_block_cache_fills_the_same_rings_at_two_levels() {
         members: &[PeerId],
     ) -> Overlay<'m, HierarchicalWorld> {
         let cfg = MeridianConfig::default();
-        Overlay::build_threads(store, members.to_vec(), cfg, BuildMode::Omniscient, 13, 2)
+        Overlay::build(store, members.to_vec(), cfg, BuildMode::Omniscient, 13, 2)
     }
     let (cold, warm) = (fill(&starved, &members), fill(&resident, &members));
     assert!(
@@ -439,7 +440,7 @@ proptest::proptest! {
     ) {
         let w = world(clusters, en, delta_pct, seed);
         let super_shards = 2 + (seed % 3) as usize;
-        let dense = w.to_matrix_threads(1);
+        let dense = w.to_matrix(1);
         let one = w.to_hierarchical(1, 0);
         let hier = w.to_hierarchical(super_shards, 0);
         proptest::prop_assert!(hier.n_super_shards() >= 2);
