@@ -26,7 +26,7 @@
 //! footer.
 
 use np_core::experiment::{sink, Backend, Experiment, ExperimentReport, SeedPlan};
-use np_util::parallel::{busy_time, resolve_threads};
+use np_util::parallel::{busy_time, resolve_threads, MAX_THREADS};
 use np_util::rng::DEFAULT_SEED;
 use std::time::{Duration, Instant};
 
@@ -91,6 +91,27 @@ impl Default for Args {
     }
 }
 
+/// A flag's value as an integer of at least 1.
+pub(crate) fn positive(v: &str, flag: &str) -> Result<usize, String> {
+    let n: usize = v
+        .parse()
+        .map_err(|_| format!("{flag} must be a positive integer"))?;
+    if n < 1 {
+        return Err(format!("{flag} must be at least 1"));
+    }
+    Ok(n)
+}
+
+/// A flag's value as a worker count: 1 to [`MAX_THREADS`], checked
+/// before any thread starts.
+pub(crate) fn worker_count(v: &str, flag: &str) -> Result<usize, String> {
+    let n = positive(v, flag)?;
+    if n > MAX_THREADS {
+        return Err(format!("{flag} must be at most {MAX_THREADS}"));
+    }
+    Ok(n)
+}
+
 /// The shared flag synopsis (`np-bench list` prints it).
 pub const USAGE: &str = "usage: [--quick] [--seed N] [--threads N] \
 [--world dense|hierarchical] [--super-shards N] [--block-cache-mb N] \
@@ -108,15 +129,6 @@ impl Args {
         ) -> Result<String, String> {
             it.next().ok_or_else(|| format!("{flag} requires a value"))
         }
-        fn positive(v: &str, flag: &str) -> Result<usize, String> {
-            let n: usize = v
-                .parse()
-                .map_err(|_| format!("{flag} must be a positive integer"))?;
-            if n < 1 {
-                return Err(format!("{flag} must be at least 1"));
-            }
-            Ok(n)
-        }
         let mut out = Args::default();
         let mut it = args.into_iter();
         while let Some(a) = it.next() {
@@ -129,7 +141,7 @@ impl Args {
                 }
                 "--threads" => {
                     let v = value(&mut it, "--threads")?;
-                    out.threads = Some(positive(&v, "--threads")?);
+                    out.threads = Some(worker_count(&v, "--threads")?);
                 }
                 "--seeds" => {
                     let v = value(&mut it, "--seeds")?;
@@ -477,6 +489,10 @@ mod tests {
             "--threads must be a positive integer"
         );
         assert_eq!(err(&["--threads", "0"]), "--threads must be at least 1");
+        assert_eq!(
+            err(&["--threads", "1025"]),
+            "--threads must be at most 1024"
+        );
         assert_eq!(err(&["--seeds", "0"]), "--seeds must be at least 1");
         assert_eq!(
             err(&["--super-shards", "0"]),

@@ -21,7 +21,7 @@
 //! `--record PATH` appends the machine-readable rows to a BENCH-style
 //! JSON map (`BENCH_serve.json` in CI), keyed `spec/cell/algo`.
 
-use crate::cli::{self, Args, OutFormat};
+use crate::cli::{self, positive, worker_count, Args, OutFormat};
 use crate::spec_files::load_spec;
 use crate::specs;
 use np_core::experiment::{
@@ -97,15 +97,6 @@ pub fn parse_serve_rest(
         }
         Ok(x)
     };
-    let positive = |v: &str, flag: &str| -> Result<usize, String> {
-        let n: usize = v
-            .parse()
-            .map_err(|_| format!("{flag} must be a positive integer"))?;
-        if n < 1 {
-            return Err(format!("{flag} must be at least 1"));
-        }
-        Ok(n)
-    };
     while let Some(a) = it.next() {
         match a.as_str() {
             "--rate" => opts.rate_qps = positive_f64(&value(&mut it, "--rate")?, "--rate")?,
@@ -113,7 +104,7 @@ pub fn parse_serve_rest(
                 opts.duration_s = positive_f64(&value(&mut it, "--duration")?, "--duration")?
             }
             "--workers" => {
-                opts.workers = Some(positive(&value(&mut it, "--workers")?, "--workers")?)
+                opts.workers = Some(worker_count(&value(&mut it, "--workers")?, "--workers")?)
             }
             "--queue-cap" => {
                 opts.queue_cap = positive(&value(&mut it, "--queue-cap")?, "--queue-cap")?
@@ -538,6 +529,10 @@ mod tests {
         assert_eq!(err(&["--rate", "0"]), "--rate must be a positive number");
         assert_eq!(err(&["--rate", "nan"]), "--rate must be a positive number");
         assert_eq!(err(&["--workers", "0"]), "--workers must be at least 1");
+        assert_eq!(
+            err(&["--workers", "1025"]),
+            "--workers must be at most 1024"
+        );
         assert!(err(&["--admission", "drop"]).starts_with("--admission must be"));
         assert!(err(&["--pacing", "warp"]).starts_with("--pacing must be"));
         assert_eq!(err(&["--frobnicate"]), "unknown serve flag \"--frobnicate\"");

@@ -46,6 +46,9 @@ fn fig8_malformed_flags_exit_2_with_usage() {
     let banana = run_fig8(&["--seed", "banana"]);
     assert_usage_error(bin, &banana, "--seed must be a u64");
     assert_usage_error(bin, &run_fig8(&["--threads"]), "--threads requires a value");
+    // A worker count above the cap fails before any thread starts.
+    let too_many = run_fig8(&["--threads", "1025"]);
+    assert_usage_error(bin, &too_many, "--threads must be at most 1024");
     // An unknown backend exits 2 with the catalogue and, when a name
     // is close, a nearest-name hint — the unknown-algorithm shape.
     let cubic = run_fig8(&["--world", "cubic"]);

@@ -54,7 +54,7 @@ impl MeridianFactory {
     /// rounds, mode, seed); the context's build cache already scopes
     /// world and seed, and β and the hop budget only steer queries. So
     /// every factory that fills alike — the hybrid coverage sweep, the
-    /// β ablations — shares one fill and clones the rings out.
+    /// β ablations — shares one fill, and one copy of its rings.
     fn fill_key(&self) -> String {
         format!(
             "meridian-rings|{:?}|manage={}|{:?}",
@@ -209,6 +209,7 @@ mod tests {
     use np_topology::{ClusterWorld, ClusterWorldSpec};
     use np_util::rng::rng_from;
     use np_util::Micros;
+    use std::sync::Arc;
 
     #[test]
     fn factory_builds_a_working_overlay() {
@@ -345,6 +346,16 @@ mod tests {
                 })
                 .collect()
         };
+        // Both overlays hold the cache's rings, not copies of them.
+        type Parts = (
+            MeridianConfig,
+            Vec<PeerId>,
+            Arc<std::collections::HashMap<PeerId, crate::rings::RingSet>>,
+            Option<crate::FillOrigin>,
+        );
+        let parts: Arc<Parts> =
+            shared.get_or_build(&base.fill_key(), || unreachable!("the fill is cached"));
+        assert_eq!(Arc::strong_count(&parts.2), 3, "cache + two overlays");
         let b25_answers = answers(uncached.as_ref());
         assert_eq!(
             answers(cached.as_ref()),

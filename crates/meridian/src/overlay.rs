@@ -28,6 +28,7 @@ use np_util::Micros;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 /// Seed tag for the per-node RNG streams of the omniscient ring fill.
 /// Each node's offer order is drawn from `item_seed(seed, FILL_TAG, i)`
@@ -132,6 +133,11 @@ fn fill_survivors<W: WorldStore + ?Sized>(
         }
     }
     // Replay the survivors in arrival order.
+    rs.reserve_exact(
+        (0..cfg.n_rings)
+            .map(|r| n_first[r] + n_late[r].min(l))
+            .sum(),
+    );
     for r in 0..cfg.n_rings {
         let window = n_late[r].min(l);
         let oldest = n_late[r] - window;
@@ -139,7 +145,7 @@ fn fill_survivors<W: WorldStore + ?Sized>(
             .iter()
             .chain((oldest..n_late[r]).map(|j| &late[r * l + j % l]));
         for &(q, d) in survivors {
-            rs.insert(q, Micros(d));
+            rs.push(r, q, Micros(d));
         }
     }
     kept
@@ -231,7 +237,7 @@ pub struct Overlay<'m, W: WorldStore + ?Sized = LatencyMatrix> {
     cfg: MeridianConfig,
     world: &'m W,
     members: Vec<PeerId>,
-    rings: HashMap<PeerId, RingSet>,
+    rings: Arc<HashMap<PeerId, RingSet>>,
     origin: Option<FillOrigin>,
 }
 
@@ -294,7 +300,7 @@ impl<'m, W: WorldStore + ?Sized> Overlay<'m, W> {
                     cfg,
                     world,
                     members,
-                    rings,
+                    rings: Arc::new(rings),
                     origin,
                 };
             }
@@ -350,21 +356,21 @@ impl<'m, W: WorldStore + ?Sized> Overlay<'m, W> {
             cfg,
             world,
             members,
-            rings,
+            rings: Arc::new(rings),
             origin: None, // gossip arrivals have no replayable stream
         }
     }
 
     /// Reassemble an overlay from previously built parts (see
-    /// [`Overlay::into_parts`]). `world` must be the same latency
-    /// space the parts were built over — repair reads it — but the
-    /// query path itself only consults the rings and the
-    /// probe-counted target, which is what makes the parts cacheable.
+    /// [`Overlay::into_parts`]), sharing their rings. `world` must be
+    /// the same latency space the parts were built over — repair reads
+    /// it — but queries only consult the rings and the probe-counted
+    /// target, which is what makes the parts cacheable.
     pub fn from_parts(
         world: &'m W,
         cfg: MeridianConfig,
         members: Vec<PeerId>,
-        rings: HashMap<PeerId, RingSet>,
+        rings: Arc<HashMap<PeerId, RingSet>>,
         origin: Option<FillOrigin>,
     ) -> Overlay<'m, W> {
         assert_eq!(members.len(), rings.len(), "parts out of sync");
@@ -378,19 +384,19 @@ impl<'m, W: WorldStore + ?Sized> Overlay<'m, W> {
     }
 
     /// Decompose into the world-independent parts: configuration,
-    /// membership, the filled ring sets and the fill origin (replay
-    /// provenance for churn repair). The parts are `'static` (rings
-    /// store peer ids + RTT values, not matrix borrows), so an
+    /// membership, the ring sets (shared by `Arc`) and the fill origin
+    /// (replay provenance for churn repair). The parts are `'static`
+    /// (rings store peer ids + RTT values, not matrix borrows), so an
     /// expensive build can be cached and re-borrowed against the same
-    /// world — the experiment registry's Meridian factory does this
-    /// when several registry entries wrap the same configuration.
+    /// world: the registry's Meridian factory caches every fill, and
+    /// each overlay it builds shares the cached rings.
     #[allow(clippy::type_complexity)]
     pub fn into_parts(
         self,
     ) -> (
         MeridianConfig,
         Vec<PeerId>,
-        HashMap<PeerId, RingSet>,
+        Arc<HashMap<PeerId, RingSet>>,
         Option<FillOrigin>,
     ) {
         (self.cfg, self.members, self.rings, self.origin)
@@ -554,9 +560,10 @@ impl<'m, W: WorldStore + ?Sized> Overlay<'m, W> {
         origin.removed.extend_from_slice(&going);
         let origin = origin.clone();
         let removed_set: HashSet<PeerId> = origin.removed.iter().copied().collect();
-        // Drop the departed themselves.
+        // Drop the departed (copying the rings first if they are shared).
+        let rings = Arc::make_mut(&mut self.rings);
         for &p in &going {
-            self.rings.remove(&p);
+            rings.remove(&p);
             if let Ok(pos) = self.members.binary_search(&p) {
                 self.members.remove(pos);
             }
@@ -569,7 +576,6 @@ impl<'m, W: WorldStore + ?Sized> Overlay<'m, W> {
             .collect();
         let (world, cfg) = (self.world, self.cfg);
         let bounds = ring_bounds(&cfg.rings);
-        let rings = &self.rings;
         // Per-survivor: find the dirty rings, clear + replay them from
         // the fill stream over the survivor set, re-manage only those
         // rings. Pure per-node function → parallel and deterministic.
@@ -606,7 +612,7 @@ impl<'m, W: WorldStore + ?Sized> Overlay<'m, W> {
             stats.ring_inserts += inserts;
             if let Some((rs, n_dirty)) = res {
                 stats.rings_replayed += n_dirty;
-                self.rings.insert(self.members[i], rs);
+                rings.insert(self.members[i], rs);
             }
         }
         stats
@@ -664,7 +670,7 @@ impl<'m, W: WorldStore + ?Sized> Overlay<'m, W> {
             cfg,
             world,
             members,
-            rings,
+            rings: Arc::new(rings),
             origin: Some(origin),
         }
     }

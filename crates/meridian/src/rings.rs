@@ -11,6 +11,7 @@
 use crate::hypervolume;
 use np_metric::PeerId;
 use np_util::Micros;
+use std::ops::Range;
 
 /// Ring-structure parameters (paper §4 uses `k = 16`, Meridian's default
 /// α = 1 ms, s = 2).
@@ -79,24 +80,19 @@ pub struct Member {
     pub rtt: Micros,
 }
 
-/// One ring: primaries + secondaries.
-#[derive(Debug, Clone, Default)]
-struct Ring {
-    primary: Vec<Member>,
-    secondary: Vec<Member>,
-}
-
-/// The full ring set of one node.
+/// The full ring set of one node. `members` holds every ring's members
+/// in one allocation, ring by ring: primaries in arrival order, then
+/// secondaries oldest first. A node knows at most `n_rings · (k + l)`
+/// peers, so [`RingSet::insert`] finds a known one by a scan.
 #[derive(Debug, Clone)]
 pub struct RingSet {
     cfg: RingConfig,
     owner: PeerId,
-    rings: Vec<Ring>,
-    /// Which ring (if any) currently holds each known peer — keeps
-    /// inserts O(ring size) instead of O(total members), which matters
-    /// when the omniscient builder offers every overlay member to every
-    /// node.
-    index: std::collections::HashMap<PeerId, u8>,
+    members: Vec<Member>,
+    /// Ring `r` is `members[start[r]..start[r + 1]]`.
+    start: Vec<u32>,
+    /// The first `n_primary[r]` members of ring `r` are its primaries.
+    n_primary: Vec<u32>,
 }
 
 impl RingSet {
@@ -105,8 +101,9 @@ impl RingSet {
         RingSet {
             cfg,
             owner,
-            rings: vec![Ring::default(); cfg.n_rings],
-            index: std::collections::HashMap::new(),
+            members: Vec::new(),
+            start: vec![0; cfg.n_rings + 1],
+            n_primary: vec![0; cfg.n_rings],
         }
     }
 
@@ -130,98 +127,106 @@ impl RingSet {
             return;
         }
         let target = self.cfg.ring_of(rtt);
-        if let Some(&old) = self.index.get(&peer) {
-            let ring = &mut self.rings[old as usize];
-            if old as usize == target {
+        if let Some(pos) = self.members.iter().position(|m| m.peer == peer) {
+            let old = self.start.partition_point(|&s| s as usize <= pos) - 1;
+            if old == target {
                 // Refresh in place.
-                let m = ring
-                    .primary
-                    .iter_mut()
-                    .chain(ring.secondary.iter_mut())
-                    .find(|m| m.peer == peer)
-                    .expect("index entry must exist in its ring");
-                m.rtt = rtt;
+                self.members[pos].rtt = rtt;
                 return;
             }
             // Relocate: drop from the old ring, fall through to add.
-            if let Some(pos) = ring.primary.iter().position(|m| m.peer == peer) {
-                ring.primary.remove(pos);
-            } else if let Some(pos) = ring.secondary.iter().position(|m| m.peer == peer) {
-                ring.secondary.remove(pos);
+            if pos < (self.start[old] + self.n_primary[old]) as usize {
+                self.n_primary[old] -= 1;
             }
-            self.index.remove(&peer);
+            self.remove(old, pos..pos + 1);
         }
+        self.push(target, peer, rtt);
+    }
+
+    /// Add `peer` to ring `r` as a new arrival: a primary while the
+    /// ring has room, else a secondary, else in place of the oldest
+    /// secondary. `peer` must not be known yet (the fill kernel offers
+    /// each survivor once, and `insert` looks first).
+    pub(crate) fn push(&mut self, r: usize, peer: PeerId, rtt: Micros) {
+        debug_assert!(self.members.iter().all(|m| m.peer != peer));
         let m = Member { peer, rtt };
-        let ring = &mut self.rings[target];
-        if ring.primary.len() < self.cfg.k {
-            ring.primary.push(m);
-        } else if ring.secondary.len() < self.cfg.l {
-            ring.secondary.push(m);
+        let first_secondary = (self.start[r] + self.n_primary[r]) as usize;
+        let end = self.start[r + 1] as usize;
+        let pos = if (self.n_primary[r] as usize) < self.cfg.k {
+            self.n_primary[r] += 1;
+            first_secondary
+        } else if end - first_secondary < self.cfg.l {
+            end
         } else {
-            // Recycle the oldest secondary (front of the vec).
-            let evicted = ring.secondary.remove(0);
-            self.index.remove(&evicted.peer);
-            ring.secondary.push(m);
+            // Recycle the oldest secondary.
+            let window = &mut self.members[first_secondary..end];
+            window.rotate_left(1);
+            window[window.len() - 1] = m;
+            return;
+        };
+        self.members.insert(pos, m);
+        for s in &mut self.start[r + 1..] {
+            *s += 1;
         }
-        self.index.insert(peer, target as u8);
+    }
+
+    /// Room for `additional` more members (the fill counts its survivors first).
+    pub(crate) fn reserve_exact(&mut self, additional: usize) {
+        self.members.reserve_exact(additional);
+    }
+
+    /// Remove `members[span]`, which lies inside ring `r`.
+    fn remove(&mut self, r: usize, span: Range<usize>) {
+        for s in &mut self.start[r + 1..] {
+            *s -= span.len() as u32;
+        }
+        self.members.drain(span);
+    }
+
+    /// Ring `r`'s primaries and secondaries.
+    fn ring(&self, r: usize) -> (&[Member], &[Member]) {
+        let ring = &self.members[self.start[r] as usize..self.start[r + 1] as usize];
+        ring.split_at(self.n_primary[r] as usize)
     }
 
     /// All primary members across rings.
     pub fn primaries(&self) -> impl Iterator<Item = Member> + '_ {
-        self.rings.iter().flat_map(|r| r.primary.iter().copied())
+        (0..self.cfg.n_rings).flat_map(|r| self.ring(r).0.iter().copied())
     }
 
     /// All secondary members across rings (replacement candidates —
     /// part of the structure's state, so repair-equivalence checks
     /// compare them too).
     pub fn secondaries(&self) -> impl Iterator<Item = Member> + '_ {
-        self.rings.iter().flat_map(|r| r.secondary.iter().copied())
+        (0..self.cfg.n_rings).flat_map(|r| self.ring(r).1.iter().copied())
     }
 
     /// Forget every member of ring `r` (primaries and secondaries).
     /// The incremental repair path clears a dirty ring before
     /// replaying its survivor arrival sequence into it.
     pub(crate) fn clear_ring(&mut self, r: usize) {
-        let ring = &mut self.rings[r];
-        let peers: Vec<PeerId> = ring
-            .primary
-            .iter()
-            .chain(ring.secondary.iter())
-            .map(|m| m.peer)
-            .collect();
-        ring.primary.clear();
-        ring.secondary.clear();
-        for p in peers {
-            self.index.remove(&p);
-        }
+        self.n_primary[r] = 0;
+        self.remove(r, self.start[r] as usize..self.start[r + 1] as usize);
     }
 
     /// Primary members with RTT within `[lo, hi]` — the β-annulus query.
     pub fn primaries_in(&self, lo: Micros, hi: Micros) -> Vec<Member> {
         // Only rings overlapping [lo, hi] need scanning.
-        let first = self.cfg.ring_of(lo);
-        let last = self.cfg.ring_of(hi);
-        let mut out = Vec::new();
-        for ring in &self.rings[first..=last] {
-            for m in &ring.primary {
-                if m.rtt >= lo && m.rtt <= hi {
-                    out.push(*m);
-                }
-            }
-        }
-        out
+        (self.cfg.ring_of(lo)..=self.cfg.ring_of(hi))
+            .flat_map(|r| self.ring(r).0)
+            .filter(|m| m.rtt >= lo && m.rtt <= hi)
+            .copied()
+            .collect()
     }
 
     /// Number of primary members.
     pub fn len(&self) -> usize {
-        self.rings.iter().map(|r| r.primary.len()).sum()
+        self.n_primary.iter().map(|&n| n as usize).sum()
     }
 
     /// True iff no members are known.
     pub fn is_empty(&self) -> bool {
-        self.rings
-            .iter()
-            .all(|r| r.primary.is_empty() && r.secondary.is_empty())
+        self.members.is_empty()
     }
 
     /// Run ring-membership management on every ring: choose the `k` of
@@ -229,7 +234,7 @@ impl RingSet {
     /// pairwise RTTs between members, e.g. from the latency matrix), with
     /// the rest demoted to secondaries.
     pub fn manage(&mut self, mut dist: impl FnMut(PeerId, PeerId) -> Micros) {
-        for r in 0..self.rings.len() {
+        for r in 0..self.cfg.n_rings {
             self.manage_ring(r, &mut dist);
         }
     }
@@ -240,45 +245,37 @@ impl RingSet {
     /// only the rings it replayed and still match a full rebuild
     /// bit for bit.
     pub(crate) fn manage_ring(&mut self, r: usize, mut dist: impl FnMut(PeerId, PeerId) -> Micros) {
-        let ring = &self.rings[r];
-        let total = ring.primary.len() + ring.secondary.len();
-        if total <= self.cfg.k || ring.secondary.is_empty() {
+        // The candidates in arrival order: primaries, then secondaries.
+        let start = self.start[r] as usize;
+        let candidates = &self.members[start..self.start[r + 1] as usize];
+        let total = candidates.len();
+        if total <= self.cfg.k || total == self.n_primary[r] as usize {
             return;
         }
-        let candidates: Vec<Member> = ring
-            .primary
-            .iter()
-            .chain(ring.secondary.iter())
-            .copied()
-            .collect();
         let selected = hypervolume::select_max_volume(total, self.cfg.k, |i, j| {
             dist(candidates[i].peer, candidates[j].peer).as_ms()
         });
-        let mut new_primary = Vec::with_capacity(self.cfg.k);
-        let mut new_secondary = Vec::with_capacity(self.cfg.l);
-        let mut dropped = Vec::new();
-        for (idx, m) in candidates.into_iter().enumerate() {
-            if selected.binary_search(&idx).is_ok() {
-                new_primary.push(m);
-            } else if new_secondary.len() < self.cfg.l {
-                new_secondary.push(m);
-            } else {
-                // Dropped entirely: forget it.
-                dropped.push(m.peer);
-            }
-        }
-        let ring = &mut self.rings[r];
-        ring.primary = new_primary;
-        ring.secondary = new_secondary;
-        for p in dropped {
-            self.index.remove(&p);
-        }
+        // The selected become the primaries and the next `l` the
+        // secondaries, each in candidate order; the rest are forgotten.
+        let chosen = |i: &usize| selected.binary_search(i).is_ok();
+        let ring: Vec<Member> = (0..total)
+            .filter(chosen)
+            .chain((0..total).filter(|i| !chosen(i)).take(self.cfg.l))
+            .map(|i| candidates[i])
+            .collect();
+        self.members[start..start + ring.len()].copy_from_slice(&ring);
+        self.n_primary[r] = selected.len() as u32;
+        self.remove(r, start + ring.len()..start + total);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    // The two-`Vec`-per-ring layout with its peer index, which the
+    // one-allocation `RingSet` must match operation for operation.
+    include!("rings_reference.rs");
 
     fn cfg() -> RingConfig {
         RingConfig::default()
@@ -368,7 +365,7 @@ mod tests {
     }
 
     #[test]
-    fn clear_ring_forgets_members_and_frees_the_index() {
+    fn clear_ring_forgets_members() {
         let mut rs = RingSet::new(PeerId(0), RingConfig { k: 2, l: 1, ..cfg() });
         for (i, ms) in [(1u32, 2.1), (2, 2.5), (3, 3.0), (4, 0.5)] {
             rs.insert(PeerId(i), Micros::from_ms(ms));
@@ -448,6 +445,59 @@ mod tests {
             ids.sort_unstable();
             ids.dedup();
             proptest::prop_assert_eq!(ids.len(), before);
+        }
+
+        /// One random sequence of inserts, ring clears and ring
+        /// management leaves the one-allocation ring set equal to the
+        /// two-`Vec`-per-ring reference after every step. 24 peers
+        /// (the owner among them) within 20 ms crowd rings 3-5, often
+        /// past `k + l`, so inserts refresh, relocate and recycle
+        /// secondaries; management reads random symmetric distances.
+        #[test]
+        fn prop_matches_the_reference_layout(
+            kl in (1usize..5, 1usize..4),
+            ops in proptest::collection::vec(
+                (0u8..10, 0u32..24, 0u64..20_000, proptest::num::u64::ANY),
+                0..200,
+            ),
+        ) {
+            let c = RingConfig { k: kl.0, l: kl.1, ..cfg() };
+            let mut rs = RingSet::new(PeerId(0), c);
+            let mut reference = ReferenceRingSet::new(PeerId(0), c);
+            for (step, &(op, peer, us, salt)) in ops.iter().enumerate() {
+                let r = c.ring_of(Micros(us));
+                match op {
+                    0..=6 => {
+                        rs.insert(PeerId(peer), Micros(us));
+                        reference.insert(PeerId(peer), Micros(us));
+                    }
+                    7 => {
+                        rs.clear_ring(r);
+                        reference.clear_ring(r);
+                    }
+                    _ => {
+                        let dist = |a: PeerId, b: PeerId| {
+                            let pair = u64::from(a.0.min(b.0)) << 32 | u64::from(a.0.max(b.0));
+                            let d = np_util::rng::sub_seed(salt, pair) % 50_000;
+                            Micros(if a == b { 0 } else { 100 + d })
+                        };
+                        rs.manage_ring(r, dist);
+                        reference.manage_ring(r, dist);
+                    }
+                }
+                let state = |p: Vec<Member>, s: Vec<Member>, len: usize| (p, s, len);
+                proptest::prop_assert_eq!(
+                    state(rs.primaries().collect(), rs.secondaries().collect(), rs.len()),
+                    state(
+                        reference.primaries().collect(),
+                        reference.secondaries().collect(),
+                        reference.len(),
+                    ),
+                    "layouts diverged at step {} ({:?})",
+                    step,
+                    (op, peer, us)
+                );
+            }
         }
     }
 }

@@ -31,7 +31,9 @@
 //! an argument and never reads the environment. A binary resolves the
 //! count once with [`resolve_threads`]: explicit value (a `--threads`
 //! flag) > the `NP_THREADS` environment variable > all available
-//! cores. Thread count never affects results, only wall-clock.
+//! cores. Thread count never affects results, only wall-clock. A
+//! count above [`MAX_THREADS`] is an error on the command line and
+//! invalid in `NP_THREADS`.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
@@ -40,8 +42,15 @@ use std::time::{Duration, Instant};
 /// explicit thread count is given.
 pub const THREADS_ENV: &str = "NP_THREADS";
 
+/// The largest worker count a run may ask for. [`par_map`] starts one
+/// OS thread per worker, and a failed spawn panics, so the command
+/// line rejects larger `--threads` and `--workers` values and
+/// [`resolve_threads`] treats a larger `$NP_THREADS` as invalid.
+pub const MAX_THREADS: usize = 1024;
+
 /// Resolve a worker count: `explicit` (e.g. from `--threads`) wins,
-/// then a positive integer in `$NP_THREADS`, then all available cores.
+/// then an integer from 1 to [`MAX_THREADS`] in `$NP_THREADS`, then all
+/// available cores.
 /// Always at least 1.
 pub fn resolve_threads(explicit: Option<usize>) -> usize {
     let env = std::env::var(THREADS_ENV).ok();
@@ -51,7 +60,7 @@ pub fn resolve_threads(explicit: Option<usize>) -> usize {
         // once.
         static WARNED: std::sync::Once = std::sync::Once::new();
         WARNED.call_once(|| {
-            eprintln!("warning: ignoring invalid {THREADS_ENV}={v:?} (want a positive integer)");
+            eprintln!("warning: ignoring invalid {THREADS_ENV}={v:?} (want 1 to {MAX_THREADS})");
         });
     }
     n
@@ -72,7 +81,7 @@ pub fn resolve_threads_from(
     }
     if let Some(v) = env {
         match v.trim().parse::<usize>() {
-            Ok(n) if n >= 1 => return (n, None),
+            Ok(n) if (1..=MAX_THREADS).contains(&n) => return (n, None),
             _ => return (ambient.max(1), Some(v.to_string())),
         }
     }
@@ -404,6 +413,11 @@ mod tests {
         assert_eq!(
             resolve_threads_from(None, Some("0"), 8),
             (8, Some("0".to_string()))
+        );
+        // So does a count above the cap.
+        assert_eq!(
+            resolve_threads_from(None, Some("1025"), 8),
+            (8, Some("1025".to_string()))
         );
         // Everything clamps to at least one worker.
         assert_eq!(resolve_threads_from(None, None, 0), (1, None));
